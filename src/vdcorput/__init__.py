@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .numutil import (ComplexAccumulator, NearestIntDecomp, TailAccuracyError,
+from .numutil import (NearestIntDecomp, TailAccuracyError, csum,
                       modified_sawtooth, modified_sawtooth_partial,
                       nearest_decomp, sawtooth_psi, starred_sum)
 from .phase import (ConditionMProfile, FamilyError, InversionRangeError,
@@ -18,7 +18,7 @@ from .errbudget import (AssumptionPartition, ConditionMReport, ErrorBudget,
                         m_count, partition_assumptions, toinfinity_deltas)
 
 __all__ = [
-    "ComplexAccumulator", "NearestIntDecomp", "TailAccuracyError",
+    "NearestIntDecomp", "TailAccuracyError", "csum",
     "modified_sawtooth", "modified_sawtooth_partial", "nearest_decomp",
     "sawtooth_psi", "starred_sum",
     "ConditionMProfile", "FamilyError", "InversionRangeError",

@@ -656,6 +656,25 @@ class Delta4Breakdown:
                 + self.kappa_minus + self.jnull_sum)
 
 
+def _k_terms(model: PhaseAmplitudeModel,
+             partition: AssumptionPartition) -> Tuple[float, float, float, float]:
+    """(kappa_0, kappa_+, kappa_-, J_null sum): the K functionals over J_0 and
+    both branches of J_pm, and the isolated amplitude-zero sum."""
+    wr = WRFunctions(model)
+    k0 = kappa_functional(wr.W0, wr.W0_prime, wr.r0_prime,
+                          partition.j0, partition.j0_isolated, partition.boundary_0)
+    kp = kappa_functional(lambda x: wr.W_branch(x, +1), lambda x: wr.W_branch_prime(x, +1),
+                          lambda x: wr.r_branch_prime(x, +1),
+                          partition.jpm, partition.jpm_isolated, partition.boundary_pm)
+    km = kappa_functional(lambda x: wr.W_branch(x, -1), lambda x: wr.W_branch_prime(x, -1),
+                          lambda x: wr.r_branch_prime(x, -1),
+                          partition.jpm, partition.jpm_isolated, partition.boundary_pm)
+    jn = 0.0
+    for x in partition.jnull:
+        jn += abs(float(model.g2(x)) ** 2 / (float(model.g1(x)) * float(model.f2(x)) ** 2))
+    return k0, kp, km, jn
+
+
 def global_delta4(model: PhaseAmplitudeModel, profile: ConditionMProfile,
                   partition: Optional[AssumptionPartition],
                   a: float, b: float) -> Delta4Breakdown:
@@ -670,19 +689,7 @@ def global_delta4(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     for fl in partition.flags:
         if "tends to 0" in fl:
             raise PartitionDegeneracyError(fl)
-    wr = WRFunctions(model)
-    k0 = kappa_functional(wr.W0, wr.W0_prime, wr.r0_prime,
-                          partition.j0, partition.j0_isolated, partition.boundary_0)
-    kp = kappa_functional(lambda x: wr.W_branch(x, +1), lambda x: wr.W_branch_prime(x, +1),
-                          lambda x: wr.r_branch_prime(x, +1),
-                          partition.jpm, partition.jpm_isolated, partition.boundary_pm)
-    km = kappa_functional(lambda x: wr.W_branch(x, -1), lambda x: wr.W_branch_prime(x, -1),
-                          lambda x: wr.r_branch_prime(x, -1),
-                          partition.jpm, partition.jpm_isolated, partition.boundary_pm)
-    jn = 0.0
-    for x in partition.jnull:
-        jn += abs(float(model.g2(x)) ** 2 / (float(model.g1(x)) * float(model.f2(x)) ** 2))
-    return Delta4Breakdown(smooth, k0, kp, km, jn, False)
+    return Delta4Breakdown(smooth, *_k_terms(model, partition), False)
 
 
 # ---------------------------------------------------------------------------
@@ -814,19 +821,7 @@ def toinfinity_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     v3, _ = _quad(tail3, b, h3)
     h4 = _monotone_horizon(smooth, b)
     v4, _ = _quad(smooth, b, h4)
-    d5 = v3 + v4
 
-    horizon = max(h3, h4)
-    part = partition_assumptions(model, b, horizon, samples=2048)
-    wr = WRFunctions(model)
-    d5 += kappa_functional(wr.W0, wr.W0_prime, wr.r0_prime,
-                           part.j0, part.j0_isolated, part.boundary_0)
-    d5 += kappa_functional(lambda x: wr.W_branch(x, +1), lambda x: wr.W_branch_prime(x, +1),
-                           lambda x: wr.r_branch_prime(x, +1),
-                           part.jpm, part.jpm_isolated, part.boundary_pm)
-    d5 += kappa_functional(lambda x: wr.W_branch(x, -1), lambda x: wr.W_branch_prime(x, -1),
-                           lambda x: wr.r_branch_prime(x, -1),
-                           part.jpm, part.jpm_isolated, part.boundary_pm)
-    for x in part.jnull:
-        d5 += abs(float(model.g2(x)) ** 2 / (float(model.g1(x)) * float(model.f2(x)) ** 2))
-    return d3p, d4p, d5
+    part = partition_assumptions(model, b, max(h3, h4), samples=2048)
+    k0, kp, km, jn = _k_terms(model, part)
+    return d3p, d4p, v3 + v4 + k0 + kp + km + jn

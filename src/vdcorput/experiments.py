@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .expsum import CurveSample, curve_samples, direct_starred_sum, write_curve_csv
-from .numutil import (ComplexAccumulator, modified_sawtooth, nearest_decomp,
-                      sawtooth_psi)
+from .numutil import (is_integer_like, modified_sawtooth, nearest_decomp,
+                      sawtooth_psi, starred_sum)
 from .phase import PhaseAmplitudeModel, builtin_family
 from .transform import TransformOptions, budget_with_endpoints, full_transform, rhs_main_sum
 
@@ -178,10 +178,7 @@ class CKReport:
 def _quadratic_starred(count: int, coeff: float) -> complex:
     """sum over 0 <= k <= count of e(coeff k^2 / 2), halved at both limits."""
     ks = np.arange(0, count + 1, dtype=np.float64)
-    w = np.exp(TWO_PI_I * np.mod(0.5 * coeff * ks * ks, 1.0))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return complex(np.sum(w))
+    return starred_sum(np.exp(TWO_PI_I * np.mod(0.5 * coeff * ks * ks, 1.0)), (True, True))
 
 
 def ck_quadratic(omega: float, n: int, constant: float = 3.14) -> CKReport:
@@ -323,20 +320,12 @@ def ik_experiment(alpha: float, nu: float, n_scale: float, x_scale: float) -> IK
     model, _ = builtin_family("ik_monomial", [alpha, n_scale, x_scale])
     lhs = direct_starred_sum(model, n_scale, nu * n_scale)
 
-    lo, hi = math.ceil(m_scale), math.floor(mu * m_scale)
-    acc = ComplexAccumulator()
-    lo_int = abs(m_scale - round(m_scale)) <= 1e-9 * max(1.0, m_scale)
-    hi_int = abs(mu * m_scale - round(mu * m_scale)) <= 1e-9 * max(1.0, mu * m_scale)
-    for m in range(lo, hi + 1):
+    weights = []
+    for m in range(math.ceil(m_scale), math.floor(mu * m_scale) + 1):
         ph = (0.125 - (x_scale / beta) * (m / m_scale) ** beta) % 1.0
-        w = math.sqrt(beta / m) * complex(math.cos(2 * math.pi * ph),
-                                          math.sin(2 * math.pi * ph))
-        if m == lo and lo_int:
-            w *= 0.5
-        if m == hi and hi_int:
-            w *= 0.5
-        acc.add(w)
-    rhs = acc.sum
+        weights.append(math.sqrt(beta / m) * complex(math.cos(2 * math.pi * ph),
+                                                     math.sin(2 * math.pi * ph)))
+    rhs = starred_sum(weights, (is_integer_like(m_scale), is_integer_like(mu * m_scale)))
     delta = lhs - rhs
     scale = n_scale ** -0.5 + m_scale ** -0.5
     return IKReport(alpha, beta, nu, mu, n_scale, m_scale, x_scale,

@@ -9,14 +9,13 @@ of linear interpolation by the fractional part between integer arguments.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, TextIO
 
 import numpy as np
 
-from .numutil import ComplexAccumulator, is_integer_like
+from .numutil import csum, is_integer_like
 from .phase import PhaseAmplitudeModel
 
 _CHUNK = 1 << 16
@@ -28,17 +27,12 @@ class CurveSample:
     value: complex
 
 
-def _endpoint_is_integer(x: float) -> bool:
-    return is_integer_like(x)
-
-
 def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
                        conjugate: bool = False) -> complex:
     """Sum of g(n) e(f(n)) over integers n in [a, b], halved at integer limits.
 
-    Evaluation is chunked and vectorized; chunk subtotals are merged with
-    compensated accumulation so the result is reproducible and accurate to a
-    few ulps of the term magnitudes.
+    Evaluation is chunked and vectorized; chunk subtotals are merged with a
+    correctly rounded sum, so the result is reproducible.
     """
     if b < a:
         raise ValueError(f"empty orientation: b={b} < a={a}")
@@ -46,9 +40,9 @@ def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
     n_hi = math.floor(b + 1e-12 * max(1.0, abs(b)))
     if n_hi < n_lo:
         return 0j
-    acc = ComplexAccumulator()
-    half_lo = _endpoint_is_integer(a)
-    half_hi = _endpoint_is_integer(b)
+    parts = []
+    half_lo = is_integer_like(a)
+    half_hi = is_integer_like(b)
     n = n_lo
     while n <= n_hi:
         m = min(n + _CHUNK - 1, n_hi)
@@ -59,25 +53,10 @@ def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
             w[0] *= 0.5
         if m == n_hi and half_hi:
             w[-1] *= 0.5
-        acc.add(complex(np.sum(w)))
+        parts.append(np.sum(w))
         n = m + 1
-    s = acc.sum
+    s = csum(parts)
     return s.conjugate() if conjugate else s
-
-
-def direct_starred_sum_unreduced(model: PhaseAmplitudeModel, a: float, b: float) -> complex:
-    """Reference path without phase reduction (valid only for small f)."""
-    n_lo, n_hi = math.ceil(a), math.floor(b)
-    acc = ComplexAccumulator()
-    for n in range(n_lo, n_hi + 1):
-        w = float(model.g(n)) * complex(math.cos(2 * math.pi * float(model.f(n))),
-                                        math.sin(2 * math.pi * float(model.f(n))))
-        if n == n_lo and _endpoint_is_integer(a):
-            w *= 0.5
-        if n == n_hi and _endpoint_is_integer(b):
-            w *= 0.5
-        acc.add(w)
-    return acc.sum
 
 
 def curve_samples(model: PhaseAmplitudeModel, t_max: float,
@@ -112,20 +91,9 @@ def curve_samples(model: PhaseAmplitudeModel, t_max: float,
     return out
 
 
-def split_consistency(model: PhaseAmplitudeModel, a: float, c: float, b: float) -> complex:
-    """direct(a,c) + direct(c,b) (the halves at an integer c recombine to a
-    full term, so this equals direct(a,b) either way)."""
-    return direct_starred_sum(model, a, c) + direct_starred_sum(model, c, b)
-
-
 def write_curve_csv(samples: Sequence[CurveSample], fp: TextIO) -> None:
     """CSV emitter: header ``t,re,im``, '.' decimal separator, newline-terminated."""
     fp.write("t,re,im\n")
     for s in samples:
         fp.write(f"{s.t:.12g},{s.value.real:.15g},{s.value.imag:.15g}\n")
 
-
-def curve_csv_text(samples: Sequence[CurveSample]) -> str:
-    buf = io.StringIO()
-    write_curve_csv(samples, buf)
-    return buf.getvalue()

@@ -1,4 +1,4 @@
-"""Nearest-integer arithmetic, sawtooth functions, and compensated summation.
+"""Nearest-integer arithmetic, sawtooth functions, and correctly rounded summation.
 
 The sawtooth ladder used throughout the package:
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import digamma
@@ -133,87 +133,36 @@ def dist_to_nearest_star(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# complex exponential with argument reduction
+# correctly rounded summation
 # ---------------------------------------------------------------------------
 
-def e1(x: float) -> complex:
-    """e(x) = exp(2 pi i x), reducing x mod 1 first to keep accuracy at large x."""
-    return cmath.exp(2j * math.pi * math.fmod(x, 1.0))
+def csum(values: Sequence[complex]) -> complex:
+    """Sum of complex values, math.fsum on the real and the imaginary parts.
 
-
-def e1_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorized e(x) with mod-1 argument reduction."""
-    return np.exp(2j * np.pi * np.mod(x, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# compensated summation
-# ---------------------------------------------------------------------------
-
-class ComplexAccumulator:
-    """Neumaier-compensated running sum of complex values."""
-
-    __slots__ = ("_sr", "_si", "_cr", "_ci", "count")
-
-    def __init__(self):
-        self._sr = 0.0
-        self._si = 0.0
-        self._cr = 0.0
-        self._ci = 0.0
-        self.count = 0
-
-    def add(self, z: complex) -> None:
-        x = z.real
-        t = self._sr + x
-        if abs(self._sr) >= abs(x):
-            self._cr += (self._sr - t) + x
-        else:
-            self._cr += (x - t) + self._sr
-        self._sr = t
-        y = z.imag
-        t = self._si + y
-        if abs(self._si) >= abs(y):
-            self._ci += (self._si - t) + y
-        else:
-            self._ci += (y - t) + self._si
-        self._si = t
-        self.count += 1
-
-    @property
-    def sum(self) -> complex:
-        return complex(self._sr + self._cr, self._si + self._ci)
-
-    @property
-    def compensation(self) -> complex:
-        return complex(self._cr, self._ci)
-
-
-def compensated_complex_sum(values: Iterable[complex]) -> complex:
-    acc = ComplexAccumulator()
-    for v in values:
-        acc.add(v)
-    return acc.sum
+    Each part is correctly rounded, so the result does not depend on the
+    order of the values.  Parts that are not finite fall back to the plain
+    IEEE sum (inf or nan) instead of raising.
+    """
+    z = np.asarray(values, dtype=np.complex128)
+    re, im = z.real.tolist(), z.imag.tolist()
+    try:
+        return complex(math.fsum(re), math.fsum(im))
+    except (ValueError, OverflowError):
+        return complex(sum(re), sum(im))
 
 
 def starred_sum(weights: Sequence[complex], endpoint_flags: Tuple[bool, bool]) -> complex:
-    """Compensated sum with first/last term halved at integer summation limits.
+    """Correctly rounded sum with first/last term halved at integer limits.
 
     ``endpoint_flags`` marks whether the lower and upper summation limits are
     integers; an empty sequence sums to zero.
     """
-    n = len(weights)
-    if n == 0:
-        return 0j
-    acc = ComplexAccumulator()
-    first, last = endpoint_flags
-    for i, w in enumerate(weights):
-        w = complex(w)
-        if i == 0 and first:
-            w *= 0.5
-        if i == n - 1 and last:
-            w *= 0.5
-        acc.add(w)
-    return acc.sum
+    w = np.array(weights, dtype=np.complex128)
+    if w.size and endpoint_flags[0]:
+        w[0] *= 0.5
+    if w.size and endpoint_flags[1]:
+        w[-1] *= 0.5
+    return csum(w)
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +180,7 @@ def _psi_partial_direct(fx: float, eps: float, lo: int, hi: int) -> complex:
     fx is {x}; each pair (r, -r) contributes
     (i/2pi) * [z^r/(r+eps) - conj(z)^r/(r-eps)] with z = e(fx).
     """
-    total_re = 0.0
-    total_im = 0.0
-    comp_re = 0.0
-    comp_im = 0.0
+    parts = []
     chunk = 1 << 18
     r0 = lo
     while r0 <= hi:
@@ -245,16 +191,10 @@ def _psi_partial_direct(fx: float, eps: float, lo: int, hi: int) -> complex:
         s = np.sin(ang)
         den = r * r - eps * eps
         # real part: -(1/pi) sum r sin / den; imag: -(eps/pi) sum cos / den
-        pr = -np.sum(r * s / den) / math.pi
-        pi_ = -eps * np.sum(c / den) / math.pi
-        t = total_re + pr
-        comp_re += (total_re - t) + pr if abs(total_re) >= abs(pr) else (pr - t) + total_re
-        total_re = t
-        t = total_im + pi_
-        comp_im += (total_im - t) + pi_ if abs(total_im) >= abs(pi_) else (pi_ - t) + total_im
-        total_im = t
+        parts.append(complex(-np.sum(r * s / den) / math.pi,
+                             -eps * np.sum(c / den) / math.pi))
         r0 = r1 + 1
-    return complex(total_re + comp_re, total_im + comp_im)
+    return csum(parts)
 
 
 def _abel_tail(fx: float, s: float, m: int, levels: int = 18) -> complex:

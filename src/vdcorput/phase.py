@@ -214,6 +214,14 @@ def check_derivative_consistency(model: PhaseAmplitudeModel, n: int = 100,
 _SQRT3 = math.sqrt(3.0)
 
 
+def _ones(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _zeros(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 def _power_phase_model(domain) -> PhaseAmplitudeModel:
     c = 3.0 ** -1.5
 
@@ -227,15 +235,13 @@ def _power_phase_model(domain) -> PhaseAmplitudeModel:
         k = math.isqrt(n // 12)
         return k if 12 * k * k == n else None
 
-    one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return PhaseAmplitudeModel(
         f=lambda x: c * np.asarray(x, dtype=float) ** 1.5,
         f1=lambda x: 0.5 * np.sqrt(np.asarray(x, dtype=float) / 3.0),
         f2=lambda x: 0.25 / _SQRT3 / np.sqrt(np.asarray(x, dtype=float)),
         f3=lambda x: -(0.125 / _SQRT3) * np.asarray(x, dtype=float) ** -1.5,
         f4=lambda x: (3.0 / 16.0 / _SQRT3) * np.asarray(x, dtype=float) ** -2.5,
-        g=one, g1=zero, g2=zero, g3=zero,
+        g=_ones, g1=_zeros, g2=_zeros, g3=_zeros,
         domain=domain or (1e-3, 1e12),
         fprime_inverse=lambda r: 12.0 * r * r,
         rhs_phase=lambda r, xr: (-4.0 * r ** 3) % 1.0 if r == int(r) else (c * xr ** 1.5 - r * xr) % 1.0,
@@ -247,14 +253,12 @@ def _power_phase_model(domain) -> PhaseAmplitudeModel:
 def _quadratic_model(omega: float, domain) -> PhaseAmplitudeModel:
     if omega <= 0:
         raise FamilyError("quadratic family needs omega > 0 (conjugate for omega < 0)")
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    one = lambda x: np.ones_like(np.asarray(x, dtype=float))
     return PhaseAmplitudeModel(
         f=lambda x: 0.5 * omega * np.asarray(x, dtype=float) ** 2,
         f1=lambda x: omega * np.asarray(x, dtype=float),
         f2=lambda x: np.full_like(np.asarray(x, dtype=float), omega),
-        f3=zero, f4=zero,
-        g=one, g1=zero, g2=zero, g3=zero,
+        f3=_zeros, f4=_zeros,
+        g=_ones, g1=_zeros, g2=_zeros, g3=_zeros,
         domain=domain or (-1e9, 1e9),
         fprime_inverse=lambda r: r / omega,
         rhs_phase=lambda r, xr: (-0.5 * r * r / omega) % 1.0,
@@ -303,8 +307,6 @@ def _exponential_model(alpha: float, beta: float, domain) -> PhaseAmplitudeModel
         raise FamilyError("exponential family needs beta > 1 and alpha > 0")
     lb = math.log(beta)
     xmax = (700.0 - math.log(alpha)) / lb  # keep beta^x inside float range
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    one = lambda x: np.ones_like(np.asarray(x, dtype=float))
 
     def bx(x, k):
         return alpha * lb ** k * np.exp(np.asarray(x, dtype=float) * lb)
@@ -315,7 +317,7 @@ def _exponential_model(alpha: float, beta: float, domain) -> PhaseAmplitudeModel
         f2=lambda x: bx(x, 2),
         f3=lambda x: bx(x, 3),
         f4=lambda x: bx(x, 4),
-        g=one, g1=zero, g2=zero, g3=zero,
+        g=_ones, g1=_zeros, g2=_zeros, g3=_zeros,
         domain=domain or (-xmax, xmax),
         fprime_inverse=lambda r: math.log(r / (alpha * lb)) / lb,
         rhs_phase=lambda r, xr: (r / lb - r * xr) % 1.0,
@@ -352,8 +354,6 @@ def _oscillatory_model(alpha: float, beta: float, gamma: float, domain) -> Phase
     if alpha <= 0:
         raise FamilyError("oscillatory family needs alpha > 0")
     dom = domain or (1.0, 1e6)
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    one = lambda x: np.ones_like(np.asarray(x, dtype=float))
     b, gm = beta, gamma
 
     def u(x, k):
@@ -375,7 +375,7 @@ def _oscillatory_model(alpha: float, beta: float, gamma: float, domain) -> Phase
         f2=lambda x: 2 * alpha + b * u(x, 2),
         f3=lambda x: b * u(x, 3),
         f4=lambda x: b * u(x, 4),
-        g=one, g1=zero, g2=zero, g3=zero,
+        g=_ones, g1=_zeros, g2=_zeros, g3=_zeros,
         domain=dom,
         name="oscillatory",
         params=(alpha, beta, gamma),
@@ -402,31 +402,75 @@ def _sine_amplitude_model(alpha: float, domain) -> PhaseAmplitudeModel:
     )
 
 
-# representative intervals on which the family scale factor is calibrated
-_CALIBRATION_INTERVAL = {
-    "power_phase": (100.0, 1200.0),
-    "ik_monomial": None,   # (N, 4N), filled per params
-    "exponential": None,   # centred where f'' ~ 10
-    "zeta_log": (50.0, 500.0),
-    "oscillatory": None,
-    "sine_amplitude": (100.0, 400.0),
-}
-
 _eps_cache: dict = {}
 
 
-def _search_epsilon(make_profile, model, interval, floor=2.0 ** -20) -> float:
+def _search_epsilon(model, shape, U, interval, floor=2.0 ** -20) -> float:
     """Decreasing search eps in {1/2, 1/4, ...} until the inequality sweep passes."""
     from .errbudget import check_condition_M
 
     eps = 0.5
     while eps >= floor:
-        profile = make_profile(eps)
+        profile = _profile(shape, eps, U)
         report = check_condition_M(model, profile, interval[0], interval[1], grid=24)
         if report.passed:
             return eps
         eps *= 0.5
     raise FamilyError("no scale factor in {1/2, 1/4, ...} satisfies the regularity sweep")
+
+
+def _profile(shape: str, e: float, U: Func) -> ConditionMProfile:
+    """The profile with M = e, e x or e sqrt(x) (``shape`` const, linear, sqrt)."""
+    if shape == "const":
+        M, M_prime = (lambda x: np.full_like(np.asarray(x, dtype=float), e)), _zeros
+    elif shape == "linear":
+        M = lambda x: e * np.asarray(x, dtype=float)
+        M_prime = lambda x: np.full_like(np.asarray(x, dtype=float), e)
+    else:
+        M = lambda x: e * np.sqrt(np.asarray(x, dtype=float))
+        M_prime = lambda x: 0.5 * e / np.sqrt(np.asarray(x, dtype=float))
+    return ConditionMProfile(M=M, M_prime=M_prime, U=U, epsilon=e)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One row of the family table.
+
+    ``build(*params, domain)`` makes the model; ``eps_name``, when set, names
+    an optional trailing parameter that fixes the scale factor.  Otherwise
+    the factor is searched on ``interval(params, model)``, or, without an
+    interval, is the domain width.  U is g when ``u_is_g``, else 1.
+    """
+
+    names: Tuple[str, ...]
+    eps_name: Optional[str]
+    build: Callable[..., PhaseAmplitudeModel]
+    shape: str
+    u_is_g: bool = False
+    interval: Optional[Callable[[tuple, PhaseAmplitudeModel], Tuple[float, float]]] = None
+
+
+def _exponential_interval(p, model):
+    # calibrate where f'' is moderate; the condition is shift-invariant in x
+    x0 = math.log(10.0 / (p[0] * math.log(p[1]) ** 2)) / math.log(p[1])
+    return x0, x0 + 3.0
+
+
+_FAMILIES = {
+    "power_phase": _Family((), None, _power_phase_model, "linear",
+                           interval=lambda p, m: (100.0, 1200.0)),
+    "quadratic": _Family(("omega",), "span", _quadratic_model, "const"),
+    "ik_monomial": _Family(("alpha", "N", "X"), None, _ik_model, "linear", u_is_g=True,
+                           interval=lambda p, m: (p[1], 4.0 * p[1])),
+    "exponential": _Family(("alpha", "beta"), None, _exponential_model, "const",
+                           interval=_exponential_interval),
+    "zeta_log": _Family(("sigma", "t"), None, _zeta_log_model, "linear", u_is_g=True,
+                        interval=lambda p, m: (50.0, 500.0)),
+    "oscillatory": _Family(("alpha", "beta", "gamma"), "eps", _oscillatory_model, "sqrt",
+                           interval=lambda p, m: (m.domain[0] + 10.0, m.domain[0] + 500.0)),
+    "sine_amplitude": _Family(("alpha",), "eps", _sine_amplitude_model, "const",
+                              interval=lambda p, m: (100.0, 400.0)),
+}
 
 
 def builtin_family(name: str, params: Sequence[float] = (),
@@ -437,142 +481,25 @@ def builtin_family(name: str, params: Sequence[float] = (),
     ``params`` per family: power_phase (); quadratic (omega[, span]);
     ik_monomial (alpha, N, X); exponential (alpha, beta); zeta_log (sigma, t);
     oscillatory (alpha, beta, gamma[, eps]); sine_amplitude (alpha[, eps]).
+    Searched scale factors are cached per (name, params, domain).
     """
     params = tuple(float(p) for p in params)
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-
-    if name == "power_phase":
-        model = _power_phase_model(domain)
+    spec = _FAMILIES.get(name)
+    if spec is None:
+        raise FamilyError(f"unknown family {name!r}")
+    n = len(spec.names)
+    if len(params) != n and not (spec.eps_name and len(params) == n + 1):
+        optional = f"[, {spec.eps_name}]" if spec.eps_name else ""
+        raise FamilyError(f"{name} takes ({', '.join(spec.names)}{optional})")
+    model = spec.build(*params[:n], domain)
+    U = model.g if spec.u_is_g else _ones
+    if len(params) > n:
+        e = params[n]
+    elif spec.interval is None:
+        e = model.domain[1] - model.domain[0]
+    else:
         key = (name, params, model.domain)
         if key not in _eps_cache:
-            make = lambda e: ConditionMProfile(
-                M=lambda x, e=e: e * np.asarray(x, dtype=float),
-                M_prime=lambda x, e=e: np.full_like(np.asarray(x, dtype=float), e),
-                U=lambda x: np.ones_like(np.asarray(x, dtype=float)))
-            _eps_cache[key] = _search_epsilon(make, model, _CALIBRATION_INTERVAL[name])
+            _eps_cache[key] = _search_epsilon(model, spec.shape, U, spec.interval(params, model))
         e = _eps_cache[key]
-        profile = ConditionMProfile(
-            M=lambda x: e * np.asarray(x, dtype=float),
-            M_prime=lambda x: np.full_like(np.asarray(x, dtype=float), e),
-            U=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            epsilon=e)
-        return model, profile
-
-    if name == "quadratic":
-        if len(params) not in (1, 2):
-            raise FamilyError("quadratic takes (omega[, span])")
-        omega = params[0]
-        model = _quadratic_model(omega, domain)
-        span = params[1] if len(params) == 2 else model.domain[1] - model.domain[0]
-        profile = ConditionMProfile(
-            M=lambda x: np.full_like(np.asarray(x, dtype=float), span),
-            M_prime=zero,
-            U=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            epsilon=span)
-        return model, profile
-
-    if name == "ik_monomial":
-        if len(params) != 3:
-            raise FamilyError("ik_monomial takes (alpha, N, X)")
-        alpha, N, X = params
-        model = _ik_model(alpha, N, X, domain)
-        key = (name, params, model.domain)
-        if key not in _eps_cache:
-            make = lambda e: ConditionMProfile(
-                M=lambda x, e=e: e * np.asarray(x, dtype=float),
-                M_prime=lambda x, e=e: np.full_like(np.asarray(x, dtype=float), e),
-                U=model.g)
-            _eps_cache[key] = _search_epsilon(make, model, (N, 4.0 * N))
-        e = _eps_cache[key]
-        profile = ConditionMProfile(
-            M=lambda x: e * np.asarray(x, dtype=float),
-            M_prime=lambda x: np.full_like(np.asarray(x, dtype=float), e),
-            U=model.g, epsilon=e)
-        return model, profile
-
-    if name == "exponential":
-        if len(params) != 2:
-            raise FamilyError("exponential takes (alpha, beta)")
-        alpha, beta = params
-        model = _exponential_model(alpha, beta, domain)
-        # calibrate where f'' is moderate; condition shift-invariant in x
-        x0 = math.log(10.0 / (alpha * math.log(beta) ** 2)) / math.log(beta)
-        key = (name, params, model.domain)
-        if key not in _eps_cache:
-            make = lambda e: ConditionMProfile(
-                M=lambda x, e=e: np.full_like(np.asarray(x, dtype=float), e),
-                M_prime=zero,
-                U=lambda x: np.ones_like(np.asarray(x, dtype=float)))
-            _eps_cache[key] = _search_epsilon(make, model, (x0, x0 + 3.0))
-        e = _eps_cache[key]
-        profile = ConditionMProfile(
-            M=lambda x: np.full_like(np.asarray(x, dtype=float), e),
-            M_prime=zero,
-            U=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            epsilon=e)
-        return model, profile
-
-    if name == "zeta_log":
-        if len(params) != 2:
-            raise FamilyError("zeta_log takes (sigma, t)")
-        sigma, t = params
-        model = _zeta_log_model(sigma, t, domain)
-        key = (name, params, model.domain)
-        if key not in _eps_cache:
-            make = lambda e: ConditionMProfile(
-                M=lambda x, e=e: e * np.asarray(x, dtype=float),
-                M_prime=lambda x, e=e: np.full_like(np.asarray(x, dtype=float), e),
-                U=model.g)
-            _eps_cache[key] = _search_epsilon(make, model, _CALIBRATION_INTERVAL[name])
-        e = _eps_cache[key]
-        profile = ConditionMProfile(
-            M=lambda x: e * np.asarray(x, dtype=float),
-            M_prime=lambda x: np.full_like(np.asarray(x, dtype=float), e),
-            U=model.g, epsilon=e)
-        return model, profile
-
-    if name == "oscillatory":
-        if len(params) not in (3, 4):
-            raise FamilyError("oscillatory takes (alpha, beta, gamma[, eps])")
-        alpha, beta, gamma = params[:3]
-        model = _oscillatory_model(alpha, beta, gamma, domain)
-        if len(params) == 4:
-            e = params[3]
-        else:
-            lo = model.domain[0]
-            make = lambda e: ConditionMProfile(
-                M=lambda x, e=e: e * np.sqrt(np.asarray(x, dtype=float)),
-                M_prime=lambda x, e=e: 0.5 * e / np.sqrt(np.asarray(x, dtype=float)),
-                U=lambda x: np.ones_like(np.asarray(x, dtype=float)))
-            e = _search_epsilon(make, model, (lo + 10.0, lo + 500.0))
-        profile = ConditionMProfile(
-            M=lambda x: e * np.sqrt(np.asarray(x, dtype=float)),
-            M_prime=lambda x: 0.5 * e / np.sqrt(np.asarray(x, dtype=float)),
-            U=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            epsilon=e)
-        return model, profile
-
-    if name == "sine_amplitude":
-        if len(params) not in (1, 2):
-            raise FamilyError("sine_amplitude takes (alpha[, eps])")
-        alpha = params[0]
-        model = _sine_amplitude_model(alpha, domain)
-        if len(params) == 2:
-            e = params[1]
-        else:
-            key = (name, params, model.domain)
-            if key not in _eps_cache:
-                make = lambda ee: ConditionMProfile(
-                    M=lambda x, ee=ee: np.full_like(np.asarray(x, dtype=float), ee),
-                    M_prime=zero,
-                    U=lambda x: np.ones_like(np.asarray(x, dtype=float)))
-                _eps_cache[key] = _search_epsilon(make, model, _CALIBRATION_INTERVAL[name])
-            e = _eps_cache[key]
-        profile = ConditionMProfile(
-            M=lambda x: np.full_like(np.asarray(x, dtype=float), e),
-            M_prime=zero,
-            U=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            epsilon=e)
-        return model, profile
-
-    raise FamilyError(f"unknown family {name!r}")
+    return model, _profile(spec.shape, e, U)

@@ -29,7 +29,7 @@ import numpy as np
 from . import errbudget
 from .errbudget import ConditionMReport, ErrorBudget, fprime_nearest
 from .expsum import direct_starred_sum
-from .numutil import (ComplexAccumulator, modified_sawtooth, sawtooth_psi)
+from .numutil import csum, modified_sawtooth, sawtooth_psi
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 
 TWO_PI_I = 2j * math.pi
@@ -101,8 +101,8 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float,
     """Sum the dual-side weights over integer r in [f'(a), f'(b)].
 
     A weight is halved when the corresponding limit f'(a) or f'(b) is an
-    integer (family-exact detection when available).  Terms are accumulated
-    in ascending r with compensation, so reruns are bit-identical.
+    integer (family-exact detection when available).  The terms are summed
+    correctly rounded, so reruns are bit-identical.
     """
     fa = float(model.f1(a))
     fb = float(model.f1(b))
@@ -111,7 +111,6 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float,
     r_lo = ra_int if da == 0.0 else math.ceil(fa)
     r_hi = rb_int if db == 0.0 else math.floor(fb)
 
-    acc = ComplexAccumulator()
     terms: List[Tuple[int, float, complex]] = []
     flags: List[str] = []
     for r in range(r_lo, r_hi + 1):
@@ -132,8 +131,7 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float,
             val *= 0.5
         val = complex(val)
         terms.append((r, xr, val))
-        acc.add(val)
-    rhs = acc.sum
+    rhs = csum([v for _, _, v in terms])
     if conjugate:
         rhs = rhs.conjugate()
         terms = [(r, xr, v.conjugate()) for r, xr, v in terms]

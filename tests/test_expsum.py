@@ -1,12 +1,40 @@
 import cmath
+import io
 import math
 
 import numpy as np
 import pytest
 
-from vdcorput.expsum import (curve_csv_text, curve_samples, direct_starred_sum,
-                             direct_starred_sum_unreduced, split_consistency)
+from vdcorput.expsum import curve_samples, direct_starred_sum, write_curve_csv
+from vdcorput.numutil import csum, is_integer_like
 from vdcorput.phase import PhaseAmplitudeModel, builtin_family
+
+
+def direct_starred_sum_unreduced(model, a, b):
+    """Reference path without phase reduction (valid only for small f)."""
+    n_lo, n_hi = math.ceil(a), math.floor(b)
+    ws = []
+    for n in range(n_lo, n_hi + 1):
+        w = float(model.g(n)) * complex(math.cos(2 * math.pi * float(model.f(n))),
+                                        math.sin(2 * math.pi * float(model.f(n))))
+        if n == n_lo and is_integer_like(a):
+            w *= 0.5
+        if n == n_hi and is_integer_like(b):
+            w *= 0.5
+        ws.append(w)
+    return csum(ws)
+
+
+def split_consistency(model, a, c, b):
+    """direct(a,c) + direct(c,b) (the halves at an integer c recombine to a
+    full term, so this equals direct(a,b) either way)."""
+    return direct_starred_sum(model, a, c) + direct_starred_sum(model, c, b)
+
+
+def curve_csv_text(samples):
+    buf = io.StringIO()
+    write_curve_csv(samples, buf)
+    return buf.getvalue()
 
 
 def flat_model():

@@ -15,7 +15,6 @@ Re-record (only when an output is meant to change, and say why) with
 
 import json
 import math
-import sys
 import tempfile
 from pathlib import Path
 
@@ -179,4 +178,3 @@ def record() -> None:
 
 if __name__ == "__main__":
     record()
-    sys.exit(0)
