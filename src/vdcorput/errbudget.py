@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .numutil import is_integer_like, sawtooth_s
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
+from .quad import panel_integral
 
 
 # ---------------------------------------------------------------------------
@@ -462,36 +462,27 @@ def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
 # the K variation functional
 # ---------------------------------------------------------------------------
 
-def _quad_single(fn, lo, hi, points=None) -> Tuple[float, float]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(fn, lo, hi, limit=300,
-                                      points=points if points else None)
-        except Exception:
-            return math.inf, math.inf
-    return float(val), float(err)
+def _quad(fn, lo: float, hi: float, what: str, points: Sequence[float] = ()) -> float:
+    """integral of the vectorized, nonnegative fn over [lo, hi] on quad's
+    panels to 1e-10 relative, with a warning naming ``what`` when it does not
+    converge.
 
-
-def _quad(fn, lo, hi, points=None) -> Tuple[float, bool]:
-    """Adaptive quadrature that splits huge positive ranges geometrically so
-    mass concentrated near the lower limit is never lost."""
+    The start panels break at ``points`` and, on huge positive ranges, at x4
+    geometric edges, so mass concentrated near the lower limit is never lost.
+    """
     if hi <= lo:
-        return 0.0, True
+        return 0.0
+    edges = {lo, hi, *(p for p in points if lo < p < hi)}
     if lo > 0 and hi / lo > 16.0:
-        total = 0.0
-        err = 0.0
-        seg_lo = lo
-        while seg_lo < hi:
-            seg_hi = min(seg_lo * 4.0, hi)
-            inner = [p for p in (points or []) if seg_lo < p < seg_hi]
-            v, e = _quad_single(fn, seg_lo, seg_hi, inner or None)
-            total += v
-            err += e
-            seg_lo = seg_hi
-        return total, err <= 1e-6 * max(1.0, abs(total)) + 1e-9
-    val, err = _quad_single(fn, lo, hi, points)
-    return val, err <= 1e-6 * max(1.0, abs(val)) + 1e-9
+        edge = 4.0 * lo
+        while edge < hi:
+            edges.add(edge)
+            edge *= 4.0
+    e = np.array(sorted(edges))
+    res = panel_integral(fn, e[:-1], e[1:], 0.0, rel_tol=1e-10)
+    if not res.converged:
+        warnings.warn(f"{what} integral did not converge cleanly")
+    return float(res.value)
 
 
 def kappa_functional(W: Callable[[float], float], W_prime: Callable[[float], float],
@@ -513,9 +504,8 @@ def kappa_functional(W: Callable[[float], float], W_prime: Callable[[float], flo
         rp = np.asarray(r_prime(xs), dtype=float)
         roots = _sign_change_roots(lambda t: float(r_prime(t)), xs, rp)
         sign_changes.extend(roots)
-        integrand = lambda t: abs(W(t)) * abs(r_prime(t)) + abs(W_prime(t))
-        val, _ = _quad(integrand, x0 + pad, x1 - pad, points=roots or None)
-        total += val
+        integrand = lambda t: np.abs(W(t)) * np.abs(r_prime(t)) + np.abs(W_prime(t))
+        total += _quad(integrand, x0 + pad, x1 - pad, "K functional", roots)
     for x in isolated:
         total += abs(W(x))
     for x in list(sign_changes) + list(boundaries):
@@ -580,11 +570,10 @@ def endpoint_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
 
 def _delta3_integrand(model, profile, origin):
     def fn(x):
-        U = float(profile.U(x))
-        fpp = float(model.f2(x))
-        M = float(profile.M(x))
-        d = abs(x - origin)
-        return U / (fpp * d ** 3) * (1.0 + 1.0 / (fpp * M) + 1.0 / (fpp * d))
+        fpp = model.f2(x)
+        d = np.abs(x - origin)
+        return profile.U(x) / (fpp * d ** 3) * (1.0 + 1.0 / (fpp * profile.M(x))
+                                                 + 1.0 / (fpp * d))
     return fn
 
 
@@ -597,18 +586,12 @@ def tail_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
         abar, bbar = abar_bbar(model, a, b, profile)
     d3a = 0.0
     if abar is not None:
-        val, ok = _quad(_delta3_integrand(model, profile, a), abar, b)
-        if not ok:
-            warnings.warn("Delta3(a) integral did not converge cleanly")
-        d3a = val \
+        d3a = _quad(_delta3_integrand(model, profile, a), abar, b, "Delta3(a)") \
             + float(profile.U(abar)) / (float(model.f2(abar)) ** 2 * (abar - a) ** 3) \
             + float(profile.U(b)) / (float(model.f2(b)) ** 2 * (b - a) ** 3)
     d3b = 0.0
     if bbar is not None:
-        val, ok = _quad(_delta3_integrand(model, profile, b), a, bbar)
-        if not ok:
-            warnings.warn("Delta3(b) integral did not converge cleanly")
-        d3b = val \
+        d3b = _quad(_delta3_integrand(model, profile, b), a, bbar, "Delta3(b)") \
             + float(profile.U(bbar)) / (float(model.f2(bbar)) ** 2 * (b - bbar) ** 3) \
             + float(profile.U(a)) / (float(model.f2(a)) ** 2 * (b - a) ** 3)
     return d3a, d3b
@@ -616,12 +599,10 @@ def tail_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
 
 def _delta4_smooth_integrand(model, profile):
     def fn(x):
-        U = float(profile.U(x))
-        fpp = float(model.f2(x))
-        M = float(profile.M(x))
-        Mp = abs(float(profile.M_prime(x)))
-        return U / (fpp * M ** 3) * (1.0 + math.sqrt(fpp) * M) \
-            * (1.0 + (1.0 + Mp) / (fpp * M))
+        fpp = model.f2(x)
+        M = profile.M(x)
+        return profile.U(x) / (fpp * M ** 3) * (1.0 + np.sqrt(fpp) * M) \
+            * (1.0 + (1.0 + np.abs(profile.M_prime(x))) / (fpp * M))
     return fn
 
 
@@ -679,9 +660,7 @@ def global_delta4(model: PhaseAmplitudeModel, profile: ConditionMProfile,
                   partition: Optional[AssumptionPartition],
                   a: float, b: float) -> Delta4Breakdown:
     """Delta4 = smooth variation integral + K functionals + amplitude-zero sum."""
-    smooth, ok = _quad(_delta4_smooth_integrand(model, profile), a, b)
-    if not ok:
-        warnings.warn("Delta4 smooth integral did not converge cleanly")
+    smooth = _quad(_delta4_smooth_integrand(model, profile), a, b, "Delta4 smooth")
     if alternate4_applies(model, profile, a, b):
         return Delta4Breakdown(smooth, 0.0, 0.0, 0.0, 0.0, True)
     if partition is None:
@@ -788,12 +767,10 @@ def _monotone_horizon(fn: Callable[[float], float], b: float) -> float:
 def toinfinity_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
                       a: float, b: float) -> Tuple[float, float, float]:
     """(Delta3'(b), Delta4'(b), Delta5) for the fixed-a, growing-b estimate."""
-    U, fpp, M = (lambda x: float(profile.U(x)),
-                 lambda x: float(model.f2(x)),
-                 lambda x: float(profile.M(x)))
+    U, fpp, M = profile.U, model.f2, profile.M
 
-    d3p = U(b) / (fpp(b) ** 2 * (b - a) ** 3) \
-        + U(b) / (fpp(b) ** 2 * M(b) ** 3) * (1.0 + math.sqrt(fpp(b)) * M(b))
+    d3p = float(U(b) / (fpp(b) ** 2 * (b - a) ** 3)
+                + U(b) / (fpp(b) ** 2 * M(b) ** 3) * (1.0 + np.sqrt(fpp(b)) * M(b)))
 
     k_lo = _locate_kb(profile, a, b)
     _, bbar = abar_bbar(model, a, b, profile)
@@ -803,24 +780,22 @@ def toinfinity_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
         def near_b(x):
             return U(x) / (fpp(x) * (b - x) ** 3) * (
                 1.0 + 1.0 / (fpp(x) * M(x)) + 1.0 / (M(x) * (b - x)))
-        val, _ = _quad(near_b, k_lo, bbar)
-        d4p += val
+        d4p += _quad(near_b, k_lo, bbar, "Delta4'(b) near b")
         for x in (k_lo, bbar):
-            d4p += U(x) / (fpp(x) ** 2 * (b - x) ** 3)
+            d4p += float(U(x) / (fpp(x) ** 2 * (b - x) ** 3))
     _, d2b = endpoint_deltas(model, profile, a, b, "b")
     d4p += d2b
     smooth = _delta4_smooth_integrand(model, profile)
-    val, _ = _quad(smooth, k_lo, b)
-    d4p += val
+    d4p += _quad(smooth, k_lo, b, "Delta4'(b) smooth")
     for x in (k_lo, b):
-        d4p += U(x) / (fpp(x) ** 2 * M(x) ** 3) * (1.0 + math.sqrt(fpp(x)) * M(x))
+        d4p += float(U(x) / (fpp(x) ** 2 * M(x) ** 3) * (1.0 + np.sqrt(fpp(x)) * M(x)))
 
     # Delta5: integral tails past b plus the K terms over [b, infinity)
     tail3 = _delta3_integrand(model, profile, a)
     h3 = _monotone_horizon(tail3, b)
-    v3, _ = _quad(tail3, b, h3)
+    v3 = _quad(tail3, b, h3, "Delta5 Delta3 tail")
     h4 = _monotone_horizon(smooth, b)
-    v4, _ = _quad(smooth, b, h4)
+    v4 = _quad(smooth, b, h4, "Delta5 smooth tail")
 
     part = partition_assumptions(model, b, max(h3, h4), samples=2048)
     k0, kp, km, jn = _k_terms(model, part)

@@ -366,21 +366,20 @@ class ExperimentConfig:
     params: Tuple[float, ...] = ()
     sweep: Tuple[int, ...] = ()
     psi_tol: float = 1e-8
-    quad_tol: float = 1e-10
     out_dir: str = "out"
     emit_csv: bool = False
     emit_json: bool = True
     emit_svg: bool = False
 
     def validate(self):
-        if self.psi_tol <= 0 or self.quad_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.psi_tol <= 0:
+            raise ValueError("psi_tol must be positive")
 
     def to_json(self) -> dict:
         return {
             "family": self.family, "params": list(self.params),
             "sweep": list(self.sweep), "psiTol": self.psi_tol,
-            "quadTol": self.quad_tol, "outDir": self.out_dir,
+            "outDir": self.out_dir,
             "emit": {"csv": self.emit_csv, "json": self.emit_json,
                      "svg": self.emit_svg},
         }
@@ -419,8 +418,6 @@ def parse_config(text: str) -> ExperimentConfig:
             cfg.sweep = parse_sweep(val)
         elif key == "psi_tol":
             cfg.psi_tol = float(val)
-        elif key == "quad_tol":
-            cfg.quad_tol = float(val)
         elif key == "out_dir":
             cfg.out_dir = val
         elif key == "emit":

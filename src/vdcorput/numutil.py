@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import digamma
 
 TWO_PI = 2.0 * math.pi
 
@@ -224,17 +223,32 @@ def _psi_tail_segment(fx: float, eps: float, m: int) -> complex:
     return (1j / TWO_PI) * (g_plus - g_minus)
 
 
+_EM_START = 32
+
+
+def _inverse_square_tail(eps: float, n: int) -> float:
+    """sum_{k>n} 1/(k^2 - eps^2) by Euler-Maclaurin: the integral, f/2 and the
+    first, third and fifth derivatives; the next term is below n^-9 / 30, a
+    rounding error for n >= 32."""
+    x = float(n)
+    x2, e2 = x * x, eps * eps
+    d = x2 - e2
+    f1 = -2.0 * x / d ** 2
+    f3 = -24.0 * x * (x2 + e2) / d ** 4
+    f5 = -x * (720.0 * x2 * x2 + 2400.0 * x2 * e2 + 720.0 * e2 * e2) / d ** 6
+    return math.atanh(eps / x) / eps - 0.5 / d - f1 / 12.0 + f3 / 720.0 - f5 / 30240.0
+
+
 def _psi_partial_integer_x(eps: float, r: int) -> complex:
-    """Partial sum at integer x: phases vanish, leaving a digamma telescope."""
+    """Partial sum at integer x: phases vanish, and each pair (k, -k) leaves
+    -(eps/pi) / (k^2 - eps^2), summed exactly up to k = 32 and through the
+    Euler-Maclaurin tails beyond."""
     if eps == 0.0:
         return 0j
-    s = (
-        digamma(r + 1 - eps)
-        - digamma(1 - eps)
-        - digamma(r + 1 + eps)
-        + digamma(1 + eps)
-    ) / (2.0 * eps)
-    return complex(0.0, -eps * s / math.pi)
+    terms = [1.0 / (k * k - eps * eps) for k in range(1, min(r, _EM_START) + 1)]
+    if r > _EM_START:
+        terms += [_inverse_square_tail(eps, _EM_START), -_inverse_square_tail(eps, r)]
+    return complex(0.0, -eps * math.fsum(terms) / math.pi)
 
 
 def modified_sawtooth_partial(x: float, eps: float, r: int) -> complex:

@@ -23,6 +23,7 @@ _NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
 _NODES7, _WEIGHTS7 = np.polynomial.legendre.leggauss(7)
 
 DEFAULT_PANEL_CAP = 200_000
+_STALL_PANELS = 64
 
 
 @dataclass
@@ -33,19 +34,12 @@ class QuadResult:
     converged: bool
 
 
-def _eval_panels(gfun, phase, los: np.ndarray, his: np.ndarray):
-    """(Gauss-15 values, |G15 - G7| estimates) for a batch of panels."""
+def _eval_panels(fn, los: np.ndarray, his: np.ndarray):
+    """(Gauss-15 values, |G15 - G7| estimates) of fn on a batch of panels."""
     mid = 0.5 * (los + his)
     half = 0.5 * (his - los)
-    x15 = mid[:, None] + half[:, None] * _NODES15[None, :]
-    x7 = mid[:, None] + half[:, None] * _NODES7[None, :]
-
-    def integrand(x):
-        ph = np.mod(np.asarray(phase(x), dtype=float), 1.0)
-        return np.asarray(gfun(x), dtype=float) * np.exp(2j * np.pi * ph)
-
-    v15 = (integrand(x15) @ _WEIGHTS15) * half
-    v7 = (integrand(x7) @ _WEIGHTS7) * half
+    v15 = (fn(mid[:, None] + half[:, None] * _NODES15[None, :]) @ _WEIGHTS15) * half
+    v7 = (fn(mid[:, None] + half[:, None] * _NODES7[None, :]) @ _WEIGHTS7) * half
     return v15, np.abs(v15 - v7)
 
 
@@ -58,6 +52,54 @@ def _presplit(phase_slope, lo: float, hi: float, splits: list, depth: int = 0):
     mid = 0.5 * (lo + hi)
     _presplit(phase_slope, lo, mid, splits, depth + 1)
     _presplit(phase_slope, mid, hi, splits, depth + 1)
+
+
+def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
+                   rel_tol: float = 0.0,
+                   panel_cap: int = DEFAULT_PANEL_CAP) -> QuadResult:
+    """integral of the vectorized ``fn`` (real or complex) over the panels
+    [los[i], his[i]], refined until the estimate is at most
+    max(tol, rel_tol |value|).
+
+    Each sweep bisects, in one batch, the panels carrying 95 % of the error
+    estimate.  A sweep that cuts the estimate by less than 20 % has stalled.
+    On the floating noise floor a stall bisects panels all over the range
+    and gains nothing; at a steep edge it bisects the edge panel, which needs
+    about one bisection per halving of its scale before the estimate drops.
+    So stalled sweeps may bisect ``_STALL_PANELS`` panels in all, more than
+    the halvings a double can take.  A non-finite integrand value comes back
+    as a non-finite, unconverged result.
+    """
+    vals, errs = _eval_panels(fn, los, his)
+    stalled = 0
+    prev_total = math.inf
+    while los.size < panel_cap:
+        total = float(errs.sum())
+        if not total > max(tol, rel_tol * abs(vals.sum())):
+            break
+        order = np.argsort(errs)[::-1]
+        csum = np.cumsum(errs[order])
+        k = int(np.searchsorted(csum, 0.95 * csum[-1])) + 1
+        if total > 0.8 * prev_total:
+            stalled += k
+            if stalled > _STALL_PANELS:
+                break
+        prev_total = total
+        split, keep = order[:k], order[k:]
+        mids = 0.5 * (los[split] + his[split])
+        new_lo = np.concatenate([los[split], mids])
+        new_hi = np.concatenate([mids, his[split]])
+        new_v, new_e = _eval_panels(fn, new_lo, new_hi)
+        los = np.concatenate([los[keep], new_lo])
+        his = np.concatenate([his[keep], new_hi])
+        vals = np.concatenate([vals[keep], new_v])
+        errs = np.concatenate([errs[keep], new_e])
+
+    order = np.argsort(los, kind="stable")
+    value = np.sum(vals[order][np.argsort(np.abs(vals[order]), kind="stable")]).item()
+    total_err = float(errs.sum())
+    converged = bool(np.isfinite(value)) and total_err <= max(tol, rel_tol * abs(value))
+    return QuadResult(value, total_err, int(los.size), converged)
 
 
 def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Callable,
@@ -79,39 +121,13 @@ def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Calla
         _presplit(phase_slope, stationary, beta, pieces)
     else:
         _presplit(phase_slope, alpha, beta, pieces)
-    los = np.array([p[0] for p in pieces])
-    his = np.array([p[1] for p in pieces])
-    vals, errs = _eval_panels(gfun, phase, los, his)
 
-    # sweep refinement: bisect the panels carrying the bulk of the error
-    # estimate, all in one vectorized batch per sweep; stop when refinement
-    # stalls (the estimate has hit the floating phase-noise floor)
-    prev_total = math.inf
-    while errs.sum() > tol and los.size < panel_cap:
-        total = float(errs.sum())
-        if total > 0.8 * prev_total:
-            break
-        prev_total = total
-        order = np.argsort(errs)[::-1]
-        csum = np.cumsum(errs[order])
-        k = int(np.searchsorted(csum, 0.95 * csum[-1])) + 1
-        mask = np.zeros(los.size, dtype=bool)
-        mask[order[:k]] = True
-        keep_lo, keep_hi = los[~mask], his[~mask]
-        keep_v, keep_e = vals[~mask], errs[~mask]
-        mids = 0.5 * (los[mask] + his[mask])
-        new_lo = np.concatenate([los[mask], mids])
-        new_hi = np.concatenate([mids, his[mask]])
-        new_v, new_e = _eval_panels(gfun, phase, new_lo, new_hi)
-        los = np.concatenate([keep_lo, new_lo])
-        his = np.concatenate([keep_hi, new_hi])
-        vals = np.concatenate([keep_v, new_v])
-        errs = np.concatenate([keep_e, new_e])
+    def integrand(x):
+        ph = np.mod(np.asarray(phase(x), dtype=float), 1.0)
+        return np.asarray(gfun(x), dtype=float) * np.exp(2j * np.pi * ph)
 
-    order = np.argsort(los, kind="stable")
-    value = complex(np.sum(vals[order][np.argsort(np.abs(vals[order]), kind="stable")]))
-    total_err = float(errs.sum())
-    return QuadResult(value, total_err, int(los.size), total_err <= tol)
+    los, his = np.array(pieces).T
+    return panel_integral(integrand, los, his, tol, panel_cap=panel_cap)
 
 
 def oscillatory_integral(model: PhaseAmplitudeModel, r: float,

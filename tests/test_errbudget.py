@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from vdcorput import errbudget as eb
 from vdcorput.phase import (ConditionMProfile, PhaseAmplitudeModel,
@@ -372,6 +373,17 @@ def test_delta3_power_phase_against_independent_quadrature():
     assert d3a == pytest.approx(oracle + boundary, rel=1e-6)
 
 
+def test_delta3_steep_edge_converges():
+    # bbar = b - 2, so the Delta3(b) integrand climbs like 1/d^4 to d = 2 at
+    # the edge of a ~27000-wide start panel; refinement has to keep bisecting
+    # that panel through sweeps that barely lower the error estimate
+    model, profile = builtin_family("power_phase")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, d3b = eb.tail_deltas(model, profile, 1.0, 43202.0)
+    assert d3b == pytest.approx(345789.99583, rel=1e-10)
+
+
 def test_delta3_ik_small_against_amplitude():
     # the tail terms stay below the local amplitude scale for the monomial
     # family (the worked chain bounds them by U(a) up to a modest constant)
@@ -420,6 +432,66 @@ def test_kappa_ik_magnitude_chain():
         ratios.append(total / (math.sqrt(n_scale) / x_scale))
     fitted = max(ratios[::2])
     assert all(r <= 2.0 * fitted for r in ratios)
+
+
+def test_kappa_j0_with_many_break_points_against_piecewise_quad():
+    # oscillatory(1, 1, 1) on [1000, 2000]: r0' changes sign 330 times on
+    # J_0, more break points than a 300-subinterval adaptive quadrature takes
+    model, profile = builtin_family("oscillatory", [1.0, 1.0, 1.0])
+    part = eb.partition_assumptions(model, 1000.0, 2000.0, profile=profile)
+    wr = eb.WRFunctions(model)
+    got = eb.kappa_functional(wr.W0, wr.W0_prime, wr.r0_prime,
+                              part.j0, part.j0_isolated, part.boundary_0)
+
+    # g = 1, so H = f3, H' = f4 and the branch functions reduce to
+    # W0 = -f3^3 / (27 f2^5), W0' = (5 f3^4 - 3 f2 f3^2 f4) / (27 f2^6) and
+    # r0' = -5 f2 + 3 f2^2 f4 / f3^2, with fk the k-th derivative of
+    # f = x^2 + sin(x)/x
+    def parts(x):
+        s, c = math.sin(x), math.cos(x)
+        f2 = 2.0 - s / x - 2 * c / x ** 2 + 2 * s / x ** 3
+        f3 = -c / x + 3 * s / x ** 2 + 6 * c / x ** 3 - 6 * s / x ** 4
+        f4 = s / x + 4 * c / x ** 2 - 12 * s / x ** 3 - 24 * c / x ** 4 + 24 * s / x ** 5
+        w0 = -f3 ** 3 / (27 * f2 ** 5)
+        w0p = (5 * f3 ** 4 - 3 * f2 * f3 ** 2 * f4) / (27 * f2 ** 6)
+        return w0, w0p, -5 * f2 + 3 * f2 ** 2 * f4 / f3 ** 2
+
+    def integrand(x):
+        w0, w0p, rp = parts(x)
+        return abs(w0) * abs(rp) + abs(w0p)
+
+    saw = lambda x: x - math.floor(x) - 0.5
+    want = sum(abs(parts(x)[0]) for x in part.j0_isolated)
+    want += sum(abs(saw(x) * parts(x)[0]) for x in part.boundary_0)
+    roots = []
+    for x0, x1 in part.j0:
+        pad = (x1 - x0) * 1e-9
+        xs = np.linspace(x0 + pad, x1 - pad, 4096)
+        rp = [parts(x)[2] for x in xs]
+        inner = [optimize.brentq(lambda t: parts(t)[2], xs[i], xs[i + 1])
+                 for i in range(len(xs) - 1) if (rp[i] < 0) != (rp[i + 1] < 0)]
+        edges = [xs[0], *inner, xs[-1]]
+        want += sum(integrate.quad(integrand, u, v)[0] for u, v in zip(edges[:-1], edges[1:]))
+        roots += inner
+    want += sum(abs(saw(x) * parts(x)[0]) for x in roots)
+    assert len(roots) == 330
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-3)
+
+
+def test_nonfinite_kappa_integral_is_reported():
+    # sine_amplitude(0.01): W of the + branch grows like 1/P^2 with P -> 0 at
+    # the amplitude zero that ends this J_pm piece, so the integral diverges;
+    # that must surface as a non-finite value with a warning
+    model, profile = builtin_family("sine_amplitude", [0.01])
+    part = eb.partition_assumptions(model, 200.0, 400.0, profile=profile)
+    wr = eb.WRFunctions(model)
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.warns(UserWarning, match="K functional integral did not converge"):
+        k = eb.kappa_functional(lambda x: wr.W_branch(x, +1),
+                                lambda x: wr.W_branch_prime(x, +1),
+                                lambda x: wr.r_branch_prime(x, +1), part.jpm[:1], [], [])
+    assert not math.isfinite(k)
 
 
 # ---------------------------------------------------------------------------

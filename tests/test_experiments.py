@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -245,6 +246,8 @@ def test_parse_config_rejects_bad_lines():
         parse_config("no_such_key = 3")
     with pytest.raises(ValueError):
         parse_config("psi_tol = -1")
+    with pytest.raises(ValueError, match="unknown config key"):
+        parse_config("quad_tol = 1e-10")  # no integral ever read it
 
 
 def test_svg_output():
@@ -279,6 +282,15 @@ def test_cli_reports_are_bit_identical(tmp_path):
         assert cli_main(["ik", "--alpha", "2", "--nu", "2", "--N", "100",
                          "--X", "10000", "--json", str(d)]) == 0
     assert (d1 / "ik.json").read_bytes() == (d2 / "ik.json").read_bytes()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only reference; the package itself needs numpy alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, vdcorput; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_exit_codes():

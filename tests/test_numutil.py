@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,22 @@ def test_modified_sawtooth_integer_x_closed_form():
     a = nu.modified_sawtooth_partial(3.0, eps, r)
     b = nu.modified_sawtooth_partial(3.0, eps, 2 * r)
     assert abs(a - b) <= nu.psi_tail_bound(r, 3.0)
+
+
+@pytest.mark.parametrize("eps", [2.0 ** -20, -2.0 ** -20, 1e-3, -1e-3, 0.1, 0.25, -0.25,
+                                 0.5, -0.5])
+def test_integer_x_partial_sum_against_mpmath(eps):
+    # -(eps/pi) sum_{k<=r} 1/(k^2 - eps^2) by 40-digit digamma differences;
+    # at tiny eps a float64 digamma telescope loses about 1e-9 to cancellation
+    with mpmath.workdps(40):
+        e = mpmath.mpf(eps)
+        for r in [1, 8, 32, 33, 10 ** 2, 10 ** 3, 10 ** 6, 10 ** 8, 10 ** 9, 2 ** 34]:
+            s = (mpmath.digamma(r + 1 - e) - mpmath.digamma(1 - e)
+                 - mpmath.digamma(r + 1 + e) + mpmath.digamma(1 + e)) / (2 * e)
+            want = float(-e * s / mpmath.pi)
+            got = nu.modified_sawtooth_partial(5.0, eps, r)
+            assert got.real == 0.0
+            assert abs(got.imag - want) <= 1e-14 * abs(want), (eps, r)
 
 
 def test_modified_sawtooth_extreme_truncation_oracle():

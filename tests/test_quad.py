@@ -8,7 +8,7 @@ import scipy.special
 from vdcorput.phase import builtin_family
 from vdcorput.quad import (derivative_test_bounds, fresnel_modified,
                            oscillatory_integral, oscillatory_integral_raw,
-                           stationary_phase_estimate)
+                           panel_integral, stationary_phase_estimate)
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
 
@@ -38,6 +38,16 @@ def test_unconverged_result_is_flagged():
     res = oscillatory_integral(model, 3.0, 40.0, 400.0, 1e-12, panel_cap=32)
     assert not res.converged
     assert res.abs_error_estimate > 1e-12
+
+
+def test_real_panel_integral_and_nonfinite_integrand():
+    edges = np.array([1.0, 4.0, 16.0, 64.0])
+    res = panel_integral(lambda x: 1.0 / x ** 2, edges[:-1], edges[1:], 0.0, rel_tol=1e-12)
+    assert res.converged and isinstance(res.value, float)
+    assert res.value == pytest.approx(1.0 - 1.0 / 64.0, rel=1e-13)
+    # one nan node must not be averaged away into a finite value
+    res = panel_integral(lambda x: np.where(x > 50.0, np.nan, 1.0), edges[:-1], edges[1:], 1e-9)
+    assert not res.converged and math.isnan(res.value)
 
 
 def test_derivative_test_examples():
