@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numutil import is_integer_like, sawtooth_s
+from .numutil import bisect, is_integer_like, sawtooth_s, sign_change_roots
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 from .quad import panel_integral
 
@@ -299,34 +299,6 @@ class AssumptionPartition:
         }
 
 
-def _bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    flo = fn(lo)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) != (fm < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo <= 1e-10 * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _sign_change_roots(fn: Callable[[float], float], xs: np.ndarray,
-                       vals: np.ndarray) -> List[float]:
-    roots = []
-    for i in range(len(xs) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            continue
-        if (v0 < 0) != (v1 < 0) and v1 != 0.0:
-            roots.append(_bisect_root(fn, float(xs[i]), float(xs[i + 1])))
-    return roots
-
-
 def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
                           samples: int = 4096,
                           profile: Optional[ConditionMProfile] = None,
@@ -363,17 +335,12 @@ def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
 
     # breakpoints where any governing sign can flip
     cuts = {lo, hi}
-    fG = lambda t: float(wr.G(t))
-    fD = lambda t: float(wr.discriminant(t))
-    fH = lambda t: float(wr.H(t))
-    fg = lambda t: float(model.g(t))
-    fg2 = lambda t: float(model.g2(t))
-    cuts.update(_sign_change_roots(fG, xs, G))
-    cuts.update(_sign_change_roots(fD, xs, D))
-    cuts.update(_sign_change_roots(fH, xs, H))
-    g_roots = _sign_change_roots(fg, xs, g)
+    cuts.update(sign_change_roots(wr.G, xs, G))
+    cuts.update(sign_change_roots(wr.discriminant, xs, D))
+    cuts.update(sign_change_roots(wr.H, xs, H))
+    g_roots = sign_change_roots(model.g, xs, g)
     cuts.update(g_roots)
-    g2_roots = [] if gpp_identically_zero else _sign_change_roots(fg2, xs, g2)
+    g2_roots = [] if gpp_identically_zero else sign_change_roots(model.g2, xs, g2)
     cuts.update(g2_roots)
     # samples landing exactly on a zero are boundaries in their own right
     for vals in (G, D, H, g, g2 if not gpp_identically_zero else np.ones(1)):
@@ -421,7 +388,7 @@ def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
     H_scale = float(np.max(np.abs(H))) or 1.0
     nonzero = lambda v, scale: abs(v) > 1e-6 * scale
     j0_isolated = [r for r in g2_roots
-                   if nonzero(fg(r), g_scale) and nonzero(fH(r), H_scale)]
+                   if nonzero(float(model.g(r)), g_scale) and nonzero(float(wr.H(r)), H_scale)]
     jpm_isolated: List[float] = []
     # tangential zeros of H^2 - G inside negative regions: local maxima near 0
     neg = D < 0.0
@@ -436,7 +403,7 @@ def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
 
     # isolated amplitude zeros with g', g'' nonzero
     jnull = [r for r in g_roots
-             if nonzero(float(model.g1(r)), g1_scale) and nonzero(fg2(r), g2_scale)]
+             if nonzero(float(model.g1(r)), g1_scale) and nonzero(float(model.g2(r)), g2_scale)]
 
     boundary_pm = sorted({p for seg in jpm for p in seg})
     boundary_0 = sorted({p for seg in j0 for p in seg})
@@ -446,12 +413,12 @@ def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
     for x0, x1 in jpm:
         w = (x1 - x0) * 1e-6
         for p in (x0 + w, x1 - w):
-            if fD(p) != 0.0 and abs(fD(p)) < 1e-12 * scale_D:
+            if 0.0 < abs(float(wr.discriminant(p))) < 1e-12 * scale_D:
                 flags.append(f"H^2-G tends to 0 at J_pm endpoint {p:.6g}")
     for x0, x1 in j0:
         w = (x1 - x0) * 1e-6
         for p in (x0 + w, x1 - w):
-            if abs(fg(p)) < 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+            if abs(float(model.g(p))) < 1e-12 * max(1.0, float(np.max(np.abs(g)))):
                 flags.append(f"g tends to 0 at J_0 endpoint {p:.6g}")
 
     return AssumptionPartition(jpm, j0, jnull, jpm_isolated, j0_isolated,
@@ -485,27 +452,44 @@ def _quad(fn, lo: float, hi: float, what: str, points: Sequence[float] = ()) -> 
     return float(res.value)
 
 
+_KAPPA_SCAN = 4096
+
+
+def _resolved_zeros(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> List[float]:
+    """Sign changes of fn on the scan xs; none when the scan does not resolve fn,
+    because two adjacent gaps both change sign or a probe a third into some gap
+    (off the midpoint, where aliasing can repeat) shows two changes inside it."""
+    v = np.asarray(fn(xs), dtype=float)
+    neg = v < 0
+    probe = np.asarray(fn(xs[:-1] + (xs[1:] - xs[:-1]) / 3.0)) < 0
+    flip = neg[:-1] != neg[1:]
+    if np.any(flip[:-1] & flip[1:]) or np.any((neg[:-1] != probe) & (probe != neg[1:])):
+        return []
+    return sign_change_roots(fn, xs, v)
+
+
 def kappa_functional(W: Callable[[float], float], W_prime: Callable[[float], float],
                      r_prime: Callable[[float], float],
                      intervals: Sequence[Tuple[float, float]],
                      isolated: Sequence[float],
-                     boundaries: Sequence[float],
-                     scan: int = 4096) -> float:
+                     boundaries: Sequence[float]) -> float:
     """K(I, W, r): variation integral plus isolated-point and boundary terms.
 
     Sign changes of r' are located by scanning each interval and bisecting;
-    each contributes |s(x) W(x)|, as does each interval boundary.
+    each contributes |s(x) W(x)|, as does each interval boundary.  The
+    integrand |W||r'| + |W'| has kinks at the zeros of r', W and W', and
+    the quadrature panels break at all of them that the scan resolves.
     """
     total = 0.0
     sign_changes: List[float] = []
     for x0, x1 in intervals:
         pad = (x1 - x0) * 1e-9
-        xs = np.linspace(x0 + pad, x1 - pad, scan)
-        rp = np.asarray(r_prime(xs), dtype=float)
-        roots = _sign_change_roots(lambda t: float(r_prime(t)), xs, rp)
+        xs = np.linspace(x0 + pad, x1 - pad, _KAPPA_SCAN)
+        roots = sign_change_roots(r_prime, xs, r_prime(xs))
         sign_changes.extend(roots)
+        kinks = _resolved_zeros(W, xs) + _resolved_zeros(W_prime, xs)
         integrand = lambda t: np.abs(W(t)) * np.abs(r_prime(t)) + np.abs(W_prime(t))
-        total += _quad(integrand, x0 + pad, x1 - pad, "K functional", roots)
+        total += _quad(integrand, x0 + pad, x1 - pad, "K functional", roots + kinks)
     for x in isolated:
         total += abs(W(x))
     for x in list(sign_changes) + list(boundaries):
@@ -736,16 +720,8 @@ def _locate_kb(profile: ConditionMProfile, a: float, b: float) -> float:
     """Left edge of K_b = {x in [a,b] : x + M(x) > b} for nondecreasing M."""
     if a + float(profile.M(a)) > b:
         return a
-    lo, hi = a, b
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid + float(profile.M(mid)) > b:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(b)):
-            break
-    return 0.5 * (lo + hi)
+    lo, hi = bisect(lambda x: x + profile.M(x) - b, a, b)
+    return float(0.5 * (lo + hi))
 
 
 def _monotone_horizon(fn: Callable[[float], float], b: float) -> float:

@@ -1,4 +1,5 @@
-"""Nearest-integer arithmetic, sawtooth functions, and correctly rounded summation.
+"""Nearest-integer arithmetic, sawtooth functions, correctly rounded summation,
+and the one batched bisection behind every root the package finds.
 
 The sawtooth ladder used throughout the package:
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -162,6 +163,42 @@ def starred_sum(weights: Sequence[complex], endpoint_flags: Tuple[bool, bool]) -
     if w.size and endpoint_flags[1]:
         w[-1] *= 0.5
     return csum(w)
+
+
+# ---------------------------------------------------------------------------
+# batched bisection
+# ---------------------------------------------------------------------------
+
+def bisect(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> Tuple[np.ndarray, np.ndarray]:
+    """Shrink many brackets at once; fn is vectorized and fn(lo) < 0 <= fn(hi).
+
+    Each bracket is halved, keeping that sign pattern, until its midpoint
+    equals one of its ends (the float limit), 80 halvings at most.  fn sees
+    the midpoints of all brackets in one array.  Returns the final (lo, hi).
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        live = (mid != lo) & (mid != hi)
+        if not live.any():
+            break
+        below = fn(mid) < 0
+        lo = np.where(live & below, mid, lo)
+        hi = np.where(live & ~below, mid, hi)
+    return lo, hi
+
+
+def sign_change_roots(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
+                      vals: np.ndarray) -> List[float]:
+    """Roots of fn in every gap of the samples xs where vals = fn(xs) changes
+    sign, bisected to the float limit.  A gap with a zero sample at either end
+    is skipped; nan counts as nonnegative."""
+    xs, vals = np.asarray(xs, dtype=float), np.asarray(vals, dtype=float)
+    neg = vals < 0
+    i = np.nonzero((neg[:-1] != neg[1:]) & (vals[:-1] != 0.0) & (vals[1:] != 0.0))[0]
+    sign = np.where(neg[i], 1.0, -1.0)
+    lo, hi = bisect(lambda x: sign * fn(x), xs[i], xs[i + 1])
+    return (0.5 * (lo + hi)).tolist()
 
 
 # ---------------------------------------------------------------------------

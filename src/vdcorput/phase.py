@@ -31,6 +31,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .numutil import bisect
+
 Func = Callable[[np.ndarray], np.ndarray]
 
 
@@ -69,7 +71,7 @@ class PhaseAmplitudeModel:
     g2: Func
     g3: Func
     domain: Tuple[float, float]
-    fprime_inverse: Optional[Callable[[float], float]] = None
+    fprime_inverse: Optional[Func] = None
     rhs_phase: Optional[Callable[[float, float], float]] = None
     fprime_integer: Optional[Callable[[float], Optional[int]]] = None
     name: str = "custom"
@@ -140,39 +142,37 @@ class ConditionMProfile:
 # inversion of f'
 # ---------------------------------------------------------------------------
 
-def invert_fprime(model: PhaseAmplitudeModel, r: float, tol: float = 1e-12) -> float:
-    """Solve f'(x_r) = r on the model domain to |f'(x_r) - r| <= tol max(1,|r|).
+def invert_fprime(model: PhaseAmplitudeModel, r, tol: float = 1e-12):
+    """Solve f'(x_r) = r on the model domain to |f'(x_r) - r| <= tol max(1,|r|)
+    for one r (returns a float) or an array of r (returns an array of x_r).
 
-    Uses the family's analytic inverse when present, otherwise bracketed
-    bisection (f' is strictly increasing) polished by a few Newton steps.
+    Uses the family's analytic inverse when present, otherwise one batched
+    bisection over all r (f' is strictly increasing), each x_r then polished
+    by a few Newton steps inside its own final bracket.
     """
+    rs = np.asarray(r, dtype=float)
     lo, hi = model.domain
     flo, fhi = model.fprime_range()
-    if not (flo <= r <= fhi):
-        raise InversionRangeError(r, flo, fhi)
+    outside = ~((flo <= rs) & (rs <= fhi))
+    if outside.any():
+        raise InversionRangeError(float(rs[outside][0]), flo, fhi)
     if model.fprime_inverse is not None:
-        x = float(model.fprime_inverse(r))
-        return min(max(x, lo), hi)
-    a, b = lo, hi
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if float(model.f1(mid)) < r:
-            a = mid
-        else:
-            b = mid
+        x = np.clip(model.fprime_inverse(rs), lo, hi)
+        return x if rs.ndim else float(x)
+    a, b = bisect(lambda t: model.f1(t) - rs, np.full(rs.shape, lo), np.full(rs.shape, hi))
     x = 0.5 * (a + b)
-    for _ in range(8):
-        d = float(model.f2(x))
-        if d == 0.0:
-            break
-        step = (float(model.f1(x)) - r) / d
-        x_new = x - step
-        if not (a <= x_new <= b):
-            break
-        x = x_new
-    if abs(float(model.f1(x)) - r) > tol * max(1.0, abs(r)):
-        raise RuntimeError(f"f' inversion stalled at x={x} for r={r}")
-    return x
+    polish = np.ones(rs.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(8):
+            d = model.f2(x)
+            x_new = x - (model.f1(x) - rs) / d
+            polish &= (d != 0.0) & (a <= x_new) & (x_new <= b)
+            x = np.where(polish, x_new, x)
+    stalled = np.abs(model.f1(x) - rs) > tol * np.maximum(1.0, np.abs(rs))
+    if stalled.any():
+        raise RuntimeError(f"f' inversion stalled at x={float(x[stalled][0])} "
+                           f"for r={float(rs[stalled][0])}")
+    return x if rs.ndim else float(x)
 
 
 def check_derivative_consistency(model: PhaseAmplitudeModel, n: int = 100,
@@ -319,7 +319,7 @@ def _exponential_model(alpha: float, beta: float, domain) -> PhaseAmplitudeModel
         f4=lambda x: bx(x, 4),
         g=_ones, g1=_zeros, g2=_zeros, g3=_zeros,
         domain=domain or (-xmax, xmax),
-        fprime_inverse=lambda r: math.log(r / (alpha * lb)) / lb,
+        fprime_inverse=lambda r: np.log(r / (alpha * lb)) / lb,
         rhs_phase=lambda r, xr: (r / lb - r * xr) % 1.0,
         name="exponential",
         params=(alpha, beta),

@@ -101,8 +101,9 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float,
     """Sum the dual-side weights over integer r in [f'(a), f'(b)].
 
     A weight is halved when the corresponding limit f'(a) or f'(b) is an
-    integer (family-exact detection when available).  The terms are summed
-    correctly rounded, so reruns are bit-identical.
+    integer (family-exact detection when available).  All x_r come from one
+    inversion call, which raises rather than drop a term it cannot solve.
+    The terms are summed correctly rounded, so reruns are bit-identical.
     """
     fa = float(model.f1(a))
     fb = float(model.f1(b))
@@ -111,14 +112,9 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float,
     r_lo = ra_int if da == 0.0 else math.ceil(fa)
     r_hi = rb_int if db == 0.0 else math.floor(fb)
 
+    rs = range(r_lo, r_hi + 1)
     terms: List[Tuple[int, float, complex]] = []
-    flags: List[str] = []
-    for r in range(r_lo, r_hi + 1):
-        try:
-            xr = invert_fprime(model, float(r))
-        except Exception as exc:  # pragma: no cover - solver failure path
-            flags.append(f"r={r}: inversion failed ({exc})")
-            continue
+    for r, xr in zip(rs, invert_fprime(model, np.array(rs, dtype=float)).tolist()):
         if model.rhs_phase is not None:
             ph = model.rhs_phase(float(r), xr)
         else:
@@ -135,7 +131,7 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float,
     if conjugate:
         rhs = rhs.conjugate()
         terms = [(r, xr, v.conjugate()) for r, xr, v in terms]
-    return TransformResult(rhs, None, None, (r_lo, r_hi), terms, flags=flags)
+    return TransformResult(rhs, None, None, (r_lo, r_hi), terms)
 
 
 # ---------------------------------------------------------------------------

@@ -434,11 +434,16 @@ def test_kappa_ik_magnitude_chain():
     assert all(r <= 2.0 * fitted for r in ratios)
 
 
-def test_kappa_j0_with_many_break_points_against_piecewise_quad():
+@pytest.mark.parametrize("a,b,n_roots,rel", [(1000.0, 2000.0, 330, 1e-3),
+                                             (119.7268, 168.6761, 19, 1e-8)],
+                         ids=["330-roots", "w0-kinks"])
+def test_kappa_j0_with_many_break_points_against_piecewise_quad(a, b, n_roots, rel):
     # oscillatory(1, 1, 1) on [1000, 2000]: r0' changes sign 330 times on
-    # J_0, more break points than a 300-subinterval adaptive quadrature takes
+    # J_0, more break points than a 300-subinterval adaptive quadrature takes.
+    # On [119.7268, 168.6761] the integrand's kinks at the zeros of W0, which
+    # are no sign changes of r0', must be panel edges too
     model, profile = builtin_family("oscillatory", [1.0, 1.0, 1.0])
-    part = eb.partition_assumptions(model, 1000.0, 2000.0, profile=profile)
+    part = eb.partition_assumptions(model, a, b, profile=profile)
     wr = eb.WRFunctions(model)
     got = eb.kappa_functional(wr.W0, wr.W0_prime, wr.r0_prime,
                               part.j0, part.j0_isolated, part.boundary_0)
@@ -447,11 +452,14 @@ def test_kappa_j0_with_many_break_points_against_piecewise_quad():
     # W0 = -f3^3 / (27 f2^5), W0' = (5 f3^4 - 3 f2 f3^2 f4) / (27 f2^6) and
     # r0' = -5 f2 + 3 f2^2 f4 / f3^2, with fk the k-th derivative of
     # f = x^2 + sin(x)/x
-    def parts(x):
+    def derivs(x):
         s, c = math.sin(x), math.cos(x)
-        f2 = 2.0 - s / x - 2 * c / x ** 2 + 2 * s / x ** 3
-        f3 = -c / x + 3 * s / x ** 2 + 6 * c / x ** 3 - 6 * s / x ** 4
-        f4 = s / x + 4 * c / x ** 2 - 12 * s / x ** 3 - 24 * c / x ** 4 + 24 * s / x ** 5
+        return (2.0 - s / x - 2 * c / x ** 2 + 2 * s / x ** 3,
+                -c / x + 3 * s / x ** 2 + 6 * c / x ** 3 - 6 * s / x ** 4,
+                s / x + 4 * c / x ** 2 - 12 * s / x ** 3 - 24 * c / x ** 4 + 24 * s / x ** 5)
+
+    def parts(x):
+        f2, f3, f4 = derivs(x)
         w0 = -f3 ** 3 / (27 * f2 ** 5)
         w0p = (5 * f3 ** 4 - 3 * f2 * f3 ** 2 * f4) / (27 * f2 ** 6)
         return w0, w0p, -5 * f2 + 3 * f2 ** 2 * f4 / f3 ** 2
@@ -460,6 +468,11 @@ def test_kappa_j0_with_many_break_points_against_piecewise_quad():
         w0, w0p, rp = parts(x)
         return abs(w0) * abs(rp) + abs(w0p)
 
+    def zeros(fn, xs):
+        v = [fn(x) for x in xs]
+        return [optimize.brentq(fn, xs[i], xs[i + 1])
+                for i in range(len(xs) - 1) if (v[i] < 0) != (v[i + 1] < 0)]
+
     saw = lambda x: x - math.floor(x) - 0.5
     want = sum(abs(parts(x)[0]) for x in part.j0_isolated)
     want += sum(abs(saw(x) * parts(x)[0]) for x in part.boundary_0)
@@ -467,16 +480,29 @@ def test_kappa_j0_with_many_break_points_against_piecewise_quad():
     for x0, x1 in part.j0:
         pad = (x1 - x0) * 1e-9
         xs = np.linspace(x0 + pad, x1 - pad, 4096)
-        rp = [parts(x)[2] for x in xs]
-        inner = [optimize.brentq(lambda t: parts(t)[2], xs[i], xs[i + 1])
-                 for i in range(len(xs) - 1) if (rp[i] < 0) != (rp[i + 1] < 0)]
-        edges = [xs[0], *inner, xs[-1]]
-        want += sum(integrate.quad(integrand, u, v)[0] for u, v in zip(edges[:-1], edges[1:]))
+        inner = zeros(lambda t: parts(t)[2], xs)
+        # W0 changes sign where f3 does, and W0' where 5 f3^2 - 3 f2 f4 does
+        kinks = zeros(lambda t: derivs(t)[1], xs) + zeros(lambda t: parts(t)[1], xs)
+        edges = sorted({xs[0], *inner, *kinks, xs[-1]})
+        want += sum(integrate.quad(integrand, u, v, epsrel=1e-13, limit=200)[0]
+                    for u, v in zip(edges[:-1], edges[1:]))
         roots += inner
     want += sum(abs(saw(x) * parts(x)[0]) for x in roots)
-    assert len(roots) == 330
+    assert len(roots) == n_roots
     assert math.isfinite(got)
-    assert got == pytest.approx(want, rel=1e-3)
+    assert got == pytest.approx(want, rel=rel)
+
+
+def test_kink_break_points_only_where_the_scan_resolves_them():
+    xs = np.linspace(1.0, 30.0, 200)
+    assert eb._resolved_zeros(np.sin, xs) == pytest.approx(np.arange(1, 10) * math.pi)
+    # sign flips in two adjacent gaps: zeros closer than two sample spacings
+    assert eb._resolved_zeros(lambda x: np.sin(np.pi * x), np.arange(64) + 0.25) == []
+    # two zeros hidden inside the gap [2, 3] make the one seen at 4.5 a sample
+    # of the zeros, not all of them
+    xs = np.arange(7.0)
+    assert eb._resolved_zeros(lambda x: x - 4.5, xs) == [4.5]
+    assert eb._resolved_zeros(lambda x: (x - 2.2) * (x - 2.5) * (x - 4.5), xs) == []
 
 
 def test_nonfinite_kappa_integral_is_reported():

@@ -248,3 +248,16 @@ def test_csum_keeps_ieee_results_for_non_finite_parts():
     z = nu.csum([complex(math.inf, 1.0), complex(-math.inf, 2.0)])
     assert math.isnan(z.real) and z.imag == 3.0
     assert nu.csum([complex(math.inf, 0.0), 1.0]) == complex(math.inf, 0.0)
+
+
+def test_sign_change_roots_bisect_to_the_float_limit():
+    xs = np.linspace(1.0, 30.0, 200)
+    roots = np.array(nu.sign_change_roots(np.sin, xs, np.sin(xs)))
+    want = np.arange(1, 10) * math.pi
+    assert roots.shape == want.shape
+    assert np.all(np.abs(roots - want) <= 4 * np.spacing(want))
+    # a zero sample ends no bracket: the gaps on both sides of x = 2 are
+    # skipped, and only the sign change in [3, 4] is bisected
+    fn = lambda x: (x - 2.0) * (x - 3.5)
+    xs = np.arange(5.0)
+    assert nu.sign_change_roots(fn, xs, fn(xs)) == [3.5]

@@ -94,6 +94,39 @@ def test_analytic_inverse_agrees_with_bisection(name, params):
         assert abs(xa - xb) <= 1e-10 * max(1.0, abs(xa))
 
 
+@pytest.mark.parametrize("name,params,domain", [("oscillatory", [1e-3, 1.0, 1.0, 0.25], (5e4, 2e6)),
+                                                ("power_phase", [], None)])
+def test_invert_array_matches_scalar_calls(name, params, domain):
+    # the bisection fallback solves all r at once and takes, for each r, the
+    # same steps as a call with that r alone, and as a scalar loop of 80
+    # halvings on f'(mid) < r and 8 Newton steps kept inside the bracket
+    model, _ = builtin_family(name, params, domain=domain)
+    bare = dataclasses.replace(model, fprime_inverse=None)
+
+    def loop_invert(r):
+        a, b = bare.domain
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            if float(bare.f1(mid)) < r:
+                a = mid
+            else:
+                b = mid
+        x = 0.5 * (a + b)
+        for _ in range(8):
+            x_new = x - (float(bare.f1(x)) - r) / float(bare.f2(x))
+            if not (a <= x_new <= b):
+                break
+            x = x_new
+        return x
+
+    r0 = math.ceil(bare.fprime_range()[0])
+    rs = np.arange(r0, r0 + 300, dtype=float)
+    xs = invert_fprime(bare, rs)
+    assert isinstance(xs, np.ndarray) and xs.shape == rs.shape
+    assert xs.tolist() == [invert_fprime(bare, float(r)) for r in rs]
+    assert xs.tolist() == [loop_invert(float(r)) for r in rs]
+
+
 def test_power_phase_derivative_values():
     model, _ = builtin_family("power_phase")
     x = 300.0

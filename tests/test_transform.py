@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 
@@ -59,6 +60,16 @@ def test_exact_identities_large_r():
         assert model.rhs_phase(r, xr) == 0.0  # f - r x = -4 r^3, an integer
         w = 1.0 / math.sqrt(float(model.f2(xr)))
         assert w == pytest.approx(math.sqrt(24.0 * r), rel=1e-12)
+
+
+def test_inversion_stall_raises_instead_of_dropping_the_term():
+    # f' jumps from 5.5 to 6.5 at x = 5.5, so f'(x) = 6 has no solution: the
+    # bisection ends at the jump and the residual 1/2 fails the inversion
+    model, _ = builtin_family("quadratic", [1.0], domain=(0.0, 10.0))
+    jump = lambda x: np.asarray(x, dtype=float) + (np.asarray(x) > 5.5)
+    model = dataclasses.replace(model, f1=jump, fprime_inverse=None, rhs_phase=None)
+    with pytest.raises(RuntimeError, match="for r=6.0"):
+        rhs_main_sum(model, 0.0, 10.0)
 
 
 def test_conjugation_symmetry():
