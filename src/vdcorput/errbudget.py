@@ -97,14 +97,19 @@ def m_count(model: PhaseAmplitudeModel, mu: float) -> int:
     return max(count, 0)
 
 
+def _extended_ends(model: PhaseAmplitudeModel, profile: ConditionMProfile,
+                   a: float, b: float) -> Tuple[float, float]:
+    """a - c(a) M(a) and b + c(b) M(b), with c = 1 where m_count >= 1, else 0."""
+    ca = 1.0 if m_count(model, a) >= 1 else 0.0
+    cb = 1.0 if m_count(model, b) >= 1 else 0.0
+    return a - ca * float(profile.M(a)), b + cb * float(profile.M(b))
+
+
 def condition_m_domain(model: PhaseAmplitudeModel, profile: ConditionMProfile,
                        a: float, b: float) -> Tuple[float, float]:
     """The extended interval J = [a - c(a) M(a), b + c(b) M(b)], clipped to the
     model's smoothness domain."""
-    ca = 1.0 if m_count(model, a) >= 1 else 0.0
-    cb = 1.0 if m_count(model, b) >= 1 else 0.0
-    lo = a - ca * float(profile.M(a))
-    hi = b + cb * float(profile.M(b))
+    lo, hi = _extended_ends(model, profile, a, b)
     dlo, dhi = model.domain
     return max(lo, dlo), min(hi, dhi)
 
@@ -122,47 +127,45 @@ def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
         raise ValueError("grid must be at least 16")
     part1 = max(float(profile.M(a)), float(profile.M(b))) <= (b - a) * (1 + 1e-12)
     part2 = profile.delta < 1.0 and profile.eta < 2.0
-    jlo, jhi = condition_m_domain(model, profile, a, b)
+    lo, hi = _extended_ends(model, profile, a, b)
     dlo, dhi = model.domain
-    ca = 1.0 if m_count(model, a) >= 1 else 0.0
-    cb = 1.0 if m_count(model, b) >= 1 else 0.0
-    part3 = (a - ca * float(profile.M(a)) >= dlo - 1e-12) and \
-            (b + cb * float(profile.M(b)) <= dhi + 1e-12)
+    jlo, jhi = max(lo, dlo), min(hi, dhi)
+    part3 = lo >= dlo - 1e-12 and hi <= dhi + 1e-12
 
     k = np.arange(grid)
     xs = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k + 1) * np.pi / (2 * grid))
+    # one (grid, 64) block: row n holds the 64 points z of I_x at node xs[n]
+    Mx = np.asarray(profile.M(xs), dtype=float)[:, None]
+    Ux = np.asarray(profile.U(xs), dtype=float)[:, None]
+    fppx = np.asarray(model.f2(xs), dtype=float)[:, None]
+    zs = np.linspace(np.maximum(xs - Mx[:, 0], jlo), np.minimum(xs + Mx[:, 0], jhi), 64, axis=1)
+    f2z = np.asarray(model.f2(zs), dtype=float)
+    f3z = np.abs(np.asarray(model.f3(zs), dtype=float))
+    f4z = np.abs(np.asarray(model.f4(zs), dtype=float))
+    g0z = np.abs(np.asarray(model.g(zs), dtype=float))
+    g1z = np.abs(np.asarray(model.g1(zs), dtype=float))
+    g2z = np.abs(np.asarray(model.g2(zs), dtype=float))
+    eta = profile.eta
+    ratios = (
+        f2z / (profile.C2 * fppx),
+        fppx / (profile.C2_minus * f2z),
+        f3z * Mx / (eta * fppx),
+        f4z * Mx * Mx / (eta * eta * profile.C4 * fppx),
+        g0z / (profile.D0 * Ux),
+        g1z * Mx / (profile.D1 * Ux),
+        g2z * Mx * Mx / (profile.D2 * Ux),
+    )
+    at = [r.argmax(axis=1) for r in ratios]
+    rmax = [r.max(axis=1).tolist() for r in ratios]
     worst = {name: 0.0 for name in _INEQUALITIES}
     violations: List[dict] = []
-    eta = profile.eta
-    for x in xs:
-        x = float(x)
-        Mx = float(profile.M(x))
-        Ux = float(profile.U(x))
-        fppx = float(model.f2(x))
-        zlo, zhi = max(x - Mx, jlo), min(x + Mx, jhi)
-        zs = np.linspace(zlo, zhi, 64)
-        f2z = np.asarray(model.f2(zs), dtype=float)
-        f3z = np.abs(np.asarray(model.f3(zs), dtype=float))
-        f4z = np.abs(np.asarray(model.f4(zs), dtype=float))
-        g0z = np.abs(np.asarray(model.g(zs), dtype=float))
-        g1z = np.abs(np.asarray(model.g1(zs), dtype=float))
-        g2z = np.abs(np.asarray(model.g2(zs), dtype=float))
-        checks = (
-            ("f2_upper", f2z / (profile.C2 * fppx)),
-            ("f2_lower", fppx / (profile.C2_minus * f2z)),
-            ("f3", f3z * Mx / (eta * fppx)),
-            ("f4", f4z * Mx * Mx / (eta * eta * profile.C4 * fppx)),
-            ("g0", g0z / (profile.D0 * Ux)),
-            ("g1", g1z * Mx / (profile.D1 * Ux)),
-            ("g2", g2z * Mx * Mx / (profile.D2 * Ux)),
-        )
-        for name, ratios in checks:
-            i = int(np.argmax(ratios))
-            rmax = float(ratios[i])
-            if rmax > worst[name]:
-                worst[name] = rmax
-            if rmax > 1.0 + 1e-12:
-                violations.append({"inequality": name, "x": x, "z": float(zs[i]), "ratio": rmax})
+    for n, x in enumerate(xs.tolist()):
+        for name, i, rm in zip(_INEQUALITIES, at, rmax):
+            if rm[n] > worst[name]:
+                worst[name] = rm[n]
+            if rm[n] > 1.0 + 1e-12:
+                violations.append({"inequality": name, "x": x, "z": float(zs[n, i[n]]),
+                                   "ratio": rm[n]})
     passed = part1 and part2 and part3 and not violations
     return ConditionMReport(passed, part1, part2, part3, worst, violations,
                             (a, b), (jlo, jhi), grid)

@@ -25,15 +25,17 @@ representative interval.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .numutil import bisect
 
 Func = Callable[[np.ndarray], np.ndarray]
+ArrayOrFloat = Union[np.ndarray, float]
 
 
 class FamilyError(ValueError):
@@ -54,9 +56,11 @@ class PhaseAmplitudeModel:
     """Phase f (derivatives to order 4), amplitude g (to order 3), domain.
 
     ``fprime_inverse`` is the analytic solution of f'(x) = r when the family
-    has one.  ``rhs_phase`` returns (f(x_r) - r x_r) mod 1 using whatever
-    exact structure the family admits; without it callers fall back to
-    floating reduction, which loses accuracy once f reaches ~1e15.
+    has one.  ``rhs_phase(r, x_r)`` returns (f(x_r) - r x_r) mod 1 using
+    whatever exact structure the family admits, for arrays of r and x_r or
+    for scalars, and an array call equals per-element calls bit for bit;
+    without it callers fall back to floating reduction, which loses accuracy
+    once f reaches ~1e15.
     ``fprime_integer`` reports the exact integer value of f'(x) when family
     arithmetic can decide it, None when it cannot.
     """
@@ -72,7 +76,7 @@ class PhaseAmplitudeModel:
     g3: Func
     domain: Tuple[float, float]
     fprime_inverse: Optional[Func] = None
-    rhs_phase: Optional[Callable[[float, float], float]] = None
+    rhs_phase: Optional[Callable[[ArrayOrFloat, ArrayOrFloat], ArrayOrFloat]] = None
     fprime_integer: Optional[Callable[[float], Optional[int]]] = None
     name: str = "custom"
     params: Tuple[float, ...] = ()
@@ -222,6 +226,18 @@ def _zeros(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def _libm(fn, x, *args):
+    """fn(v, *args) of the math module on each element of x (array or scalar).
+
+    numpy's SIMD pow and log can differ from libm in the last bit, while a
+    scalar such as np.float64 ** p or math.log goes through libm.  Steps that
+    must give the same bits on an array as on single points use this.
+    """
+    x = np.asarray(x, dtype=float)
+    values = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))
+    return np.fromiter(values, float, x.size).reshape(x.shape)
+
+
 def _power_phase_model(domain) -> PhaseAmplitudeModel:
     c = 3.0 ** -1.5
 
@@ -235,6 +251,13 @@ def _power_phase_model(domain) -> PhaseAmplitudeModel:
         k = math.isqrt(n // 12)
         return k if 12 * k * k == n else None
 
+    def rhs_phase(r, xr):
+        # f(x_r) - r x_r = -4 r^3 at an integer r: r*r*r is exact below 2^53
+        # and a float past it is an integer, so the phase is exactly 0
+        r, xr = np.asarray(r, dtype=float), np.asarray(xr, dtype=float)
+        return np.where(r == np.floor(r), (-4.0 * (r * r * r)) % 1.0,
+                        (c * xr ** 1.5 - r * xr) % 1.0)[()]
+
     return PhaseAmplitudeModel(
         f=lambda x: c * np.asarray(x, dtype=float) ** 1.5,
         f1=lambda x: 0.5 * np.sqrt(np.asarray(x, dtype=float) / 3.0),
@@ -244,7 +267,7 @@ def _power_phase_model(domain) -> PhaseAmplitudeModel:
         g=_ones, g1=_zeros, g2=_zeros, g3=_zeros,
         domain=domain or (1e-3, 1e12),
         fprime_inverse=lambda r: 12.0 * r * r,
-        rhs_phase=lambda r, xr: (-4.0 * r ** 3) % 1.0 if r == int(r) else (c * xr ** 1.5 - r * xr) % 1.0,
+        rhs_phase=rhs_phase,
         fprime_integer=fprime_integer,
         name="power_phase",
     )
@@ -272,6 +295,7 @@ def _ik_model(alpha: float, n_scale: float, x_scale: float, domain) -> PhaseAmpl
         raise FamilyError("ik_monomial needs alpha > 1, N > 0, X > 0")
     A, N, X = alpha, n_scale, x_scale
     ga = math.sqrt(A)
+    q = A / (A - 1.0)
 
     def pw(x, p):
         return (np.asarray(x, dtype=float) / N) ** p
@@ -286,7 +310,9 @@ def _ik_model(alpha: float, n_scale: float, x_scale: float, domain) -> PhaseAmpl
     return PhaseAmplitudeModel(
         f=lambda x: (X / A) * pw(x, A),
         f1=lambda x: (X / N) * pw(x, A - 1),
-        f2=lambda x: (X * (A - 1) / N ** 2) * pw(x, A - 2),
+        # libm pow, as on scalars: the dual-side weights 1/sqrt(f''(x_r)) of
+        # an array of x_r must equal their one-point values
+        f2=lambda x: (X * (A - 1) / N ** 2) * _libm(math.pow, np.asarray(x, dtype=float) / N, A - 2),
         f3=lambda x: (X * (A - 1) * (A - 2) / N ** 3) * pw(x, A - 3),
         f4=lambda x: (X * (A - 1) * (A - 2) * (A - 3) / N ** 4) * pw(x, A - 4),
         g=lambda x: ga * np.asarray(x, dtype=float) ** -0.5,
@@ -295,7 +321,7 @@ def _ik_model(alpha: float, n_scale: float, x_scale: float, domain) -> PhaseAmpl
         g3=lambda x: -1.875 * ga * np.asarray(x, dtype=float) ** -3.5,
         domain=domain or (1e-3 * N, 1e9 * N),
         fprime_inverse=lambda r: N * (r * N / X) ** (1.0 / (A - 1.0)),
-        rhs_phase=lambda r, xr: (-(X / (A / (A - 1.0))) * (r * N / X) ** (A / (A - 1.0))) % 1.0,
+        rhs_phase=lambda r, xr: (-(X / q) * _libm(math.pow, r * N / X, q)) % 1.0,
         fprime_integer=fprime_integer,
         name="ik_monomial",
         params=(alpha, n_scale, x_scale),
@@ -343,7 +369,7 @@ def _zeta_log_model(sigma: float, t: float, domain) -> PhaseAmplitudeModel:
         g3=lambda x: -sigma * (sigma + 1) * (sigma + 2) * np.asarray(x, dtype=float) ** (-sigma - 3),
         domain=domain or (1e-3, 1e12),
         fprime_inverse=lambda r: -c / r,
-        rhs_phase=lambda r, xr: (-c * math.log(xr) - r * xr) % 1.0,
+        rhs_phase=lambda r, xr: (-c * _libm(math.log, xr) - r * xr) % 1.0,
         name="zeta_log",
         params=(sigma, t),
     )

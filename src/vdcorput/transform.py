@@ -59,15 +59,25 @@ class EndpointTerm:
 
 @dataclass
 class TransformResult:
+    """The dual-side sum with its terms as arrays: index r (int), stationary
+    point x_r and weighted value, the limit terms already halved."""
+
     rhs_main: complex
     d_a: Optional[EndpointTerm]
     d_b: Optional[EndpointTerm]
     r_range: Tuple[int, int]
-    terms: List[Tuple[int, float, complex]]
+    r: np.ndarray
+    xr: np.ndarray
+    values: np.ndarray
     measured_delta: Optional[complex] = None
     direct_value: Optional[complex] = None
     flags: List[str] = field(default_factory=list)
     condition_report: Optional[ConditionMReport] = None
+
+    @property
+    def terms(self) -> List[Tuple[int, float, complex]]:
+        """The terms as (r, x_r, value) tuples, built on each access."""
+        return list(zip(self.r.tolist(), self.xr.tolist(), self.values.tolist()))
 
     def to_json(self) -> dict:
         out = {
@@ -86,10 +96,10 @@ class TransformResult:
         return out
 
 
-def _phase_f_minus_rx(model: PhaseAmplitudeModel, x: float, r: int) -> float:
-    """(f(x) - r x) mod 1 at an integer multiplier, losing as little as the
-    float format allows."""
-    return (math.fmod(float(model.f(x)), 1.0) - math.fmod(float(r) * x, 1.0)) % 1.0
+def _phase_f_minus_rx(model: PhaseAmplitudeModel, x, r):
+    """(f(x) - r x) mod 1 at integer multipliers (arrays or scalars), losing
+    as little as the float format allows."""
+    return (np.fmod(model.f(x), 1.0) - np.fmod(r * x, 1.0)) % 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +112,9 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float,
 
     A weight is halved when the corresponding limit f'(a) or f'(b) is an
     integer (family-exact detection when available).  All x_r come from one
-    inversion call, which raises rather than drop a term it cannot solve.
-    The terms are summed correctly rounded, so reruns are bit-identical.
+    inversion call, which raises rather than drop a term it cannot solve;
+    phases, weights and terms are then computed as arrays.  The terms are
+    summed correctly rounded, so reruns are bit-identical.
     """
     fa = float(model.f1(a))
     fb = float(model.f1(b))
@@ -112,26 +123,24 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float,
     r_lo = ra_int if da == 0.0 else math.ceil(fa)
     r_hi = rb_int if db == 0.0 else math.floor(fb)
 
-    rs = range(r_lo, r_hi + 1)
-    terms: List[Tuple[int, float, complex]] = []
-    for r, xr in zip(rs, invert_fprime(model, np.array(rs, dtype=float)).tolist()):
-        if model.rhs_phase is not None:
-            ph = model.rhs_phase(float(r), xr)
-        else:
-            ph = _phase_f_minus_rx(model, xr, r)
-        w = float(model.g(xr)) / math.sqrt(float(model.f2(xr)))
-        val = w * np.exp(TWO_PI_I * ((ph + 0.125) % 1.0))
-        if r == r_lo and da == 0.0:
-            val *= 0.5
-        if r == r_hi and db == 0.0:
-            val *= 0.5
-        val = complex(val)
-        terms.append((r, xr, val))
-    rhs = csum([v for _, _, v in terms])
+    r = np.arange(r_lo, r_hi + 1)
+    rf = r.astype(float)
+    xr = invert_fprime(model, rf)
+    if model.rhs_phase is not None:
+        ph = model.rhs_phase(rf, xr)
+    else:
+        ph = _phase_f_minus_rx(model, xr, rf)
+    w = model.g(xr) / np.sqrt(model.f2(xr))
+    values = w * np.exp(TWO_PI_I * ((ph + 0.125) % 1.0))
+    if r.size and da == 0.0:
+        values[0] *= 0.5
+    if r.size and db == 0.0:
+        values[-1] *= 0.5
+    rhs = csum(values)
     if conjugate:
         rhs = rhs.conjugate()
-        terms = [(r, xr, v.conjugate()) for r, xr, v in terms]
-    return TransformResult(rhs, None, None, (r_lo, r_hi), terms)
+        values = values.conj()
+    return TransformResult(rhs, None, None, (r_lo, r_hi), r, xr, values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -82,6 +83,63 @@ def test_grid_validation():
     model, profile = builtin_family("power_phase")
     with pytest.raises(ValueError):
         eb.check_condition_M(model, profile, 100.0, 400.0, grid=8)
+
+
+def per_node_condition_M(model, profile, a, b, grid):
+    """The sweep one Chebyshev node at a time, as it was computed before it
+    became one array block: the reference the report must match exactly."""
+    report = eb.check_condition_M(model, profile, a, b, grid=grid)
+    jlo, jhi = report.extended_interval
+    k = np.arange(grid)
+    xs = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k + 1) * np.pi / (2 * grid))
+    worst = {name: 0.0 for name in eb._INEQUALITIES}
+    violations = []
+    eta = profile.eta
+    for x in xs:
+        x = float(x)
+        Mx = float(profile.M(x))
+        Ux = float(profile.U(x))
+        fppx = float(model.f2(x))
+        zs = np.linspace(max(x - Mx, jlo), min(x + Mx, jhi), 64)
+        f2z = np.asarray(model.f2(zs), dtype=float)
+        checks = (
+            ("f2_upper", f2z / (profile.C2 * fppx)),
+            ("f2_lower", fppx / (profile.C2_minus * f2z)),
+            ("f3", np.abs(model.f3(zs)) * Mx / (eta * fppx)),
+            ("f4", np.abs(model.f4(zs)) * Mx * Mx / (eta * eta * profile.C4 * fppx)),
+            ("g0", np.abs(model.g(zs)) / (profile.D0 * Ux)),
+            ("g1", np.abs(model.g1(zs)) * Mx / (profile.D1 * Ux)),
+            ("g2", np.abs(model.g2(zs)) * Mx * Mx / (profile.D2 * Ux)),
+        )
+        for name, ratios in checks:
+            i = int(np.argmax(ratios))
+            rmax = float(ratios[i])
+            if rmax > worst[name]:
+                worst[name] = rmax
+            if rmax > 1.0 + 1e-12:
+                violations.append({"inequality": name, "x": x, "z": float(zs[i]), "ratio": rmax})
+    passed = report.part1_ok and report.part2_ok and report.part3_ok and not violations
+    return eb.ConditionMReport(passed, report.part1_ok, report.part2_ok, report.part3_ok,
+                               worst, violations, (a, b), (jlo, jhi), grid).to_json()
+
+
+@pytest.mark.parametrize("fam,params,a,b,passes", [
+    ("power_phase", [], 100.0, 1200.0, True),
+    ("ik_monomial", [1.5, 104.0, 10198.0], 104.0, 312.0, True),
+    ("oscillatory", [1.0, 1.0, 1.0], 120.0, 170.0, True),
+    ("sine_amplitude", [0.37, 8.0], 100.0, 400.0, False),     # oversized eps
+    ("exponential", [1.0, 2.0], 1.0, 20.0, False),
+])
+def test_condition_m_block_equals_the_per_node_sweep(fam, params, a, b, passes):
+    model, profile = builtin_family(fam, params)
+    if fam == "exponential":  # radius 10 breaks the f''' bound at every node
+        profile = ConditionMProfile(M=lambda x: np.full_like(np.asarray(x, dtype=float), 10.0),
+                                    M_prime=profile.M_prime, U=profile.U)
+    got = eb.check_condition_M(model, profile, a, b, grid=24).to_json()
+    assert got["passed"] is passes
+    assert passes or len(got["violations"]) >= 48  # two or more per node, interleaved
+    want = per_node_condition_M(model, profile, a, b, 24)
+    assert json.dumps(got) == json.dumps(want)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from vdcorput.errbudget import compute_budget
+from vdcorput.errbudget import compute_budget, fprime_nearest
 from vdcorput.expsum import direct_starred_sum
-from vdcorput.numutil import modified_sawtooth, nearest_decomp
-from vdcorput.phase import builtin_family
+from vdcorput.numutil import csum, modified_sawtooth, nearest_decomp
+from vdcorput.phase import builtin_family, invert_fprime
 from vdcorput.transform import (EndpointTerm, RefinementParameterError,
-                                TransformOptions, budget_with_endpoints,
-                                endpoint_term, full_transform,
-                                optimized_refinement_params,
+                                TransformOptions, _phase_f_minus_rx,
+                                budget_with_endpoints, endpoint_term,
+                                full_transform, optimized_refinement_params,
                                 refined_endpoint_term, rhs_main_sum)
 
 
@@ -72,6 +72,148 @@ def test_inversion_stall_raises_instead_of_dropping_the_term():
         rhs_main_sum(model, 0.0, 10.0)
 
 
+def _scalar_rhs_phase(model):
+    """Each family's phase (f(x_r) - r x_r) mod 1 as the per-r loop computed
+    it, on Python floats; None for the families without one."""
+    c = 3.0 ** -1.5
+    p = model.params
+    if model.name == "power_phase":
+        return lambda r, xr: (-4.0 * r ** 3) % 1.0 if r == int(r) else (c * xr ** 1.5 - r * xr) % 1.0
+    if model.name == "quadratic":
+        return lambda r, xr: (-0.5 * r * r / p[0]) % 1.0
+    if model.name == "ik_monomial":
+        A, N, X = p
+        return lambda r, xr: (-(X / (A / (A - 1.0))) * (r * N / X) ** (A / (A - 1.0))) % 1.0
+    if model.name == "exponential":
+        lb = math.log(p[1])
+        return lambda r, xr: (r / lb - r * xr) % 1.0
+    if model.name == "zeta_log":
+        return lambda r, xr: (-(p[1] / (2.0 * math.pi)) * math.log(xr) - r * xr) % 1.0
+    return None
+
+
+def per_r_rhs_main_sum(model, a, b, conjugate=False):
+    """The dual side one r at a time, as it was computed before it became
+    array code: the reference that ``rhs_main_sum`` must match bit for bit."""
+    fa = float(model.f1(a))
+    fb = float(model.f1(b))
+    ra_int, _, da = fprime_nearest(model, a)
+    rb_int, _, db = fprime_nearest(model, b)
+    r_lo = ra_int if da == 0.0 else math.ceil(fa)
+    r_hi = rb_int if db == 0.0 else math.floor(fb)
+    phase = _scalar_rhs_phase(model)
+    rs = range(r_lo, r_hi + 1)
+    terms = []
+    for r, xr in zip(rs, invert_fprime(model, np.array(rs, dtype=float)).tolist()):
+        if phase is not None:
+            ph = phase(float(r), xr)
+        else:
+            ph = (math.fmod(float(model.f(xr)), 1.0) - math.fmod(float(r) * xr, 1.0)) % 1.0
+        w = float(model.g(xr)) / math.sqrt(float(model.f2(xr)))
+        val = w * np.exp(2j * math.pi * ((ph + 0.125) % 1.0))
+        if r == r_lo and da == 0.0:
+            val *= 0.5
+        if r == r_hi and db == 0.0:
+            val *= 0.5
+        terms.append((r, xr, complex(val)))
+    rhs = csum([v for _, _, v in terms])
+    if conjugate:
+        rhs = rhs.conjugate()
+        terms = [(r, xr, v.conjugate()) for r, xr, v in terms]
+    return rhs, terms
+
+
+# (family, params, domain, a, b): every family, with limits where f' is
+# integral at both ends and where r_lo == r_hi.  The ik_monomial and zeta_log
+# cases each hold x_r where numpy's SIMD pow (phase exponent 3 at alpha = 1.5,
+# 5/3 at 2.5; f'' exponent -1/2 and 1/2) or log differs from libm.
+DUAL_CASES = [
+    ("power_phase", [], None, 1.0, 1200.0),
+    ("power_phase", [], None, 12.0, 1200.0),
+    ("power_phase", [], None, 12.0, 12.0),
+    ("power_phase", [], None, 3.7, 2.5e5 + 0.3),
+    ("quadratic", [0.37], None, -500.0, 700.0),
+    ("quadratic", [0.5], None, 2.0, 40.0),
+    ("ik_monomial", [1.5, 100.0, 159.8], None, 100.0, 100.0 * (300.5 * 100.0 / 159.8) ** 2),
+    ("ik_monomial", [1.5, 100.0, 1e4], None, 50.0, 4000.0),
+    ("ik_monomial", [2.5, 100.0, 1e4], None, 150.0, 400.0),
+    ("ik_monomial", [2.0, 100.0, 1e4], None, 100.0, 300.0),
+    ("exponential", [1.0, 2.0], None, 4.0, 12.0),
+    ("zeta_log", [0.5, 1e4], None, 1.5918, 1e11),
+    ("oscillatory", [0.001, 1.0, 1.0], (5e4, 2e6), 1.0e5, 1.0e5 + 3.0e5),
+    ("sine_amplitude", [0.37], None, 1.0, 1.2e6),
+]
+
+
+def _bits(rhs, terms):
+    return repr(rhs), [(r, repr(xr), repr(v)) for r, xr, v in terms]
+
+
+def _case_id(case):
+    fam, params, _, a, b = case
+    return f"{fam}({','.join(f'{v:g}' for v in params)})[{a:g},{b:g}]"
+
+
+@pytest.mark.parametrize("fam,params,domain,a,b", DUAL_CASES, ids=map(_case_id, DUAL_CASES))
+def test_dual_side_equals_the_per_r_loop_bit_for_bit(fam, params, domain, a, b):
+    model, _ = builtin_family(fam, params, domain=domain)
+    res = rhs_main_sum(model, a, b)
+    rhs, terms = per_r_rhs_main_sum(model, a, b)
+    assert len(terms) == len(res.terms) > 0
+    assert _bits(res.rhs_main, res.terms) == _bits(rhs, terms)
+    assert res.r.dtype.kind == "i" and res.r_range == (terms[0][0], terms[-1][0])
+
+
+def test_dual_side_halving_conjugation_and_empty_range_match_the_loop():
+    model, _ = builtin_family("power_phase")
+    # f'(12) = 1 and f'(1200) = 10: both limit terms halved
+    res = rhs_main_sum(model, 12.0, 1200.0)
+    full = rhs_main_sum(model, 11.0, 1201.0)
+    assert res.r_range == full.r_range == (1, 10)
+    assert res.values[0] == 0.5 * full.values[0] and res.values[-1] == 0.5 * full.values[-1]
+    assert np.array_equal(res.values[1:-1], full.values[1:-1])
+    # r_lo == r_hi with both limits integral: one term, quartered
+    res = rhs_main_sum(model, 12.0, 12.0)
+    assert res.r.tolist() == [1] and res.values[0] == 0.25 * full.values[0]
+    assert _bits(res.rhs_main, res.terms) == _bits(*per_r_rhs_main_sum(model, 12.0, 12.0))
+    ik, _ = builtin_family("ik_monomial", [2.5, 100.0, 1e4])
+    for args in ((model, 1.0, 500.0), (ik, 150.0, 400.0)):
+        res = rhs_main_sum(*args, conjugate=True)
+        assert _bits(res.rhs_main, res.terms) == _bits(*per_r_rhs_main_sum(*args, conjugate=True))
+    quad, _ = builtin_family("quadratic", [0.37, 0.5], domain=(0.0, 10.0))
+    res = rhs_main_sum(quad, 4.1, 4.6)
+    assert per_r_rhs_main_sum(quad, 4.1, 4.6) == (0j, [])
+    assert res.rhs_main == 0j and res.terms == [] and res.r.size == res.xr.size == res.values.size == 0
+
+
+PHASE_CASES = [c for c in DUAL_CASES if c[0] not in ("oscillatory", "sine_amplitude")]
+
+
+@pytest.mark.parametrize("fam,params,domain,a,b", PHASE_CASES, ids=map(_case_id, PHASE_CASES))
+def test_rhs_phase_array_call_equals_scalar_calls(fam, params, domain, a, b):
+    model, _ = builtin_family(fam, params, domain=domain)
+    res = rhs_main_sum(model, a, b)
+    rs, xs = res.r.astype(float).tolist(), res.xr.tolist()
+    arr = model.rhs_phase(res.r.astype(float), res.xr).tolist()
+    one = [float(model.rhs_phase(r, x)) for r, x in zip(rs, xs)]
+    old = [_scalar_rhs_phase(model)(r, x) for r, x in zip(rs, xs)]
+    assert list(map(repr, arr)) == list(map(repr, one)) == list(map(repr, old))
+
+
+def test_headline_dual_side_in_closed_form():
+    # power_phase on [1, 1.2e9]: x_r = 12 r^2 and every phase is 0, so term r
+    # is sqrt(24 r) e(1/8); f'(1.2e9) = 10^4 exactly halves the top term
+    model, _ = builtin_family("power_phase")
+    assert float(model.f1(1.2e9)) == 1e4
+    res = rhs_main_sum(model, 1.0, 1.2e9)
+    assert len(res.terms) == 10_000 and res.r_range == (1, 10_000)
+    assert np.array_equal(res.xr, 12.0 * res.r.astype(float) ** 2)
+    weights = [math.sqrt(24.0 * r) for r in range(1, 10_001)]
+    weights[-1] *= 0.5
+    want = e(0.125) * math.fsum(weights)
+    assert res.rhs_main == pytest.approx(want, rel=1e-13)
+
+
 def test_conjugation_symmetry():
     model, _ = builtin_family("power_phase")
     conj_model = model.conjugate_phase()
@@ -118,6 +260,19 @@ def test_endpoint_sawtooth_case_against_brute_force():
     assert term.regime == "explicit-sawtooth"
     oracle = brute_force_endpoint_sum(model, mu)
     assert term.explicit == pytest.approx(oracle, abs=2e-6)
+
+
+def test_endpoint_phase_on_one_point_keeps_its_scalar_bits():
+    # endpoint_term and refined_endpoint_term reduce f(mu) - r mu one point at
+    # a time; the array-capable reduction must give the scalar formula's bits
+    for fam, params, mus in (("power_phase", [], (1083.0, 4321.77, 2.5e7 + 0.3)),
+                             ("sine_amplitude", [0.37], (123.4, 9876.5)),
+                             ("oscillatory", [1.0, 1.0, 1.0], (119.7268, 1000.5))):
+        model, _ = builtin_family(fam, params)
+        for mu in mus:
+            r0 = fprime_nearest(model, mu)[0]
+            old = (math.fmod(float(model.f(mu)), 1.0) - math.fmod(float(r0) * mu, 1.0)) % 1.0
+            assert repr(float(_phase_f_minus_rx(model, mu, r0))) == repr(old)
 
 
 def test_endpoint_power_phase_nonintegral_slope():
