@@ -300,6 +300,18 @@ def test_cli_exit_codes():
     assert cli_main(["sum", "--family", "no_family", "--a", "1", "--b", "2"]) == 1
 
 
+@pytest.mark.parametrize("argv,limit", [
+    (["sum", "--a", "1", "--b", "inf"], "b=inf"),
+    (["sum", "--a", "1", "--b", "nan"], "b=nan"),
+    (["sum", "--a=-inf", "--b", "2"], "a=-inf"),
+    (["curve", "--tmax", "inf"], "t_max=inf"),
+])
+def test_cli_non_finite_limit_is_an_error_not_a_traceback(argv, limit, capsys):
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and limit in err[0]
+
+
 def test_cli_transform_roundtrip(tmp_path):
     rc = cli_main(["transform", "--family", "quadratic", "--params", "0.37,100",
                    "--domain", "0,100", "--a", "0", "--b", "100",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vdcorput import expsum
 from vdcorput.expsum import curve_samples, direct_starred_sum, write_curve_csv
 from vdcorput.numutil import csum, is_integer_like
 from vdcorput.phase import PhaseAmplitudeModel, builtin_family
@@ -23,6 +24,32 @@ def direct_starred_sum_unreduced(model, a, b):
             w *= 0.5
         ws.append(w)
     return csum(ws)
+
+
+def direct_starred_sum_complex_exp(model, a, b, conjugate=False):
+    """The kernel as it was before the cos/sin dot products: np.mod, complex
+    exp and np.sum over 65 536-term chunks, chunk totals merged by csum."""
+    n_lo = math.ceil(a - 1e-12 * max(1.0, abs(a)))
+    n_hi = math.floor(b + 1e-12 * max(1.0, abs(b)))
+    if n_hi < n_lo:
+        return 0j
+    parts = []
+    half_lo = is_integer_like(a)
+    half_hi = is_integer_like(b)
+    n = n_lo
+    while n <= n_hi:
+        m = min(n + 65536 - 1, n_hi)
+        ns = np.arange(n, m + 1, dtype=np.float64)
+        ph = np.mod(np.asarray(model.f(ns), dtype=float), 1.0)
+        w = np.asarray(model.g(ns), dtype=float) * np.exp(2j * np.pi * ph)
+        if n == n_lo and half_lo:
+            w[0] *= 0.5
+        if m == n_hi and half_hi:
+            w[-1] *= 0.5
+        parts.append(np.sum(w))
+        n = m + 1
+    s = csum(parts)
+    return s.conjugate() if conjugate else s
 
 
 def split_consistency(model, a, c, b):
@@ -100,6 +127,87 @@ def test_phase_reduction_consistency():
         got = direct_starred_sum(model, a, b)
         ref = direct_starred_sum_unreduced(model, a, b)
         assert abs(got - ref) <= tol
+
+
+U = np.finfo(float).eps / 2  # unit roundoff
+
+
+@pytest.mark.parametrize("name,params,a,b,conjugate", [
+    ("power_phase", (), 1.0, 70000.0, False),           # crosses both chunk sizes
+    ("quadratic", (0.37,), -3000.5, 5000.0, True),
+    ("ik_monomial", (2.0, 100.0, 1e4), 100.0, 20000.25, False),
+    ("exponential", (1.0, 1.5), 0.0, 30.0, False),
+    ("zeta_log", (0.5, 1e4), 1.5, 80000.0, False),      # negative phases
+    ("zeta_log", (0.5, 1e4), 2.0, 70000.5, True),
+    ("oscillatory", (0.01, 0.01, 1.0), 1.0, 20000.0, False),
+    ("sine_amplitude", (0.37,), 10.0, 40000.5, True),   # g changes sign
+])
+def test_kernel_matches_the_complex_exp_kernel(name, params, a, b, conjugate):
+    # the cos/sin and dot-product rounding differ from exp and np.sum, so the
+    # two agree to a few ulps per term on top of the phase's own 2 pi |f| u
+    model, _ = builtin_family(name, params)
+    ns = np.arange(math.ceil(a), math.floor(b) + 1, dtype=float)
+    tol = float(np.sum(np.abs(model.g(ns)) * (2 * np.pi * np.abs(model.f(ns)) + 4))) * U
+    got = direct_starred_sum(model, a, b, conjugate=conjugate)
+    want = direct_starred_sum_complex_exp(model, a, b, conjugate=conjugate)
+    assert abs(got - want) <= tol
+
+
+@pytest.mark.parametrize("terms", [expsum._CHUNK - 1, expsum._CHUNK, expsum._CHUNK + 1,
+                                   3 * expsum._CHUNK + 1])
+def test_chunk_edges_against_termwise_fsum(terms):
+    # integer limits at both ends: the first and the last term are halved,
+    # wherever the chunk boundaries fall
+    model, _ = builtin_family("zeta_log", [0.5, 1e3])
+    a = 2.0
+    b = a + terms - 1
+    ns = np.arange(a, b + 1)
+    g = model.g(ns).tolist()
+    ph = np.mod(model.f(ns), 1.0).tolist()
+    re = [gi * math.cos(2 * math.pi * p) for gi, p in zip(g, ph)]
+    im = [gi * math.sin(2 * math.pi * p) for gi, p in zip(g, ph)]
+    for part in (re, im):
+        part[0] *= 0.5
+        part[-1] *= 0.5
+    want = complex(math.fsum(re), math.fsum(im))
+    got = direct_starred_sum(model, a, b)
+    # a chunk's dot product errs by at most _CHUNK u sum|g|; angle, cos/sin
+    # and product add a few ulps per term
+    tol = (expsum._CHUNK + 8) * U * math.fsum(abs(x) for x in g)
+    assert abs(got - want) <= tol
+    assert direct_starred_sum(model, a, b) == got  # reproducible to the bit
+
+
+def test_reduced_angle_has_the_bits_of_np_mod():
+    rng = np.random.default_rng(7)
+    mags = 10.0 ** rng.uniform(-20, 17, 200_000)
+    x = np.concatenate([
+        mags, -mags,
+        [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, -1e-20, -5e-324, -2.0 ** -60,  # tiny -> 1.0
+         2.0 ** 53, 2.0 ** 53 + 2, -(2.0 ** 53) - 2, 1e17, -1e17, 2.0 ** 70, -3.5e20],
+        rng.uniform(-1e6, 1e6, 10_000),
+    ])
+    same_bits = lambda u, v: np.array_equal(u.view(np.uint64), v.view(np.uint64))
+    want = np.mod(x, 1.0)
+    assert same_bits(x - np.floor(x), want)
+    assert (want[x == -1e-20] == 1.0).all()
+    # the old kernel's angle was the imaginary part of 2j*pi*mod(f, 1)
+    assert same_bits(expsum._reduced_angle(x), np.ascontiguousarray(np.imag(2j * np.pi * want)))
+
+
+@pytest.mark.parametrize("a,b", [(1.0, math.inf), (-math.inf, 3.0), (1.0, math.nan),
+                                 (math.nan, 3.0)])
+def test_non_finite_limits_are_refused(a, b):
+    model, _ = builtin_family("power_phase")
+    name = "a" if not math.isfinite(a) else "b"
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        direct_starred_sum(model, a, b)
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan])
+def test_curve_refuses_a_non_finite_t_max(t_max):
+    with pytest.raises(ValueError, match="t_max must be finite"):
+        curve_samples(flat_model(), t_max, 1)
 
 
 def test_empty_and_reversed():
