@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .numutil import (NearestIntDecomp, TailAccuracyError, csum,
                       modified_sawtooth, modified_sawtooth_partial,
-                      nearest_decomp, sawtooth_psi, starred_sum)
+                      nearest_decomp, sawtooth_psi)
 from .phase import (ConditionMProfile, FamilyError, InversionRangeError,
                     PhaseAmplitudeModel, builtin_family, invert_fprime)
 from .expsum import CurveSample, curve_samples, direct_starred_sum
@@ -20,7 +20,7 @@ from .errbudget import (AssumptionPartition, ConditionMReport, ErrorBudget,
 __all__ = [
     "NearestIntDecomp", "TailAccuracyError", "csum",
     "modified_sawtooth", "modified_sawtooth_partial", "nearest_decomp",
-    "sawtooth_psi", "starred_sum",
+    "sawtooth_psi",
     "ConditionMProfile", "FamilyError", "InversionRangeError",
     "PhaseAmplitudeModel", "builtin_family", "invert_fprime",
     "CurveSample", "curve_samples", "direct_starred_sum",

@@ -29,7 +29,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numutil import bisect, is_integer_like, sawtooth_s, sign_change_roots
+from .numutil import (bisect, check_finite, is_integer_like, sawtooth_s,
+                      sign_change_roots)
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 from .quad import panel_integral
 
@@ -302,6 +303,19 @@ class AssumptionPartition:
         }
 
 
+def _tangential_zeros(xs: np.ndarray, D: np.ndarray,
+                      scale_D: float) -> Tuple[List[float], List[float]]:
+    """Tangential zeros of H^2 - G inside its negative regions, from samples:
+    (zero samples between two negative ones, negative local maxima within
+    1e-9 scale_D of 0 that the scan may have stepped over)."""
+    neg = D < 0.0
+    mid, left, right = D[1:-1], D[:-2], D[2:]
+    zeros = neg[:-2] & neg[2:] & (mid == 0.0)
+    near = (neg[:-2] & neg[1:-1] & neg[2:] & (mid >= left) & (mid >= right)
+            & (np.abs(mid) <= 1e-9 * scale_D))
+    return xs[1:-1][zeros].tolist(), xs[1:-1][near].tolist()
+
+
 def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
                           samples: int = 4096,
                           profile: Optional[ConditionMProfile] = None,
@@ -392,17 +406,9 @@ def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
     nonzero = lambda v, scale: abs(v) > 1e-6 * scale
     j0_isolated = [r for r in g2_roots
                    if nonzero(float(model.g(r)), g_scale) and nonzero(float(wr.H(r)), H_scale)]
-    jpm_isolated: List[float] = []
-    # tangential zeros of H^2 - G inside negative regions: local maxima near 0
-    neg = D < 0.0
-    for i in range(1, samples - 1):
-        if neg[i - 1] and neg[i + 1] and D[i] == 0.0:
-            jpm_isolated.append(float(xs[i]))
     scale_D = float(np.max(np.abs(D))) or 1.0
-    for i in range(1, samples - 1):
-        if neg[i - 1] and neg[i] and neg[i + 1]:
-            if D[i] >= D[i - 1] and D[i] >= D[i + 1] and abs(D[i]) <= 1e-9 * scale_D:
-                flags.append(f"possible tangential zero of H^2-G near x={xs[i]:.6g}")
+    jpm_isolated, near_zero = _tangential_zeros(xs, D, scale_D)
+    flags += [f"possible tangential zero of H^2-G near x={x:.6g}" for x in near_zero]
 
     # isolated amplitude zeros with g', g'' nonzero
     jnull = [r for r in g_roots
@@ -706,6 +712,8 @@ class ErrorBudget:
 def compute_budget(model: PhaseAmplitudeModel, profile: ConditionMProfile,
                    a: float, b: float,
                    partition: Optional[AssumptionPartition] = None) -> ErrorBudget:
+    """Delta1-Delta4 on [a, b]; raises ValueError when a limit is not finite."""
+    check_finite(a=a, b=b)
     abar, bbar = abar_bbar(model, a, b, profile)
     d1a, d2a = endpoint_deltas(model, profile, a, b, "a")
     d1b, d2b = endpoint_deltas(model, profile, a, b, "b")

@@ -2,8 +2,9 @@
 
 Every experiment here has a brute-force oracle on at least one side: direct
 summation for the power-phase example regimes and the quadratic reciprocity
-bound, closed-form geometric sums for the linear-phase check, and printed
-dual-side formulas for the monomial transform.  Fitted constants are always
+bound, closed-form geometric sums for the linear-phase check, and the
+printed dual-side formula for the monomial transform.  Every sum among them
+is ``direct_starred_sum`` on a built-in family.  Fitted constants are always
 reported together with the sweep that produced them; acceptance thresholds
 take twice the fitted constant to absorb regime-boundary noise.
 """
@@ -22,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from .expsum import CurveSample, curve_samples, direct_starred_sum, write_curve_csv
-from .numutil import (is_integer_like, modified_sawtooth, nearest_decomp,
-                      sawtooth_psi, starred_sum)
+from .numutil import modified_sawtooth, nearest_decomp, sawtooth_psi
 from .phase import PhaseAmplitudeModel, builtin_family
 from .transform import TransformOptions, budget_with_endpoints, full_transform, rhs_main_sum
 
@@ -165,25 +165,33 @@ class CKReport:
     nearest: int
     measured: float
     bound: float
+    rounding_bound: float
     passed: bool
 
     def to_json(self) -> dict:
         return {
             "schema": "ck-bound/1", "version": __version__,
             "omega": self.omega, "n": self.n, "nearest": self.nearest,
-            "measured": self.measured, "bound": self.bound, "passed": self.passed,
+            "measured": self.measured, "bound": self.bound,
+            "roundingBound": self.rounding_bound, "passed": self.passed,
         }
 
 
-def _quadratic_starred(count: int, coeff: float) -> complex:
-    """sum over 0 <= k <= count of e(coeff k^2 / 2), halved at both limits."""
-    ks = np.arange(0, count + 1, dtype=np.float64)
-    return starred_sum(np.exp(TWO_PI_I * np.mod(0.5 * coeff * ks * ks, 1.0)), (True, True))
+def rounding_bound(model: PhaseAmplitudeModel, a: float, b: float) -> float:
+    """A-priori float64 error of ``direct_starred_sum(model, a, b)``: 2^-53
+    times the sum of |g(n)| (2 pi |f(n)| + 4) over the integers n in [a, b],
+    the reduced phase's error plus a few ulps of cos, sin and product a term."""
+    ns = np.arange(math.ceil(a), math.floor(b) + 1, dtype=np.float64)
+    terms = np.abs(model.g(ns)) * (2.0 * math.pi * np.abs(model.f(ns)) + 4.0)
+    return 2.0 ** -53 * float(np.sum(terms))
 
 
 def ck_quadratic(omega: float, n: int, constant: float = 3.14) -> CKReport:
     """Check |S_N(omega) - e(sgn/8)/sqrt|omega| S_n(-1/omega)| <= C |N - n/omega|
-    with N the nearest integer to n/omega."""
+    with N the nearest integer to n/omega and S_K(w) the starred sum of
+    e(w k^2 / 2) over 0 <= k <= K.  The check allows for the float64 rounding
+    bound of the two sums on top of C |N - n/omega|, which is 0 when n/omega
+    is an integer."""
     if not (0 < abs(omega) < 1):
         raise ValueError("omega must satisfy 0 < |omega| < 1")
     if n < 1:
@@ -191,12 +199,15 @@ def ck_quadratic(omega: float, n: int, constant: float = 3.14) -> CKReport:
     s = 1.0 if omega > 0 else -1.0
     m = abs(omega)
     big_n = nearest_decomp(n / m).nearest
-    s1 = _quadratic_starred(big_n, s * m)
-    s2 = _quadratic_starred(n, -s / m)
+    q1, _ = builtin_family("quadratic", [m])
+    q2, _ = builtin_family("quadratic", [1.0 / m])
+    s1 = direct_starred_sum(q1, 0.0, float(big_n), conjugate=s < 0)
+    s2 = direct_starred_sum(q2, 0.0, float(n), conjugate=s > 0)
     measured = abs(s1 - np.exp(TWO_PI_I * (s / 8.0)) / math.sqrt(m) * s2)
     bound = constant * abs(big_n - n / m)
-    return CKReport(omega, n, big_n, float(measured), float(bound),
-                    bool(measured <= bound))
+    rounding = rounding_bound(q1, 0.0, big_n) + rounding_bound(q2, 0.0, n) / math.sqrt(m)
+    return CKReport(omega, n, big_n, float(measured), float(bound), rounding,
+                    bool(measured <= bound + rounding))
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +251,15 @@ def kusmin_landau_compare(model: PhaseAmplitudeModel, a: float, b: float) -> KLR
     fa, fb = float(model.f1(a)), float(model.f1(b))
     if math.ceil(fa) <= fb:
         raise ValueError("slope range contains an integer: theta = 0")
-    theta = min(nearest_decomp(fa).dist, nearest_decomp(fb).dist)
+    da, db = nearest_decomp(fa), nearest_decomp(fb)
+    theta = min(da.dist, db.dist)
     if theta == 0.0:
         raise ValueError("slope is integral at an endpoint: theta = 0")
 
-    ns = np.arange(math.ceil(a), math.floor(b) + 1, dtype=np.float64)
-    w = np.exp(TWO_PI_I * np.mod(np.asarray(model.f(ns), dtype=float), 1.0))
-    plain = complex(np.sum(w))
+    # half-integer limits cover the same integers and halve nothing
+    plain = direct_starred_sum(model, math.ceil(a) - 0.5, math.floor(b) + 0.5)
     starred = direct_starred_sum(model, a, b)
 
-    da = nearest_decomp(fa)
-    db = nearest_decomp(fb)
     e_fb = np.exp(TWO_PI_I * (float(model.f(b)) % 1.0))
     e_fa = np.exp(TWO_PI_I * (float(model.f(a)) % 1.0))
     explicit = complex(e_fb / (TWO_PI_I * db.signed_frac)
@@ -307,7 +316,9 @@ def ik_experiment(alpha: float, nu: float, n_scale: float, x_scale: float) -> IK
     """Both sides of the monomial-pair identity by direct summation.
 
     The dual side runs over M <= m <= mu M with M = X/N, 1/alpha + 1/beta = 1,
-    mu^beta = nu^alpha, and weights sqrt(beta/m) e(1/8 - (X/beta)(m/M)^beta).
+    mu^beta = nu^alpha, and weights sqrt(beta/m) e(1/8 - (X/beta)(m/M)^beta):
+    e(1/8) times the conjugated starred sum of the ik_monomial(beta, M, X)
+    family.
     """
     if alpha <= 1 or nu <= 1:
         raise ValueError("need alpha > 1 and nu > 1")
@@ -319,13 +330,9 @@ def ik_experiment(alpha: float, nu: float, n_scale: float, x_scale: float) -> IK
 
     model, _ = builtin_family("ik_monomial", [alpha, n_scale, x_scale])
     lhs = direct_starred_sum(model, n_scale, nu * n_scale)
-
-    weights = []
-    for m in range(math.ceil(m_scale), math.floor(mu * m_scale) + 1):
-        ph = (0.125 - (x_scale / beta) * (m / m_scale) ** beta) % 1.0
-        weights.append(math.sqrt(beta / m) * complex(math.cos(2 * math.pi * ph),
-                                                     math.sin(2 * math.pi * ph)))
-    rhs = starred_sum(weights, (is_integer_like(m_scale), is_integer_like(mu * m_scale)))
+    dual, _ = builtin_family("ik_monomial", [beta, m_scale, x_scale])
+    rhs = complex(np.exp(TWO_PI_I * 0.125)) * direct_starred_sum(
+        dual, m_scale, mu * m_scale, conjugate=True)
     delta = lhs - rhs
     scale = n_scale ** -0.5 + m_scale ** -0.5
     return IKReport(alpha, beta, nu, mu, n_scale, m_scale, x_scale,
@@ -357,86 +364,18 @@ def curve_svg(samples: Sequence[CurveSample], width: int = 800, height: int = 80
 
 
 # ---------------------------------------------------------------------------
-# config and CLI
+# CLI
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExperimentConfig:
-    family: str = "power_phase"
-    params: Tuple[float, ...] = ()
-    sweep: Tuple[int, ...] = ()
-    psi_tol: float = 1e-8
-    out_dir: str = "out"
-    emit_csv: bool = False
-    emit_json: bool = True
-    emit_svg: bool = False
-
-    def validate(self):
-        if self.psi_tol <= 0:
-            raise ValueError("psi_tol must be positive")
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family, "params": list(self.params),
-            "sweep": list(self.sweep), "psiTol": self.psi_tol,
-            "outDir": self.out_dir,
-            "emit": {"csv": self.emit_csv, "json": self.emit_json,
-                     "svg": self.emit_svg},
-        }
-
-
-def parse_sweep(text: str) -> Tuple[int, ...]:
-    """Sweep spec: 'n1,n2,...', 'arith:start:stop:step', or 'geom:start:stop:factor'."""
-    if text.startswith("arith:"):
-        _, a, b, s = text.split(":")
-        return tuple(range(int(a), int(b) + 1, int(s)))
-    if text.startswith("geom:"):
-        _, a, b, f = text.split(":")
-        out, v = [], float(a)
-        while v <= float(b) + 1e-9:
-            out.append(int(round(v)))
-            v *= float(f)
-        return tuple(out)
-    return tuple(int(t) for t in text.split(",") if t.strip())
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """key=value lines; '#' starts a comment."""
-    cfg = ExperimentConfig()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
-        key, val = (t.strip() for t in line.split("=", 1))
-        if key == "family":
-            cfg.family = val
-        elif key == "params":
-            cfg.params = tuple(float(t) for t in val.split(",") if t.strip())
-        elif key == "sweep":
-            cfg.sweep = parse_sweep(val)
-        elif key == "psi_tol":
-            cfg.psi_tol = float(val)
-        elif key == "out_dir":
-            cfg.out_dir = val
-        elif key == "emit":
-            flags = {t.strip() for t in val.split(",")}
-            cfg.emit_csv = "csv" in flags
-            cfg.emit_json = "json" in flags
-            cfg.emit_svg = "svg" in flags
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    cfg.validate()
-    return cfg
-
-
-def _dump_json(payload: dict, cfg: ExperimentConfig, path: Path) -> None:
-    payload = dict(payload)
-    payload["config"] = cfg.to_json()
-    payload["version"] = __version__
+def _dump_json(payload: dict, json_dir: Optional[str], name: str) -> None:
+    """Write the payload, with the package version, to json_dir/name when
+    --json gave a directory."""
+    if not json_dir:
+        return
+    path = Path(json_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps({**payload, "version": __version__},
+                               sort_keys=True, indent=2) + "\n")
 
 
 def _family_from_args(args) -> Tuple[PhaseAmplitudeModel, object]:
@@ -452,7 +391,6 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="vdcorput",
         description="Exponential sums, their dual-side transform, and the error budget")
-    parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family(p):
@@ -521,54 +459,40 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
-    cfg = ExperimentConfig()
-    if args.config:
-        cfg = parse_config(Path(args.config).read_text())
-    out_dir = Path(getattr(args, "json_dir", None) or cfg.out_dir)
-
     try:
         if args.command == "sum":
             model, _ = _family_from_args(args)
             val = direct_starred_sum(model, args.a, args.b)
             print(f"{val.real:.12g} {val.imag:+.12g}i")
-            if args.json_dir:
-                _dump_json({"schema": "direct-sum/1",
-                            "value": {"re": val.real, "im": val.imag}},
-                           cfg, out_dir / "sum.json")
+            _dump_json({"schema": "direct-sum/1", "value": {"re": val.real, "im": val.imag}},
+                       args.json_dir, "sum.json")
         elif args.command == "transform":
             model, profile = _family_from_args(args)
             res, budget = full_transform(model, profile, args.a, args.b,
                                          TransformOptions(psi_tol=args.psi_tol))
-            payload = res.to_json()
-            payload["budget"] = budget.to_json()
-            payload["budgetWithEndpoints"] = budget_with_endpoints(res, budget)
+            payload = {**res.to_json(), "budget": budget.to_json(),
+                       "budgetWithEndpoints": budget_with_endpoints(res, budget)}
             print(f"rhs = {res.rhs_main:.10g}")
             print(f"measured delta = {res.measured_delta:.10g}")
             print(f"budget total = {budget.total:.6g}")
-            if args.json_dir:
-                _dump_json(payload, cfg, out_dir / "transform.json")
+            _dump_json(payload, args.json_dir, "transform.json")
         elif args.command == "budget":
             from .errbudget import compute_budget
             model, profile = _family_from_args(args)
             budget = compute_budget(model, profile, args.a, args.b)
             print(json.dumps(budget.to_json(), sort_keys=True, indent=2))
-            if args.json_dir:
-                _dump_json(budget.to_json(), cfg, out_dir / "budget.json")
+            _dump_json(budget.to_json(), args.json_dir, "budget.json")
         elif args.command == "example":
             rep = example_regimes(args.N, psi_tol=args.psi_tol)
             print(f"N={rep.n} regime={rep.regime} measured={rep.measured:.6g} "
                   f"predicted={rep.predicted:.6g} bound={rep.bound:.6g}")
-            if args.json_dir:
-                _dump_json(rep.to_json(), cfg, out_dir / f"example_{rep.n}.json")
+            _dump_json(rep.to_json(), args.json_dir, f"example_{rep.n}.json")
         elif args.command == "estimate-c":
             c, resid = estimate_c(args.kmin, args.kmax)
             print(f"c = {c.real:.6f} {c.imag:+.6f}i   (fit residual {resid:.2e})")
-            if args.json_dir:
-                _dump_json({"schema": "estimate-c/1",
-                            "c": {"re": c.real, "im": c.imag},
-                            "fitResidual": resid,
-                            "kRange": [args.kmin, args.kmax]},
-                           cfg, out_dir / "estimate_c.json")
+            _dump_json({"schema": "estimate-c/1", "c": {"re": c.real, "im": c.imag},
+                        "fitResidual": resid, "kRange": [args.kmin, args.kmax]},
+                       args.json_dir, "estimate_c.json")
         elif args.command == "ck":
             reports: List[CKReport] = []
             if args.random:
@@ -588,11 +512,8 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                       f"bound={r.bound:.4g}  {'ok' if r.passed else 'VIOLATED'}")
             if len(reports) > 10:
                 print(f"... {len(reports)} total, all pass: {ok}")
-            if args.json_dir:
-                _dump_json({"schema": "ck-sweep/1",
-                            "reports": [r.to_json() for r in reports],
-                            "allPassed": ok},
-                           cfg, out_dir / "ck.json")
+            _dump_json({"schema": "ck-sweep/1", "reports": [r.to_json() for r in reports],
+                        "allPassed": ok}, args.json_dir, "ck.json")
             if not ok:
                 return 1
         elif args.command == "kl":
@@ -601,16 +522,14 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"theta={rep.theta:.4f} |sum|={rep.plain_abs:.4f} "
                   f"classical={rep.classical_bound:.4f} residual={rep.residual:.4f} "
                   f"refined bound={rep.refined_bound:.4f}")
-            if args.json_dir:
-                _dump_json(rep.to_json(), cfg, out_dir / "kl.json")
+            _dump_json(rep.to_json(), args.json_dir, "kl.json")
             if not rep.classical_ok:
                 return 1
         elif args.command == "ik":
             rep = ik_experiment(args.alpha, args.nu, args.N, args.X)
             print(f"alpha={rep.alpha} nu={rep.nu} N={rep.n_scale} M={rep.m_scale} "
                   f"|delta|={abs(rep.delta):.6g} scale={rep.scale:.4g} ratio={rep.ratio:.4g}")
-            if args.json_dir:
-                _dump_json(rep.to_json(), cfg, out_dir / "ik.json")
+            _dump_json(rep.to_json(), args.json_dir, "ik.json")
         elif args.command == "curve":
             model, _ = _family_from_args(args)
             samples = curve_samples(model, args.tmax, args.samples_per_unit)

@@ -16,7 +16,7 @@ from typing import List, Sequence, TextIO
 
 import numpy as np
 
-from .numutil import csum, is_integer_like
+from .numutil import check_finite, csum, is_integer_like
 from .phase import PhaseAmplitudeModel
 
 # 8 192 doubles = 64 KiB: below glibc's 128 KiB mmap threshold (temporaries are
@@ -43,12 +43,6 @@ def _reduced_angle(f: np.ndarray) -> np.ndarray:
     return th
 
 
-def _check_finite(**limits: float) -> None:
-    for name, x in limits.items():
-        if not math.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {name}={x}")
-
-
 def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
                        conjugate: bool = False) -> complex:
     """Sum of g(n) e(f(n)) over integers n in [a, b], halved at integer limits.
@@ -59,7 +53,7 @@ def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
     correctly rounded sum, so the result is reproducible.  Raises ValueError
     when a limit is not finite or b < a.
     """
-    _check_finite(a=a, b=b)
+    check_finite(a=a, b=b)
     if b < a:
         raise ValueError(f"empty orientation: b={b} < a={a}")
     n_lo = math.ceil(a - 1e-12 * max(1.0, abs(a)))
@@ -95,7 +89,7 @@ def curve_samples(model: PhaseAmplitudeModel, t_max: float,
     S(t) = sum_{1 <= n <= t} g(n) e(f(n)) + {t} g(floor(t)+1) e(f(floor(t)+1)),
     computed incrementally in one pass.
     """
-    _check_finite(t_max=t_max)
+    check_finite(t_max=t_max)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     if samples_per_unit < 1:

@@ -81,6 +81,13 @@ def sawtooth_psi(x: float) -> float:
     return sawtooth_s(x)
 
 
+def check_finite(**limits: float) -> None:
+    """Raise ValueError naming the first keyword whose value is not finite."""
+    for name, x in limits.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {name}={x}")
+
+
 def is_integer_like(x: float, rel: float = 1e-9) -> bool:
     """Floating integer detection: |x - round(x)| <= rel * max(1, |x|)."""
     return abs(x - round(x)) <= rel * max(1.0, abs(x))
@@ -149,20 +156,6 @@ def csum(values: Sequence[complex]) -> complex:
         return complex(math.fsum(re), math.fsum(im))
     except (ValueError, OverflowError):
         return complex(sum(re), sum(im))
-
-
-def starred_sum(weights: Sequence[complex], endpoint_flags: Tuple[bool, bool]) -> complex:
-    """Correctly rounded sum with first/last term halved at integer limits.
-
-    ``endpoint_flags`` marks whether the lower and upper summation limits are
-    integers; an empty sequence sums to zero.
-    """
-    w = np.array(weights, dtype=np.complex128)
-    if w.size and endpoint_flags[0]:
-        w[0] *= 0.5
-    if w.size and endpoint_flags[1]:
-        w[-1] *= 0.5
-    return csum(w)
 
 
 # ---------------------------------------------------------------------------

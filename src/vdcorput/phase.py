@@ -85,21 +85,6 @@ class PhaseAmplitudeModel:
         a, b = self.domain
         return float(self.f1(a)), float(self.f1(b))
 
-    def conjugate_phase(self) -> "PhaseAmplitudeModel":
-        """The model for f -> -f; note f'' flips sign, so the result violates
-        the positivity assumption and is only suitable for direct summation."""
-        return PhaseAmplitudeModel(
-            f=lambda x: -self.f(x),
-            f1=lambda x: -self.f1(x),
-            f2=lambda x: -self.f2(x),
-            f3=lambda x: -self.f3(x),
-            f4=lambda x: -self.f4(x),
-            g=self.g, g1=self.g1, g2=self.g2, g3=self.g3,
-            domain=self.domain,
-            name=self.name + "_conj",
-            params=self.params,
-        )
-
 
 @dataclass
 class ConditionMProfile:
@@ -151,7 +136,7 @@ def invert_fprime(model: PhaseAmplitudeModel, r, tol: float = 1e-12):
     for one r (returns a float) or an array of r (returns an array of x_r).
 
     Uses the family's analytic inverse when present, otherwise one batched
-    bisection over all r (f' is strictly increasing), each x_r then polished
+    bisection over all r (f'' > 0, so f' is one-to-one), each x_r then polished
     by a few Newton steps inside its own final bracket.
     """
     rs = np.asarray(r, dtype=float)
@@ -185,7 +170,7 @@ def check_derivative_consistency(model: PhaseAmplitudeModel, n: int = 100,
     """Worst relative mismatch between supplied derivatives and central
     differences at n random interior points.  Raises if it exceeds ``rel``.
 
-    ``window`` restricts sampling; callers must keep the finite-difference
+    ``window`` limits sampling; callers must keep the finite-difference
     step 1e-6 max(1, |x|) well below the model's oscillation length.
     """
     lo, hi = window if window is not None else model.domain

@@ -29,7 +29,7 @@ import numpy as np
 from . import errbudget
 from .errbudget import ConditionMReport, ErrorBudget, fprime_nearest
 from .expsum import direct_starred_sum
-from .numutil import csum, modified_sawtooth, sawtooth_psi
+from .numutil import check_finite, csum, modified_sawtooth, sawtooth_psi
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 
 TWO_PI_I = 2j * math.pi
@@ -256,8 +256,6 @@ class TransformOptions:
     measure: bool = True
     budget: bool = True
     psi_tol: float = 1e-8
-    check_grid: int = 24
-    strict: bool = False
 
 
 def full_transform(model: PhaseAmplitudeModel, profile: ConditionMProfile,
@@ -268,15 +266,15 @@ def full_transform(model: PhaseAmplitudeModel, profile: ConditionMProfile,
 
     measured_delta = direct - rhs_main + D(b) - D(a), using the explicit
     parts of the endpoint corrections; their bound parts are additional
-    budget and are surfaced via ``budget_with_endpoints``.
+    budget and are surfaced via ``budget_with_endpoints``.  Raises
+    ValueError when a limit is not finite.
     """
+    check_finite(a=a, b=b)
     opts = options or TransformOptions()
-    report = errbudget.check_condition_M(model, profile, a, b, grid=opts.check_grid)
+    report = errbudget.check_condition_M(model, profile, a, b, grid=24)
     if not report.passed:
-        msg = f"regularity sweep failed on [{a}, {b}]: {len(report.violations)} violations"
-        if opts.strict:
-            raise RuntimeError(msg)
-        warnings.warn(msg)
+        warnings.warn(f"regularity sweep failed on [{a}, {b}]: "
+                      f"{len(report.violations)} violations")
     result = rhs_main_sum(model, a, b)
     result.condition_report = report
     result.d_a = endpoint_term(model, profile, a, "a", tol=opts.psi_tol)

@@ -403,6 +403,35 @@ def test_partition_isolated_gpp_zero():
     assert any(abs(p - x0) < 1e-6 for p in part.j0_isolated)
 
 
+def _tangential_zeros_loops(xs, D, scale_D):
+    """The per-sample loops that the array expressions replaced."""
+    isolated, near = [], []
+    neg = D < 0.0
+    for i in range(1, len(D) - 1):
+        if neg[i - 1] and neg[i + 1] and D[i] == 0.0:
+            isolated.append(float(xs[i]))
+    for i in range(1, len(D) - 1):
+        if neg[i - 1] and neg[i] and neg[i + 1]:
+            if D[i] >= D[i - 1] and D[i] >= D[i + 1] and abs(D[i]) <= 1e-9 * scale_D:
+                near.append(float(xs[i]))
+    return isolated, near
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tangential_zero_scan_matches_the_per_sample_loops(seed):
+    # samples drawn from a few values (exact zeros, negatives within and past
+    # 1e-9 of the scale, ties, positives, nan) so every branch is taken often
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -1e-12, -2e-12, -1e-3, -1.0, 1.0, np.nan, -0.0])
+    D = rng.choice(values, size=4096, p=[0.2, 0.2, 0.1, 0.2, 0.1, 0.1, 0.05, 0.05])
+    xs = np.linspace(-3.0, 7.0, D.size)
+    scale_D = 1.0
+    got = eb._tangential_zeros(xs, D, scale_D)
+    want = _tangential_zeros_loops(xs, D, scale_D)
+    assert got == want
+    assert want[0] and want[1]
+
+
 def test_partition_validation():
     model, _ = builtin_family("power_phase")
     with pytest.raises(ValueError):

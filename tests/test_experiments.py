@@ -6,15 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from vdcorput.experiments import (CKReport, ExperimentConfig, ck_quadratic,
-                                  curve_svg, estimate_c, example_delta,
-                                  example_regimes, exact_square_times_12,
-                                  fitted_constant, ik_experiment,
-                                  kusmin_landau_compare, parse_config,
-                                  parse_sweep, split_fit, cli_main)
+from vdcorput.experiments import (CKReport, ck_quadratic, curve_svg,
+                                  estimate_c, example_delta, example_regimes,
+                                  exact_square_times_12, fitted_constant,
+                                  ik_experiment, kusmin_landau_compare,
+                                  rounding_bound, split_fit, cli_main)
 from vdcorput.expsum import curve_samples
 from vdcorput.numutil import nearest_decomp
 from vdcorput.phase import builtin_family
@@ -103,6 +103,23 @@ def test_ck_validation():
         ck_quadratic(1.5, 3)
     with pytest.raises(ValueError):
         ck_quadratic(0.5, 0)
+
+
+@pytest.mark.parametrize("omega,n", [(0.5, 3), (-0.5, 3), (0.25, 5), (0.125, 7)])
+def test_ck_integer_ratio_is_not_a_false_violation(omega, n):
+    # n / |omega| is an integer, so the CK bound is exactly 0 and only the
+    # rounding of the two sums is left to compare against
+    rep = ck_quadratic(omega, n)
+    assert rep.bound == 0.0
+    assert 0.0 < rep.rounding_bound < 1e-10
+    assert rep.measured <= rep.rounding_bound
+    assert rep.passed
+
+
+def test_ck_still_reports_a_real_violation():
+    rep = ck_quadratic(0.7, 2, constant=1e-3)
+    assert rep.measured > rep.bound + rep.rounding_bound
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +220,67 @@ def test_ik_validation():
 
 
 # ---------------------------------------------------------------------------
+# the ck and ik sums against 40-digit mpmath
+# ---------------------------------------------------------------------------
+
+def _mp_e(x):
+    return mp.expjpi(2 * x)
+
+
+def _mp_starred(lo, hi, term):
+    """Starred sum of term(k) over the integers k in [lo, hi], at mpmath's
+    working precision."""
+    k0, k1 = math.ceil(lo), math.floor(hi)
+    s = mp.fsum(term(k) for k in range(k0, k1 + 1))
+    if lo == k0:
+        s -= term(k0) / 2
+    if hi == k1:
+        s -= term(k1) / 2
+    return s
+
+
+def _ck_draws(count, seed):
+    # the draws of ``ck --random count --seed seed``
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        omega = float(rng.uniform(0.05, 0.95)) * (1 if rng.random() < 0.5 else -1)
+        out.append((omega, int(rng.integers(1, 51))))
+    return out
+
+
+@pytest.mark.parametrize("omega,n", _ck_draws(6, 3) + [(0.7, 2)])
+def test_ck_sums_against_40_digit_mpmath(omega, n):
+    rep = ck_quadratic(omega, n)
+    with mp.workdps(40):
+        w, m = mp.mpf(omega), abs(mp.mpf(omega))
+        sgn = 1 if omega > 0 else -1
+        s1 = _mp_starred(0, rep.nearest, lambda k: _mp_e(w * k * k / 2))
+        s2 = _mp_starred(0, n, lambda k: _mp_e(-sgn * k * k / (2 * m)))
+        exact = abs(s1 - _mp_e(mp.mpf(sgn) / 8) / mp.sqrt(m) * s2)
+        assert abs(rep.measured - exact) <= rep.rounding_bound
+
+
+@pytest.mark.parametrize("alpha,nu,n_scale,x_scale", [(1.5, 2.0, 100.0, 1e4),
+                                                      (2.0, 2.0, 100.0, 1e4)])
+def test_ik_sums_against_40_digit_mpmath(alpha, nu, n_scale, x_scale):
+    rep = ik_experiment(alpha, nu, n_scale, x_scale)
+    lhs_bound = rounding_bound(builtin_family("ik_monomial", [alpha, n_scale, x_scale])[0],
+                               n_scale, nu * n_scale)
+    rhs_bound = rounding_bound(builtin_family("ik_monomial", [rep.beta, rep.m_scale, x_scale])[0],
+                               rep.m_scale, rep.mu * rep.m_scale)
+    with mp.workdps(40):
+        A, B, N, M, X = (mp.mpf(v) for v in (alpha, rep.beta, n_scale, rep.m_scale, x_scale))
+        lhs = _mp_starred(n_scale, nu * n_scale,
+                          lambda k: mp.sqrt(A / k) * _mp_e((X / A) * (k / N) ** A))
+        rhs = _mp_starred(rep.m_scale, rep.mu * rep.m_scale,
+                          lambda k: mp.sqrt(B / k) * _mp_e(mp.mpf(1) / 8 - (X / B) * (k / M) ** B))
+        assert abs(rep.lhs - mp.mpc(lhs)) <= lhs_bound
+        assert abs(rep.rhs - mp.mpc(rhs)) <= rhs_bound
+        assert abs(rep.delta - (lhs - rhs)) <= lhs_bound + rhs_bound
+
+
+# ---------------------------------------------------------------------------
 # fitted constants
 # ---------------------------------------------------------------------------
 
@@ -214,41 +292,8 @@ def test_fitted_constant_helpers():
 
 
 # ---------------------------------------------------------------------------
-# config, CLI, artifacts
+# CLI, artifacts
 # ---------------------------------------------------------------------------
-
-def test_parse_sweep_forms():
-    assert parse_sweep("3,5,8") == (3, 5, 8)
-    assert parse_sweep("arith:2:10:4") == (2, 6, 10)
-    assert parse_sweep("geom:2:20:2") == (2, 4, 8, 16)
-
-
-def test_parse_config():
-    cfg = parse_config("""
-        # comment
-        family = quadratic
-        params = 0.5, 100
-        sweep = arith:10:30:10
-        psi_tol = 1e-7
-        emit = csv,svg
-    """)
-    assert cfg.family == "quadratic"
-    assert cfg.params == (0.5, 100.0)
-    assert cfg.sweep == (10, 20, 30)
-    assert cfg.psi_tol == 1e-7
-    assert cfg.emit_csv and cfg.emit_svg and not cfg.emit_json
-
-
-def test_parse_config_rejects_bad_lines():
-    with pytest.raises(ValueError):
-        parse_config("family quadratic")
-    with pytest.raises(ValueError):
-        parse_config("no_such_key = 3")
-    with pytest.raises(ValueError):
-        parse_config("psi_tol = -1")
-    with pytest.raises(ValueError, match="unknown config key"):
-        parse_config("quad_tol = 1e-10")  # no integral ever read it
-
 
 def test_svg_output():
     samples = curve_samples(builtin_family("power_phase")[0], 50.0, 1)
@@ -263,7 +308,7 @@ def test_cli_example_writes_report(tmp_path):
     payload = json.loads((tmp_path / "example_30000.json").read_text())
     assert payload["regime"] == 1
     assert payload["version"]
-    assert "config" in payload
+    assert "config" not in payload
 
 
 def test_cli_curve_artifacts(tmp_path):
@@ -295,8 +340,10 @@ def test_import_loads_no_scipy():
 
 def test_cli_exit_codes():
     assert cli_main(["ck", "--omega", "0.7", "--n", "2"]) == 0
+    assert cli_main(["ck", "--omega", "0.5", "--n", "3"]) == 0  # CK bound 0
     assert cli_main(["ck"]) == 2                      # missing arguments
     assert cli_main(["no-such-command"]) == 2         # usage error
+    assert cli_main(["--config", "run.cfg", "ck", "--omega", "0.7", "--n", "2"]) == 2
     assert cli_main(["sum", "--family", "no_family", "--a", "1", "--b", "2"]) == 1
 
 
@@ -305,6 +352,10 @@ def test_cli_exit_codes():
     (["sum", "--a", "1", "--b", "nan"], "b=nan"),
     (["sum", "--a=-inf", "--b", "2"], "a=-inf"),
     (["curve", "--tmax", "inf"], "t_max=inf"),
+    (["transform", "--a", "1", "--b", "inf"], "b=inf"),
+    (["budget", "--a", "1", "--b", "inf"], "b=inf"),
+    (["transform", "--a", "1", "--b", "nan"], "b=nan"),
+    (["budget", "--a=-inf", "--b", "2"], "a=-inf"),
 ])
 def test_cli_non_finite_limit_is_an_error_not_a_traceback(argv, limit, capsys):
     assert cli_main(argv) == 1

@@ -79,6 +79,8 @@ def e(x):
 def test_starred_count():
     assert direct_starred_sum(flat_model(), 0.0, 2.0) == pytest.approx(2.0)
     assert direct_starred_sum(flat_model(), -0.5, 2.5) == pytest.approx(3.0)
+    # one term that is both first and last gets halved twice
+    assert direct_starred_sum(flat_model(), 3.0, 3.0) == pytest.approx(0.25)
 
 
 def test_power_phase_four_term_hand_evaluation():

@@ -75,20 +75,8 @@ def test_sawtooth_periodicity(x):
 
 
 # ---------------------------------------------------------------------------
-# correctly rounded summation and the starred sum
+# correctly rounded summation
 # ---------------------------------------------------------------------------
-
-def test_starred_sum_examples():
-    assert nu.starred_sum([1, 1, 1], (True, True)) == pytest.approx(2.0)
-    assert nu.starred_sum([1, 1, 1], (False, False)) == pytest.approx(3.0)
-    assert nu.starred_sum([1j, -1j], (True, False)) == pytest.approx(-0.5j)
-    assert nu.starred_sum([], (True, True)) == 0j
-
-
-def test_starred_sum_single_term_both_flags():
-    # one term that is both first and last gets halved twice
-    assert nu.starred_sum([4.0], (True, True)) == pytest.approx(1.0)
-
 
 def test_accumulator_contract():
     rng = np.random.default_rng(1)
@@ -98,14 +86,6 @@ def test_accumulator_contract():
     assert nu.csum([complex(z) for z in zs]) == exact
     assert nu.csum(zs[::-1]) == exact  # correctly rounded, so order-free
     assert nu.csum([]) == 0j
-
-
-@given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
-                                   allow_infinity=False), max_size=40))
-def test_starred_sum_matches_naive(ws):
-    got = nu.starred_sum(ws, (True, False))
-    want = sum(ws) - (0.5 * ws[0] if ws else 0)
-    assert got == pytest.approx(complex(want), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -216,10 +216,7 @@ def test_headline_dual_side_in_closed_form():
 
 def test_conjugation_symmetry():
     model, _ = builtin_family("power_phase")
-    conj_model = model.conjugate_phase()
     a, b = 1.0, 500.0
-    assert direct_starred_sum(conj_model, a, b) == pytest.approx(
-        direct_starred_sum(model, a, b).conjugate(), abs=1e-12)
     assert rhs_main_sum(model, a, b, conjugate=True).rhs_main == pytest.approx(
         rhs_main_sum(model, a, b).rhs_main.conjugate(), abs=1e-14)
 
