@@ -10,8 +10,8 @@ The budget of the main estimate splits into:
                            and the isolated amplitude-zero sum
 
 All big-O terms are evaluated with implicit constant 1 and reported as
-magnitudes; experiment code fits empirical constants separately and never
-folds them in here.
+magnitudes; empirical constants are fitted separately and never folded in
+here.
 
 The partition of the extended interval J classifies where the second
 integration by parts has interior critical points: J_pm collects intervals
@@ -42,6 +42,7 @@ from .quad import panel_integral
 _INEQUALITIES = (
     "f2_upper", "f2_lower", "f3", "f4", "g0", "g1", "g2",
 )
+_GRID = 24  # Chebyshev nodes of the sweep
 
 
 @dataclass
@@ -116,16 +117,14 @@ def condition_m_domain(model: PhaseAmplitudeModel, profile: ConditionMProfile,
 
 
 def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                      a: float, b: float, grid: int = 32) -> ConditionMReport:
-    """Sweep the regularity inequalities on Chebyshev nodes of [a, b].
+                      a: float, b: float) -> ConditionMReport:
+    """Sweep the regularity inequalities on 24 Chebyshev nodes of [a, b].
 
     For each node x, 64 points z of I_x = [x - M(x), x + M(x)] cut to J are
     tested against the f'' sandwich, the f''' and f'''' decay bounds, and the
     three amplitude bounds.  Worst ratios (value / allowance) and the located
     violations are reported; the report never raises.
     """
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
     part1 = max(float(profile.M(a)), float(profile.M(b))) <= (b - a) * (1 + 1e-12)
     part2 = profile.delta < 1.0 and profile.eta < 2.0
     lo, hi = _extended_ends(model, profile, a, b)
@@ -133,8 +132,8 @@ def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     jlo, jhi = max(lo, dlo), min(hi, dhi)
     part3 = lo >= dlo - 1e-12 and hi <= dhi + 1e-12
 
-    k = np.arange(grid)
-    xs = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k + 1) * np.pi / (2 * grid))
+    k = np.arange(_GRID)
+    xs = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k + 1) * np.pi / (2 * _GRID))
     # one (grid, 64) block: row n holds the 64 points z of I_x at node xs[n]
     Mx = np.asarray(profile.M(xs), dtype=float)[:, None]
     Ux = np.asarray(profile.U(xs), dtype=float)[:, None]
@@ -169,7 +168,7 @@ def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
                                    "ratio": rm[n]})
     passed = part1 and part2 and part3 and not violations
     return ConditionMReport(passed, part1, part2, part3, worst, violations,
-                            (a, b), (jlo, jhi), grid)
+                            (a, b), (jlo, jhi), _GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +603,10 @@ class PartitionDegeneracyError(RuntimeError):
 
 
 def alternate4_applies(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                       a: float, b: float, samples: int = 257) -> bool:
-    """True when M(x) >= max(b-x, x-a) on [a, b] and m_a = m_b = 0, in which
-    case Delta4 reduces to the smooth integral alone."""
-    xs = np.linspace(a, b, samples)
+                       a: float, b: float) -> bool:
+    """True when M(x) >= max(b-x, x-a) at 257 points of [a, b] and
+    m_a = m_b = 0, in which case Delta4 reduces to the smooth integral alone."""
+    xs = np.linspace(a, b, 257)
     M = np.asarray(profile.M(xs), dtype=float)
     need = np.maximum(b - xs, xs - a)
     if not np.all(M >= need - 1e-12 * max(1.0, b - a)):

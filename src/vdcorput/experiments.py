@@ -4,9 +4,7 @@ Every experiment here has a brute-force oracle on at least one side: direct
 summation for the power-phase example regimes and the quadratic reciprocity
 bound, closed-form geometric sums for the linear-phase check, and the
 printed dual-side formula for the monomial transform.  Every sum among them
-is ``direct_starred_sum`` on a built-in family.  Fitted constants are always
-reported together with the sweep that produced them; acceptance thresholds
-take twice the fitted constant to absorb regime-boundary noise.
+is ``direct_starred_sum`` on a built-in family.
 """
 
 from __future__ import annotations
@@ -28,19 +26,6 @@ from .phase import PhaseAmplitudeModel, builtin_family
 from .transform import TransformOptions, budget_with_endpoints, full_transform, rhs_main_sum
 
 TWO_PI_I = 2j * math.pi
-
-
-def fitted_constant(ratios: Sequence[float]) -> float:
-    """The empirical constant of a sweep: the largest observed ratio."""
-    finite = [r for r in ratios if math.isfinite(r)]
-    if not finite:
-        raise ValueError("no finite ratios to fit")
-    return max(finite)
-
-
-def split_fit(ratios: Sequence[float]) -> float:
-    """Fit on the even-indexed half of a sweep (the odd half validates it)."""
-    return fitted_constant(ratios[::2])
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +111,12 @@ def example_regimes(n: int, psi_tol: float = 1e-6,
                         c_reference)
 
 
-def estimate_c(k_min: int, k_max: int,
-               residual_threshold: float = 0.05,
-               delta_fn=None) -> Tuple[complex, float]:
+def estimate_c(k_min: int, k_max: int, delta_fn=None) -> Tuple[complex, float]:
     """Constant of the regime-1 residual sequence by a c + beta/k fit.
 
-    Returns (c, max absolute fit residual); a residual above the threshold
-    means the measured sequence is not settling like 1/k and is reported as
-    a diagnostic rather than silently accepted.  ``delta_fn`` (defaulting to
+    Returns (c, max absolute fit residual); a residual above 0.05 means the
+    measured sequence is not settling like 1/k and is reported as a
+    diagnostic rather than silently accepted.  ``delta_fn`` (defaulting to
     the measured residual at 12 k^2) exists for synthetic-sequence checks.
     """
     if not (k_max > k_min >= 10):
@@ -147,10 +130,9 @@ def estimate_c(k_min: int, k_max: int,
     c = complex(cr[0], ci[0])
     beta = complex(cr[1], ci[1])
     resid = float(np.max(np.abs(deltas - c - beta / ks)))
-    if resid > residual_threshold:
+    if resid > 0.05:
         raise RuntimeError(
-            f"regime-1 residuals are not Cauchy: fit residual {resid:.3g} "
-            f"exceeds {residual_threshold}")
+            f"regime-1 residuals are not Cauchy: fit residual {resid:.3g} exceeds 0.05")
     return c, resid
 
 
@@ -343,22 +325,19 @@ def ik_experiment(alpha: float, nu: float, n_scale: float, x_scale: float) -> IK
 # SVG output
 # ---------------------------------------------------------------------------
 
-def curve_svg(samples: Sequence[CurveSample], width: int = 800, height: int = 800,
-              margin: float = 20.0) -> str:
-    """A single autoscaled polyline through the samples (SVG 1.1 plain)."""
+def curve_svg(samples: Sequence[CurveSample]) -> str:
+    """A single autoscaled polyline through the samples (SVG 1.1 plain), on an
+    800 x 800 canvas with a 20-unit margin."""
     xs = np.array([s.value.real for s in samples])
     ys = np.array([s.value.imag for s in samples])
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
-    span = max(x1 - x0, y1 - y0) or 1.0
-    sx = (width - 2 * margin) / span
-    sy = (height - 2 * margin) / span
-    pts = " ".join(
-        f"{margin + (x - x0) * sx:.2f},{height - margin - (y - y0) * sy:.2f}"
-        for x, y in zip(xs, ys))
+    scale = 760.0 / (max(x1 - x0, y1 - y0) or 1.0)
+    pts = " ".join(f"{20.0 + (x - x0) * scale:.2f},{780.0 - (y - y0) * scale:.2f}"
+                   for x, y in zip(xs, ys))
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
+        'width="800" height="800" viewBox="0 0 800 800">\n'
         f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="0.6"/>\n'
         "</svg>\n")
 

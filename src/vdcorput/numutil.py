@@ -88,9 +88,9 @@ def check_finite(**limits: float) -> None:
             raise ValueError(f"{name} must be finite, got {name}={x}")
 
 
-def is_integer_like(x: float, rel: float = 1e-9) -> bool:
-    """Floating integer detection: |x - round(x)| <= rel * max(1, |x|)."""
-    return abs(x - round(x)) <= rel * max(1.0, abs(x))
+def is_integer_like(x: float) -> bool:
+    """Floating integer detection: |x - round(x)| <= 1e-9 max(1, |x|)."""
+    return abs(x - round(x)) <= 1e-9 * max(1.0, abs(x))
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +226,23 @@ def _psi_partial_direct(fx: float, eps: float, lo: int, hi: int) -> complex:
     return csum(parts)
 
 
-def _abel_tail(fx: float, s: float, m: int, levels: int = 18) -> complex:
+_ABEL_LEVELS = 18
+
+
+def _abel_tail(fx: float, s: float, m: int) -> complex:
     """Closed form for G = sum_{r>m} z^r / (r+s) with z = e(fx), fx not in Z.
 
     Repeated summation by parts:
         G = sum_k (-1)^(k-1) (k-1)! z^(m+k) / [(1-z)^k prod_{t<=k}(m+s+t)]
     The terms shrink by roughly k / (m |1-z|), so callers must keep
-    m |1-z| comfortably above ``levels``.  Powers z^(m+k) are rebuilt from
-    (m+k) fx mod 1 so no phase accuracy is lost at large m.
+    m |1-z| comfortably above ``_ABEL_LEVELS``.  Powers z^(m+k) are rebuilt
+    from (m+k) fx mod 1 so no phase accuracy is lost at large m.
     """
     one_minus = 1.0 - cmath.exp(2j * math.pi * fx)
     acc = 0j
     term_coef = 1.0 / one_minus  # (-1)^(k-1) (k-1)! / (1-z)^k, sign folded in
     prod = 1.0
-    for k in range(1, levels + 1):
+    for k in range(1, _ABEL_LEVELS + 1):
         prod *= m + s + k
         acc += term_coef * cmath.exp(2j * math.pi * math.fmod((m + k) * fx, 1.0)) / prod
         term_coef *= -k / one_minus
@@ -305,12 +308,12 @@ def modified_sawtooth_partial(x: float, eps: float, r: int) -> complex:
     return direct + _psi_tail_segment(fx, eps, m) - _psi_tail_segment(fx, eps, r)
 
 
-def modified_sawtooth(x: float, eps: float, tol: float, max_r: int = DEFAULT_MAX_R) -> complex:
+def modified_sawtooth(x: float, eps: float, tol: float) -> complex:
     """psi(x, eps) to within tol, as a partial sum at the bound-implied truncation.
 
     The truncation R satisfies TRUNCATION_CONSTANT / (R ||x||*) <= tol; if that
-    R exceeds ``max_r`` a :class:`TailAccuracyError` reports the tail bound that
-    the cap could achieve.
+    R exceeds ``DEFAULT_MAX_R`` a :class:`TailAccuracyError` reports the tail
+    bound that the cap could achieve.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -318,33 +321,8 @@ def modified_sawtooth(x: float, eps: float, tol: float, max_r: int = DEFAULT_MAX
         raise ValueError(f"non-finite input {x!r}")
     if abs(eps) > 0.5:
         raise ValueError(f"eps must lie in [-1/2, 1/2], got {eps}")
-    dstar = dist_to_nearest_star(x)
-    r_needed = int(math.ceil(TRUNCATION_CONSTANT / (tol * dstar)))
+    r_needed = int(math.ceil(TRUNCATION_CONSTANT / (tol * dist_to_nearest_star(x))))
     r_needed = max(r_needed, 8)
-    if r_needed > max_r:
-        raise TailAccuracyError(r_needed, max_r, TAIL_CONSTANT * min(1.0, 1.0 / (max_r * dstar)))
+    if r_needed > DEFAULT_MAX_R:
+        raise TailAccuracyError(r_needed, DEFAULT_MAX_R, psi_tail_bound(DEFAULT_MAX_R, x))
     return modified_sawtooth_partial(x, eps, r_needed)
-
-
-def modified_sawtooth_grid(xs: np.ndarray, epss: np.ndarray, r: int) -> np.ndarray:
-    """Partial sums at truncation r on the outer grid xs x epss (for sweeps).
-
-    Returns an array of shape (len(xs), len(epss)).  Phases are computed once
-    per x and reused across all eps, keeping the transcendental cost at
-    O(len(xs) * r).
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    epss = np.asarray(epss, dtype=np.float64)
-    out = np.empty((xs.size, epss.size), dtype=np.complex128)
-    rr = np.arange(1, r + 1, dtype=np.float64)
-    r_sq = rr * rr
-    den = r_sq[:, None] - (epss * epss)[None, :]
-    for i, x in enumerate(xs):
-        fx = floor_frac(float(x))
-        ang = TWO_PI * np.mod(rr * fx, 1.0)
-        c = np.cos(ang)
-        s = np.sin(ang)
-        re = -(rr * s) @ (1.0 / den) / math.pi
-        im = -(c @ (1.0 / den)) * epss / math.pi
-        out[i] = re + 1j * im
-    return out

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, ClassVar, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,51 +88,33 @@ class PhaseAmplitudeModel:
 
 @dataclass
 class ConditionMProfile:
-    """Local regularity data: M(x), U(x), and the associated constants.
+    """Local regularity data: M(x), U(x), and the constants of condition (M).
 
-    eta = 3 delta / C2_minus must stay below 2 for the Taylor control of f''
-    to hold with the constants used downstream.
+    The constants are fixed: C2 = C2_minus = C4 = D0 = D1 = D2 = 2 and
+    delta = 1/2, so eta = 3 delta / C2_minus = 3/4 stays below the 2 that
+    the Taylor control of f'' needs downstream.
     """
 
     M: Func
     M_prime: Func
     U: Func
-    C2: float = 2.0
-    C2_minus: float = 2.0
-    C4: float = 2.0
-    D0: float = 2.0
-    D1: float = 2.0
-    D2: float = 2.0
-    delta: float = 0.5
     epsilon: Optional[float] = None  # family scale baked into M, for reports
-
-    def __post_init__(self):
-        if not self.delta < 1.0:
-            raise FamilyError(f"delta must be < 1, got {self.delta}")
-        if not self.eta < 2.0:
-            raise FamilyError(f"eta = 3 delta / C2_minus = {self.eta} must be < 2")
-
-    @property
-    def eta(self) -> float:
-        return 3.0 * self.delta / self.C2_minus
-
-    def scaled_amplitude(self, factor: float) -> "ConditionMProfile":
-        """Same profile with U multiplied pointwise by ``factor``."""
-        U = self.U
-        return ConditionMProfile(
-            M=self.M, M_prime=self.M_prime, U=lambda x: factor * U(x),
-            C2=self.C2, C2_minus=self.C2_minus, C4=self.C4,
-            D0=self.D0, D1=self.D1, D2=self.D2, delta=self.delta,
-            epsilon=self.epsilon,
-        )
+    C2: ClassVar[float] = 2.0
+    C2_minus: ClassVar[float] = 2.0
+    C4: ClassVar[float] = 2.0
+    D0: ClassVar[float] = 2.0
+    D1: ClassVar[float] = 2.0
+    D2: ClassVar[float] = 2.0
+    delta: ClassVar[float] = 0.5
+    eta: ClassVar[float] = 0.75
 
 
 # ---------------------------------------------------------------------------
 # inversion of f'
 # ---------------------------------------------------------------------------
 
-def invert_fprime(model: PhaseAmplitudeModel, r, tol: float = 1e-12):
-    """Solve f'(x_r) = r on the model domain to |f'(x_r) - r| <= tol max(1,|r|)
+def invert_fprime(model: PhaseAmplitudeModel, r):
+    """Solve f'(x_r) = r on the model domain to |f'(x_r) - r| <= 1e-12 max(1,|r|)
     for one r (returns a float) or an array of r (returns an array of x_r).
 
     Uses the family's analytic inverse when present, otherwise one batched
@@ -157,43 +139,11 @@ def invert_fprime(model: PhaseAmplitudeModel, r, tol: float = 1e-12):
             x_new = x - (model.f1(x) - rs) / d
             polish &= (d != 0.0) & (a <= x_new) & (x_new <= b)
             x = np.where(polish, x_new, x)
-    stalled = np.abs(model.f1(x) - rs) > tol * np.maximum(1.0, np.abs(rs))
+    stalled = np.abs(model.f1(x) - rs) > 1e-12 * np.maximum(1.0, np.abs(rs))
     if stalled.any():
         raise RuntimeError(f"f' inversion stalled at x={float(x[stalled][0])} "
                            f"for r={float(rs[stalled][0])}")
     return x if rs.ndim else float(x)
-
-
-def check_derivative_consistency(model: PhaseAmplitudeModel, n: int = 100,
-                                 seed: int = 0, rel: float = 1e-6,
-                                 window: Optional[Tuple[float, float]] = None) -> float:
-    """Worst relative mismatch between supplied derivatives and central
-    differences at n random interior points.  Raises if it exceeds ``rel``.
-
-    ``window`` limits sampling; callers must keep the finite-difference
-    step 1e-6 max(1, |x|) well below the model's oscillation length.
-    """
-    lo, hi = window if window is not None else model.domain
-    hi = min(hi, lo + 1e6)
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), n)
-    worst = 0.0
-    pairs = [(model.f, model.f1), (model.f1, model.f2), (model.f2, model.f3),
-             (model.f3, model.f4), (model.g, model.g1), (model.g1, model.g2),
-             (model.g2, model.g3)]
-    for fn, dfn in pairs:
-        # floor the comparison scale at a fraction of the derivative's size
-        # on the window, so isolated zeros do not poison the relative check
-        sup = float(np.max(np.abs(np.asarray(dfn(xs), dtype=float))))
-        for x in xs:
-            h = 1e-6 * max(1.0, abs(x))
-            fd = (float(fn(x + h)) - float(fn(x - h))) / (2 * h)
-            an = float(dfn(x))
-            scale = max(abs(an), abs(fd), 1e-3 * sup, 1e-9 / h)
-            worst = max(worst, abs(fd - an) / scale)
-    if worst > rel:
-        raise AssertionError(f"derivative mismatch {worst:.3e} exceeds {rel}")
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +358,8 @@ def _sine_amplitude_model(alpha: float, domain) -> PhaseAmplitudeModel:
         g3=lambda x: -a ** 3 * np.cos(a * np.asarray(x, dtype=float)),
         domain=base.domain,
         fprime_inverse=base.fprime_inverse,
+        rhs_phase=base.rhs_phase,
+        fprime_integer=base.fprime_integer,
         name="sine_amplitude",
         params=(alpha,),
     )
@@ -416,14 +368,15 @@ def _sine_amplitude_model(alpha: float, domain) -> PhaseAmplitudeModel:
 _eps_cache: dict = {}
 
 
-def _search_epsilon(model, shape, U, interval, floor=2.0 ** -20) -> float:
-    """Decreasing search eps in {1/2, 1/4, ...} until the inequality sweep passes."""
+def _search_epsilon(model, shape, U, interval) -> float:
+    """Decreasing search eps in {1/2, 1/4, ..., 2^-20} until the inequality
+    sweep passes."""
     from .errbudget import check_condition_M
 
     eps = 0.5
-    while eps >= floor:
+    while eps >= 2.0 ** -20:
         profile = _profile(shape, eps, U)
-        report = check_condition_M(model, profile, interval[0], interval[1], grid=24)
+        report = check_condition_M(model, profile, interval[0], interval[1])
         if report.passed:
             return eps
         eps *= 0.5

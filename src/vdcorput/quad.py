@@ -17,6 +17,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .numutil import csum
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 
 _NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
@@ -67,8 +68,9 @@ def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
     and gains nothing; at a steep edge it bisects the edge panel, which needs
     about one bisection per halving of its scale before the estimate drops.
     So stalled sweeps may bisect ``_STALL_PANELS`` panels in all, more than
-    the halvings a double can take.  A non-finite integrand value comes back
-    as a non-finite, unconverged result.
+    the halvings a double can take.  The panel values are summed correctly
+    rounded.  A non-finite integrand value comes back as a non-finite,
+    unconverged result.
     """
     vals, errs = _eval_panels(fn, los, his)
     stalled = 0
@@ -78,8 +80,8 @@ def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
         if not total > max(tol, rel_tol * abs(vals.sum())):
             break
         order = np.argsort(errs)[::-1]
-        csum = np.cumsum(errs[order])
-        k = int(np.searchsorted(csum, 0.95 * csum[-1])) + 1
+        cum = np.cumsum(errs[order])
+        k = int(np.searchsorted(cum, 0.95 * cum[-1])) + 1
         if total > 0.8 * prev_total:
             stalled += k
             if stalled > _STALL_PANELS:
@@ -95,8 +97,9 @@ def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
         vals = np.concatenate([vals[keep], new_v])
         errs = np.concatenate([errs[keep], new_e])
 
-    order = np.argsort(los, kind="stable")
-    value = np.sum(vals[order][np.argsort(np.abs(vals[order]), kind="stable")]).item()
+    value = csum(vals)
+    if not np.iscomplexobj(vals):
+        value = value.real
     total_err = float(errs.sum())
     converged = bool(np.isfinite(value)) and total_err <= max(tol, rel_tol * abs(value))
     return QuadResult(value, total_err, int(los.size), converged)
@@ -191,15 +194,15 @@ def fresnel_modified(u: float) -> complex:
 # ---------------------------------------------------------------------------
 
 def derivative_test_bounds(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                           alpha: float, beta: float, r: float,
-                           samples: int = 512) -> Tuple[float, float]:
+                           alpha: float, beta: float, r: float) -> Tuple[float, float]:
     """(first-derivative bound V/(pi kappa), second-derivative bound 4V/sqrt(pi lambda)).
 
     V is the amplitude's maximum modulus plus total variation on the interval,
     kappa = min |f' - r| (infinite first bound when the slope vanishes inside),
-    lambda = min f''.  Callers take the min of the pair.
+    lambda = min f'', each taken from 512 samples.  Callers take the min of
+    the pair.
     """
-    xs = np.linspace(alpha, beta, samples)
+    xs = np.linspace(alpha, beta, 512)
     g = np.asarray(model.g(xs), dtype=float)
     g1 = np.asarray(model.g1(xs), dtype=float)
     variation = float(np.trapezoid(np.abs(g1), xs))

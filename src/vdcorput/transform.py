@@ -106,8 +106,7 @@ def _phase_f_minus_rx(model: PhaseAmplitudeModel, x, r):
 # main dual-side sum
 # ---------------------------------------------------------------------------
 
-def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float,
-                 conjugate: bool = False) -> TransformResult:
+def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float) -> TransformResult:
     """Sum the dual-side weights over integer r in [f'(a), f'(b)].
 
     A weight is halved when the corresponding limit f'(a) or f'(b) is an
@@ -136,11 +135,7 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float,
         values[0] *= 0.5
     if r.size and db == 0.0:
         values[-1] *= 0.5
-    rhs = csum(values)
-    if conjugate:
-        rhs = rhs.conjugate()
-        values = values.conj()
-    return TransformResult(rhs, None, None, (r_lo, r_hi), r, xr, values)
+    return TransformResult(csum(values), None, None, (r_lo, r_hi), r, xr, values)
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +143,13 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float,
 # ---------------------------------------------------------------------------
 
 def endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                  mu: float, which: str, tol: float = 1e-8) -> EndpointTerm:
+                  mu: float, tol: float = 1e-8) -> EndpointTerm:
     """D(mu) = D_circ(mu) + D_star(mu), case-selected on f'' against ||f'||.
 
     Explicit in the two small-f'' regimes and when f'(mu) is an integer;
     bound-only once f'' reaches 1 - ||f'(mu)||.  The tie f'' = ||f'|| takes
     the offset-plus-sawtooth case.
     """
-    if which not in ("a", "b"):
-        raise ValueError("which must be 'a' or 'b'")
     r0, eps_p, dist = fprime_nearest(model, mu)
     fpp = float(model.f2(mu))
     U = float(profile.U(mu))
@@ -185,8 +178,7 @@ def endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile,
 
 
 def refined_endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                          mu: float, C: float, L: float,
-                          tol: float = 1e-8) -> EndpointTerm:
+                          mu: float, C: float, L: float) -> EndpointTerm:
     """Refined replacement for the large-f'' endpoint bound.
 
     Requires M(mu) >= 1 and f''(mu) >= 1 with C in [f''^-1/2, M) and L in
@@ -271,14 +263,14 @@ def full_transform(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     """
     check_finite(a=a, b=b)
     opts = options or TransformOptions()
-    report = errbudget.check_condition_M(model, profile, a, b, grid=24)
+    report = errbudget.check_condition_M(model, profile, a, b)
     if not report.passed:
         warnings.warn(f"regularity sweep failed on [{a}, {b}]: "
                       f"{len(report.violations)} violations")
     result = rhs_main_sum(model, a, b)
     result.condition_report = report
-    result.d_a = endpoint_term(model, profile, a, "a", tol=opts.psi_tol)
-    result.d_b = endpoint_term(model, profile, b, "b", tol=opts.psi_tol)
+    result.d_a = endpoint_term(model, profile, a, tol=opts.psi_tol)
+    result.d_b = endpoint_term(model, profile, b, tol=opts.psi_tol)
     budget = errbudget.compute_budget(model, profile, a, b) if opts.budget else None
     if opts.measure:
         direct = direct_starred_sum(model, a, b)

@@ -42,7 +42,7 @@ def test_power_phase_sweep_passes():
         M=lambda x: 0.5 * np.asarray(x, dtype=float),
         M_prime=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
         U=lambda x: np.ones_like(np.asarray(x, dtype=float)))
-    report = eb.check_condition_M(model, profile, 100.0, 1200.0, grid=32)
+    report = eb.check_condition_M(model, profile, 100.0, 1200.0)
     assert report.passed
     assert report.part1_ok and report.part2_ok and report.part3_ok
     assert all(v <= 1.0 for v in report.worst_ratios.values())
@@ -79,17 +79,12 @@ def test_report_json_round_trip():
     assert back["passed"] is True
 
 
-def test_grid_validation():
-    model, profile = builtin_family("power_phase")
-    with pytest.raises(ValueError):
-        eb.check_condition_M(model, profile, 100.0, 400.0, grid=8)
-
-
-def per_node_condition_M(model, profile, a, b, grid):
+def per_node_condition_M(model, profile, a, b):
     """The sweep one Chebyshev node at a time, as it was computed before it
     became one array block: the reference the report must match exactly."""
-    report = eb.check_condition_M(model, profile, a, b, grid=grid)
+    report = eb.check_condition_M(model, profile, a, b)
     jlo, jhi = report.extended_interval
+    grid = report.grid
     k = np.arange(grid)
     xs = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k + 1) * np.pi / (2 * grid))
     worst = {name: 0.0 for name in eb._INEQUALITIES}
@@ -135,10 +130,10 @@ def test_condition_m_block_equals_the_per_node_sweep(fam, params, a, b, passes):
     if fam == "exponential":  # radius 10 breaks the f''' bound at every node
         profile = ConditionMProfile(M=lambda x: np.full_like(np.asarray(x, dtype=float), 10.0),
                                     M_prime=profile.M_prime, U=profile.U)
-    got = eb.check_condition_M(model, profile, a, b, grid=24).to_json()
+    got = eb.check_condition_M(model, profile, a, b).to_json()
     assert got["passed"] is passes
     assert passes or len(got["violations"]) >= 48  # two or more per node, interleaved
-    want = per_node_condition_M(model, profile, a, b, 24)
+    want = per_node_condition_M(model, profile, a, b)
     assert json.dumps(got) == json.dumps(want)
 
 
@@ -248,7 +243,6 @@ def test_budget_scales_linearly_with_amplitude():
         g=lambda x: 2.0 * model.g(x), g1=lambda x: 2.0 * model.g1(x),
         g2=lambda x: 2.0 * model.g2(x), g3=lambda x: 2.0 * model.g3(x),
         domain=model.domain, name="doubled")
-    doubled_profile = base_profile.scaled_amplitude(2.0)
     doubled_profile = ConditionMProfile(
         M=base_profile.M, M_prime=base_profile.M_prime, U=doubled_model.g)
 

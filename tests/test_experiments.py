@@ -12,12 +12,13 @@ import pytest
 
 from vdcorput.experiments import (CKReport, ck_quadratic, curve_svg,
                                   estimate_c, example_delta, example_regimes,
-                                  exact_square_times_12, fitted_constant,
-                                  ik_experiment, kusmin_landau_compare,
-                                  rounding_bound, split_fit, cli_main)
+                                  exact_square_times_12, ik_experiment,
+                                  kusmin_landau_compare, rounding_bound, cli_main)
 from vdcorput.expsum import curve_samples
 from vdcorput.numutil import nearest_decomp
 from vdcorput.phase import builtin_family
+
+from helpers import fitted_constant, split_fit
 
 
 # ---------------------------------------------------------------------------

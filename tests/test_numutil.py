@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from vdcorput import numutil as nu
 
+from helpers import modified_sawtooth_grid
+
 
 # ---------------------------------------------------------------------------
 # nearest-integer decomposition
@@ -186,14 +188,14 @@ def test_uniform_bound_on_grid():
     # |psi(x, eps)| stays under one constant across a coarse grid
     xs = np.linspace(0.013, 0.987, 40)
     epss = np.linspace(-0.5, 0.5, 21)
-    vals = nu.modified_sawtooth_grid(xs, epss, 4096)
+    vals = modified_sawtooth_grid(xs, epss, 4096)
     assert float(np.max(np.abs(vals))) < 1.0
 
 
 def test_grid_evaluator_matches_pointwise():
     xs = np.array([0.05, 0.37, 0.71])
     epss = np.array([-0.4, 0.0, 0.25])
-    grid = nu.modified_sawtooth_grid(xs, epss, 2048)
+    grid = modified_sawtooth_grid(xs, epss, 2048)
     for i, x in enumerate(xs):
         for j, eps in enumerate(epss):
             want = nu.modified_sawtooth_partial(float(x), float(eps), 2048)
@@ -202,10 +204,10 @@ def test_grid_evaluator_matches_pointwise():
 
 def test_accuracy_error_reports_achievable_bound():
     with pytest.raises(nu.TailAccuracyError) as exc:
-        nu.modified_sawtooth(0.5 + 1e-7, 0.0, 1e-9, max_r=10 ** 6)
+        nu.modified_sawtooth(0.5 + 1e-7, 0.0, 1e-12)
     err = exc.value
-    assert err.r_needed > err.r_cap == 10 ** 6
-    assert err.achievable > 0
+    assert err.r_needed > err.r_cap == nu.DEFAULT_MAX_R
+    assert err.achievable == nu.psi_tail_bound(nu.DEFAULT_MAX_R, 0.5 + 1e-7) > 0
 
 
 def test_modified_sawtooth_validation():
