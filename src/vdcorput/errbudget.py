@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +49,6 @@ _GRID = 24  # Chebyshev nodes of the sweep
 class ConditionMReport:
     passed: bool
     part1_ok: bool
-    part2_ok: bool
     part3_ok: bool
     worst_ratios: dict
     violations: List[dict]
@@ -61,7 +60,7 @@ class ConditionMReport:
         return {
             "schema": "condition-m-report/1",
             "passed": self.passed,
-            "parts": {"I": self.part1_ok, "II": self.part2_ok, "III": self.part3_ok},
+            "parts": {"I": self.part1_ok, "III": self.part3_ok},
             "worstRatios": self.worst_ratios,
             "violations": self.violations,
             "interval": list(self.interval),
@@ -126,7 +125,6 @@ def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     violations are reported; the report never raises.
     """
     part1 = max(float(profile.M(a)), float(profile.M(b))) <= (b - a) * (1 + 1e-12)
-    part2 = profile.delta < 1.0 and profile.eta < 2.0
     lo, hi = _extended_ends(model, profile, a, b)
     dlo, dhi = model.domain
     jlo, jhi = max(lo, dlo), min(hi, dhi)
@@ -166,8 +164,8 @@ def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
             if rm[n] > 1.0 + 1e-12:
                 violations.append({"inequality": name, "x": x, "z": float(zs[n, i[n]]),
                                    "ratio": rm[n]})
-    passed = part1 and part2 and part3 and not violations
-    return ConditionMReport(passed, part1, part2, part3, worst, violations,
+    passed = part1 and part3 and not violations
+    return ConditionMReport(passed, part1, part3, worst, violations,
                             (a, b), (jlo, jhi), _GRID)
 
 
@@ -275,6 +273,10 @@ class WRFunctions:
 # partition of the extended interval
 # ---------------------------------------------------------------------------
 
+class PartitionDegeneracyError(RuntimeError):
+    """A branch denominator vanishes at a partition endpoint."""
+
+
 @dataclass
 class AssumptionPartition:
     jpm: List[Tuple[float, float]]
@@ -282,37 +284,29 @@ class AssumptionPartition:
     jnull: List[float]
     jpm_isolated: List[float]
     j0_isolated: List[float]
-    boundary_pm: List[float]
-    boundary_0: List[float]
     extended_interval: Tuple[float, float]
-    flags: List[str] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "schema": "assumption-partition/1",
-            "jpm": [list(t) for t in self.jpm],
-            "j0": [list(t) for t in self.j0],
-            "jnull": self.jnull,
-            "jpmIsolated": self.jpm_isolated,
-            "j0Isolated": self.j0_isolated,
-            "boundaryPm": self.boundary_pm,
-            "boundary0": self.boundary_0,
-            "extendedInterval": list(self.extended_interval),
-            "flags": self.flags,
-        }
+    @property
+    def boundary_pm(self) -> List[float]:
+        return sorted({p for seg in self.jpm for p in seg})
+
+    @property
+    def boundary_0(self) -> List[float]:
+        return sorted({p for seg in self.j0 for p in seg})
 
 
-def _tangential_zeros(xs: np.ndarray, D: np.ndarray,
-                      scale_D: float) -> Tuple[List[float], List[float]]:
-    """Tangential zeros of H^2 - G inside its negative regions, from samples:
-    (zero samples between two negative ones, negative local maxima within
-    1e-9 scale_D of 0 that the scan may have stepped over)."""
+def _tangential_zeros(xs: np.ndarray, D: np.ndarray) -> List[float]:
+    """Tangential zeros of H^2 - G inside its negative regions: the zero
+    samples between two negative ones."""
     neg = D < 0.0
-    mid, left, right = D[1:-1], D[:-2], D[2:]
-    zeros = neg[:-2] & neg[2:] & (mid == 0.0)
-    near = (neg[:-2] & neg[1:-1] & neg[2:] & (mid >= left) & (mid >= right)
-            & (np.abs(mid) <= 1e-9 * scale_D))
-    return xs[1:-1][zeros].tolist(), xs[1:-1][near].tolist()
+    return xs[1:-1][neg[:-2] & neg[2:] & (D[1:-1] == 0.0)].tolist()
+
+
+def _endpoints(intervals: List[Tuple[float, float]]) -> np.ndarray:
+    """x0 + w, x1 - w for each interval [x0, x1] in order, w = 1e-6 (x1 - x0)."""
+    e = np.array(intervals, dtype=float).reshape(-1, 2)
+    w = (e[:, 1] - e[:, 0]) * 1e-6
+    return np.column_stack((e[:, 0] + w, e[:, 1] - w)).ravel()
 
 
 def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
@@ -323,8 +317,9 @@ def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
 
     With a profile the partition covers J; without one it covers [a, b].
     Sign changes are located by a scan of ``samples`` points refined by
-    bisection; tangential (double) roots below the scan resolution are
-    flagged, not found.
+    bisection; tangential (double) roots below the scan resolution are not
+    found.  Raises PartitionDegeneracyError when H^2-G tends to 0 at a J_pm
+    endpoint or g at a J_0 endpoint.
     """
     if samples < 256:
         raise ValueError("samples must be at least 256")
@@ -333,104 +328,76 @@ def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
         lo, hi = condition_m_domain(model, profile, a, b)
     else:
         lo, hi = a, b
+
+    def signs(x):
+        # G, H^2 - G, H, g, g'' at x; H^2 - G is wr.discriminant's arithmetic
+        # on the same G and H, so neither is evaluated twice
+        G, H = np.asarray(wr.G(x), dtype=float), np.asarray(wr.H(x), dtype=float)
+        return [G, H ** 2 - G, H, np.asarray(model.g(x), dtype=float),
+                np.asarray(model.g2(x), dtype=float)]
+
     xs = np.linspace(lo, hi, samples)
-    G = np.asarray(wr.G(xs), dtype=float)
-    D = np.asarray(wr.discriminant(xs), dtype=float)
-    H = np.asarray(wr.H(xs), dtype=float)
-    g = np.asarray(model.g(xs), dtype=float)
+    G, D, H, g, g2 = vals = signs(xs)
     g1 = np.asarray(model.g1(xs), dtype=float)
-    g2 = np.asarray(model.g2(xs), dtype=float)
-    flags: List[str] = []
+    if not np.any(g):
+        return AssumptionPartition([], [], [], [], [], (lo, hi))
 
-    g_zero_everywhere = bool(np.all(g == 0.0))
-    if g_zero_everywhere:
-        flags.append("amplitude identically zero")
-        return AssumptionPartition([], [], [], [], [], [], [], (lo, hi), flags)
+    # breakpoints where any governing sign can flip, and samples landing
+    # exactly on a zero of a function that is not zero everywhere
+    fns = (wr.G, wr.discriminant, wr.H, model.g, model.g2)
+    roots = [sign_change_roots(fn, xs, v) for fn, v in zip(fns, vals)]
+    g_roots, g2_roots = np.array(roots[3]), np.array(roots[4])
+    cuts = {lo, hi}.union(*roots)
+    for v in vals:
+        if not np.all(v == 0.0):
+            cuts.update(xs[v == 0.0].tolist())
+    pts = np.array(sorted(cuts), dtype=float)
 
-    gpp_identically_zero = bool(np.all(g2 == 0.0))
+    # one (pieces, 7) block: row i holds 7 interior points of piece i
+    x0, x1 = pts[:-1], pts[1:]
+    keep = x1 - x0 > 1e-12 * np.maximum(1.0, np.abs(x0))
+    x0, x1 = x0[keep], x1[keep]
+    w = x1 - x0
+    mids = np.linspace(x0 + w * 1e-3, x1 - w * 1e-3, 7, axis=1)
+    Gm, Dm, Hm, gm, g2m = signs(mids)
+    is_pm = np.all(Gm != 0.0, axis=1) & np.all(Dm >= 0.0, axis=1)
+    is_0 = (~is_pm & np.all(g2m == 0.0, axis=1) & np.all(gm != 0.0, axis=1)
+            & np.all(Hm != 0.0, axis=1))
 
-    # breakpoints where any governing sign can flip
-    cuts = {lo, hi}
-    cuts.update(sign_change_roots(wr.G, xs, G))
-    cuts.update(sign_change_roots(wr.discriminant, xs, D))
-    cuts.update(sign_change_roots(wr.H, xs, H))
-    g_roots = sign_change_roots(model.g, xs, g)
-    cuts.update(g_roots)
-    g2_roots = [] if gpp_identically_zero else sign_change_roots(model.g2, xs, g2)
-    cuts.update(g2_roots)
-    # samples landing exactly on a zero are boundaries in their own right
-    for vals in (G, D, H, g, g2 if not gpp_identically_zero else np.ones(1)):
-        hits = np.nonzero(vals == 0.0)[0]
-        if 0 < hits.size < vals.size:
-            cuts.update(float(xs[i]) for i in hits if i < xs.size)
-    pts = sorted(cuts)
-
-    jpm: List[Tuple[float, float]] = []
+    # adjacent J_pm pieces stay distinct: a g'' root between them makes G
+    # vanish there, so those cuts are genuine boundaries; J_0 pieces merge
+    jpm = list(zip(x0[is_pm].tolist(), x1[is_pm].tolist()))
     j0: List[Tuple[float, float]] = []
-    for x0, x1 in zip(pts[:-1], pts[1:]):
-        if x1 - x0 <= 1e-12 * max(1.0, abs(x0)):
-            continue
-        mids = np.linspace(x0 + (x1 - x0) * 1e-3, x1 - (x1 - x0) * 1e-3, 7)
-        Gm = np.asarray(wr.G(mids), dtype=float)
-        Dm = np.asarray(wr.discriminant(mids), dtype=float)
-        Hm = np.asarray(wr.H(mids), dtype=float)
-        gm = np.asarray(model.g(mids), dtype=float)
-        g2m = np.asarray(model.g2(mids), dtype=float)
-        if np.all(Gm != 0.0) and np.all(Dm >= 0.0):
-            jpm.append((x0, x1))
-        elif np.all(g2m == 0.0) and np.all(gm != 0.0) and np.all(Hm != 0.0):
-            j0.append((x0, x1))
-
-    def merge(intervals):
-        out = []
-        for seg in intervals:
-            if out and abs(out[-1][1] - seg[0]) <= 1e-12 * max(1.0, abs(seg[0])):
-                out[-1] = (out[-1][0], seg[1])
-            else:
-                out.append(seg)
-        return out
-
-    # adjacent pieces separated by a transversal g''-root stay distinct
-    # J_pm intervals only if the branch data stays finite; a g'' root makes
-    # G vanish there, so those cuts are genuine boundaries and not merged.
-    jpm = [tuple(map(float, t)) for t in jpm]
-    j0 = merge([tuple(map(float, t)) for t in j0])
+    for seg in zip(x0[is_0].tolist(), x1[is_0].tolist()):
+        if j0 and abs(j0[-1][1] - seg[0]) <= 1e-12 * max(1.0, abs(seg[0])):
+            j0[-1] = (j0[-1][0], seg[1])
+        else:
+            j0.append(seg)
 
     # isolated points; "nonzero" is judged against the sampled scale so that
     # bisection residue at a root does not masquerade as a nonzero value
-    g_scale = float(np.max(np.abs(g))) or 1.0
-    g1_scale = float(np.max(np.abs(g1))) or 1.0
-    g2_scale = float(np.max(np.abs(g2))) or 1.0
-    H_scale = float(np.max(np.abs(H))) or 1.0
-    nonzero = lambda v, scale: abs(v) > 1e-6 * scale
-    j0_isolated = [r for r in g2_roots
-                   if nonzero(float(model.g(r)), g_scale) and nonzero(float(wr.H(r)), H_scale)]
-    scale_D = float(np.max(np.abs(D))) or 1.0
-    jpm_isolated, near_zero = _tangential_zeros(xs, D, scale_D)
-    flags += [f"possible tangential zero of H^2-G near x={x:.6g}" for x in near_zero]
+    def nonzero(fn, r, v):
+        return np.abs(fn(r)) > 1e-6 * (float(np.max(np.abs(v))) or 1.0)
 
+    j0_isolated = g2_roots[nonzero(model.g, g2_roots, g) & nonzero(wr.H, g2_roots, H)]
     # isolated amplitude zeros with g', g'' nonzero
-    jnull = [r for r in g_roots
-             if nonzero(float(model.g1(r)), g1_scale) and nonzero(float(model.g2(r)), g2_scale)]
-
-    boundary_pm = sorted({p for seg in jpm for p in seg})
-    boundary_0 = sorted({p for seg in j0 for p in seg})
+    jnull = g_roots[nonzero(model.g1, g_roots, g1) & nonzero(model.g2, g_roots, g2)]
 
     # final degeneracy assumption: branch denominators must not vanish at
     # interval endpoints
-    for x0, x1 in jpm:
-        w = (x1 - x0) * 1e-6
-        for p in (x0 + w, x1 - w):
-            if 0.0 < abs(float(wr.discriminant(p))) < 1e-12 * scale_D:
-                flags.append(f"H^2-G tends to 0 at J_pm endpoint {p:.6g}")
-    for x0, x1 in j0:
-        w = (x1 - x0) * 1e-6
-        for p in (x0 + w, x1 - w):
-            if abs(float(model.g(p))) < 1e-12 * max(1.0, float(np.max(np.abs(g)))):
-                flags.append(f"g tends to 0 at J_0 endpoint {p:.6g}")
+    p = _endpoints(jpm)
+    d = np.abs(np.asarray(wr.discriminant(p), dtype=float))
+    bad = p[(0.0 < d) & (d < 1e-12 * (float(np.max(np.abs(D))) or 1.0))]
+    if bad.size:
+        raise PartitionDegeneracyError(f"H^2-G tends to 0 at J_pm endpoint {bad[0]:.6g}")
+    p = _endpoints(j0)
+    bad = p[np.abs(np.asarray(model.g(p), dtype=float))
+            < 1e-12 * max(1.0, float(np.max(np.abs(g))))]
+    if bad.size:
+        raise PartitionDegeneracyError(f"g tends to 0 at J_0 endpoint {bad[0]:.6g}")
 
-    return AssumptionPartition(jpm, j0, jnull, jpm_isolated, j0_isolated,
-                               boundary_pm, boundary_0, (lo, hi), flags)
+    return AssumptionPartition(jpm, j0, jnull.tolist(), _tangential_zeros(xs, D),
+                               j0_isolated.tolist(), (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +565,6 @@ def _delta4_smooth_integrand(model, profile):
     return fn
 
 
-class PartitionDegeneracyError(RuntimeError):
-    """A branch denominator vanishes at a partition endpoint."""
-
-
 def alternate4_applies(model: PhaseAmplitudeModel, profile: ConditionMProfile,
                        a: float, b: float) -> bool:
     """True when M(x) >= max(b-x, x-a) at 257 points of [a, b] and
@@ -649,17 +612,12 @@ def _k_terms(model: PhaseAmplitudeModel,
 
 
 def global_delta4(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                  partition: Optional[AssumptionPartition],
                   a: float, b: float) -> Delta4Breakdown:
     """Delta4 = smooth variation integral + K functionals + amplitude-zero sum."""
     smooth = _quad(_delta4_smooth_integrand(model, profile), a, b, "Delta4 smooth")
     if alternate4_applies(model, profile, a, b):
         return Delta4Breakdown(smooth, 0.0, 0.0, 0.0, 0.0, True)
-    if partition is None:
-        partition = partition_assumptions(model, a, b, profile=profile)
-    for fl in partition.flags:
-        if "tends to 0" in fl:
-            raise PartitionDegeneracyError(fl)
+    partition = partition_assumptions(model, a, b, profile=profile)
     return Delta4Breakdown(smooth, *_k_terms(model, partition), False)
 
 
@@ -709,15 +667,15 @@ class ErrorBudget:
 
 
 def compute_budget(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                   a: float, b: float,
-                   partition: Optional[AssumptionPartition] = None) -> ErrorBudget:
-    """Delta1-Delta4 on [a, b]; raises ValueError when a limit is not finite."""
+                   a: float, b: float) -> ErrorBudget:
+    """Delta1-Delta4 on [a, b]; raises ValueError when a limit is not finite
+    and PartitionDegeneracyError when the Delta4 partition is degenerate."""
     check_finite(a=a, b=b)
     abar, bbar = abar_bbar(model, a, b, profile)
     d1a, d2a = endpoint_deltas(model, profile, a, b, "a")
     d1b, d2b = endpoint_deltas(model, profile, a, b, "b")
     d3a, d3b = tail_deltas(model, profile, a, b, abar, bbar)
-    d4 = global_delta4(model, profile, partition, a, b)
+    d4 = global_delta4(model, profile, a, b)
     return ErrorBudget(d1a, d1b, d2a, d2b, d3a, d3b, d4,
                        m_count(model, a), m_count(model, b), abar, bbar)
 

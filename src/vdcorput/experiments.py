@@ -32,14 +32,6 @@ TWO_PI_I = 2j * math.pi
 # the power-phase example: three regimes
 # ---------------------------------------------------------------------------
 
-def exact_square_times_12(n: int) -> Optional[int]:
-    """k when n = 12 k^2 for integer k, else None (pure integer arithmetic)."""
-    if n <= 0 or n % 12:
-        return None
-    k = math.isqrt(n // 12)
-    return k if 12 * k * k == n else None
-
-
 def example_delta(n: int) -> complex:
     """Measured residual of the power-phase identity at upper limit n."""
     model, _ = builtin_family("power_phase")
@@ -92,8 +84,7 @@ def example_regimes(n: int, psi_tol: float = 1e-6,
     measured = example_delta(n)
     u = math.sqrt(n / 12.0)
     dec = nearest_decomp(u)
-    k = exact_square_times_12(n)
-    if k is not None:
+    if builtin_family("power_phase")[0].fprime_integer(n) is not None:
         resid = abs(measured - c_reference) if c_reference is not None else None
         return RegimeReport(n, 1, 0.0, measured, 0j, resid, n ** -0.5, c_reference)
     phase_f = np.exp(TWO_PI_I * (((n / 3.0) ** 1.5) % 1.0))

@@ -56,13 +56,14 @@ def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
     check_finite(a=a, b=b)
     if b < a:
         raise ValueError(f"empty orientation: b={b} < a={a}")
-    n_lo = math.ceil(a - 1e-12 * max(1.0, abs(a)))
-    n_hi = math.floor(b + 1e-12 * max(1.0, abs(b)))
+    # a limit taken as an integer is that integer, so the halved term is
+    # always the first or last one summed
+    half_lo, half_hi = is_integer_like(a), is_integer_like(b)
+    n_lo = round(a) if half_lo else math.ceil(a)
+    n_hi = round(b) if half_hi else math.floor(b)
     if n_hi < n_lo:
         return 0j
     parts = []
-    half_lo = is_integer_like(a)
-    half_hi = is_integer_like(b)
     n = n_lo
     while n <= n_hi:
         m = min(n + _CHUNK - 1, n_hi)

@@ -99,16 +99,14 @@ def is_integer_like(x: float) -> bool:
 
 @dataclass(frozen=True)
 class NearestIntDecomp:
-    """Nearest integer, signed offset, distance, and starred distance of x.
+    """Nearest integer, signed offset and distance of x.
 
-    ``nearest + signed_frac == x`` up to rounding, ``dist == |signed_frac|``,
-    and ``dist_star`` replaces a zero distance by 1.
+    ``nearest + signed_frac == x`` up to rounding and ``dist == |signed_frac|``.
     """
 
     nearest: int
     signed_frac: float
     dist: float
-    dist_star: float
 
 
 def nearest_decomp(x: float) -> NearestIntDecomp:
@@ -129,8 +127,7 @@ def nearest_decomp(x: float) -> NearestIntDecomp:
     elif frac >= 0.5:
         n += 1
         frac = x - n
-    d = abs(frac)
-    return NearestIntDecomp(n, frac, d, d if d != 0.0 else 1.0)
+    return NearestIntDecomp(n, frac, abs(frac))
 
 
 def dist_to_nearest_star(x: float) -> float:

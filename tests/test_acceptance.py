@@ -16,8 +16,7 @@ from vdcorput import numutil as nu
 from vdcorput.errbudget import compute_budget
 from vdcorput.expsum import direct_starred_sum
 from vdcorput.experiments import (ck_quadratic, estimate_c, example_delta,
-                                  example_regimes, exact_square_times_12,
-                                  ik_experiment, kusmin_landau_compare)
+                                  example_regimes, ik_experiment, kusmin_landau_compare)
 from vdcorput.phase import builtin_family
 from vdcorput.quad import oscillatory_integral, stationary_phase_estimate
 from vdcorput.transform import budget_with_endpoints, full_transform, TransformOptions
@@ -88,12 +87,13 @@ def test_criterion_2_cauchy_decay(regime1_sweep, c_fitted):
 
 def test_criterion_3_regime_2_and_3_predictions(c_fitted):
     rng = np.random.default_rng(20260810)
+    fprime_integer = builtin_family("power_phase")[0].fprime_integer
     reports2 = []
     while len(reports2) < 200:
         k = int(rng.integers(29, 130))
         j = int(rng.integers(1, max(2, int(6.9 * math.sqrt(k)))))
         n = 12 * k * k + (j if rng.random() < 0.5 else -j)
-        if not (10 ** 4 <= n <= 2 * 10 ** 5) or exact_square_times_12(n):
+        if not (10 ** 4 <= n <= 2 * 10 ** 5) or fprime_integer(n) is not None:
             continue
         rep = example_regimes(n, psi_tol=1e-6)
         if rep.regime == 2:

@@ -44,7 +44,9 @@ def test_power_phase_sweep_passes():
         U=lambda x: np.ones_like(np.asarray(x, dtype=float)))
     report = eb.check_condition_M(model, profile, 100.0, 1200.0)
     assert report.passed
-    assert report.part1_ok and report.part2_ok and report.part3_ok
+    assert report.part1_ok and report.part3_ok
+    # part II of condition (M) holds by the choice of the fixed constants
+    assert ConditionMProfile.delta < 1.0 and ConditionMProfile.eta < 2.0
     assert all(v <= 1.0 for v in report.worst_ratios.values())
 
 
@@ -113,8 +115,8 @@ def per_node_condition_M(model, profile, a, b):
                 worst[name] = rmax
             if rmax > 1.0 + 1e-12:
                 violations.append({"inequality": name, "x": x, "z": float(zs[i]), "ratio": rmax})
-    passed = report.part1_ok and report.part2_ok and report.part3_ok and not violations
-    return eb.ConditionMReport(passed, report.part1_ok, report.part2_ok, report.part3_ok,
+    passed = report.part1_ok and report.part3_ok and not violations
+    return eb.ConditionMReport(passed, report.part1_ok, report.part3_ok,
                                worst, violations, (a, b), (jlo, jhi), grid).to_json()
 
 
@@ -397,33 +399,108 @@ def test_partition_isolated_gpp_zero():
     assert any(abs(p - x0) < 1e-6 for p in part.j0_isolated)
 
 
-def _tangential_zeros_loops(xs, D, scale_D):
-    """The per-sample loops that the array expressions replaced."""
-    isolated, near = [], []
+def per_piece_partition(model, a, b, profile=None):
+    """(jpm, j0, jnull, j0_isolated) from the per-piece and per-root loops
+    that the array blocks of partition_assumptions replaced."""
+    wr = eb.WRFunctions(model)
+    lo, hi = eb.condition_m_domain(model, profile, a, b) if profile else (a, b)
+    xs = np.linspace(lo, hi, 4096)
+    fns = (wr.G, wr.discriminant, wr.H, model.g, model.g2)
+    G, D, H, g, g2 = vals = [np.asarray(fn(xs), dtype=float) for fn in fns]
+    g1 = np.asarray(model.g1(xs), dtype=float)
+    cuts = {lo, hi}
+    for fn, v in zip(fns, vals):
+        cuts.update(eb.sign_change_roots(fn, xs, v))
+        hits = np.nonzero(v == 0.0)[0]
+        if 0 < hits.size < v.size:
+            cuts.update(float(xs[i]) for i in hits)
+    pts = sorted(cuts)
+    jpm, j0 = [], []
+    for x0, x1 in zip(pts[:-1], pts[1:]):
+        if x1 - x0 <= 1e-12 * max(1.0, abs(x0)):
+            continue
+        mids = np.linspace(x0 + (x1 - x0) * 1e-3, x1 - (x1 - x0) * 1e-3, 7)
+        Gm, Dm, Hm, gm, g2m = (np.asarray(fn(mids), dtype=float) for fn in fns)
+        if np.all(Gm != 0.0) and np.all(Dm >= 0.0):
+            jpm.append((x0, x1))
+        elif np.all(g2m == 0.0) and np.all(gm != 0.0) and np.all(Hm != 0.0):
+            if j0 and abs(j0[-1][1] - x0) <= 1e-12 * max(1.0, abs(x0)):
+                j0[-1] = (j0[-1][0], x1)
+            else:
+                j0.append((x0, x1))
+    scale = lambda v: float(np.max(np.abs(v))) or 1.0
+    nonzero = lambda fn, x, v: abs(float(fn(x))) > 1e-6 * scale(v)
+    jnull = [x for x in eb.sign_change_roots(model.g, xs, g)
+             if nonzero(model.g1, x, g1) and nonzero(model.g2, x, g2)]
+    j0_isolated = [x for x in eb.sign_change_roots(model.g2, xs, g2)
+                   if nonzero(model.g, x, g) and nonzero(wr.H, x, H)]
+    for x0, x1 in jpm:
+        w = (x1 - x0) * 1e-6
+        for p in (x0 + w, x1 - w):
+            if 0.0 < abs(float(wr.discriminant(p))) < 1e-12 * scale(D):
+                raise eb.PartitionDegeneracyError(f"H^2-G tends to 0 at J_pm endpoint {p:.6g}")
+    for x0, x1 in j0:
+        w = (x1 - x0) * 1e-6
+        for p in (x0 + w, x1 - w):
+            if abs(float(model.g(p))) < 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+                raise eb.PartitionDegeneracyError(f"g tends to 0 at J_0 endpoint {p:.6g}")
+    return jpm, j0, jnull, j0_isolated
+
+
+@pytest.mark.parametrize("fam,params,a,b,with_profile", [
+    ("power_phase", [], 100.0, 1200.0, True),                  # one J_0 piece
+    ("oscillatory", [1.0, 1.0, 1.0], 1000.0, 2000.0, True),    # 331 sign changes of H
+    ("ik_monomial", [7.0, 100.0, 1e5], 100.0, 400.0, False),   # J_pm
+    ("sine_amplitude", [0.01], 200.0, 400.0, True),            # J_pm cut at amplitude zeros
+    ("sine_amplitude", [0.37, 0.25], 10.0, 60.0, False),
+    ("zeta_log", [0.5, 1e6], 1e4, 1e9, True),                  # degenerate J_pm endpoint
+])
+def test_partition_blocks_equal_the_per_piece_loops(fam, params, a, b, with_profile):
+    model, profile = builtin_family(fam, params)
+    profile = profile if with_profile else None
+    try:
+        want = per_piece_partition(model, a, b, profile)
+    except eb.PartitionDegeneracyError as err:
+        with pytest.raises(eb.PartitionDegeneracyError) as got:
+            eb.partition_assumptions(model, a, b, profile=profile)
+        assert str(got.value) == str(err)
+        return
+    part = eb.partition_assumptions(model, a, b, profile=profile)
+    assert (part.jpm, part.j0, part.jnull, part.j0_isolated) == want
+    assert part.jpm or part.j0
+
+
+def _tangential_zeros_loop(xs, D):
+    """The per-sample loop that the array expression replaced."""
+    isolated = []
     neg = D < 0.0
     for i in range(1, len(D) - 1):
         if neg[i - 1] and neg[i + 1] and D[i] == 0.0:
             isolated.append(float(xs[i]))
-    for i in range(1, len(D) - 1):
-        if neg[i - 1] and neg[i] and neg[i + 1]:
-            if D[i] >= D[i - 1] and D[i] >= D[i + 1] and abs(D[i]) <= 1e-9 * scale_D:
-                near.append(float(xs[i]))
-    return isolated, near
+    return isolated
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_tangential_zero_scan_matches_the_per_sample_loops(seed):
-    # samples drawn from a few values (exact zeros, negatives within and past
-    # 1e-9 of the scale, ties, positives, nan) so every branch is taken often
+    # samples drawn from a few values (exact zeros, negatives, ties,
+    # positives, nan) so every branch is taken often
     rng = np.random.default_rng(seed)
     values = np.array([0.0, -1e-12, -2e-12, -1e-3, -1.0, 1.0, np.nan, -0.0])
     D = rng.choice(values, size=4096, p=[0.2, 0.2, 0.1, 0.2, 0.1, 0.1, 0.05, 0.05])
     xs = np.linspace(-3.0, 7.0, D.size)
-    scale_D = 1.0
-    got = eb._tangential_zeros(xs, D, scale_D)
-    want = _tangential_zeros_loops(xs, D, scale_D)
+    got = eb._tangential_zeros(xs, D)
+    want = _tangential_zeros_loop(xs, D)
     assert got == want
-    assert want[0] and want[1]
+    assert want
+
+
+def test_partition_raises_where_a_branch_denominator_vanishes():
+    # zeta_log(0.5, 1e6) on [1e4, 1e9]: at the upper J_pm endpoint H^2 - G is
+    # below 1e-12 of its largest sample, so the branches are degenerate there
+    model, profile = builtin_family("zeta_log", [0.5, 1e6])
+    with pytest.raises(eb.PartitionDegeneracyError,
+                       match=r"H\^2-G tends to 0 at J_pm endpoint 9\.99999e\+08"):
+        eb.compute_budget(model, profile, 1e4, 1e9)
 
 
 def test_partition_validation():
@@ -477,8 +554,7 @@ def test_delta3_ik_small_against_amplitude():
 
 def test_delta4_power_phase_pieces():
     model, profile = builtin_family("power_phase")
-    part = eb.partition_assumptions(model, 100.0, 1200.0, profile=profile)
-    d4 = eb.global_delta4(model, profile, part, 100.0, 1200.0)
+    d4 = eb.global_delta4(model, profile, 100.0, 1200.0)
     assert not d4.simplified
     assert d4.kappa_j0 > 0.0
     assert d4.kappa_plus == 0.0 and d4.kappa_minus == 0.0
@@ -488,7 +564,7 @@ def test_delta4_power_phase_pieces():
 
 def test_delta4_simplified_for_wide_radius():
     model, profile = builtin_family("quadratic", [0.37, 100.0], domain=(0.0, 100.0))
-    d4 = eb.global_delta4(model, profile, None, 0.0, 100.0)
+    d4 = eb.global_delta4(model, profile, 0.0, 100.0)
     assert d4.simplified
     assert d4.total == d4.smooth_integral
 

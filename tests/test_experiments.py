@@ -12,8 +12,8 @@ import pytest
 
 from vdcorput.experiments import (CKReport, ck_quadratic, curve_svg,
                                   estimate_c, example_delta, example_regimes,
-                                  exact_square_times_12, ik_experiment,
-                                  kusmin_landau_compare, rounding_bound, cli_main)
+                                  ik_experiment, kusmin_landau_compare, rounding_bound,
+                                  cli_main)
 from vdcorput.expsum import curve_samples
 from vdcorput.numutil import nearest_decomp
 from vdcorput.phase import builtin_family
@@ -26,10 +26,15 @@ from helpers import fitted_constant, split_fit
 # ---------------------------------------------------------------------------
 
 def test_regime_one_detection_is_exact_integer_arithmetic():
-    assert exact_square_times_12(120000) == 100
-    assert exact_square_times_12(30000) == 50
-    assert exact_square_times_12(30001) is None
-    assert exact_square_times_12(12 * 7 ** 2 + 1) is None
+    fprime_integer = builtin_family("power_phase")[0].fprime_integer
+    assert fprime_integer(120000) == 100
+    assert fprime_integer(30000) == 50
+    assert fprime_integer(30001) is None
+    assert fprime_integer(12 * 7 ** 2 + 1) is None
+    # an int n stays exact past 2^53, where n and n + 1 share one float
+    k = 10 ** 8 + 7
+    assert fprime_integer(12 * k * k) == k
+    assert fprime_integer(12 * k * k + 1) is None
 
 
 def test_regime_classification():

@@ -83,6 +83,13 @@ def test_starred_count():
     assert direct_starred_sum(flat_model(), 3.0, 3.0) == pytest.approx(0.25)
 
 
+def test_large_integral_limits_sum_exactly_the_integers_between_them():
+    # the halved terms are the first and last summed, so no integer outside
+    # [a, b] enters once a relative slack would span one or more integers
+    assert direct_starred_sum(flat_model(), 2.0 ** 53, 2.0 ** 53 + 8) == 8.0
+    assert direct_starred_sum(flat_model(), 1e12, 1e12 + 100) == 100.0
+
+
 def test_power_phase_four_term_hand_evaluation():
     model, _ = builtin_family("power_phase")
     want = (0.5 * e((1 / 3) ** 1.5) + e((2 / 3) ** 1.5) + e(1.0)

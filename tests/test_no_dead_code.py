@@ -1,10 +1,16 @@
-"""Every function, method and class in src/vdcorput is used by the program.
+"""Every function, method, class and class field in src/vdcorput is used by
+the program.
 
 A definition counts as used when its name is referenced somewhere in src/ or
 bench/ outside its own body: as a name, as an attribute, or, in bench/, as a
 string (the bench tracer looks functions up by name).  Imports and
 ``__all__`` entries are not uses.  The only exceptions are the paper's entry
 points listed below, which the package exports and only the tests call.
+
+An annotated class field counts as used when an attribute of its name is read
+somewhere in src/ or bench/, or its name is a string in bench/; setting it
+in a constructor is not a use.  The exceptions are the fields listed below,
+which results carry for reports.
 """
 
 import ast
@@ -21,6 +27,11 @@ PAPER_ENTRY_POINTS = {
     "optimized_refinement_params",      # the optimized (C, L) choices
     "toinfinity_deltas",                # the fixed-a, growing-b budget
     "r_branch",                         # the critical-point branches r_pm(x)
+}
+
+REPORT_FIELDS = {
+    "ConditionMProfile.epsilon",        # the family scale factor baked into M
+    "QuadResult.abs_error_estimate",    # the quadrature's own error estimate
 }
 
 
@@ -75,3 +86,38 @@ def test_every_definition_in_src_is_used_by_src_or_bench():
 def test_the_exceptions_are_defined_and_unused():
     # an exception that the program starts to use leaves the list
     assert {name for name, _ in _unused()} >= PAPER_ENTRY_POINTS
+
+
+def _fields():
+    """(Class.field, file:line) of every annotated field of a class in src/."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                out += [(f"{node.name}.{m.target.id}", f"{path.name}:{m.lineno}")
+                        for m in node.body
+                        if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)]
+    return out
+
+
+def _read_attributes():
+    """Every attribute name read in src/ or bench/, and every string in bench/."""
+    names = set()
+    files = [(p, False) for p in sorted(SRC.rglob("*.py"))]
+    files += [(p, True) for p in sorted((ROOT / "bench").rglob("*.py"))]
+    for path, strings_count in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif strings_count and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_class_field_is_read_by_src_or_bench():
+    read = _read_attributes()
+    unread = {name: where for name, where in _fields() if name.split(".")[1] not in read}
+    stale = [f"{where} {name}" for name, where in unread.items() if name not in REPORT_FIELDS]
+    assert not stale, "class fields nothing in src/ or bench/ reads: " + ", ".join(stale)
+    # an exception that the program starts to read leaves the list
+    assert set(unread) >= REPORT_FIELDS

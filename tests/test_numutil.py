@@ -19,16 +19,20 @@ from helpers import modified_sawtooth_grid
 def test_nearest_decomp_examples():
     d = nu.nearest_decomp(2.4)
     assert d.nearest == 2 and d.signed_frac == pytest.approx(0.4)
-    assert d.dist == pytest.approx(0.4) and d.dist_star == pytest.approx(0.4)
+    assert d.dist == pytest.approx(0.4)
 
     d = nu.nearest_decomp(7.0)
     assert d.nearest == 7 and d.signed_frac == 0.0
-    assert d.dist == 0.0 and d.dist_star == 1.0
+    assert d.dist == 0.0
 
     # half-integers round toward +inf
     d = nu.nearest_decomp(3.5)
     assert d.nearest == 4 and d.signed_frac == -0.5
-    assert d.dist == 0.5 and d.dist_star == 0.5
+    assert d.dist == 0.5
+
+    # the starred distance substitutes 1 at an integer
+    assert nu.dist_to_nearest_star(2.4) == pytest.approx(0.4)
+    assert nu.dist_to_nearest_star(7.0) == 1.0
 
 
 def test_nearest_decomp_rejects_nonfinite():
@@ -43,7 +47,6 @@ def test_nearest_decomp_invariants(x):
     d = nu.nearest_decomp(x)
     assert -0.5 <= d.signed_frac < 0.5
     assert d.dist == abs(d.signed_frac)
-    assert d.dist_star == (d.dist if d.dist != 0 else 1.0)
     assert abs(d.nearest + d.signed_frac - x) <= 4 * math.ulp(max(1.0, abs(x)))
 
 
@@ -56,7 +59,7 @@ def test_nearest_decomp_integer_shift(x, k):
     # shifting by an integer moves the nearest integer and nothing else
     assert d1.nearest == d0.nearest + k
     assert d1.signed_frac == d0.signed_frac
-    assert d1.dist == d0.dist and d1.dist_star == d0.dist_star
+    assert d1.dist == d0.dist
 
 
 # ---------------------------------------------------------------------------
