@@ -3,16 +3,19 @@ bounds, and the explicit one-sided stationary-phase expansion.
 
 The integrator is deliberately plain: panels are pre-split so the phase
 advances at most one cycle per panel (the phase derivative is monotone for
-all models here, so the per-panel slope bound is exact), each panel gets a
-15-point Gauss rule with a 7-point rule embedded for the error estimate, and
-the worst panel is bisected until the summed estimate clears the tolerance.
+all models here, so the per-panel slope bound is exact), bisecting all pieces
+of one level in a batch.  Each panel gets a 15-point Gauss rule, and a
+separate 7-point Gauss rule for the error estimate (the two share only the
+midpoint, so a panel costs 22 evaluations); the panels carrying most of the
+estimate are bisected until the summed estimate clears the tolerance.
 No Filon/Levin machinery; this is an oracle, not a production integrator.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -44,15 +47,44 @@ def _eval_panels(fn, los: np.ndarray, his: np.ndarray):
     return v15, np.abs(v15 - v7)
 
 
-def _presplit(phase_slope, lo: float, hi: float, splits: list, depth: int = 0):
-    """Bisect until width * max|phase'| <= 1 on each piece (slope monotone)."""
-    slope = max(abs(phase_slope(lo)), abs(phase_slope(hi)))
-    if (hi - lo) * slope <= 1.0 or depth >= 48:
-        splits.append((lo, hi))
-        return
-    mid = 0.5 * (lo + hi)
-    _presplit(phase_slope, lo, mid, splits, depth + 1)
-    _presplit(phase_slope, mid, hi, splits, depth + 1)
+def _phase_pieces(phase_slope, edges: np.ndarray, panel_cap: int):
+    """Pre-split [edges[0], edges[-1]] so width * max|phase'| <= 1 on each
+    piece (the slope is monotone, so its ends bound it; a nan end bounds
+    nothing), or the piece sits at depth 48.  Returns (los, his, resolved),
+    sorted by lo.
+
+    All pieces of one level are tested in one batch, and phase_slope sees
+    each new midpoint once, in one array per level.  A level that would
+    make more than panel_cap pieces is not split; resolved is then False.
+    """
+    def speed(x):
+        return np.abs(np.broadcast_to(np.asarray(phase_slope(x), dtype=float), x.shape))
+
+    s = speed(edges)
+    lo, hi, slo, shi = edges[:-1], edges[1:], s[:-1], s[1:]
+    done_lo, done_hi = [], []
+    count, resolved = 0, True
+    for depth in range(49):
+        keep = ((hi - lo) * np.maximum(slo, shi) <= 1.0) | (depth >= 48)
+        done_lo.append(lo[keep])
+        done_hi.append(hi[keep])
+        count += int(keep.sum())
+        split = ~keep
+        if not split.any():
+            break
+        if count + 2 * int(split.sum()) > panel_cap:
+            done_lo.append(lo[split])
+            done_hi.append(hi[split])
+            resolved = False
+            break
+        lo, hi, slo, shi = lo[split], hi[split], slo[split], shi[split]
+        mid = 0.5 * (lo + hi)
+        smid = speed(mid)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        slo, shi = np.concatenate([slo, smid]), np.concatenate([smid, shi])
+    los, his = np.concatenate(done_lo), np.concatenate(done_hi)
+    order = np.lexsort((his, los))
+    return los[order], his[order], resolved
 
 
 def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
@@ -111,26 +143,32 @@ def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Calla
                              panel_cap: int = DEFAULT_PANEL_CAP) -> QuadResult:
     """integral of gfun(x) e(phase(x)) over [alpha, beta] by adaptive panels.
 
-    ``phase_slope`` must be monotone on the interval; ``stationary`` names its
-    zero when one lies inside, so the pre-split starts there.
+    ``gfun``, ``phase`` and ``phase_slope`` are vectorized: each takes an
+    array of points and returns an array of the same shape (a scalar
+    return is broadcast).  ``phase_slope`` must be monotone on the interval;
+    ``stationary`` names its zero when one lies inside, so the pre-split
+    starts there.  A pre-split that would need more than ``panel_cap``
+    pieces (a steep or non-finite slope) stops there, and the result is
+    unconverged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if beta <= alpha:
         return QuadResult(0j, 0.0, 0, True)
-    pieces = []
     if stationary is not None and alpha < stationary < beta:
-        _presplit(phase_slope, alpha, stationary, pieces)
-        _presplit(phase_slope, stationary, beta, pieces)
+        edges = np.array([alpha, stationary, beta], dtype=float)
     else:
-        _presplit(phase_slope, alpha, beta, pieces)
+        edges = np.array([alpha, beta], dtype=float)
+    los, his, resolved = _phase_pieces(phase_slope, edges, panel_cap)
 
     def integrand(x):
         ph = np.mod(np.asarray(phase(x), dtype=float), 1.0)
         return np.asarray(gfun(x), dtype=float) * np.exp(2j * np.pi * ph)
 
-    los, his = np.array(pieces).T
-    return panel_integral(integrand, los, his, tol, panel_cap=panel_cap)
+    if resolved:
+        return panel_integral(integrand, los, his, tol, panel_cap=panel_cap)
+    # the pieces do not resolve the phase: evaluate them once, unrefined
+    return replace(panel_integral(integrand, los, his, tol, panel_cap=0), converged=False)
 
 
 def oscillatory_integral(model: PhaseAmplitudeModel, r: float,
@@ -138,7 +176,7 @@ def oscillatory_integral(model: PhaseAmplitudeModel, r: float,
                          panel_cap: int = DEFAULT_PANEL_CAP) -> QuadResult:
     """integral of g(x) e(f(x) - r x) over [alpha, beta]."""
     phase = lambda x: np.asarray(model.f(x), dtype=float) - r * np.asarray(x, dtype=float)
-    slope = lambda x: float(model.f1(x)) - r
+    slope = lambda x: np.asarray(model.f1(x), dtype=float) - r
     stationary = None
     fa, fb = slope(alpha), slope(beta)
     if fa < 0 < fb:
@@ -152,14 +190,16 @@ def oscillatory_integral(model: PhaseAmplitudeModel, r: float,
 # ---------------------------------------------------------------------------
 
 _FRESNEL_SERIES_CUT = 1.5
+_FRESNEL_ASYMPTOTIC_CUT = 32.0
 
 
 def fresnel_modified(u: float) -> complex:
     """F(u) = int_0^u e(x^2/2) dx.
 
     Power series inside |u| <= 1.5 (the alternating terms stay small enough
-    for full double accuracy there), panel quadrature beyond.  F is odd; the
-    large-u limit is e(1/8)/2.
+    for full double accuracy there), panel quadrature up to |u| = 32, and the
+    asymptotic series of the tail beyond (its panels would grow as u^2).  F
+    is odd; the large-u limit is e(1/8)/2.
     """
     if not math.isfinite(u):
         raise ValueError(f"non-finite input {u!r}")
@@ -180,11 +220,26 @@ def fresnel_modified(u: float) -> complex:
             total += inc
             if abs(inc) < 1e-18 * max(1.0, abs(total)):
                 return total
+    if u > _FRESNEL_ASYMPTOTIC_CUT:
+        # F(u) = e(1/8)/2 - int_u^oo e(x^2/2) dx, and parts give the tail as
+        # i e(u^2/2) / (2 pi u) * sum_k (2k-1)!! / (2 pi i u^2)^k; from u = 32
+        # on its terms fall below 1e-17 long before they start to grow
+        w = 1.0 / (2j * math.pi * u * u)
+        total = term = 1.0 + 0j
+        k = 0
+        while abs(term) > 1e-17:
+            k += 1
+            term *= (2 * k - 1) * w
+            total += term
+        # u*u is an even integer from 2^27 on (phase 0), and overflows past 1e154
+        turn = math.fmod(u * u, 2.0) if u < 1e150 else 0.0
+        tail = 1j * cmath.exp(1j * math.pi * turn) / (2.0 * math.pi * u) * total
+        return cmath.exp(0.25j * math.pi) / 2.0 - tail
     base = fresnel_modified(_FRESNEL_SERIES_CUT)
     res = oscillatory_integral_raw(
         lambda x: np.ones_like(np.asarray(x, dtype=float)),
         lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-        lambda x: float(x),
+        lambda x: np.asarray(x, dtype=float),
         _FRESNEL_SERIES_CUT, u, tol=1e-13)
     return base + res.value
 

@@ -1,5 +1,6 @@
-"""Sweep helpers shared by the tests: a grid evaluator for the modified
-sawtooth and the fitted-constant convention of the acceptance suite."""
+"""Helpers shared by the tests: a grid evaluator for the modified sawtooth,
+the fitted-constant convention of the acceptance suite, and the recursive
+reference for the quadrature's batched pre-split."""
 
 import math
 from typing import Sequence
@@ -37,3 +38,14 @@ def fitted_constant(ratios: Sequence[float]) -> float:
 def split_fit(ratios: Sequence[float]) -> float:
     """Fit on the even-indexed half of a sweep (the odd half validates it)."""
     return fitted_constant(ratios[::2])
+
+
+def presplit_reference(phase_slope, lo: float, hi: float, depth: int = 0) -> list:
+    """The oracle's pre-split as a scalar depth-first recursion: [(lo, hi)]
+    pieces with width * max|phase'| <= 1 at their ends, or at depth 48."""
+    slope = max(abs(phase_slope(lo)), abs(phase_slope(hi)))
+    if (hi - lo) * slope <= 1.0 or depth >= 48:
+        return [(lo, hi)]
+    mid = 0.5 * (lo + hi)
+    return (presplit_reference(phase_slope, lo, mid, depth + 1)
+            + presplit_reference(phase_slope, mid, hi, depth + 1))

@@ -1,14 +1,23 @@
 import cmath
 import math
+import time
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vdcorput import quad
 from vdcorput.phase import builtin_family
 from vdcorput.quad import (derivative_test_bounds, fresnel_modified,
                            oscillatory_integral, oscillatory_integral_raw,
                            panel_integral, stationary_phase_estimate)
+
+from helpers import presplit_reference
+from test_quad_golden import POISSON_OP
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
 
@@ -90,6 +99,120 @@ def test_bounds_dominate_integral_randomly():
 
 
 # ---------------------------------------------------------------------------
+# the panel pre-split
+# ---------------------------------------------------------------------------
+
+def _counted(fn):
+    """fn, counting its calls in .calls"""
+    def wrapped(x):
+        wrapped.calls += 1
+        return fn(x)
+    wrapped.calls = 0
+    return wrapped
+
+
+def _recorded_presplits(monkeypatch, calls):
+    """Run calls() with quad._phase_pieces wrapped; returns one
+    (slope, edges, pieces, slope calls) record per pre-split."""
+    real = quad._phase_pieces
+    seen = []
+
+    def recording(phase_slope, edges, panel_cap):
+        counted = _counted(phase_slope)
+        los, his, resolved = real(counted, edges, panel_cap)
+        assert resolved
+        seen.append((phase_slope, edges.tolist(), list(zip(los.tolist(), his.tolist())), counted.calls))
+        return los, his, resolved
+
+    monkeypatch.setattr(quad, "_phase_pieces", recording)
+    calls()
+    return seen
+
+
+def _reference_pieces(phase_slope, edges):
+    # the slope sees a one-point array, as the batched split sees arrays
+    slope = lambda x: float(phase_slope(np.array([x]))[0])
+    return [p for lo, hi in zip(edges[:-1], edges[1:])
+            for p in presplit_reference(slope, lo, hi)]
+
+
+def test_presplit_matches_recursion_on_poisson_and_power_phase(monkeypatch):
+    op = POISSON_OP
+    model, _ = builtin_family("quadratic", op["params"], domain=tuple(op["domain"]))
+    power, _ = builtin_family("power_phase")
+
+    def calls():
+        for r in range(-op["R"], op["R"] + 1):
+            oscillatory_integral(model, float(r), op["a"], op["b"], op["tol"])
+        oscillatory_integral(power, 1.0, 6.0, 18.0, 1e-10)
+
+    seen = _recorded_presplits(monkeypatch, calls)
+    assert len(seen) == 66
+    assert sum(len(e) == 3 for _, e, _, _ in seen) > 0      # stationary splits ran
+    assert max(len(pieces) for _, _, pieces, _ in seen) > 1000
+    for slope, edges, pieces, ncalls in seen:
+        assert pieces == _reference_pieces(slope, edges)
+        assert ncalls <= 49         # one slope call per level, not two per node
+
+
+def test_presplit_depth_cap_matches_recursion():
+    # |slope| = 1/x is infinite at 0, so the first piece stops at depth 48
+    slope = lambda x: -1.0 / np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        los, his, resolved = quad._phase_pieces(slope, np.array([0.0, 1.0]), 10 ** 6)
+        want = _reference_pieces(slope, [0.0, 1.0])
+    assert resolved
+    assert list(zip(los.tolist(), his.tolist())) == want
+    assert want[0] == (0.0, 2.0 ** -48)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-50.0, 50.0), st.floats(1e-2, 3e3), st.floats(0.5, 2.5),
+       st.floats(-20.0, 20.0), st.floats(0.1, 40.0))
+def test_presplit_tiles_and_bounds_each_piece(shift, cycles, power, alpha, width):
+    # a monotone slope c sign(x - shift)|x - shift|^power, its zero at shift,
+    # scaled so that width * max|slope| = cycles
+    beta = alpha + width
+    c = cycles / (width * max(abs(alpha - shift), abs(beta - shift)) ** power)
+    slope = lambda x: c * np.sign(np.asarray(x) - shift) * np.abs(np.asarray(x) - shift) ** power
+    inside = alpha < shift < beta
+    edges = np.array([alpha, shift, beta] if inside else [alpha, beta])
+    counted = _counted(slope)
+    los, his, resolved = quad._phase_pieces(counted, edges, quad.DEFAULT_PANEL_CAP)
+    assert resolved and counted.calls <= 49
+    assert los[0] == alpha and his[-1] == beta
+    assert np.array_equal(his[:-1], los[1:])
+    assert np.all(los < his)
+    if inside:
+        assert shift in los
+    steep = np.maximum(np.abs(slope(los)), np.abs(slope(his)))
+    assert np.all(((his - los) * steep <= 1.0) | (his - los <= width * 2.0 ** -47))
+    assert list(zip(los.tolist(), his.tolist())) == _reference_pieces(slope, edges.tolist())
+
+
+@pytest.mark.parametrize("case", ["huge_r", "nan_slope"])
+def test_unresolvable_presplit_is_capped_and_unconverged(case):
+    # the r = 1e9 split needs about 3e10 pieces, a nan slope 2^48: both used
+    # to recurse without end
+    tracemalloc.start()
+    t0 = time.process_time()
+    try:
+        if case == "huge_r":
+            model, _ = builtin_family("quadratic", [0.38, 30.0], domain=(-100.0, 100.0))
+            res = oscillatory_integral(model, 1e9, 0.5, 30.5, 1e-9)
+        else:
+            res = oscillatory_integral_raw(ONE, lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
+                                           lambda x: np.full_like(x, np.nan), 0.0, 1.0, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.converged
+    assert res.panels <= quad.DEFAULT_PANEL_CAP
+    assert time.process_time() - t0 < 10.0
+    assert peak < 512 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
 # modified Fresnel
 # ---------------------------------------------------------------------------
 
@@ -101,7 +224,7 @@ def test_fresnel_zero_and_limit():
 
 def test_fresnel_against_internal_quadrature():
     ref = oscillatory_integral_raw(ONE, lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-                                   lambda x: float(x), 0.0, 1.0, 1e-13)
+                                   lambda x: np.asarray(x, dtype=float), 0.0, 1.0, 1e-13)
     assert abs(fresnel_modified(1.0) - ref.value) <= 1e-10
 
 
@@ -115,6 +238,16 @@ def test_fresnel_against_scipy(u):
     s, c = scipy.special.fresnel(math.sqrt(2.0) * u)
     ref = (c + 1j * s) / math.sqrt(2.0)
     assert abs(fresnel_modified(u) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("u", [31.9, 32.1, 100.0, 1000.0, 1e5, 1e9, 1e200])
+def test_fresnel_both_sides_of_the_asymptotic_cut_against_mpmath(u):
+    # past u = 32 the panels would grow as u^2 (more than the panel cap from
+    # about u = 500), so the tail comes from its asymptotic series
+    with mpmath.workdps(40):
+        x = mpmath.sqrt(2) * mpmath.mpf(u)
+        ref = complex((mpmath.fresnelc(x) + 1j * mpmath.fresnels(x)) / mpmath.sqrt(2))
+    assert abs(fresnel_modified(u) - ref) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
