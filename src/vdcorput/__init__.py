@@ -6,7 +6,7 @@ from .numutil import (NearestIntDecomp, TailAccuracyError, csum,
                       modified_sawtooth, modified_sawtooth_partial,
                       nearest_decomp, sawtooth_psi)
 from .phase import (ConditionMProfile, FamilyError, InversionRangeError,
-                    PhaseAmplitudeModel, builtin_family, invert_fprime)
+                    PhaseAmplitudeModel, builtin_family, family_model, invert_fprime)
 from .expsum import CurveSample, curve_samples, direct_starred_sum
 from .quad import (QuadResult, derivative_test_bounds, fresnel_modified,
                    oscillatory_integral, stationary_phase_estimate)
@@ -22,7 +22,7 @@ __all__ = [
     "modified_sawtooth", "modified_sawtooth_partial", "nearest_decomp",
     "sawtooth_psi",
     "ConditionMProfile", "FamilyError", "InversionRangeError",
-    "PhaseAmplitudeModel", "builtin_family", "invert_fprime",
+    "PhaseAmplitudeModel", "builtin_family", "family_model", "invert_fprime",
     "CurveSample", "curve_samples", "direct_starred_sum",
     "QuadResult", "derivative_test_bounds", "fresnel_modified",
     "oscillatory_integral", "stationary_phase_estimate",

@@ -537,12 +537,9 @@ def _delta3_integrand(model, profile, origin):
 
 
 def tail_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                a: float, b: float,
-                abar: Optional[float] = None, bbar: Optional[float] = None,
+                a: float, b: float, abar: Optional[float], bbar: Optional[float],
                 ) -> Tuple[float, float]:
     """(Delta3(a), Delta3(b)): tail integrals plus their boundary terms."""
-    if abar is None and bbar is None:
-        abar, bbar = abar_bbar(model, a, b, profile)
     d3a = 0.0
     if abar is not None:
         d3a = _quad(_delta3_integrand(model, profile, a), abar, b, "Delta3(a)") \

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .expsum import CurveSample, curve_samples, direct_starred_sum, write_curve_csv
 from .numutil import modified_sawtooth, nearest_decomp, sawtooth_psi
-from .phase import PhaseAmplitudeModel, builtin_family
+from .phase import PhaseAmplitudeModel, builtin_family, family_model
 from .transform import TransformOptions, budget_with_endpoints, full_transform, rhs_main_sum
 
 TWO_PI_I = 2j * math.pi
@@ -34,7 +34,7 @@ TWO_PI_I = 2j * math.pi
 
 def example_delta(n: int) -> complex:
     """Measured residual of the power-phase identity at upper limit n."""
-    model, _ = builtin_family("power_phase")
+    model = family_model("power_phase")
     lhs = direct_starred_sum(model, 1.0, float(n))
     rhs = rhs_main_sum(model, 1.0, float(n))
     return lhs - rhs.rhs_main
@@ -84,7 +84,7 @@ def example_regimes(n: int, psi_tol: float = 1e-6,
     measured = example_delta(n)
     u = math.sqrt(n / 12.0)
     dec = nearest_decomp(u)
-    if builtin_family("power_phase")[0].fprime_integer(n) is not None:
+    if family_model("power_phase").fprime_integer(n) is not None:
         resid = abs(measured - c_reference) if c_reference is not None else None
         return RegimeReport(n, 1, 0.0, measured, 0j, resid, n ** -0.5, c_reference)
     phase_f = np.exp(TWO_PI_I * (((n / 3.0) ** 1.5) % 1.0))
@@ -102,19 +102,18 @@ def example_regimes(n: int, psi_tol: float = 1e-6,
                         c_reference)
 
 
-def estimate_c(k_min: int, k_max: int, delta_fn=None) -> Tuple[complex, float]:
-    """Constant of the regime-1 residual sequence by a c + beta/k fit.
+def estimate_c(k_min: int, k_max: int) -> Tuple[complex, float]:
+    """Constant of the regime-1 residual sequence by a c + beta/k fit to the
+    measured residuals at 12 k^2, k_min <= k <= k_max.
 
     Returns (c, max absolute fit residual); a residual above 0.05 means the
     measured sequence is not settling like 1/k and is reported as a
-    diagnostic rather than silently accepted.  ``delta_fn`` (defaulting to
-    the measured residual at 12 k^2) exists for synthetic-sequence checks.
+    diagnostic rather than silently accepted.
     """
     if not (k_max > k_min >= 10):
         raise ValueError("need k_max > k_min >= 10")
-    fn = delta_fn or (lambda k: example_delta(12 * k * k))
     ks = np.arange(k_min, k_max + 1, dtype=float)
-    deltas = np.array([fn(int(k)) for k in ks])
+    deltas = np.array([example_delta(12 * k * k) for k in range(k_min, k_max + 1)])
     A = np.vstack([np.ones_like(ks), 1.0 / ks]).T
     cr, *_ = np.linalg.lstsq(A, deltas.real, rcond=None)
     ci, *_ = np.linalg.lstsq(A, deltas.imag, rcond=None)
@@ -159,12 +158,15 @@ def rounding_bound(model: PhaseAmplitudeModel, a: float, b: float) -> float:
     return 2.0 ** -53 * float(np.sum(terms))
 
 
-def ck_quadratic(omega: float, n: int, constant: float = 3.14) -> CKReport:
+CK_CONSTANT = 3.14  # the C of the Coutsias-Kazarinoff bound
+
+
+def ck_quadratic(omega: float, n: int) -> CKReport:
     """Check |S_N(omega) - e(sgn/8)/sqrt|omega| S_n(-1/omega)| <= C |N - n/omega|
-    with N the nearest integer to n/omega and S_K(w) the starred sum of
-    e(w k^2 / 2) over 0 <= k <= K.  The check allows for the float64 rounding
-    bound of the two sums on top of C |N - n/omega|, which is 0 when n/omega
-    is an integer."""
+    with C = CK_CONSTANT, N the nearest integer to n/omega and S_K(w) the
+    starred sum of e(w k^2 / 2) over 0 <= k <= K.  The check allows for the
+    float64 rounding bound of the two sums on top of C |N - n/omega|, which
+    is 0 when n/omega is an integer."""
     if not (0 < abs(omega) < 1):
         raise ValueError("omega must satisfy 0 < |omega| < 1")
     if n < 1:
@@ -172,12 +174,12 @@ def ck_quadratic(omega: float, n: int, constant: float = 3.14) -> CKReport:
     s = 1.0 if omega > 0 else -1.0
     m = abs(omega)
     big_n = nearest_decomp(n / m).nearest
-    q1, _ = builtin_family("quadratic", [m])
-    q2, _ = builtin_family("quadratic", [1.0 / m])
+    q1 = family_model("quadratic", [m])
+    q2 = family_model("quadratic", [1.0 / m])
     s1 = direct_starred_sum(q1, 0.0, float(big_n), conjugate=s < 0)
     s2 = direct_starred_sum(q2, 0.0, float(n), conjugate=s > 0)
     measured = abs(s1 - np.exp(TWO_PI_I * (s / 8.0)) / math.sqrt(m) * s2)
-    bound = constant * abs(big_n - n / m)
+    bound = CK_CONSTANT * abs(big_n - n / m)
     rounding = rounding_bound(q1, 0.0, big_n) + rounding_bound(q2, 0.0, n) / math.sqrt(m)
     return CKReport(omega, n, big_n, float(measured), float(bound), rounding,
                     bool(measured <= bound + rounding))
@@ -301,9 +303,9 @@ def ik_experiment(alpha: float, nu: float, n_scale: float, x_scale: float) -> IK
     mu = nu ** (alpha / beta)
     m_scale = x_scale / n_scale
 
-    model, _ = builtin_family("ik_monomial", [alpha, n_scale, x_scale])
+    model = family_model("ik_monomial", [alpha, n_scale, x_scale])
     lhs = direct_starred_sum(model, n_scale, nu * n_scale)
-    dual, _ = builtin_family("ik_monomial", [beta, m_scale, x_scale])
+    dual = family_model("ik_monomial", [beta, m_scale, x_scale])
     rhs = complex(np.exp(TWO_PI_I * 0.125)) * direct_starred_sum(
         dual, m_scale, mu * m_scale, conjugate=True)
     delta = lhs - rhs
@@ -348,13 +350,14 @@ def _dump_json(payload: dict, json_dir: Optional[str], name: str) -> None:
                                sort_keys=True, indent=2) + "\n")
 
 
-def _family_from_args(args) -> Tuple[PhaseAmplitudeModel, object]:
+def _family_from_args(args) -> Tuple[str, List[float], Optional[Tuple[float, float]]]:
+    """(name, params, domain) for family_model or builtin_family."""
     params = [float(t) for t in (args.params.split(",") if args.params else []) if t]
     domain = None
     if getattr(args, "domain", None):
         lo, hi = (float(t) for t in args.domain.split(","))
         domain = (lo, hi)
-    return builtin_family(args.family, params, domain=domain)
+    return args.family, params, domain
 
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -431,13 +434,13 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "sum":
-            model, _ = _family_from_args(args)
+            model = family_model(*_family_from_args(args))
             val = direct_starred_sum(model, args.a, args.b)
             print(f"{val.real:.12g} {val.imag:+.12g}i")
             _dump_json({"schema": "direct-sum/1", "value": {"re": val.real, "im": val.imag}},
                        args.json_dir, "sum.json")
         elif args.command == "transform":
-            model, profile = _family_from_args(args)
+            model, profile = builtin_family(*_family_from_args(args))
             res, budget = full_transform(model, profile, args.a, args.b,
                                          TransformOptions(psi_tol=args.psi_tol))
             payload = {**res.to_json(), "budget": budget.to_json(),
@@ -448,7 +451,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             _dump_json(payload, args.json_dir, "transform.json")
         elif args.command == "budget":
             from .errbudget import compute_budget
-            model, profile = _family_from_args(args)
+            model, profile = builtin_family(*_family_from_args(args))
             budget = compute_budget(model, profile, args.a, args.b)
             print(json.dumps(budget.to_json(), sort_keys=True, indent=2))
             _dump_json(budget.to_json(), args.json_dir, "budget.json")
@@ -487,7 +490,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             if not ok:
                 return 1
         elif args.command == "kl":
-            model, _ = _family_from_args(args)
+            model = family_model(*_family_from_args(args))
             rep = kusmin_landau_compare(model, args.a, args.b)
             print(f"theta={rep.theta:.4f} |sum|={rep.plain_abs:.4f} "
                   f"classical={rep.classical_bound:.4f} residual={rep.residual:.4f} "
@@ -501,7 +504,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                   f"|delta|={abs(rep.delta):.6g} scale={rep.scale:.4g} ratio={rep.ratio:.4g}")
             _dump_json(rep.to_json(), args.json_dir, "ik.json")
         elif args.command == "curve":
-            model, _ = _family_from_args(args)
+            model = family_model(*_family_from_args(args))
             samples = curve_samples(model, args.tmax, args.samples_per_unit)
             if args.csv:
                 path = Path(args.csv)

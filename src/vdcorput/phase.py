@@ -16,11 +16,11 @@ The built-in families mirror the classical test cases:
     oscillatory   f = alpha x^2 + beta sin(gamma x)/x, g = 1
     sine_amplitude f = (x/3)^(3/2),           g = sin(alpha x)
 
-Each family ships a local-regularity profile: functions M(x) (the radius on
-which f'' and g are nearly linear) and U(x) (the local amplitude scale) plus
-the associated constants.  The family scale factor in M is found by a
-decreasing search 1/2, 1/4, ... until the full inequality sweep passes on a
-representative interval.
+``builtin_family`` adds to ``family_model``'s model a local-regularity
+profile: functions M(x) (the radius on which f'' and g are nearly linear) and
+U(x) (the local amplitude scale) plus the associated constants.  Unless the
+caller fixes it, the scale factor in M is found on each call by a decreasing
+search 1/2, 1/4, ... until the inequality sweep passes on a set interval.
 """
 
 from __future__ import annotations
@@ -365,9 +365,6 @@ def _sine_amplitude_model(alpha: float, domain) -> PhaseAmplitudeModel:
     )
 
 
-_eps_cache: dict = {}
-
-
 def _search_epsilon(model, shape, U, interval) -> float:
     """Decreasing search eps in {1/2, 1/4, ..., 2^-20} until the inequality
     sweep passes."""
@@ -375,9 +372,7 @@ def _search_epsilon(model, shape, U, interval) -> float:
 
     eps = 0.5
     while eps >= 2.0 ** -20:
-        profile = _profile(shape, eps, U)
-        report = check_condition_M(model, profile, interval[0], interval[1])
-        if report.passed:
+        if check_condition_M(model, _profile(shape, eps, U), *interval).passed:
             return eps
         eps *= 0.5
     raise FamilyError("no scale factor in {1/2, 1/4, ...} satisfies the regularity sweep")
@@ -402,8 +397,8 @@ class _Family:
 
     ``build(*params, domain)`` makes the model; ``eps_name``, when set, names
     an optional trailing parameter that fixes the scale factor.  Otherwise
-    the factor is searched on ``interval(params, model)``, or, without an
-    interval, is the domain width.  U is g when ``u_is_g``, else 1.
+    the factor is searched on ``interval(model)``, or, without an interval,
+    is the domain width.  U is g when ``u_is_g``, else 1.
     """
 
     names: Tuple[str, ...]
@@ -411,30 +406,49 @@ class _Family:
     build: Callable[..., PhaseAmplitudeModel]
     shape: str
     u_is_g: bool = False
-    interval: Optional[Callable[[tuple, PhaseAmplitudeModel], Tuple[float, float]]] = None
+    interval: Optional[Callable[[PhaseAmplitudeModel], Tuple[float, float]]] = None
 
 
-def _exponential_interval(p, model):
+def _exponential_interval(model):
     # calibrate where f'' is moderate; the condition is shift-invariant in x
-    x0 = math.log(10.0 / (p[0] * math.log(p[1]) ** 2)) / math.log(p[1])
+    alpha, beta = model.params
+    x0 = math.log(10.0 / (alpha * math.log(beta) ** 2)) / math.log(beta)
     return x0, x0 + 3.0
 
 
 _FAMILIES = {
     "power_phase": _Family((), None, _power_phase_model, "linear",
-                           interval=lambda p, m: (100.0, 1200.0)),
+                           interval=lambda m: (100.0, 1200.0)),
     "quadratic": _Family(("omega",), "span", _quadratic_model, "const"),
     "ik_monomial": _Family(("alpha", "N", "X"), None, _ik_model, "linear", u_is_g=True,
-                           interval=lambda p, m: (p[1], 4.0 * p[1])),
+                           interval=lambda m: (m.params[1], 4.0 * m.params[1])),
     "exponential": _Family(("alpha", "beta"), None, _exponential_model, "const",
                            interval=_exponential_interval),
     "zeta_log": _Family(("sigma", "t"), None, _zeta_log_model, "linear", u_is_g=True,
-                        interval=lambda p, m: (50.0, 500.0)),
+                        interval=lambda m: (50.0, 500.0)),
     "oscillatory": _Family(("alpha", "beta", "gamma"), "eps", _oscillatory_model, "sqrt",
-                           interval=lambda p, m: (m.domain[0] + 10.0, m.domain[0] + 500.0)),
+                           interval=lambda m: (m.domain[0] + 10.0, m.domain[0] + 500.0)),
     "sine_amplitude": _Family(("alpha",), "eps", _sine_amplitude_model, "const",
-                              interval=lambda p, m: (100.0, 400.0)),
+                              interval=lambda m: (100.0, 400.0)),
 }
+
+
+def family_model(name: str, params: Sequence[float] = (),
+                 domain: Optional[Tuple[float, float]] = None) -> PhaseAmplitudeModel:
+    """Construct a named family's model, without its regularity profile.
+
+    ``params`` per family as for :func:`builtin_family`; a trailing scale
+    factor is accepted and ignored.
+    """
+    params = tuple(float(p) for p in params)
+    spec = _FAMILIES.get(name)
+    if spec is None:
+        raise FamilyError(f"unknown family {name!r}")
+    n = len(spec.names)
+    if len(params) != n and not (spec.eps_name and len(params) == n + 1):
+        optional = f"[, {spec.eps_name}]" if spec.eps_name else ""
+        raise FamilyError(f"{name} takes ({', '.join(spec.names)}{optional})")
+    return spec.build(*params[:n], domain)
 
 
 def builtin_family(name: str, params: Sequence[float] = (),
@@ -445,25 +459,15 @@ def builtin_family(name: str, params: Sequence[float] = (),
     ``params`` per family: power_phase (); quadratic (omega[, span]);
     ik_monomial (alpha, N, X); exponential (alpha, beta); zeta_log (sigma, t);
     oscillatory (alpha, beta, gamma[, eps]); sine_amplitude (alpha[, eps]).
-    Searched scale factors are cached per (name, params, domain).
+    Without the trailing factor, a searched family searches it on each call.
     """
-    params = tuple(float(p) for p in params)
-    spec = _FAMILIES.get(name)
-    if spec is None:
-        raise FamilyError(f"unknown family {name!r}")
-    n = len(spec.names)
-    if len(params) != n and not (spec.eps_name and len(params) == n + 1):
-        optional = f"[, {spec.eps_name}]" if spec.eps_name else ""
-        raise FamilyError(f"{name} takes ({', '.join(spec.names)}{optional})")
-    model = spec.build(*params[:n], domain)
+    model = family_model(name, params, domain)
+    spec = _FAMILIES[name]
     U = model.g if spec.u_is_g else _ones
-    if len(params) > n:
-        e = params[n]
+    if len(params) > len(spec.names):
+        e = float(params[-1])
     elif spec.interval is None:
         e = model.domain[1] - model.domain[0]
     else:
-        key = (name, params, model.domain)
-        if key not in _eps_cache:
-            _eps_cache[key] = _search_epsilon(model, spec.shape, U, spec.interval(params, model))
-        e = _eps_cache[key]
+        e = _search_epsilon(model, spec.shape, U, spec.interval(model))
     return model, _profile(spec.shape, e, U)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -88,11 +88,10 @@ def _phase_pieces(phase_slope, edges: np.ndarray, panel_cap: int):
 
 
 def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
-                   rel_tol: float = 0.0,
-                   panel_cap: int = DEFAULT_PANEL_CAP) -> QuadResult:
+                   rel_tol: float = 0.0) -> QuadResult:
     """integral of the vectorized ``fn`` (real or complex) over the panels
     [los[i], his[i]], refined until the estimate is at most
-    max(tol, rel_tol |value|).
+    max(tol, rel_tol |value|) or the panels reach ``DEFAULT_PANEL_CAP``.
 
     Each sweep bisects, in one batch, the panels carrying 95 % of the error
     estimate.  A sweep that cuts the estimate by less than 20 % has stalled.
@@ -107,7 +106,7 @@ def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
     vals, errs = _eval_panels(fn, los, his)
     stalled = 0
     prev_total = math.inf
-    while los.size < panel_cap:
+    while los.size < DEFAULT_PANEL_CAP:
         total = float(errs.sum())
         if not total > max(tol, rel_tol * abs(vals.sum())):
             break
@@ -139,17 +138,16 @@ def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
 
 def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Callable,
                              alpha: float, beta: float, tol: float,
-                             stationary: Optional[float] = None,
-                             panel_cap: int = DEFAULT_PANEL_CAP) -> QuadResult:
+                             stationary: Optional[float] = None) -> QuadResult:
     """integral of gfun(x) e(phase(x)) over [alpha, beta] by adaptive panels.
 
     ``gfun``, ``phase`` and ``phase_slope`` are vectorized: each takes an
     array of points and returns an array of the same shape (a scalar
     return is broadcast).  ``phase_slope`` must be monotone on the interval;
     ``stationary`` names its zero when one lies inside, so the pre-split
-    starts there.  A pre-split that would need more than ``panel_cap``
-    pieces (a steep or non-finite slope) stops there, and the result is
-    unconverged.
+    starts there.  A pre-split that would need more than
+    ``DEFAULT_PANEL_CAP`` pieces (a steep or non-finite slope) stops there,
+    and the result is nan and unconverged, with nothing evaluated.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -159,21 +157,19 @@ def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Calla
         edges = np.array([alpha, stationary, beta], dtype=float)
     else:
         edges = np.array([alpha, beta], dtype=float)
-    los, his, resolved = _phase_pieces(phase_slope, edges, panel_cap)
+    los, his, resolved = _phase_pieces(phase_slope, edges, DEFAULT_PANEL_CAP)
+    if not resolved:
+        return QuadResult(complex(math.nan, math.nan), math.inf, int(los.size), False)
 
     def integrand(x):
         ph = np.mod(np.asarray(phase(x), dtype=float), 1.0)
         return np.asarray(gfun(x), dtype=float) * np.exp(2j * np.pi * ph)
 
-    if resolved:
-        return panel_integral(integrand, los, his, tol, panel_cap=panel_cap)
-    # the pieces do not resolve the phase: evaluate them once, unrefined
-    return replace(panel_integral(integrand, los, his, tol, panel_cap=0), converged=False)
+    return panel_integral(integrand, los, his, tol)
 
 
 def oscillatory_integral(model: PhaseAmplitudeModel, r: float,
-                         alpha: float, beta: float, tol: float = 1e-10,
-                         panel_cap: int = DEFAULT_PANEL_CAP) -> QuadResult:
+                         alpha: float, beta: float, tol: float) -> QuadResult:
     """integral of g(x) e(f(x) - r x) over [alpha, beta]."""
     phase = lambda x: np.asarray(model.f(x), dtype=float) - r * np.asarray(x, dtype=float)
     slope = lambda x: np.asarray(model.f1(x), dtype=float) - r
@@ -182,7 +178,7 @@ def oscillatory_integral(model: PhaseAmplitudeModel, r: float,
     if fa < 0 < fb:
         stationary = invert_fprime(model, r)
     return oscillatory_integral_raw(model.g, phase, slope, alpha, beta, tol,
-                                    stationary=stationary, panel_cap=panel_cap)
+                                    stationary=stationary)
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def test_abar_absent_when_no_integer_slope():
     model, profile = builtin_family("quadratic", [0.8, 1.0], domain=(0.125, 1.125))
     abar, bbar = eb.abar_bbar(model, 0.125, 1.125, profile)
     assert abar is None and bbar is None
-    d3a, d3b = eb.tail_deltas(model, profile, 0.125, 1.125)
+    d3a, d3b = eb.tail_deltas(model, profile, 0.125, 1.125, abar, bbar)
     assert d3a == 0.0 and d3b == 0.0
 
 
@@ -538,7 +538,8 @@ def test_delta3_steep_edge_converges():
     model, profile = builtin_family("power_phase")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, d3b = eb.tail_deltas(model, profile, 1.0, 43202.0)
+        _, d3b = eb.tail_deltas(model, profile, 1.0, 43202.0,
+                                *eb.abar_bbar(model, 1.0, 43202.0, profile))
     assert d3b == pytest.approx(345789.99583, rel=1e-10)
 
 
@@ -546,7 +547,8 @@ def test_delta3_ik_small_against_amplitude():
     # the tail terms stay below the local amplitude scale for the monomial
     # family (the worked chain bounds them by U(a) up to a modest constant)
     model, profile = builtin_family("ik_monomial", [2.0, 100.0, 1e4])
-    d3a, d3b = eb.tail_deltas(model, profile, 100.0, 400.0)
+    d3a, d3b = eb.tail_deltas(model, profile, 100.0, 400.0,
+                              *eb.abar_bbar(model, 100.0, 400.0, profile))
     u_a = float(profile.U(100.0))
     assert d3a <= 5.0 * u_a
     assert d3b <= 5.0 * u_a

@@ -10,6 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from vdcorput import experiments
 from vdcorput.experiments import (CKReport, ck_quadratic, curve_svg,
                                   estimate_c, example_delta, example_regimes,
                                   ik_experiment, kusmin_landau_compare, rounding_bound,
@@ -55,17 +56,21 @@ def test_regime_three_prediction():
     assert rep.residual <= 0.1 * rep.bound  # the refined-bound constant is tiny
 
 
-def test_estimate_c_recovers_synthetic_sequence():
+def test_estimate_c_recovers_synthetic_sequence(monkeypatch):
     c0 = 0.4 - 0.7j
-    c, resid = estimate_c(20, 60, delta_fn=lambda k: c0 + (1.0 + 0.5j) / k)
+    monkeypatch.setattr(experiments, "example_delta",
+                        lambda n: c0 + (1.0 + 0.5j) / math.sqrt(n / 12))  # n = 12 k^2
+    c, resid = estimate_c(20, 60)
     assert abs(c - c0) <= 1e-12
     assert resid <= 1e-12
 
 
-def test_estimate_c_flags_non_cauchy_sequence():
+def test_estimate_c_flags_non_cauchy_sequence(monkeypatch):
     rng = np.random.default_rng(0)
+    monkeypatch.setattr(experiments, "example_delta",
+                        lambda n: complex(rng.normal(), rng.normal()))
     with pytest.raises(RuntimeError):
-        estimate_c(20, 60, delta_fn=lambda k: complex(rng.normal(), rng.normal()))
+        estimate_c(20, 60)
 
 
 def test_estimate_c_window_consistency():
@@ -122,8 +127,9 @@ def test_ck_integer_ratio_is_not_a_false_violation(omega, n):
     assert rep.passed
 
 
-def test_ck_still_reports_a_real_violation():
-    rep = ck_quadratic(0.7, 2, constant=1e-3)
+def test_ck_still_reports_a_real_violation(monkeypatch):
+    monkeypatch.setattr(experiments, "CK_CONSTANT", 1e-3)
+    rep = ck_quadratic(0.7, 2)
     assert rep.measured > rep.bound + rep.rounding_bound
     assert not rep.passed
 

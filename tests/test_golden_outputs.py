@@ -4,7 +4,8 @@ The recorded values live in ``golden_outputs.json`` next to this file.
 Refactors that claim "same outputs" are held to them:
 
 * families: the searched scale factor epsilon matches exactly, and M, M',
-  U, f and g''' agree to within one ulp on seven points per case;
+  U, f and g''' agree to within one ulp on seven points per case; the model
+  alone (``family_model``) matches without any scale-factor search;
 * CLI: every number agrees to within 1e-12 of its scale, max(1, |golden|);
   strings, integers, booleans and nulls agree exactly.
 
@@ -23,7 +24,7 @@ import pytest
 
 from vdcorput import phase
 from vdcorput.experiments import cli_main
-from vdcorput.phase import builtin_family
+from vdcorput.phase import builtin_family, family_model
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
@@ -67,7 +68,16 @@ CLI_CASES = [
      "curve.csv"),
 ]
 
+# the subcommands that keep no regularity profile
+PROFILE_FREE = [c for c in CLI_CASES
+                if c[0] in ("sum", "example", "estimate-c", "ck", "kl", "ik", "curve")]
+
 SAMPLED = ("M", "M_prime", "U", "f", "g3")
+MODEL_SAMPLED = ("f", "g3")
+
+
+def _sample(fn, xs):
+    return [float(v) for v in np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)]
 
 
 def family_record(name, params, domain, points):
@@ -79,8 +89,7 @@ def family_record(name, params, domain, points):
            "name": model.name, "params": list(model.params),
            "x": [float(x) for x in xs]}
     for key in SAMPLED:
-        rec[key] = [float(v) for v in np.broadcast_to(np.asarray(fns[key](xs), dtype=float),
-                                                      xs.shape)]
+        rec[key] = _sample(fns[key], xs)
     return rec
 
 
@@ -139,8 +148,7 @@ def test_family_matches_golden(case):
             assert abs(g - w) <= math.ulp(w), (key, g, w)
 
 
-@pytest.mark.parametrize("case", CLI_CASES, ids=[c[0] for c in CLI_CASES])
-def test_cli_matches_golden(case):
+def _check_cli(case):
     cid, argv, written = case
     want = _golden()["cli"][cid]
     got = cli_record(argv, written)
@@ -149,25 +157,41 @@ def test_cli_matches_golden(case):
     assert not mismatches, mismatches[:10]
 
 
+@pytest.mark.parametrize("case", CLI_CASES, ids=[c[0] for c in CLI_CASES])
+def test_cli_matches_golden(case):
+    _check_cli(case)
+
+
 def test_cli_cases_cover_every_subcommand():
     assert sorted(c[1][0] for c in CLI_CASES) == sorted(
         ["sum", "transform", "budget", "example", "estimate-c", "ck", "kl", "ik", "curve"])
 
 
-def test_second_oscillatory_call_reuses_the_searched_epsilon(monkeypatch):
-    monkeypatch.setattr(phase, "_eps_cache", {})
-    searches = []
-    real = phase._search_epsilon
+@pytest.fixture
+def no_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scale-factor search on a path that keeps no profile")
 
-    def counting(*args, **kwargs):
-        searches.append(1)
-        return real(*args, **kwargs)
+    monkeypatch.setattr(phase, "_search_epsilon", refuse)
 
-    monkeypatch.setattr(phase, "_search_epsilon", counting)
-    first = builtin_family("oscillatory", [1.0, 0.5, 2.0], domain=(10.0, 1e4))[1]
-    second = builtin_family("oscillatory", [1.0, 0.5, 2.0], domain=(10.0, 1e4))[1]
-    assert first.epsilon == second.epsilon
-    assert len(searches) == 1
+
+@pytest.mark.parametrize("case", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES])
+def test_family_model_matches_golden_without_a_search(case, no_search):
+    cid, name, params, domain, points = case
+    want = _golden()["families"][cid]
+    model = family_model(name, params, domain)
+    assert list(model.domain) == want["domain"]
+    assert model.name == want["name"]
+    assert list(model.params) == want["params"]
+    xs = np.array(want["x"])
+    for key in MODEL_SAMPLED:
+        for g, w in zip(_sample(getattr(model, key), xs), want[key]):
+            assert abs(g - w) <= math.ulp(w), (key, g, w)
+
+
+@pytest.mark.parametrize("case", PROFILE_FREE, ids=[c[0] for c in PROFILE_FREE])
+def test_profile_free_commands_run_no_search(case, no_search):
+    _check_cli(case)
 
 
 def record() -> None:

@@ -42,9 +42,10 @@ def test_power_phase_against_trapezoid_oracle():
     assert abs(got.value - oracle) <= 1e-8  # trapezoid itself is ~1e-10 here
 
 
-def test_unconverged_result_is_flagged():
+def test_unconverged_result_is_flagged(monkeypatch):
+    monkeypatch.setattr(quad, "DEFAULT_PANEL_CAP", 32)
     model, _ = builtin_family("power_phase")
-    res = oscillatory_integral(model, 3.0, 40.0, 400.0, 1e-12, panel_cap=32)
+    res = oscillatory_integral(model, 3.0, 40.0, 400.0, 1e-12)
     assert not res.converged
     assert res.abs_error_estimate > 1e-12
 
@@ -193,7 +194,7 @@ def test_presplit_tiles_and_bounds_each_piece(shift, cycles, power, alpha, width
 @pytest.mark.parametrize("case", ["huge_r", "nan_slope"])
 def test_unresolvable_presplit_is_capped_and_unconverged(case):
     # the r = 1e9 split needs about 3e10 pieces, a nan slope 2^48: both used
-    # to recurse without end
+    # to recurse without end, and then to evaluate every capped piece
     tracemalloc.start()
     t0 = time.process_time()
     try:
@@ -207,9 +208,10 @@ def test_unresolvable_presplit_is_capped_and_unconverged(case):
     finally:
         tracemalloc.stop()
     assert not res.converged
+    assert cmath.isnan(res.value)
     assert res.panels <= quad.DEFAULT_PANEL_CAP
-    assert time.process_time() - t0 < 10.0
-    assert peak < 512 * 2 ** 20
+    assert time.process_time() - t0 < 0.25
+    assert peak < 32 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
