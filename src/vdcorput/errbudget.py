@@ -175,7 +175,8 @@ def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
 
 @dataclass
 class WRFunctions:
-    """H, G, the branch functions W_pm / r_pm, W_0 / r_0, and derivatives.
+    """H, G, H^2 - G, the branches r_pm, and the (W, W', r') triples that the
+    K functionals of the pm branches and of the 0 branch integrate.
 
     Branches take sigma = +1 or -1.  All of them assume the point is inside
     the region where the branch is defined (g'' != 0 for the pm pair, H != 0
@@ -188,85 +189,54 @@ class WRFunctions:
         m = self.model
         return m.g(x) * m.f3(x) + 3.0 * m.g1(x) * m.f2(x)
 
-    def H_prime(self, x):
-        m = self.model
-        return 4.0 * m.g1(x) * m.f3(x) + 3.0 * m.g2(x) * m.f2(x) + m.g(x) * m.f4(x)
-
     def G(self, x):
         m = self.model
         return 12.0 * m.g(x) * m.g2(x) * m.f2(x) ** 2
 
-    def G_prime(self, x):
-        m = self.model
-        return 12.0 * (m.g1(x) * m.g2(x) * m.f2(x) ** 2
-                       + m.g(x) * m.g3(x) * m.f2(x) ** 2
-                       + 2.0 * m.g(x) * m.g2(x) * m.f2(x) * m.f3(x))
-
     def discriminant(self, x):
         return self.H(x) ** 2 - self.G(x)
 
-    # --- pm branches ---------------------------------------------------
-
-    def _P(self, x, sigma):
-        return self.H(x) + sigma * np.sqrt(self.discriminant(x))
-
-    def _P_prime(self, x, sigma):
-        S = np.sqrt(self.discriminant(x))
-        return self.H_prime(x) + sigma * (2.0 * self.H(x) * self.H_prime(x)
-                                          - self.G_prime(x)) / (2.0 * S)
-
     def r_branch(self, x, sigma):
         m = self.model
-        return m.f1(x) - self._P(x, sigma) / (2.0 * m.g2(x))
+        P = self.H(x) + sigma * np.sqrt(self.discriminant(x))
+        return m.f1(x) - P / (2.0 * m.g2(x))
 
-    def r_branch_prime(self, x, sigma):
-        m = self.model
-        P, Pp = self._P(x, sigma), self._P_prime(x, sigma)
-        g2, g3 = m.g2(x), m.g3(x)
-        return m.f2(x) - (Pp / (2.0 * g2) - P * g3 / (2.0 * g2 ** 2))
+    # --- (W, W', r') of a K functional, from one derivative jet ----------
 
-    def W_branch(self, x, sigma):
+    def pm_terms(self, x, sigma):
+        """(W_sigma, W_sigma', r_sigma') at x; g, g', g'', g''', f'', f'''
+        and f'''' are each evaluated once."""
         m = self.model
-        P = self._P(x, sigma)
-        g1, g2 = m.g1(x), m.g2(x)
-        return (2.0 * g2) ** 2 * g1 / P ** 2 - (2.0 * g2) ** 3 * m.f2(x) * m.g(x) / P ** 3
-
-    def W_branch_prime(self, x, sigma):
-        m = self.model
-        P, Pp = self._P(x, sigma), self._P_prime(x, sigma)
         g, g1, g2, g3 = m.g(x), m.g1(x), m.g2(x), m.g3(x)
-        f2, f3 = m.f2(x), m.f3(x)
+        f2, f3, f4 = m.f2(x), m.f3(x), m.f4(x)
+        H = g * f3 + 3.0 * g1 * f2
+        Hp = 4.0 * g1 * f3 + 3.0 * g2 * f2 + g * f4
+        G = 12.0 * g * g2 * f2 ** 2
+        Gp = 12.0 * (g1 * g2 * f2 ** 2 + g * g3 * f2 ** 2 + 2.0 * g * g2 * f2 * f3)
+        S = np.sqrt(H ** 2 - G)
+        P = H + sigma * S
+        Pp = Hp + sigma * (2.0 * H * Hp - Gp) / (2.0 * S)
+        W = (2.0 * g2) ** 2 * g1 / P ** 2 - (2.0 * g2) ** 3 * f2 * g / P ** 3
         A_p = (8.0 * g2 * g3 * g1 + 4.0 * g2 ** 3) / P ** 2 \
             - 8.0 * g2 ** 2 * g1 * Pp / P ** 3
         B_p = 8.0 * (3.0 * g2 ** 2 * g3 * f2 * g + g2 ** 3 * f3 * g + g2 ** 3 * f2 * g1) / P ** 3 \
             - 24.0 * g2 ** 3 * f2 * g * Pp / P ** 4
-        return A_p - B_p
+        r_p = f2 - (Pp / (2.0 * g2) - P * g3 / (2.0 * g2 ** 2))
+        return W, A_p - B_p, r_p
 
-    # --- zero branch (g'' identically zero) -----------------------------
-
-    def r0(self, x):
+    def zero_terms(self, x):
+        """(W_0, W_0', r_0') at x; g, g', g'', f'', f''' and f'''' are each
+        evaluated once (the 0 branch needs no g''')."""
         m = self.model
-        return m.f1(x) - 3.0 * m.g(x) * m.f2(x) ** 2 / self.H(x)
-
-    def r0_prime(self, x):
-        m = self.model
-        H, Hp = self.H(x), self.H_prime(x)
-        g, g1 = m.g(x), m.g1(x)
-        f2, f3 = m.f2(x), m.f3(x)
-        num = (g1 * f2 ** 2 + 2.0 * g * f2 * f3) * H - g * f2 ** 2 * Hp
-        return f2 - 3.0 * num / H ** 2
-
-    def W0(self, x):
-        m = self.model
-        return -self.H(x) ** 2 * m.f3(x) / (27.0 * m.g(x) * m.f2(x) ** 5)
-
-    def W0_prime(self, x):
-        m = self.model
-        H, Hp = self.H(x), self.H_prime(x)
-        g, g1 = m.g(x), m.g1(x)
+        g, g1, g2 = m.g(x), m.g1(x), m.g2(x)
         f2, f3, f4 = m.f2(x), m.f3(x), m.f4(x)
-        return (-(2.0 * H * Hp * f3 + H ** 2 * f4) / (27.0 * g * f2 ** 5)
-                + H ** 2 * f3 * (g1 * f2 + 5.0 * g * f3) / (27.0 * g ** 2 * f2 ** 6))
+        H = g * f3 + 3.0 * g1 * f2
+        Hp = 4.0 * g1 * f3 + 3.0 * g2 * f2 + g * f4
+        W = -H ** 2 * f3 / (27.0 * g * f2 ** 5)
+        W_p = (-(2.0 * H * Hp * f3 + H ** 2 * f4) / (27.0 * g * f2 ** 5)
+               + H ** 2 * f3 * (g1 * f2 + 5.0 * g * f3) / (27.0 * g ** 2 * f2 ** 6))
+        num = (g1 * f2 ** 2 + 2.0 * g * f2 * f3) * H - g * f2 ** 2 * Hp
+        return W, W_p, f2 - 3.0 * num / H ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -430,45 +400,57 @@ def _quad(fn, lo: float, hi: float, what: str, points: Sequence[float] = ()) -> 
 _KAPPA_SCAN = 4096
 
 
-def _resolved_zeros(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> List[float]:
-    """Sign changes of fn on the scan xs; none when the scan does not resolve fn,
-    because two adjacent gaps both change sign or a probe a third into some gap
-    (off the midpoint, where aliasing can repeat) shows two changes inside it."""
-    v = np.asarray(fn(xs), dtype=float)
+def _resolved_zeros(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
+                    v: np.ndarray, probe: np.ndarray) -> List[float]:
+    """Sign changes of fn on the scan xs, given v = fn(xs) and probe = fn a
+    third into each gap; none when the scan does not resolve fn, because two
+    adjacent gaps both change sign or a probe (off the midpoint, where aliasing
+    can repeat) shows two changes inside its gap."""
+    v = np.asarray(v, dtype=float)
     neg = v < 0
-    probe = np.asarray(fn(xs[:-1] + (xs[1:] - xs[:-1]) / 3.0)) < 0
+    probe = np.asarray(probe) < 0
     flip = neg[:-1] != neg[1:]
     if np.any(flip[:-1] & flip[1:]) or np.any((neg[:-1] != probe) & (probe != neg[1:])):
         return []
     return sign_change_roots(fn, xs, v)
 
 
-def kappa_functional(W: Callable[[float], float], W_prime: Callable[[float], float],
-                     r_prime: Callable[[float], float],
-                     intervals: Sequence[Tuple[float, float]],
-                     isolated: Sequence[float],
-                     boundaries: Sequence[float]) -> float:
+def kappa_functional(terms: Callable, intervals: Sequence[Tuple[float, float]],
+                     isolated: Sequence[float], boundaries: Sequence[float]) -> float:
     """K(I, W, r): variation integral plus isolated-point and boundary terms.
 
-    Sign changes of r' are located by scanning each interval and bisecting;
-    each contributes |s(x) W(x)|, as does each interval boundary.  The
-    integrand |W||r'| + |W'| has kinks at the zeros of r', W and W', and
-    the quadrature panels break at all of them that the scan resolves.
+    ``terms(x)`` gives (W, W', r') at x, array or scalar, from one evaluation
+    of the model's derivatives (``WRFunctions.pm_terms`` or ``zero_terms``).
+    Each interval is scanned once, at 4 096 points and a third into each gap.
+    Sign changes of r' are located on the scan and bisected; each contributes
+    |s(x) W(x)|, as does each interval boundary.  The integrand
+    |W||r'| + |W'| has kinks at the zeros of r', W and W', and the quadrature
+    panels break at all of them that the scan resolves.
     """
+    def part(k):
+        return lambda t: terms(t)[k]
+
+    def integrand(t):
+        W, W_p, r_p = terms(t)
+        return np.abs(W) * np.abs(r_p) + np.abs(W_p)
+
     total = 0.0
     sign_changes: List[float] = []
     for x0, x1 in intervals:
         pad = (x1 - x0) * 1e-9
         xs = np.linspace(x0 + pad, x1 - pad, _KAPPA_SCAN)
-        roots = sign_change_roots(r_prime, xs, r_prime(xs))
+        W, W_p, r_p = terms(xs)
+        probe_W, probe_W_p, _ = terms(xs[:-1] + (xs[1:] - xs[:-1]) / 3.0)
+        roots = sign_change_roots(part(2), xs, r_p)
         sign_changes.extend(roots)
-        kinks = _resolved_zeros(W, xs) + _resolved_zeros(W_prime, xs)
-        integrand = lambda t: np.abs(W(t)) * np.abs(r_prime(t)) + np.abs(W_prime(t))
+        kinks = (_resolved_zeros(part(0), xs, W, probe_W)
+                 + _resolved_zeros(part(1), xs, W_p, probe_W_p))
         total += _quad(integrand, x0 + pad, x1 - pad, "K functional", roots + kinks)
+    # one point at a time, as numpy's array pow can differ from libm's in the last bit
     for x in isolated:
-        total += abs(W(x))
+        total += abs(terms(x)[0])
     for x in list(sign_changes) + list(boundaries):
-        total += abs(sawtooth_s(x) * W(x))
+        total += abs(sawtooth_s(x) * terms(x)[0])
     return total
 
 
@@ -594,14 +576,11 @@ def _k_terms(model: PhaseAmplitudeModel,
     """(kappa_0, kappa_+, kappa_-, J_null sum): the K functionals over J_0 and
     both branches of J_pm, and the isolated amplitude-zero sum."""
     wr = WRFunctions(model)
-    k0 = kappa_functional(wr.W0, wr.W0_prime, wr.r0_prime,
-                          partition.j0, partition.j0_isolated, partition.boundary_0)
-    kp = kappa_functional(lambda x: wr.W_branch(x, +1), lambda x: wr.W_branch_prime(x, +1),
-                          lambda x: wr.r_branch_prime(x, +1),
-                          partition.jpm, partition.jpm_isolated, partition.boundary_pm)
-    km = kappa_functional(lambda x: wr.W_branch(x, -1), lambda x: wr.W_branch_prime(x, -1),
-                          lambda x: wr.r_branch_prime(x, -1),
-                          partition.jpm, partition.jpm_isolated, partition.boundary_pm)
+    k0 = kappa_functional(wr.zero_terms, partition.j0, partition.j0_isolated,
+                          partition.boundary_0)
+    kp, km = (kappa_functional(lambda x, s=sigma: wr.pm_terms(x, s), partition.jpm,
+                               partition.jpm_isolated, partition.boundary_pm)
+              for sigma in (+1, -1))
     jn = 0.0
     for x in partition.jnull:
         jn += abs(float(model.g2(x)) ** 2 / (float(model.g1(x)) * float(model.f2(x)) ** 2))

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .expsum import _reduced_angle
 from .numutil import csum
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 
@@ -50,12 +51,13 @@ def _eval_panels(fn, los: np.ndarray, his: np.ndarray):
 def _phase_pieces(phase_slope, edges: np.ndarray, panel_cap: int):
     """Pre-split [edges[0], edges[-1]] so width * max|phase'| <= 1 on each
     piece (the slope is monotone, so its ends bound it; a nan end bounds
-    nothing), or the piece sits at depth 48.  Returns (los, his, resolved),
-    sorted by lo.
+    nothing), or the piece sits at depth 48.  Returns (los, his, pieces),
+    sorted by lo, with pieces = los.size.
 
     All pieces of one level are tested in one batch, and phase_slope sees
     each new midpoint once, in one array per level.  A level that would
-    make more than panel_cap pieces is not split; resolved is then False.
+    make more than panel_cap pieces is not split; then los and his are None
+    and pieces counts the pieces so far, that level's unsplit ones included.
     """
     def speed(x):
         return np.abs(np.broadcast_to(np.asarray(phase_slope(x), dtype=float), x.shape))
@@ -63,7 +65,7 @@ def _phase_pieces(phase_slope, edges: np.ndarray, panel_cap: int):
     s = speed(edges)
     lo, hi, slo, shi = edges[:-1], edges[1:], s[:-1], s[1:]
     done_lo, done_hi = [], []
-    count, resolved = 0, True
+    count = 0
     for depth in range(49):
         keep = ((hi - lo) * np.maximum(slo, shi) <= 1.0) | (depth >= 48)
         done_lo.append(lo[keep])
@@ -73,10 +75,7 @@ def _phase_pieces(phase_slope, edges: np.ndarray, panel_cap: int):
         if not split.any():
             break
         if count + 2 * int(split.sum()) > panel_cap:
-            done_lo.append(lo[split])
-            done_hi.append(hi[split])
-            resolved = False
-            break
+            return None, None, count + int(split.sum())
         lo, hi, slo, shi = lo[split], hi[split], slo[split], shi[split]
         mid = 0.5 * (lo + hi)
         smid = speed(mid)
@@ -84,7 +83,7 @@ def _phase_pieces(phase_slope, edges: np.ndarray, panel_cap: int):
         slo, shi = np.concatenate([slo, smid]), np.concatenate([smid, shi])
     los, his = np.concatenate(done_lo), np.concatenate(done_hi)
     order = np.lexsort((his, los))
-    return los[order], his[order], resolved
+    return los[order], his[order], count
 
 
 def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
@@ -136,6 +135,23 @@ def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
     return QuadResult(value, total_err, int(los.size), converged)
 
 
+def _amplitude_e(g, f) -> np.ndarray:
+    """g e(f) as g cos 2 pi {f} + i g sin 2 pi {f}, with {f} = f - floor(f).
+
+    For every nonzero g these are the bits of g * exp(2j pi mod(f, 1)),
+    without its complex angle array: the complex product adds 0 cos to the
+    imaginary part, which turns the -0 of a negative g at an integral f into
+    +0, and so does the + 0.0 here.  A zero g gives a zero of either sign.
+    """
+    th = _reduced_angle(np.asarray(f, dtype=float))
+    g = np.asarray(g, dtype=float)
+    out = np.empty(np.broadcast_shapes(g.shape, th.shape), dtype=complex)
+    np.multiply(g, np.cos(th), out=out.real)
+    np.multiply(g, np.sin(th), out=out.imag)
+    out.imag += 0.0
+    return out
+
+
 def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Callable,
                              alpha: float, beta: float, tol: float,
                              stationary: Optional[float] = None) -> QuadResult:
@@ -157,15 +173,11 @@ def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Calla
         edges = np.array([alpha, stationary, beta], dtype=float)
     else:
         edges = np.array([alpha, beta], dtype=float)
-    los, his, resolved = _phase_pieces(phase_slope, edges, DEFAULT_PANEL_CAP)
-    if not resolved:
-        return QuadResult(complex(math.nan, math.nan), math.inf, int(los.size), False)
+    los, his, pieces = _phase_pieces(phase_slope, edges, DEFAULT_PANEL_CAP)
+    if los is None:
+        return QuadResult(complex(math.nan, math.nan), math.inf, pieces, False)
 
-    def integrand(x):
-        ph = np.mod(np.asarray(phase(x), dtype=float), 1.0)
-        return np.asarray(gfun(x), dtype=float) * np.exp(2j * np.pi * ph)
-
-    return panel_integral(integrand, los, his, tol)
+    return panel_integral(lambda x: _amplitude_e(gfun(x), phase(x)), los, his, tol)
 
 
 def oscillatory_integral(model: PhaseAmplitudeModel, r: float,

@@ -1,12 +1,15 @@
 """Helpers shared by the tests: a grid evaluator for the modified sawtooth,
-the fitted-constant convention of the acceptance suite, and the recursive
-reference for the quadrature's batched pre-split."""
+the fitted-constant convention of the acceptance suite, the recursive
+reference for the quadrature's batched pre-split, and the one-function-per-
+call critical-point formulas that the derivative jets of the K functionals
+replaced."""
 
 import math
 from typing import Sequence
 
 import numpy as np
 
+from vdcorput.errbudget import WRFunctions
 from vdcorput.numutil import TWO_PI, floor_frac
 
 
@@ -49,3 +52,79 @@ def presplit_reference(phase_slope, lo: float, hi: float, depth: int = 0) -> lis
     mid = 0.5 * (lo + hi)
     return (presplit_reference(phase_slope, lo, mid, depth + 1)
             + presplit_reference(phase_slope, mid, hi, depth + 1))
+
+
+class ReferenceWR(WRFunctions):
+    """W, W', r and r' of both critical-point branches, one function per
+    call, each rebuilding H, G and P from fresh model calls: the formulas
+    that ``WRFunctions.pm_terms`` and ``zero_terms`` evaluate from one
+    derivative jet, kept as their reference."""
+
+    def H_prime(self, x):
+        m = self.model
+        return 4.0 * m.g1(x) * m.f3(x) + 3.0 * m.g2(x) * m.f2(x) + m.g(x) * m.f4(x)
+
+    def G_prime(self, x):
+        m = self.model
+        return 12.0 * (m.g1(x) * m.g2(x) * m.f2(x) ** 2
+                       + m.g(x) * m.g3(x) * m.f2(x) ** 2
+                       + 2.0 * m.g(x) * m.g2(x) * m.f2(x) * m.f3(x))
+
+    # --- pm branches ---------------------------------------------------
+
+    def _P(self, x, sigma):
+        return self.H(x) + sigma * np.sqrt(self.discriminant(x))
+
+    def _P_prime(self, x, sigma):
+        S = np.sqrt(self.discriminant(x))
+        return self.H_prime(x) + sigma * (2.0 * self.H(x) * self.H_prime(x)
+                                          - self.G_prime(x)) / (2.0 * S)
+
+    def r_branch_prime(self, x, sigma):
+        m = self.model
+        P, Pp = self._P(x, sigma), self._P_prime(x, sigma)
+        g2, g3 = m.g2(x), m.g3(x)
+        return m.f2(x) - (Pp / (2.0 * g2) - P * g3 / (2.0 * g2 ** 2))
+
+    def W_branch(self, x, sigma):
+        m = self.model
+        P = self._P(x, sigma)
+        g1, g2 = m.g1(x), m.g2(x)
+        return (2.0 * g2) ** 2 * g1 / P ** 2 - (2.0 * g2) ** 3 * m.f2(x) * m.g(x) / P ** 3
+
+    def W_branch_prime(self, x, sigma):
+        m = self.model
+        P, Pp = self._P(x, sigma), self._P_prime(x, sigma)
+        g, g1, g2, g3 = m.g(x), m.g1(x), m.g2(x), m.g3(x)
+        f2, f3 = m.f2(x), m.f3(x)
+        A_p = (8.0 * g2 * g3 * g1 + 4.0 * g2 ** 3) / P ** 2 \
+            - 8.0 * g2 ** 2 * g1 * Pp / P ** 3
+        B_p = 8.0 * (3.0 * g2 ** 2 * g3 * f2 * g + g2 ** 3 * f3 * g + g2 ** 3 * f2 * g1) / P ** 3 \
+            - 24.0 * g2 ** 3 * f2 * g * Pp / P ** 4
+        return A_p - B_p
+
+    # --- zero branch (g'' identically zero) -----------------------------
+
+    def r0(self, x):
+        m = self.model
+        return m.f1(x) - 3.0 * m.g(x) * m.f2(x) ** 2 / self.H(x)
+
+    def r0_prime(self, x):
+        m = self.model
+        H, Hp = self.H(x), self.H_prime(x)
+        g, g1 = m.g(x), m.g1(x)
+        f2, f3 = m.f2(x), m.f3(x)
+        num = (g1 * f2 ** 2 + 2.0 * g * f2 * f3) * H - g * f2 ** 2 * Hp
+        return f2 - 3.0 * num / H ** 2
+
+    def W0(self, x):
+        m = self.model
+        return -self.H(x) ** 2 * m.f3(x) / (27.0 * m.g(x) * m.f2(x) ** 5)
+
+    def W0_prime(self, x):
+        m = self.model
+        H, Hp = self.H(x), self.H_prime(x)
+        g, g1 = m.g(x), m.g1(x)
+        f2, f3, f4 = m.f2(x), m.f3(x), m.f4(x)
+        return (-(2.0 * H * Hp * f3 + H ** 2 * f4) / (27.0 * g * f2 ** 5)
+                + H ** 2 * f3 * (g1 * f2 + 5.0 * g * f3) / (27.0 * g ** 2 * f2 ** 6))

@@ -8,7 +8,9 @@ from scipy import integrate, optimize
 
 from vdcorput import errbudget as eb
 from vdcorput.phase import (ConditionMProfile, PhaseAmplitudeModel,
-                            builtin_family)
+                            builtin_family, family_model)
+
+from helpers import ReferenceWR
 
 SQ6 = math.sqrt(6.0)
 SQ37 = math.sqrt(37.0)
@@ -273,16 +275,18 @@ def test_wr_closed_forms_match_printed_values():
         r_want = 12.0 * (11.0 + sigma * 2.0 * SQ37) * x * x
         assert float(wr.r_branch(x, sigma)) == pytest.approx(r_want, rel=1e-10)
         w_want = (SQ37 + sigma * 7.0) / (96.0 * SQ6 * (SQ37 + sigma * 5.0) ** 3) * x ** -4.5
-        assert float(wr.W_branch(x, sigma)) == pytest.approx(w_want, rel=1e-10)
+        assert float(wr.pm_terms(x, sigma)[0]) == pytest.approx(w_want, rel=1e-10)
 
 
 def test_w0_r0_closed_forms_power_phase():
     model, _ = builtin_family("power_phase")
     wr = eb.WRFunctions(model)
     for x in (3.0, 57.0, 980.0):
-        assert float(wr.W0(x)) == pytest.approx(2.0 / (9.0 * x * x), rel=1e-12)
-        assert float(wr.r0(x)) == pytest.approx(2.0 * math.sqrt(x / 3.0), rel=1e-12)
-        assert float(wr.r0_prime(x)) > 0.0
+        W0, _, r0_prime = wr.zero_terms(x)
+        assert float(W0) == pytest.approx(2.0 / (9.0 * x * x), rel=1e-12)
+        assert float(ReferenceWR(model).r0(x)) == pytest.approx(2.0 * math.sqrt(x / 3.0),
+                                                                 rel=1e-12)
+        assert float(r0_prime) > 0.0
 
 
 def test_pointwise_identities_on_grid():
@@ -295,6 +299,62 @@ def test_pointwise_identities_on_grid():
     G = np.asarray(wr.G(xs))
     want_g = 12.0 * model.g(xs) * model.g2(xs) * model.f2(xs) ** 2
     assert np.max(np.abs(G - want_g) / np.abs(want_g)) < 1e-10
+
+
+JET_CASES = [("ik_monomial", [7.0, 100.0, 1e4], 100.0, 400.0),
+             ("sine_amplitude", [0.01], 100.0, 400.0),
+             ("zeta_log", [0.5, 1e4], 50.0, 500.0),
+             ("power_phase", [], 1.0, 2e4),
+             ("oscillatory", [1.0, 1.0, 1.0], 100.0, 200.0)]
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("family,params,lo,hi", JET_CASES, ids=[c[0] for c in JET_CASES])
+def test_jets_equal_the_per_function_formulas_bit_for_bit(family, params, lo, hi):
+    model = family_model(family, params)
+    wr, ref = eb.WRFunctions(model), ReferenceWR(model)
+    xs = np.linspace(lo, hi, 1001)
+    refs = {+1: lambda x: (ref.W_branch(x, +1), ref.W_branch_prime(x, +1), ref.r_branch_prime(x, +1)),
+            -1: lambda x: (ref.W_branch(x, -1), ref.W_branch_prime(x, -1), ref.r_branch_prime(x, -1)),
+            0: lambda x: (ref.W0(x), ref.W0_prime(x), ref.r0_prime(x))}
+    jets = {+1: lambda x: wr.pm_terms(x, +1), -1: lambda x: wr.pm_terms(x, -1), 0: wr.zero_terms}
+    with np.errstate(all="ignore"):
+        for branch, jet in jets.items():
+            for got, want in zip(jet(xs), refs[branch](xs)):
+                assert _bits(got) == _bits(want), branch
+            # scalars stay scalars: one point goes through the scalar arithmetic
+            for x in xs[::97].tolist():
+                for got, want in zip(jet(x), refs[branch](x)):
+                    assert np.ndim(got) == 0 and _bits(got) == _bits(want), (branch, x)
+
+
+def test_one_jet_evaluates_each_derivative_once():
+    base = example_rhs_model()
+    calls = dict.fromkeys(("f", "f1", "f2", "f3", "f4", "g", "g1", "g2", "g3"), 0)
+
+    def counted(name):
+        fn = getattr(base, name)
+
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapped
+
+    model = PhaseAmplitudeModel(**{name: counted(name) for name in calls},
+                                domain=base.domain)
+    wr = eb.WRFunctions(model)
+    for x in (2.7, np.linspace(0.5, 60.0, 64)):
+        calls.update(dict.fromkeys(calls, 0))
+        wr.pm_terms(x, +1)
+        assert calls == {"f": 0, "f1": 0, "f2": 1, "f3": 1, "f4": 1,
+                         "g": 1, "g1": 1, "g2": 1, "g3": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        wr.zero_terms(x)
+        assert calls == {"f": 0, "f1": 0, "f2": 1, "f3": 1, "f4": 1,
+                         "g": 1, "g1": 1, "g2": 1, "g3": 0}
 
 
 def test_branch_root_identity():
@@ -313,15 +373,14 @@ def test_branch_root_identity():
 def test_wr_derivative_formulas_against_finite_differences():
     model = example_rhs_model()
     wr = eb.WRFunctions(model)
-    pairs = [
-        (lambda t: wr.W_branch(t, +1), lambda t: wr.W_branch_prime(t, +1)),
-        (lambda t: wr.W_branch(t, -1), lambda t: wr.W_branch_prime(t, -1)),
-        (lambda t: wr.r_branch(t, +1), lambda t: wr.r_branch_prime(t, +1)),
-        (lambda t: wr.r_branch(t, -1), lambda t: wr.r_branch_prime(t, -1)),
-    ]
+    pairs = []
+    for s in (+1, -1):
+        pairs += [(lambda t, s=s: wr.pm_terms(t, s)[0], lambda t, s=s: wr.pm_terms(t, s)[1]),
+                  (lambda t, s=s: wr.r_branch(t, s), lambda t, s=s: wr.pm_terms(t, s)[2])]
     power, _ = builtin_family("power_phase")
     wr0 = eb.WRFunctions(power)
-    pairs += [(wr0.W0, wr0.W0_prime), (wr0.r0, wr0.r0_prime)]
+    pairs += [(lambda t: wr0.zero_terms(t)[0], lambda t: wr0.zero_terms(t)[1]),
+              (ReferenceWR(power).r0, lambda t: wr0.zero_terms(t)[2])]
     for fn, dfn in pairs:
         for x in (5.0, 13.0, 41.0):
             h = 1e-5 * x
@@ -583,11 +642,8 @@ def test_kappa_ik_magnitude_chain():
         wr = eb.WRFunctions(model)
         total = 0.0
         for sigma in (+1, -1):
-            total += eb.kappa_functional(
-                lambda x, s=sigma: wr.W_branch(x, s),
-                lambda x, s=sigma: wr.W_branch_prime(x, s),
-                lambda x, s=sigma: wr.r_branch_prime(x, s),
-                part.jpm, part.jpm_isolated, part.boundary_pm)
+            total += eb.kappa_functional(lambda x, s=sigma: wr.pm_terms(x, s),
+                                         part.jpm, part.jpm_isolated, part.boundary_pm)
         ratios.append(total / (math.sqrt(n_scale) / x_scale))
     fitted = max(ratios[::2])
     assert all(r <= 2.0 * fitted for r in ratios)
@@ -604,8 +660,7 @@ def test_kappa_j0_with_many_break_points_against_piecewise_quad(a, b, n_roots, r
     model, profile = builtin_family("oscillatory", [1.0, 1.0, 1.0])
     part = eb.partition_assumptions(model, a, b, profile=profile)
     wr = eb.WRFunctions(model)
-    got = eb.kappa_functional(wr.W0, wr.W0_prime, wr.r0_prime,
-                              part.j0, part.j0_isolated, part.boundary_0)
+    got = eb.kappa_functional(wr.zero_terms, part.j0, part.j0_isolated, part.boundary_0)
 
     # g = 1, so H = f3, H' = f4 and the branch functions reduce to
     # W0 = -f3^3 / (27 f2^5), W0' = (5 f3^4 - 3 f2 f3^2 f4) / (27 f2^6) and
@@ -652,16 +707,22 @@ def test_kappa_j0_with_many_break_points_against_piecewise_quad(a, b, n_roots, r
     assert got == pytest.approx(want, rel=rel)
 
 
+def _resolved_zeros(fn, xs):
+    """eb._resolved_zeros with the scan and the third-of-a-gap probes of fn
+    evaluated here, as kappa_functional evaluates them"""
+    return eb._resolved_zeros(fn, xs, fn(xs), fn(xs[:-1] + (xs[1:] - xs[:-1]) / 3.0))
+
+
 def test_kink_break_points_only_where_the_scan_resolves_them():
     xs = np.linspace(1.0, 30.0, 200)
-    assert eb._resolved_zeros(np.sin, xs) == pytest.approx(np.arange(1, 10) * math.pi)
+    assert _resolved_zeros(np.sin, xs) == pytest.approx(np.arange(1, 10) * math.pi)
     # sign flips in two adjacent gaps: zeros closer than two sample spacings
-    assert eb._resolved_zeros(lambda x: np.sin(np.pi * x), np.arange(64) + 0.25) == []
+    assert _resolved_zeros(lambda x: np.sin(np.pi * x), np.arange(64) + 0.25) == []
     # two zeros hidden inside the gap [2, 3] make the one seen at 4.5 a sample
     # of the zeros, not all of them
     xs = np.arange(7.0)
-    assert eb._resolved_zeros(lambda x: x - 4.5, xs) == [4.5]
-    assert eb._resolved_zeros(lambda x: (x - 2.2) * (x - 2.5) * (x - 4.5), xs) == []
+    assert _resolved_zeros(lambda x: x - 4.5, xs) == [4.5]
+    assert _resolved_zeros(lambda x: (x - 2.2) * (x - 2.5) * (x - 4.5), xs) == []
 
 
 def test_nonfinite_kappa_integral_is_reported():
@@ -673,9 +734,7 @@ def test_nonfinite_kappa_integral_is_reported():
     wr = eb.WRFunctions(model)
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.warns(UserWarning, match="K functional integral did not converge"):
-        k = eb.kappa_functional(lambda x: wr.W_branch(x, +1),
-                                lambda x: wr.W_branch_prime(x, +1),
-                                lambda x: wr.r_branch_prime(x, +1), part.jpm[:1], [], [])
+        k = eb.kappa_functional(lambda x: wr.pm_terms(x, +1), part.jpm[:1], [], [])
     assert not math.isfinite(k)
 
 

@@ -180,8 +180,8 @@ def test_ik_critical_weight_power_law():
     wr = WRFunctions(model)
     assert float(wr.discriminant(150.0)) > 0
     for sigma in (+1, -1):
-        w1 = abs(float(wr.W_branch(150.0, sigma)))
-        w2 = abs(float(wr.W_branch(300.0, sigma)))
+        w1 = abs(float(wr.pm_terms(150.0, sigma)[0]))
+        w2 = abs(float(wr.pm_terms(300.0, sigma)[0]))
         slope = math.log(w2 / w1) / math.log(2.0)
         assert slope == pytest.approx(0.5 - 2.0 * 7.0, abs=1e-6)
 
