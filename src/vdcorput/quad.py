@@ -139,9 +139,9 @@ def _amplitude_e(g, f) -> np.ndarray:
     """g e(f) as g cos 2 pi {f} + i g sin 2 pi {f}, with {f} = f - floor(f).
 
     For every nonzero g these are the bits of g * exp(2j pi mod(f, 1)),
-    without its complex angle array: the complex product adds 0 cos to the
-    imaginary part, which turns the -0 of a negative g at an integral f into
-    +0, and so does the + 0.0 here.  A zero g gives a zero of either sign.
+    without its complex angle array.  That product's imaginary part is
+    g sin + 0 cos, which is +0 where g sin is -0 (a negative g at an integral
+    f); the + 0.0 here does the same.  A zero g gives a zero of either sign.
     """
     th = _reduced_angle(np.asarray(f, dtype=float))
     g = np.asarray(g, dtype=float)

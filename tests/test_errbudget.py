@@ -317,9 +317,9 @@ def test_jets_equal_the_per_function_formulas_bit_for_bit(family, params, lo, hi
     model = family_model(family, params)
     wr, ref = eb.WRFunctions(model), ReferenceWR(model)
     xs = np.linspace(lo, hi, 1001)
-    refs = {+1: lambda x: (ref.W_branch(x, +1), ref.W_branch_prime(x, +1), ref.r_branch_prime(x, +1)),
-            -1: lambda x: (ref.W_branch(x, -1), ref.W_branch_prime(x, -1), ref.r_branch_prime(x, -1)),
-            0: lambda x: (ref.W0(x), ref.W0_prime(x), ref.r0_prime(x))}
+    pm = lambda s: lambda x: (ref.W_branch(x, s), ref.W_branch_prime(x, s),
+                              ref.r_branch_prime(x, s))
+    refs = {+1: pm(+1), -1: pm(-1), 0: lambda x: (ref.W0(x), ref.W0_prime(x), ref.r0_prime(x))}
     jets = {+1: lambda x: wr.pm_terms(x, +1), -1: lambda x: wr.pm_terms(x, -1), 0: wr.zero_terms}
     with np.errstate(all="ignore"):
         for branch, jet in jets.items():
@@ -723,6 +723,60 @@ def test_kink_break_points_only_where_the_scan_resolves_them():
     xs = np.arange(7.0)
     assert _resolved_zeros(lambda x: x - 4.5, xs) == [4.5]
     assert _resolved_zeros(lambda x: (x - 2.2) * (x - 2.5) * (x - 4.5), xs) == []
+
+
+def _quad_points(monkeypatch):
+    """Replace eb._quad by a recorder of its break points; returns their list."""
+    seen = []
+
+    def recording(fn, lo, hi, what, points=()):
+        seen.append(list(points))
+        return 0.0
+
+    monkeypatch.setattr(eb, "_quad", recording)
+    return seen
+
+
+def test_kappa_probes_each_gap_a_third_in(monkeypatch):
+    # W = cos(4 pi u) (t - c) with u counting scan gaps: the scan and the gap
+    # midpoints see W's one sign change at c, while a probe a third into a gap
+    # sees cos(4 pi / 3) < 0, so W's zeros alias and none may be a panel edge
+    xs = np.linspace(1e-9, 1.0 - 1e-9, 4096)
+    h = (xs[-1] - xs[0]) / 4095.0
+    c = float(xs[2000] + 0.37 * h)
+
+    def terms(t):
+        t = np.asarray(t, dtype=float)
+        one = np.ones_like(t)
+        return np.cos(4.0 * np.pi * (t - xs[0]) / h) * (t - c), one, one
+
+    seen = _quad_points(monkeypatch)
+    eb.kappa_functional(terms, [(0.0, 1.0)], [], [])
+    assert seen == [[]]
+    # control: the same W without the aliased factor gives c as a break point
+    eb.kappa_functional(lambda t: (terms(t)[1] * (np.asarray(t) - c), *terms(t)[1:]),
+                        [(0.0, 1.0)], [], [])
+    assert seen[1] == [pytest.approx(c, abs=1e-15)]
+
+
+def test_kappa_point_terms_go_one_scalar_at_a_time(monkeypatch):
+    # isolated points add |W(x)|, boundaries and sign changes of r' add
+    # |s(x) W(x)|; each point is one scalar call, as numpy's array pow can
+    # differ from libm's in the last bit
+    calls = []
+
+    def terms(t):
+        calls.append(np.ndim(t))
+        t = np.asarray(t, dtype=float)
+        return 1.0 / t ** 1.5, np.ones_like(t), t - 0.6180339887
+
+    _quad_points(monkeypatch)
+    got = eb.kappa_functional(terms, [(0.0, 1.0)], [2.5, 3.7], [0.25, 4.2])
+    r = 0.6180339887
+    want = (2.5 ** -1.5 + 3.7 ** -1.5 + abs(eb.sawtooth_s(r)) * r ** -1.5
+            + 0.25 * 0.25 ** -1.5 + abs(eb.sawtooth_s(4.2)) * 4.2 ** -1.5)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert calls[-5:] == [0] * 5
 
 
 def test_nonfinite_kappa_integral_is_reported():
