@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numutil import (bisect, check_finite, is_integer_like, sawtooth_s,
+from .numutil import (bisect, check_finite, is_integer_like, nearest_decomp, sawtooth_s,
                       sign_change_roots)
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 from .quad import panel_integral
@@ -77,11 +77,19 @@ def fprime_nearest(model: PhaseAmplitudeModel, x: float) -> Tuple[int, float, fl
         r = model.fprime_integer(x)
         if r is not None:
             return r, 0.0, 0.0
-    n = math.floor(v + 0.5)
-    off = v - n
     if is_integer_like(v):
         return round(v), 0.0, 0.0
-    return n, off, abs(off)
+    d = nearest_decomp(v)
+    return d.nearest, d.signed_frac, d.dist
+
+
+def fprime_range(model: PhaseAmplitudeModel, lo: float, hi: float) -> Tuple[int, int, bool, bool]:
+    """(r_lo, r_hi, lo_hit, hi_hit): the integers r_lo..r_hi in [f'(lo), f'(hi)]
+    and whether each end is one, by the rule of :func:`fprime_nearest`."""
+    r_lo, off_lo, _ = fprime_nearest(model, lo)
+    r_hi, off_hi, _ = fprime_nearest(model, hi)
+    # a non-integral f' lies off its nearest integer by the signed offset
+    return r_lo + (off_lo > 0), r_hi - (off_hi < 0), off_lo == 0.0, off_hi == 0.0
 
 
 def m_count(model: PhaseAmplitudeModel, mu: float) -> int:
@@ -468,18 +476,14 @@ def abar_bbar(model: PhaseAmplitudeModel, a: float, b: float,
     abar = bbar = None
     lo = a + min(float(profile.M(a)), 1.0 / profile.C2)
     if lo <= b:
-        v = float(model.f1(lo))
-        r = round(v) if is_integer_like(v) else math.ceil(v)
-        if r <= float(model.f1(b)) + 1e-12:
-            abar = invert_fprime(model, float(r))
-            abar = max(abar, lo)
+        r_lo, r_hi, _, _ = fprime_range(model, lo, b)
+        if r_lo <= r_hi:
+            abar = max(invert_fprime(model, float(r_lo)), lo)
     hi = b - min(float(profile.M(b)), 1.0 / profile.C2)
     if hi >= a:
-        v = float(model.f1(hi))
-        r = round(v) if is_integer_like(v) else math.floor(v)
-        if r >= float(model.f1(a)) - 1e-12:
-            bbar = invert_fprime(model, float(r))
-            bbar = min(bbar, hi)
+        r_lo, r_hi, _, _ = fprime_range(model, a, hi)
+        if r_lo <= r_hi:
+            bbar = min(invert_fprime(model, float(r_hi)), hi)
     return abar, bbar
 
 

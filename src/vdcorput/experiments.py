@@ -21,11 +21,10 @@ import numpy as np
 
 from . import __version__
 from .expsum import CurveSample, curve_samples, direct_starred_sum, write_curve_csv
-from .numutil import modified_sawtooth, nearest_decomp, sawtooth_psi
+from .numutil import (TWO_PI_I, amplitude_e, integer_range, modified_sawtooth, nearest_decomp,
+                      sawtooth_psi)
 from .phase import PhaseAmplitudeModel, builtin_family, family_model
 from .transform import TransformOptions, budget_with_endpoints, full_transform, rhs_main_sum
-
-TWO_PI_I = 2j * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +86,10 @@ def example_regimes(n: int, psi_tol: float = 1e-6,
     if family_model("power_phase").fprime_integer(n) is not None:
         resid = abs(measured - c_reference) if c_reference is not None else None
         return RegimeReport(n, 1, 0.0, measured, 0j, resid, n ** -0.5, c_reference)
-    phase_f = np.exp(TWO_PI_I * (((n / 3.0) ** 1.5) % 1.0))
+    phase_f = amplitude_e(1.0, (n / 3.0) ** 1.5)
     if dec.dist <= (12.0 * n) ** -0.25:
         predicted = complex(2.0 * sawtooth_psi(u) * (3.0 * n) ** 0.25
-                            * phase_f * np.exp(TWO_PI_I * 0.125))
+                            * phase_f * amplitude_e(1.0, 0.125))
         bound = n ** 0.15 + n ** (5.0 / 12.0) * dec.dist ** (2.0 / 3.0)
         return RegimeReport(n, 2, dec.dist, measured, predicted,
                             abs(measured - predicted), bound, None)
@@ -153,7 +152,8 @@ def rounding_bound(model: PhaseAmplitudeModel, a: float, b: float) -> float:
     """A-priori float64 error of ``direct_starred_sum(model, a, b)``: 2^-53
     times the sum of |g(n)| (2 pi |f(n)| + 4) over the integers n in [a, b],
     the reduced phase's error plus a few ulps of cos, sin and product a term."""
-    ns = np.arange(math.ceil(a), math.floor(b) + 1, dtype=np.float64)
+    n_lo, n_hi, _, _ = integer_range(a, b)
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
     terms = np.abs(model.g(ns)) * (2.0 * math.pi * np.abs(model.f(ns)) + 4.0)
     return 2.0 ** -53 * float(np.sum(terms))
 
@@ -178,7 +178,7 @@ def ck_quadratic(omega: float, n: int) -> CKReport:
     q2 = family_model("quadratic", [1.0 / m])
     s1 = direct_starred_sum(q1, 0.0, float(big_n), conjugate=s < 0)
     s2 = direct_starred_sum(q2, 0.0, float(n), conjugate=s > 0)
-    measured = abs(s1 - np.exp(TWO_PI_I * (s / 8.0)) / math.sqrt(m) * s2)
+    measured = abs(s1 - amplitude_e(1.0, s / 8.0) / math.sqrt(m) * s2)
     bound = CK_CONSTANT * abs(big_n - n / m)
     rounding = rounding_bound(q1, 0.0, big_n) + rounding_bound(q2, 0.0, n) / math.sqrt(m)
     return CKReport(omega, n, big_n, float(measured), float(bound), rounding,
@@ -224,19 +224,20 @@ def kusmin_landau_compare(model: PhaseAmplitudeModel, a: float, b: float) -> KLR
     if float(np.max(np.abs(np.asarray(model.g(xs), dtype=float) - 1.0))) > 1e-12:
         raise ValueError("the comparison applies to unit amplitude only")
     fa, fb = float(model.f1(a)), float(model.f1(b))
-    if math.ceil(fa) <= fb:
+    # an f' taken as an integer is in the range, so theta > 0 past this test
+    r_lo, r_hi, _, _ = integer_range(fa, fb)
+    if r_lo <= r_hi:
         raise ValueError("slope range contains an integer: theta = 0")
     da, db = nearest_decomp(fa), nearest_decomp(fb)
     theta = min(da.dist, db.dist)
-    if theta == 0.0:
-        raise ValueError("slope is integral at an endpoint: theta = 0")
 
     # half-integer limits cover the same integers and halve nothing
-    plain = direct_starred_sum(model, math.ceil(a) - 0.5, math.floor(b) + 0.5)
+    n_lo, n_hi, _, _ = integer_range(a, b)
+    plain = direct_starred_sum(model, n_lo - 0.5, n_hi + 0.5)
     starred = direct_starred_sum(model, a, b)
 
-    e_fb = np.exp(TWO_PI_I * (float(model.f(b)) % 1.0))
-    e_fa = np.exp(TWO_PI_I * (float(model.f(a)) % 1.0))
+    e_fb = amplitude_e(1.0, float(model.f(b)))
+    e_fa = amplitude_e(1.0, float(model.f(a)))
     explicit = complex(e_fb / (TWO_PI_I * db.signed_frac)
                        - e_fa / (TWO_PI_I * da.signed_frac))
     residual = abs(starred - explicit)
@@ -306,7 +307,7 @@ def ik_experiment(alpha: float, nu: float, n_scale: float, x_scale: float) -> IK
     model = family_model("ik_monomial", [alpha, n_scale, x_scale])
     lhs = direct_starred_sum(model, n_scale, nu * n_scale)
     dual = family_model("ik_monomial", [beta, m_scale, x_scale])
-    rhs = complex(np.exp(TWO_PI_I * 0.125)) * direct_starred_sum(
+    rhs = complex(amplitude_e(1.0, 0.125)) * direct_starred_sum(
         dual, m_scale, mu * m_scale, conjugate=True)
     delta = lhs - rhs
     scale = n_scale ** -0.5 + m_scale ** -0.5

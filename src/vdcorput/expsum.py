@@ -16,7 +16,7 @@ from typing import List, Sequence, TextIO
 
 import numpy as np
 
-from .numutil import check_finite, csum, is_integer_like
+from .numutil import amplitude_e, check_finite, csum, integer_range, reduced_angle
 from .phase import PhaseAmplitudeModel
 
 # 8 192 doubles = 64 KiB: below glibc's 128 KiB mmap threshold (temporaries are
@@ -29,18 +29,6 @@ _CHUNK = 1 << 13
 class CurveSample:
     t: float
     value: complex
-
-
-def _reduced_angle(f: np.ndarray) -> np.ndarray:
-    """2*pi*(f mod 1) as a new array; f itself is left as it was.
-
-    f - floor(f) has the bits of np.mod(f, 1.0) for every finite f (a tiny
-    negative f gives 1.0 in both) at a fraction of its cost.
-    """
-    th = np.floor(f)
-    np.subtract(f, th, out=th)
-    th *= 2.0 * np.pi
-    return th
 
 
 def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
@@ -58,9 +46,7 @@ def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
         raise ValueError(f"empty orientation: b={b} < a={a}")
     # a limit taken as an integer is that integer, so the halved term is
     # always the first or last one summed
-    half_lo, half_hi = is_integer_like(a), is_integer_like(b)
-    n_lo = round(a) if half_lo else math.ceil(a)
-    n_hi = round(b) if half_hi else math.floor(b)
+    n_lo, n_hi, half_lo, half_hi = integer_range(a, b)
     if n_hi < n_lo:
         return 0j
     parts = []
@@ -68,7 +54,7 @@ def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
     while n <= n_hi:
         m = min(n + _CHUNK - 1, n_hi)
         ns = np.arange(n, m + 1, dtype=np.float64)
-        th = _reduced_angle(np.asarray(model.f(ns), dtype=float))
+        th = reduced_angle(model.f(ns))
         g = np.asarray(model.g(ns), dtype=float)
         first, last = n == n_lo and half_lo, m == n_hi and half_hi
         if first or last:
@@ -97,11 +83,7 @@ def curve_samples(model: PhaseAmplitudeModel, t_max: float,
         raise ValueError("samples_per_unit must be at least 1")
     n_max = math.floor(t_max) + 1
     ns = np.arange(1, n_max + 1, dtype=np.float64)
-    th = _reduced_angle(np.asarray(model.f(ns), dtype=float))
-    g = np.asarray(model.g(ns), dtype=float)
-    terms = np.empty(n_max, dtype=complex)
-    np.multiply(g, np.cos(th), out=terms.real)
-    np.multiply(g, np.sin(th), out=terms.imag)
+    terms = amplitude_e(model.g(ns), model.f(ns))
     prefix = np.concatenate(([0j], np.cumsum(terms)))
 
     out: List[CurveSample] = []

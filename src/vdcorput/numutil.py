@@ -1,5 +1,6 @@
-"""Nearest-integer arithmetic, sawtooth functions, correctly rounded summation,
-and the one batched bisection behind every root the package finds.
+"""Nearest-integer arithmetic, the one integer rule, e(x), sawtooth functions,
+correctly rounded summation, and the one batched bisection behind every root
+the package finds.
 
 The sawtooth ladder used throughout the package:
 
@@ -31,6 +32,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+TWO_PI_I = 2j * math.pi
 
 # Measured worst case of |partial(R) - limit| / min(1, 1/(R ||x||*)) over a
 # random grid of (x, eps, R); see tests/test_numutil.py::test_tail_constant.
@@ -93,6 +95,15 @@ def is_integer_like(x: float) -> bool:
     return abs(x - round(x)) <= 1e-9 * max(1.0, abs(x))
 
 
+def integer_range(lo: float, hi: float) -> Tuple[int, int, bool, bool]:
+    """(n_lo, n_hi, lo_hit, hi_hit): the integers n_lo..n_hi in [lo, hi]; a limit
+    that is_integer_like is hit, and is that integer, n_lo or n_hi itself."""
+    lo_hit, hi_hit = is_integer_like(lo), is_integer_like(hi)
+    n_lo = round(lo) if lo_hit else math.ceil(lo)
+    n_hi = round(hi) if hi_hit else math.floor(hi)
+    return n_lo, n_hi, lo_hit, hi_hit
+
+
 # ---------------------------------------------------------------------------
 # nearest-integer decomposition
 # ---------------------------------------------------------------------------
@@ -132,8 +143,41 @@ def nearest_decomp(x: float) -> NearestIntDecomp:
 
 def dist_to_nearest_star(x: float) -> float:
     """||x||*: distance to the nearest integer, with 1 substituted at 0."""
-    d = abs(x - math.floor(x + 0.5))
-    return d if d != 0.0 else 1.0
+    return nearest_decomp(x).dist or 1.0
+
+
+# ---------------------------------------------------------------------------
+# e(x) = exp(2 pi i x)
+# ---------------------------------------------------------------------------
+
+def reduced_angle(f) -> np.ndarray:
+    """2*pi*(f mod 1) as a new array (0-d for a scalar); f is left as it was.
+
+    f - floor(f) has the bits of np.mod(f, 1.0) for every finite f (a tiny
+    negative f gives 1.0 in both) at a fraction of its cost.
+    """
+    f = np.asarray(f, dtype=float)
+    th = np.floor(f, out=np.empty_like(f))
+    np.subtract(f, th, out=th)
+    th *= TWO_PI
+    return th
+
+
+def amplitude_e(g, t):
+    """g e(t) as g cos 2 pi {t} + i g sin 2 pi {t}; 0-d inputs give a complex scalar.
+
+    For every nonzero g these are the bits of g * exp(2j pi mod(t, 1)),
+    without its complex angle array.  That product's imaginary part is
+    g sin + 0 cos, which is +0 where g sin is -0 (a negative g at an integral
+    t); the + 0.0 here does the same.  A zero g gives a zero of either sign.
+    """
+    th = reduced_angle(t)
+    g = np.asarray(g, dtype=float)
+    out = np.empty(np.broadcast(g, th).shape, dtype=complex)
+    np.multiply(g, np.cos(th), out=out.real)
+    np.multiply(g, np.sin(th), out=out.imag)
+    out.imag += 0.0
+    return out if out.ndim else out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +256,7 @@ def _psi_partial_direct(fx: float, eps: float, lo: int, hi: int) -> complex:
     while r0 <= hi:
         r1 = min(r0 + chunk - 1, hi)
         r = np.arange(r0, r1 + 1, dtype=np.float64)
-        ang = TWO_PI * np.mod(r * fx, 1.0)
+        ang = reduced_angle(r * fx)
         c = np.cos(ang)
         s = np.sin(ang)
         den = r * r - eps * eps

@@ -13,15 +13,13 @@ No Filon/Levin machinery; this is an oracle, not a production integrator.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .expsum import _reduced_angle
-from .numutil import csum
+from .numutil import amplitude_e, csum
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 
 _NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
@@ -135,23 +133,6 @@ def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
     return QuadResult(value, total_err, int(los.size), converged)
 
 
-def _amplitude_e(g, f) -> np.ndarray:
-    """g e(f) as g cos 2 pi {f} + i g sin 2 pi {f}, with {f} = f - floor(f).
-
-    For every nonzero g these are the bits of g * exp(2j pi mod(f, 1)),
-    without its complex angle array.  That product's imaginary part is
-    g sin + 0 cos, which is +0 where g sin is -0 (a negative g at an integral
-    f); the + 0.0 here does the same.  A zero g gives a zero of either sign.
-    """
-    th = _reduced_angle(np.asarray(f, dtype=float))
-    g = np.asarray(g, dtype=float)
-    out = np.empty(np.broadcast_shapes(g.shape, th.shape), dtype=complex)
-    np.multiply(g, np.cos(th), out=out.real)
-    np.multiply(g, np.sin(th), out=out.imag)
-    out.imag += 0.0
-    return out
-
-
 def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Callable,
                              alpha: float, beta: float, tol: float,
                              stationary: Optional[float] = None) -> QuadResult:
@@ -177,7 +158,7 @@ def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Calla
     if los is None:
         return QuadResult(complex(math.nan, math.nan), math.inf, pieces, False)
 
-    return panel_integral(lambda x: _amplitude_e(gfun(x), phase(x)), los, his, tol)
+    return panel_integral(lambda x: amplitude_e(gfun(x), phase(x)), los, his, tol)
 
 
 def oscillatory_integral(model: PhaseAmplitudeModel, r: float,
@@ -239,10 +220,10 @@ def fresnel_modified(u: float) -> complex:
             k += 1
             term *= (2 * k - 1) * w
             total += term
-        # u*u is an even integer from 2^27 on (phase 0), and overflows past 1e154
-        turn = math.fmod(u * u, 2.0) if u < 1e150 else 0.0
-        tail = 1j * cmath.exp(1j * math.pi * turn) / (2.0 * math.pi * u) * total
-        return cmath.exp(0.25j * math.pi) / 2.0 - tail
+        # u*u/2 is an integer from 2^27 on (phase 0), and overflows past 1e154
+        half_sq = 0.5 * u * u if u < 1e150 else 0.0
+        tail = 1j * complex(amplitude_e(1.0, half_sq)) / (2.0 * math.pi * u) * total
+        return complex(amplitude_e(0.5, 0.125)) - tail
     base = fresnel_modified(_FRESNEL_SERIES_CUT)
     res = oscillatory_integral_raw(
         lambda x: np.ones_like(np.asarray(x, dtype=float)),
@@ -324,10 +305,9 @@ def stationary_phase_estimate(model: PhaseAmplitudeModel, profile: ConditionMPro
     phi_c = float(model.f(c)) - r * c
     if model.rhs_phase is not None and r == int(r):
         phi_c = model.rhs_phase(r, c)
-    e_c = np.exp(2j * np.pi * (phi_c % 1.0))
-    e_c8 = np.exp(2j * np.pi * ((phi_c + 0.125) % 1.0))
-    phi_mu = (float(model.f(mu)) - r * mu) % 1.0
-    e_mu = np.exp(2j * np.pi * phi_mu)
+    e_c = amplitude_e(1.0, phi_c)
+    e_c8 = amplitude_e(1.0, phi_c + 0.125)
+    e_mu = amplitude_e(1.0, float(model.f(mu)) - r * mu)
     slope_mu = float(model.f1(mu)) - r
 
     val = g_c * e_c8 / (2.0 * math.sqrt(fpp))

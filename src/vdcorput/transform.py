@@ -27,12 +27,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import errbudget
-from .errbudget import ConditionMReport, ErrorBudget, fprime_nearest
+from .errbudget import ConditionMReport, ErrorBudget, fprime_nearest, fprime_range
 from .expsum import direct_starred_sum
-from .numutil import check_finite, csum, modified_sawtooth, sawtooth_psi
+from .numutil import (TWO_PI_I, amplitude_e, check_finite, csum, modified_sawtooth,
+                      nearest_decomp, sawtooth_psi)
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
-
-TWO_PI_I = 2j * math.pi
 
 
 class RefinementParameterError(ValueError):
@@ -115,13 +114,7 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float) -> TransformRes
     phases, weights and terms are then computed as arrays.  The terms are
     summed correctly rounded, so reruns are bit-identical.
     """
-    fa = float(model.f1(a))
-    fb = float(model.f1(b))
-    ra_int, _, da = fprime_nearest(model, a)
-    rb_int, _, db = fprime_nearest(model, b)
-    r_lo = ra_int if da == 0.0 else math.ceil(fa)
-    r_hi = rb_int if db == 0.0 else math.floor(fb)
-
+    r_lo, r_hi, half_lo, half_hi = fprime_range(model, a, b)
     r = np.arange(r_lo, r_hi + 1)
     rf = r.astype(float)
     xr = invert_fprime(model, rf)
@@ -130,10 +123,10 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float) -> TransformRes
     else:
         ph = _phase_f_minus_rx(model, xr, rf)
     w = model.g(xr) / np.sqrt(model.f2(xr))
-    values = w * np.exp(TWO_PI_I * ((ph + 0.125) % 1.0))
-    if r.size and da == 0.0:
+    values = amplitude_e(w, ph + 0.125)
+    if r.size and half_lo:
         values[0] *= 0.5
-    if r.size and db == 0.0:
+    if r.size and half_hi:
         values[-1] *= 0.5
     return TransformResult(csum(values), None, None, (r_lo, r_hi), r, xr, values)
 
@@ -158,11 +151,11 @@ def endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile,
 
     star = 0j
     if dist == 0.0:
-        e_f = np.exp(TWO_PI_I * (math.fmod(float(model.f(mu)), 1.0)))
+        e_f = amplitude_e(1.0, float(model.f(mu)))
         star = complex(g_mu * float(model.f3(mu)) * e_f / (6j * math.pi * fpp ** 2)
                        - float(model.g1(mu)) * e_f / (TWO_PI_I * fpp))
 
-    phase = np.exp(TWO_PI_I * _phase_f_minus_rx(model, mu, r0))
+    phase = amplitude_e(1.0, _phase_f_minus_rx(model, mu, r0))
     if dist > 0.0 and fpp <= dist:
         psi = modified_sawtooth(mu, eps_p, tol)
         circ = complex(g_mu * phase * (-1.0 / (TWO_PI_I * eps_p) + psi))
@@ -198,7 +191,7 @@ def refined_endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile
             f"L={L} outside [sqrt(f''), f'' min(1,C)) = [{math.sqrt(fpp)}, {fpp * min(1.0, C)})")
 
     r0, eps_p, dist_p = fprime_nearest(model, mu)
-    eps = mu - math.floor(mu + 0.5)
+    eps = nearest_decomp(mu).signed_frac
     base = (U * fpp * C ** 4 * L / M + U * L / (fpp * C) + U * fpp / L ** 2
             + U / (fpp * C ** 2) + U / M)
 
@@ -206,8 +199,8 @@ def refined_endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile
         return EndpointTerm(0j, base + U / ((abs(eps) - C) * math.sqrt(fpp)),
                             "refined-far-endpoint")
     if dist_p == 0.0:
-        explicit = complex(sawtooth_psi(mu) * float(model.g(mu))
-                           * np.exp(TWO_PI_I * _phase_f_minus_rx(model, mu, r0)))
+        explicit = complex(amplitude_e(sawtooth_psi(mu) * float(model.g(mu)),
+                                       _phase_f_minus_rx(model, mu, r0)))
         return EndpointTerm(explicit, base + U * abs(eps) * L, "refined-sawtooth")
     if eps == 0.0:
         b1 = (U * abs(eps_p) * L / fpp
@@ -229,7 +222,7 @@ def optimized_refinement_params(model: PhaseAmplitudeModel, profile: ConditionMP
         raise RefinementParameterError("optimized choices require integral f'(mu)")
     if M > fpp ** 7:
         raise RefinementParameterError("optimized choices require M(mu) <= f''(mu)^7")
-    eps = abs(mu - math.floor(mu + 0.5))
+    eps = nearest_decomp(mu).dist
     lo_cut = fpp ** -0.6 * M ** -0.2
     hi_cut = fpp ** -0.4 * M ** 0.2
     if eps <= lo_cut or eps >= hi_cut:
@@ -265,8 +258,10 @@ def full_transform(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     opts = options or TransformOptions()
     report = errbudget.check_condition_M(model, profile, a, b)
     if not report.passed:
-        warnings.warn(f"regularity sweep failed on [{a}, {b}]: "
-                      f"{len(report.violations)} violations")
+        checks = (("part I", report.part1_ok), ("part III", report.part3_ok),
+                  (f"{len(report.violations)} violations", not report.violations))
+        failed = ", ".join(name for name, ok in checks if not ok)
+        warnings.warn(f"regularity sweep failed on [{a}, {b}]: {failed}")
     result = rhs_main_sum(model, a, b)
     result.condition_report = report
     result.d_a = endpoint_term(model, profile, a, tol=opts.psi_tol)

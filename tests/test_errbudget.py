@@ -9,6 +9,7 @@ from scipy import integrate, optimize
 from vdcorput import errbudget as eb
 from vdcorput.phase import (ConditionMProfile, PhaseAmplitudeModel,
                             builtin_family, family_model)
+from vdcorput.transform import rhs_main_sum
 
 from helpers import ReferenceWR
 
@@ -192,6 +193,21 @@ def test_abar_quadratic_at_offset_start():
     abar, bbar = eb.abar_bbar(model, 0.0, 1.0, profile)
     assert abar == pytest.approx(0.5)  # f'(0.5) = 5, already integral
     assert bbar == pytest.approx(0.5)
+
+
+def test_abar_takes_the_integral_slope_the_dual_side_sums():
+    # f'(b) = 100 - 1e-8 counts as the integer 100, which rhs_main_sum sums
+    # halved; abar_bbar must see the same r = 100, so Delta3(a) keeps its
+    # value at b = 100 instead of dropping to 0
+    model, profile = builtin_family("quadratic", [1.0, 0.25])
+    a, b = 99.6, 100.0 - 1e-8
+    assert rhs_main_sum(model, a, b).r_range == (100, 100)
+    abar, bbar = eb.abar_bbar(model, a, b, profile)
+    assert abar == 100.0 and bbar is None
+    d3a, _ = eb.tail_deltas(model, profile, a, b, abar, bbar)
+    want, _ = eb.tail_deltas(model, profile, a, 100.0, *eb.abar_bbar(model, a, 100.0, profile))
+    assert want > 31.0
+    assert d3a == pytest.approx(want, rel=1e-6)
 
 
 def test_abar_absent_when_no_integer_slope():

@@ -148,6 +148,15 @@ def test_kl_small_curvature():
     assert rep.preconditions_ok
 
 
+def test_kl_plain_sum_keeps_a_limit_taken_as_an_integer():
+    # a = 200 + 1e-8 is the integer 200 to the starred sum, and so to the
+    # unhalved one: both sums are those at a = 200
+    model, _ = builtin_family("quadratic", [0.001], domain=(0.0, 1e6))
+    near, on = (kusmin_landau_compare(model, a, 400.0) for a in (200.0 + 1e-8, 200.0))
+    assert near.starred_abs == on.starred_abs
+    assert near.plain_abs == on.plain_abs
+
+
 def test_kl_rejects_integer_slope_range():
     model, _ = builtin_family("quadratic", [0.001], domain=(0.0, 1e6))
     with pytest.raises(ValueError):

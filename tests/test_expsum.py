@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdcorput import expsum
 from vdcorput.expsum import curve_samples, direct_starred_sum, write_curve_csv
-from vdcorput.numutil import csum, is_integer_like
+from vdcorput.numutil import csum, integer_range, is_integer_like, reduced_angle
 from vdcorput.phase import PhaseAmplitudeModel, builtin_family
 
 
@@ -88,6 +90,18 @@ def test_large_integral_limits_sum_exactly_the_integers_between_them():
     # [a, b] enters once a relative slack would span one or more integers
     assert direct_starred_sum(flat_model(), 2.0 ** 53, 2.0 ** 53 + 8) == 8.0
     assert direct_starred_sum(flat_model(), 1e12, 1e12 + 100) == 100.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 12, 10 ** 12), st.integers(1, 20),
+       st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]))
+def test_integer_range_one_ulp_off_an_integer(k, span, lo_ulps, hi_ulps):
+    # each limit is one ulp below an integer, on it, or one ulp above it
+    a = math.nextafter(float(k), lo_ulps * math.inf) if lo_ulps else float(k)
+    b = math.nextafter(float(k + span), hi_ulps * math.inf) if hi_ulps else float(k + span)
+    assert integer_range(a, b) == (k, k + span, True, True)
+    # the starred sum of g = 1 counts those terms, the two limit terms halved
+    assert direct_starred_sum(flat_model(), a, b) == span
 
 
 def test_power_phase_four_term_hand_evaluation():
@@ -201,7 +215,7 @@ def test_reduced_angle_has_the_bits_of_np_mod():
     assert same_bits(x - np.floor(x), want)
     assert (want[x == -1e-20] == 1.0).all()
     # the old kernel's angle was the imaginary part of 2j*pi*mod(f, 1)
-    assert same_bits(expsum._reduced_angle(x), np.ascontiguousarray(np.imag(2j * np.pi * want)))
+    assert same_bits(reduced_angle(x), np.ascontiguousarray(np.imag(2j * np.pi * want)))
 
 
 @pytest.mark.parametrize("a,b", [(1.0, math.inf), (-math.inf, 3.0), (1.0, math.nan),

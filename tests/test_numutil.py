@@ -62,6 +62,16 @@ def test_nearest_decomp_integer_shift(x, k):
     assert d1.dist == d0.dist
 
 
+@pytest.mark.parametrize("t", [0.0, -0.0, 0.125, -0.125, 0.5, -1e-20, 1.0 - 2.0 ** -53,
+                               3.7, -3.7, 2.0 ** 52 + 0.5, -1e15 + 0.3, 123456.789])
+def test_amplitude_e_on_a_scalar_has_the_bits_of_np_exp(t):
+    want = np.exp(2j * np.pi * np.mod(t, 1.0))
+    for arg in (t, np.float64(t), np.asarray(t)):
+        got = nu.amplitude_e(1.0, arg)
+        assert isinstance(got, np.complex128)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # sawtooth functions
 # ---------------------------------------------------------------------------

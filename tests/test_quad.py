@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdcorput import quad
+from vdcorput.numutil import amplitude_e
 from vdcorput.phase import builtin_family
 from vdcorput.quad import (derivative_test_bounds, fresnel_modified,
                            oscillatory_integral, oscillatory_integral_raw,
@@ -75,13 +76,13 @@ def test_integrand_has_the_bits_of_the_complex_exponential():
     ])
     g = rng.uniform(-3.0, 3.0, f.size)
     want = g * np.exp(2j * np.pi * np.mod(f, 1.0))
-    got = quad._amplitude_e(g, f)
+    got = amplitude_e(g, f)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.real.tobytes() == want.real.tobytes()
     assert got.imag.tobytes() == want.imag.tobytes()
     # a scalar amplitude broadcasts over the phases
     want = np.exp(2j * np.pi * np.mod(f[:64], 1.0))
-    assert quad._amplitude_e(1.0, f[:64]).tobytes() == want.tobytes()
+    assert amplitude_e(1.0, f[:64]).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", ["g_inf", "g_nan", "phase_nan", "phase_inf"])

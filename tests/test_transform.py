@@ -10,7 +10,7 @@ import pytest
 from vdcorput.errbudget import compute_budget, fprime_nearest
 from vdcorput.expsum import direct_starred_sum
 from vdcorput.numutil import csum, modified_sawtooth, nearest_decomp
-from vdcorput.phase import builtin_family, invert_fprime
+from vdcorput.phase import ConditionMProfile, builtin_family, invert_fprime
 from vdcorput.transform import (EndpointTerm, RefinementParameterError,
                                 TransformOptions, _phase_f_minus_rx,
                                 budget_with_endpoints, endpoint_term,
@@ -403,6 +403,31 @@ def test_quadratic_identity_generic_endpoints():
     res, budget = full_transform(model, profile, a, b)
     assert res.condition_report.passed
     assert abs(res.measured_delta) <= budget_with_endpoints(res, budget)
+
+
+def _wide_radius_exponential():
+    model, _ = builtin_family("exponential", [1.0, 2.0])
+    const = lambda c: lambda x: np.full_like(np.asarray(x, dtype=float), c)
+    return model, ConditionMProfile(M=const(10.0), M_prime=const(0.0), U=const(1.0))
+
+
+@pytest.mark.parametrize("case,a,b,message", [
+    ("part1", 10.0, 400.0, "part I"),            # M exceeds b - a
+    ("part3", 10.5, 400.0, "part III"),          # J leaves the domain
+    ("sweep", 1.0, 20.0, "96 violations"),       # f''' decays too slowly for M
+])
+def test_failed_sweep_warning_names_what_failed(case, a, b, message):
+    model, profile = {
+        "part1": lambda: builtin_family("quadratic", [0.3]),
+        "part3": lambda: builtin_family("quadratic", [0.3, 5.0], domain=(10.0, 400.0)),
+        "sweep": _wide_radius_exponential,
+    }[case]()
+    opts = TransformOptions(measure=False, budget=False)
+    with pytest.warns(UserWarning, match=rf"regularity sweep failed on \[{a}, {b}\]: {message}$"):
+        res, _ = full_transform(model, profile, a, b, opts)
+    report = res.condition_report
+    assert (report.part1_ok, report.part3_ok) == (case != "part1", case != "part3")
+    assert bool(report.violations) == (case == "sweep")
 
 
 def test_example_family_budget_sweep():
