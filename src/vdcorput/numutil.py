@@ -163,6 +163,11 @@ def reduced_angle(f) -> np.ndarray:
     return th
 
 
+def _is_0d(x) -> bool:
+    """np.ndim(x) == 0 for a number or an array, without its cost on a float."""
+    return isinstance(x, (int, float)) or getattr(x, "ndim", None) == 0
+
+
 def amplitude_e(g, t):
     """g e(t) as g cos 2 pi {t} + i g sin 2 pi {t}; 0-d inputs give a complex scalar.
 
@@ -170,7 +175,14 @@ def amplitude_e(g, t):
     without its complex angle array.  That product's imaginary part is
     g sin + 0 cos, which is +0 where g sin is -0 (a negative g at an integral
     t); the + 0.0 here does the same.  A zero g gives a zero of either sign.
+    Two 0-d inputs take math's floor, cos and sin, with the same bits; a
+    non-finite t gives nan there as well.
     """
+    if _is_0d(g) and _is_0d(t):
+        t = float(t)
+        th = (t - math.floor(t)) * TWO_PI if math.isfinite(t) else math.nan
+        g = float(g)
+        return np.complex128(complex(g * math.cos(th), g * math.sin(th) + 0.0))
     th = reduced_angle(t)
     g = np.asarray(g, dtype=float)
     out = np.empty(np.broadcast(g, th).shape, dtype=complex)

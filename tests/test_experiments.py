@@ -350,10 +350,12 @@ def test_cli_reports_are_bit_identical(tmp_path):
     assert (d1 / "ik.json").read_bytes() == (d2 / "ik.json").read_bytes()
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only reference; the package itself needs numpy alone
+def test_cli_import_loads_no_polynomial_scipy_or_mpmath():
+    # scipy and mpmath are test-only references and the quadrature table is
+    # literal, so a cold CLI start loads numpy's core alone
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, vdcorput; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = ("import sys, vdcorput.experiments; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('scipy', 'mpmath') or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"

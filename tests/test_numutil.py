@@ -72,6 +72,26 @@ def test_amplitude_e_on_a_scalar_has_the_bits_of_np_exp(t):
         assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
 
+def test_amplitude_e_scalar_path_has_the_bits_of_the_array_path():
+    rng = np.random.default_rng(29)
+    t = np.concatenate([rng.uniform(-1e6, 1e6, 2000), np.floor(rng.uniform(-1e9, 1e9, 500)),
+                        rng.uniform(-1.0, 1.0, 2000) * 10.0 ** rng.uniform(-12, 300, 2000),
+                        [0.0, -0.0, -1e-20, 2.0 ** 53, 1e308, np.inf, -np.inf, np.nan]])
+    g = np.concatenate([rng.uniform(-3.0, 3.0, t.size - 4), [-1.0, 0.0, -0.0, np.inf]])
+    with np.errstate(invalid="ignore"):
+        want = nu.amplitude_e(g, t)
+        for gi, ti, wi in zip(g.tolist(), t.tolist(), want):
+            for arg in (ti, np.float64(ti), np.asarray(ti)):
+                got = nu.amplitude_e(gi, arg)
+                assert isinstance(got, np.complex128)
+                if cmath.isnan(wi):     # a nan's sign bit carries nothing
+                    assert (math.isnan(got.real), math.isnan(got.imag)) \
+                        == (math.isnan(wi.real), math.isnan(wi.imag)), (gi, ti)
+                else:
+                    assert np.array([got]).tobytes() == np.array([wi]).tobytes(), (gi, ti)
+    assert cmath.isnan(nu.amplitude_e(1.0, math.inf))
+
+
 # ---------------------------------------------------------------------------
 # sawtooth functions
 # ---------------------------------------------------------------------------

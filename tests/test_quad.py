@@ -61,6 +61,75 @@ def test_real_panel_integral_and_nonfinite_integrand():
     assert not res.converged and math.isnan(res.value)
 
 
+# ---------------------------------------------------------------------------
+# the Gauss-Kronrod 7/15 table
+# ---------------------------------------------------------------------------
+
+def test_kronrod_rule_integrates_monomials_to_degree_23():
+    x, w = quad._NODES, quad._WEIGHTS[:, 0]
+    assert x.shape == w.shape == (15,) and np.all(np.diff(x) > 0)
+    for k in range(24):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        got = math.fsum((w * x ** k).tolist())
+        assert abs(got - exact) <= 4 * np.spacing(2.0 / (k + 1)), k
+
+
+def test_gauss7_is_embedded_on_the_odd_nodes():
+    x, g7 = quad._NODES, quad._WEIGHTS[:, 1]
+    assert np.all(g7[0::2] == 0.0) and np.all(g7[1::2] > 0.0)
+    nodes, weights = x[1::2], g7[1::2]
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(7)
+    assert np.all(np.abs(nodes - ref_nodes) <= 2 * np.spacing(np.abs(ref_nodes) + 1e-300))
+    # leggauss's own weights are up to 4.4 ulp from the exact ones, so they are
+    # compared at the scale of 1; the table is correctly rounded (mpmath below)
+    assert np.all(np.abs(weights - ref_weights) <= 2 * np.spacing(1.0))
+    with mpmath.workdps(40):
+        for xi, wi in zip(nodes.tolist(), weights.tolist()):
+            root = mpmath.findroot(lambda t: mpmath.legendre(7, t), xi)
+            dp = mpmath.diff(lambda t: mpmath.legendre(7, t), root)
+            weight = 2 / ((1 - root ** 2) * dp ** 2)
+            assert abs(mpmath.mpf(xi) - root) <= 0.5 * np.spacing(abs(xi) or 1e-300)
+            assert abs(mpmath.mpf(wi) - weight) <= 0.5 * np.spacing(wi)
+
+
+def test_eval_panels_calls_the_integrand_once_per_batch():
+    shapes = []
+
+    def spy(x):
+        shapes.append(x.shape)
+        return x ** 22 - 3.0 * x ** 7 + 1.0
+
+    los, his = np.array([-1.0, 0.0, 2.0]), np.array([0.0, 2.0, 2.5])
+    vals, errs = quad._eval_panels(spy, los, his)
+    assert shapes == [(3, 15)]
+    exact = lambda t: t ** 23 / 23 - 3.0 * t ** 8 / 8 + t
+    assert np.allclose(vals, exact(his) - exact(los), rtol=1e-14, atol=0)
+    assert np.all(errs > 0)               # degree 22 is past the Gauss 7 rule
+    shapes.clear()
+    res = panel_integral(spy, los, his, 1e-13)
+    assert res.converged and len(shapes) >= 2
+    assert all(len(s) == 2 and s[1] == 15 for s in shapes)
+    assert res.panels == los.size + sum(s[0] for s in shapes[1:]) // 2
+
+
+def test_poisson_integrals_against_the_fresnel_closed_form():
+    # int e(w x^2 / 2 - r x) over [a, b] = e(-r^2 / 2w) / sqrt(w) (F(v_b) - F(v_a)),
+    # v = sqrt(w) (x - r/w), F(v) = (C(sqrt 2 v) + i S(sqrt 2 v)) / sqrt 2
+    op = POISSON_OP
+    omega = op["params"][0]
+    model, _ = builtin_family("quadratic", op["params"], domain=tuple(op["domain"]))
+    with mpmath.workdps(30):
+        w = mpmath.mpf(omega)
+        F = lambda v: (mpmath.fresnelc(mpmath.sqrt(2) * v)
+                       + 1j * mpmath.fresnels(mpmath.sqrt(2) * v)) / mpmath.sqrt(2)
+        for r in range(-op["R"], op["R"] + 1):
+            res = oscillatory_integral(model, float(r), op["a"], op["b"], op["tol"])
+            va, vb = (mpmath.sqrt(w) * (mpmath.mpf(x) - r / w) for x in (op["a"], op["b"]))
+            want = mpmath.expjpi(-r * r / w) / mpmath.sqrt(w) * (F(vb) - F(va))
+            assert res.converged, r
+            assert abs(res.value - complex(want)) <= max(op["tol"], res.abs_error_estimate), r
+
+
 def test_integrand_has_the_bits_of_the_complex_exponential():
     rng = np.random.default_rng(13)
     n = 20_000
