@@ -2,9 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .numutil import (NearestIntDecomp, TailAccuracyError, csum,
-                      modified_sawtooth, modified_sawtooth_partial,
-                      nearest_decomp, sawtooth_psi)
+from .numutil import (NearestIntDecomp, csum, modified_sawtooth, nearest_decomp,
+                      sawtooth_psi)
 from .phase import (ConditionMProfile, FamilyError, InversionRangeError,
                     PhaseAmplitudeModel, builtin_family, family_model, invert_fprime)
 from .expsum import CurveSample, curve_samples, direct_starred_sum
@@ -18,8 +17,7 @@ from .errbudget import (AssumptionPartition, ConditionMReport, ErrorBudget,
                         m_count, partition_assumptions, toinfinity_deltas)
 
 __all__ = [
-    "NearestIntDecomp", "TailAccuracyError", "csum",
-    "modified_sawtooth", "modified_sawtooth_partial", "nearest_decomp",
+    "NearestIntDecomp", "csum", "modified_sawtooth", "nearest_decomp",
     "sawtooth_psi",
     "ConditionMProfile", "FamilyError", "InversionRangeError",
     "PhaseAmplitudeModel", "builtin_family", "family_model", "invert_fprime",

@@ -24,7 +24,7 @@ from .expsum import CurveSample, curve_samples, direct_starred_sum, write_curve_
 from .numutil import (TWO_PI_I, amplitude_e, integer_range, modified_sawtooth, nearest_decomp,
                       sawtooth_psi)
 from .phase import PhaseAmplitudeModel, builtin_family, family_model
-from .transform import TransformOptions, budget_with_endpoints, full_transform, rhs_main_sum
+from .transform import budget_with_endpoints, full_transform, rhs_main_sum
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +68,7 @@ class RegimeReport:
         return out
 
 
-def example_regimes(n: int, psi_tol: float = 1e-6,
-                    c_reference: Optional[complex] = None) -> RegimeReport:
+def example_regimes(n: int, c_reference: Optional[complex] = None) -> RegimeReport:
     """Classify n, measure the residual, and evaluate the regime's prediction.
 
     Regime 1 (n = 12 k^2, decided in exact integer arithmetic) predicts a
@@ -93,7 +92,7 @@ def example_regimes(n: int, psi_tol: float = 1e-6,
         bound = n ** 0.15 + n ** (5.0 / 12.0) * dec.dist ** (2.0 / 3.0)
         return RegimeReport(n, 2, dec.dist, measured, predicted,
                             abs(measured - predicted), bound, None)
-    psi = modified_sawtooth(float(n), dec.signed_frac, psi_tol)
+    psi = modified_sawtooth(float(n), dec.signed_frac)
     predicted = complex(phase_f * (1.0 / (TWO_PI_I * dec.signed_frac) - psi))
     bound = n ** -0.5 * dec.dist ** -3.0
     resid = abs(measured - predicted - (c_reference or 0j))
@@ -382,7 +381,6 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     add_family(p)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--psi-tol", type=float, default=1e-8)
     p.add_argument("--json", dest="json_dir")
 
     p = sub.add_parser("budget", help="error budget on an interval")
@@ -393,7 +391,6 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
 
     p = sub.add_parser("example", help="power-phase regime report at N")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--psi-tol", type=float, default=1e-6)
     p.add_argument("--json", dest="json_dir")
 
     p = sub.add_parser("estimate-c", help="regime-1 constant by 1/k extrapolation")
@@ -442,8 +439,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                        args.json_dir, "sum.json")
         elif args.command == "transform":
             model, profile = builtin_family(*_family_from_args(args))
-            res, budget = full_transform(model, profile, args.a, args.b,
-                                         TransformOptions(psi_tol=args.psi_tol))
+            res, budget = full_transform(model, profile, args.a, args.b)
             payload = {**res.to_json(), "budget": budget.to_json(),
                        "budgetWithEndpoints": budget_with_endpoints(res, budget)}
             print(f"rhs = {res.rhs_main:.10g}")
@@ -457,7 +453,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             print(json.dumps(budget.to_json(), sort_keys=True, indent=2))
             _dump_json(budget.to_json(), args.json_dir, "budget.json")
         elif args.command == "example":
-            rep = example_regimes(args.N, psi_tol=args.psi_tol)
+            rep = example_regimes(args.N)
             print(f"N={rep.n} regime={rep.regime} measured={rep.measured:.6g} "
                   f"predicted={rep.predicted:.6g} bound={rep.bound:.6g}")
             _dump_json(rep.to_json(), args.json_dir, f"example_{rep.n}.json")

@@ -7,24 +7,21 @@ The sawtooth ladder used throughout the package:
     {x}        fractional part, in [0, 1)
     s(x)       {x} - 1/2
     psi(x)     s(x) for non-integer x, 0 at integers
-    psi(x, e)  the modified sawtooth, a conditionally convergent bilateral
+    psi(x, e)  the modified sawtooth, the conditionally convergent bilateral
                series -(1/2 pi i) sum_{0<|r|<R} e(rx)/(r+e) as R -> oo
 
-plus the nearest-integer quadruple (nearest, signed fractional part,
-distance to nearest, starred distance) as a small value type.
+plus the nearest-integer triple (nearest, signed fractional part, distance
+to nearest) as a small value type.
 
-psi(x, e) is evaluated as a genuine partial sum at a truncation R chosen
-from the tail bound ``TAIL_CONSTANT * min(1, 1/(R ||x||*))``.  Terms r and
--r are paired before accumulation; the pairing collapses the conditional
-convergence into an absolutely summable real part plus an O(1/R) imaginary
-part.  For large R the partial sum is still produced exactly (to floating
-precision) by summing directly up to a modest index and expressing the two
-remaining tail segments in closed form via repeated Abel summation.
+psi(x, e) has a closed form: the partial-fraction expansion of pi/sin(pi e)
+sums the series exactly, so ``modified_sawtooth`` evaluates no partial sum
+and needs no truncation.  Its real and imaginary parts are written as
+quotients of Taylor series that cancel nothing, which keeps a few ulps of
+max(|psi|, |e|) from e = 0 (where it is psi(x)) through subnormal e to 1/2.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
@@ -33,32 +30,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 TWO_PI_I = 2j * math.pi
-
-# Measured worst case of |partial(R) - limit| / min(1, 1/(R ||x||*)) over a
-# random grid of (x, eps, R); see tests/test_numutil.py::test_tail_constant.
-# Truncation logic doubles it for safety.
-TAIL_CONSTANT = 0.32
-TRUNCATION_CONSTANT = 2.0 * TAIL_CONSTANT
-
-DEFAULT_MAX_R = 1 << 34
-
-
-class TailAccuracyError(RuntimeError):
-    """Requested tolerance needs a truncation beyond the configured cap.
-
-    Carries the truncation that would be needed and the tail bound actually
-    achievable at the cap.
-    """
-
-    def __init__(self, r_needed: int, r_cap: int, achievable: float):
-        self.r_needed = r_needed
-        self.r_cap = r_cap
-        self.achievable = achievable
-        super().__init__(
-            f"modified sawtooth needs R={r_needed} > cap {r_cap}; "
-            f"tail bound achievable at cap is {achievable:.3e}"
-        )
-
 
 # ---------------------------------------------------------------------------
 # scalar sawtooth helpers
@@ -139,11 +110,6 @@ def nearest_decomp(x: float) -> NearestIntDecomp:
         n += 1
         frac = x - n
     return NearestIntDecomp(n, frac, abs(frac))
-
-
-def dist_to_nearest_star(x: float) -> float:
-    """||x||*: distance to the nearest integer, with 1 substituted at 0."""
-    return nearest_decomp(x).dist or 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -251,131 +217,54 @@ def sign_change_roots(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
 # the modified sawtooth psi(x, eps)
 # ---------------------------------------------------------------------------
 
-def psi_tail_bound(r: int, x: float) -> float:
-    """Measured-constant tail bound for the partial sum truncated at r."""
-    return TAIL_CONSTANT * min(1.0, 1.0 / (r * dist_to_nearest_star(x)))
+def _taylor(first: int, terms: int) -> Tuple[float, ...]:
+    """(-1)^k / (first + 2k)! for k < terms, each correctly rounded."""
+    return tuple((-1) ** k / math.factorial(first + 2 * k) for k in range(terms))
 
 
-def _psi_partial_direct(fx: float, eps: float, lo: int, hi: int) -> complex:
-    """Paired partial sum over lo <= r <= hi, vectorized in chunks.
-
-    fx is {x}; each pair (r, -r) contributes
-    (i/2pi) * [z^r/(r+eps) - conj(z)^r/(r-eps)] with z = e(fx).
-    """
-    parts = []
-    chunk = 1 << 18
-    r0 = lo
-    while r0 <= hi:
-        r1 = min(r0 + chunk - 1, hi)
-        r = np.arange(r0, r1 + 1, dtype=np.float64)
-        ang = reduced_angle(r * fx)
-        c = np.cos(ang)
-        s = np.sin(ang)
-        den = r * r - eps * eps
-        # real part: -(1/pi) sum r sin / den; imag: -(eps/pi) sum cos / den
-        parts.append(complex(-np.sum(r * s / den) / math.pi,
-                             -eps * np.sum(c / den) / math.pi))
-        r0 = r1 + 1
-    return csum(parts)
+# sin(b)/b and (b - sin b)/b^3 in powers of b^2; on |b| <= pi/2 the first
+# omitted terms are below 2^-66 of the sums
+_SINC = _taylor(1, 12)
+_SIN_DEFECT = _taylor(3, 11)
 
 
-_ABEL_LEVELS = 18
-
-
-def _abel_tail(fx: float, s: float, m: int) -> complex:
-    """Closed form for G = sum_{r>m} z^r / (r+s) with z = e(fx), fx not in Z.
-
-    Repeated summation by parts:
-        G = sum_k (-1)^(k-1) (k-1)! z^(m+k) / [(1-z)^k prod_{t<=k}(m+s+t)]
-    The terms shrink by roughly k / (m |1-z|), so callers must keep
-    m |1-z| comfortably above ``_ABEL_LEVELS``.  Powers z^(m+k) are rebuilt
-    from (m+k) fx mod 1 so no phase accuracy is lost at large m.
-    """
-    one_minus = 1.0 - cmath.exp(2j * math.pi * fx)
-    acc = 0j
-    term_coef = 1.0 / one_minus  # (-1)^(k-1) (k-1)! / (1-z)^k, sign folded in
-    prod = 1.0
-    for k in range(1, _ABEL_LEVELS + 1):
-        prod *= m + s + k
-        acc += term_coef * cmath.exp(2j * math.pi * math.fmod((m + k) * fx, 1.0)) / prod
-        term_coef *= -k / one_minus
+def _series(coef: Tuple[float, ...], b2: float) -> float:
+    """sum_k coef[k] b2^k by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coef):
+        acc = acc * b2 + c
     return acc
 
 
-def _psi_tail_segment(fx: float, eps: float, m: int) -> complex:
-    """sum_{r>m} of the paired psi terms, in closed form (requires {x} != 0)."""
-    g_plus = _abel_tail(fx, eps, m)
-    g_minus = _abel_tail(-fx, -eps, m)
-    return (1j / TWO_PI) * (g_plus - g_minus)
+def modified_sawtooth(x: float, eps: float) -> complex:
+    """psi(x, eps) in closed form; x finite, |eps| <= 1/2.
 
+    Off the integers, with b = pi eps and c = 1 - 2{x}, the partial-fraction
+    expansion of pi/sin(pi eps) sums the bilateral series to
 
-_EM_START = 32
+        psi(x, eps) = (i/2) [e^(i b c) / sin b - 1/b].
 
+    At an integer x the symmetric limit leaves only the imaginary part at
+    c = 1, (i/2)(cot b - 1/b); at eps = 0 the value is psi(x).  Both parts are
+    formed without cancellation,
 
-def _inverse_square_tail(eps: float, n: int) -> float:
-    """sum_{k>n} 1/(k^2 - eps^2) by Euler-Maclaurin: the integral, f/2 and the
-    first, third and fifth derivatives; the next term is below n^-9 / 30, a
-    rounding error for n >= 32."""
-    x = float(n)
-    x2, e2 = x * x, eps * eps
-    d = x2 - e2
-    f1 = -2.0 * x / d ** 2
-    f3 = -24.0 * x * (x2 + e2) / d ** 4
-    f5 = -x * (720.0 * x2 * x2 + 2400.0 * x2 * e2 + 720.0 * e2 * e2) / d ** 6
-    return math.atanh(eps / x) / eps - 0.5 / d - f1 / 12.0 + f3 / 720.0 - f5 / 30240.0
+        Re psi = -c sinc(bc) / (2 sinc b)                    (0 at integer x)
+        Im psi = b [(b - sin b)/b^3 - c^2 sinc(bc/2)^2 / 2] / (2 sinc b),
 
-
-def _psi_partial_integer_x(eps: float, r: int) -> complex:
-    """Partial sum at integer x: phases vanish, and each pair (k, -k) leaves
-    -(eps/pi) / (k^2 - eps^2), summed exactly up to k = 32 and through the
-    Euler-Maclaurin tails beyond."""
-    if eps == 0.0:
-        return 0j
-    terms = [1.0 / (k * k - eps * eps) for k in range(1, min(r, _EM_START) + 1)]
-    if r > _EM_START:
-        terms += [_inverse_square_tail(eps, _EM_START), -_inverse_square_tail(eps, r)]
-    return complex(0.0, -eps * math.fsum(terms) / math.pi)
-
-
-def modified_sawtooth_partial(x: float, eps: float, r: int) -> complex:
-    """The paired partial sum of psi(x, eps) truncated at |r| < R = r+1.
-
-    Exact to floating precision for any truncation; large truncations route
-    the two tail segments through the Abel closed form instead of looping.
+    with sinc and (b - sin b)/b^3 from their Taylor series on all of
+    |b| <= pi/2: b - sin b formed directly loses about 6u/b^2, and b sin b
+    underflows at a subnormal eps.
     """
     if not math.isfinite(x):
         raise ValueError(f"non-finite input {x!r}")
-    if abs(eps) > 0.5:
+    if not abs(eps) <= 0.5:
         raise ValueError(f"eps must lie in [-1/2, 1/2], got {eps}")
-    if r < 1:
-        return 0j
     fx = floor_frac(x)
-    if fx == 0.0:
-        return _psi_partial_integer_x(eps, r)
-    dist = min(fx, 1.0 - fx)
-    # direct up to m, then closed-form tails: partial(R) = direct(m) + T(m) - T(R)
-    m = max(64, int(math.ceil(24.0 / dist)))
-    if r <= 2 * m:
-        return _psi_partial_direct(fx, eps, 1, r)
-    direct = _psi_partial_direct(fx, eps, 1, m)
-    return direct + _psi_tail_segment(fx, eps, m) - _psi_tail_segment(fx, eps, r)
-
-
-def modified_sawtooth(x: float, eps: float, tol: float) -> complex:
-    """psi(x, eps) to within tol, as a partial sum at the bound-implied truncation.
-
-    The truncation R satisfies TRUNCATION_CONSTANT / (R ||x||*) <= tol; if that
-    R exceeds ``DEFAULT_MAX_R`` a :class:`TailAccuracyError` reports the tail
-    bound that the cap could achieve.
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite input {x!r}")
-    if abs(eps) > 0.5:
-        raise ValueError(f"eps must lie in [-1/2, 1/2], got {eps}")
-    r_needed = int(math.ceil(TRUNCATION_CONSTANT / (tol * dist_to_nearest_star(x))))
-    r_needed = max(r_needed, 8)
-    if r_needed > DEFAULT_MAX_R:
-        raise TailAccuracyError(r_needed, DEFAULT_MAX_R, psi_tail_bound(DEFAULT_MAX_R, x))
-    return modified_sawtooth_partial(x, eps, r_needed)
+    c = 1.0 - 2.0 * fx
+    b = math.pi * eps
+    b2, bc = b * b, b * c
+    sinc_b = _series(_SINC, b2)
+    re = 0.0 if fx == 0.0 else -0.5 * c * _series(_SINC, bc * bc) / sinc_b
+    h = c * _series(_SINC, 0.25 * bc * bc)
+    im = 0.5 * b * (_series(_SIN_DEFECT, b2) - 0.5 * h * h) / sinc_b
+    return complex(re, im)

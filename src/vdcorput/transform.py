@@ -136,7 +136,7 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float) -> TransformRes
 # ---------------------------------------------------------------------------
 
 def endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                  mu: float, tol: float = 1e-8) -> EndpointTerm:
+                  mu: float) -> EndpointTerm:
     """D(mu) = D_circ(mu) + D_star(mu), case-selected on f'' against ||f'||.
 
     Explicit in the two small-f'' regimes and when f'(mu) is an integer;
@@ -157,11 +157,11 @@ def endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile,
 
     phase = amplitude_e(1.0, _phase_f_minus_rx(model, mu, r0))
     if dist > 0.0 and fpp <= dist:
-        psi = modified_sawtooth(mu, eps_p, tol)
+        psi = modified_sawtooth(mu, eps_p)
         circ = complex(g_mu * phase * (-1.0 / (TWO_PI_I * eps_p) + psi))
         return EndpointTerm(circ + star, 0.0, "explicit-offset")
     if fpp < 1.0 - dist:
-        psi = modified_sawtooth(mu, eps_p, tol)
+        psi = modified_sawtooth(mu, eps_p)
         circ = complex(g_mu * phase * psi)
         return EndpointTerm(circ + star, 0.0, "explicit-sawtooth")
     if fpp < 1.0:
@@ -240,7 +240,6 @@ def optimized_refinement_params(model: PhaseAmplitudeModel, profile: ConditionMP
 class TransformOptions:
     measure: bool = True
     budget: bool = True
-    psi_tol: float = 1e-8
 
 
 def full_transform(model: PhaseAmplitudeModel, profile: ConditionMProfile,
@@ -264,8 +263,8 @@ def full_transform(model: PhaseAmplitudeModel, profile: ConditionMProfile,
         warnings.warn(f"regularity sweep failed on [{a}, {b}]: {failed}")
     result = rhs_main_sum(model, a, b)
     result.condition_report = report
-    result.d_a = endpoint_term(model, profile, a, tol=opts.psi_tol)
-    result.d_b = endpoint_term(model, profile, b, tol=opts.psi_tol)
+    result.d_a = endpoint_term(model, profile, a)
+    result.d_b = endpoint_term(model, profile, b)
     budget = errbudget.compute_budget(model, profile, a, b) if opts.budget else None
     if opts.measure:
         direct = direct_starred_sum(model, a, b)

@@ -1,8 +1,8 @@
-"""Helpers shared by the tests: a grid evaluator for the modified sawtooth,
-the fitted-constant convention of the acceptance suite, the recursive
-reference for the quadrature's batched pre-split, and the one-function-per-
-call critical-point formulas that the derivative jets of the K functionals
-replaced."""
+"""Helpers shared by the tests: a grid evaluator for the modified sawtooth's
+partial sums, the starred distance to the nearest integer, the fitted-
+constant convention of the acceptance suite, the recursive reference for the
+quadrature's batched pre-split, and the one-function-per-call critical-point
+formulas that the derivative jets of the K functionals replaced."""
 
 import math
 from typing import Sequence
@@ -10,24 +10,31 @@ from typing import Sequence
 import numpy as np
 
 from vdcorput.errbudget import WRFunctions
-from vdcorput.numutil import TWO_PI, floor_frac
+from vdcorput.numutil import TWO_PI, floor_frac, nearest_decomp
 
 
 def modified_sawtooth_grid(xs: np.ndarray, epss: np.ndarray, r: int) -> np.ndarray:
     """Partial sums of psi(x, eps) at truncation r on the outer grid xs x epss,
-    shape (len(xs), len(epss)).  Phases are computed once per x and reused
-    across all eps, keeping the transcendental cost at O(len(xs) * r)."""
+    shape (len(xs), len(epss)), terms r and -r paired.  Phases are computed
+    once per x and reused across all eps, keeping the transcendental cost at
+    O(len(xs) * r); r is taken in blocks of 2^16, which bounds the memory."""
     xs = np.asarray(xs, dtype=np.float64)
     epss = np.asarray(epss, dtype=np.float64)
-    out = np.empty((xs.size, epss.size), dtype=np.complex128)
-    rr = np.arange(1, r + 1, dtype=np.float64)
-    den = (rr * rr)[:, None] - (epss * epss)[None, :]
-    for i, x in enumerate(xs):
-        ang = TWO_PI * np.mod(rr * floor_frac(float(x)), 1.0)
-        re = -(rr * np.sin(ang)) @ (1.0 / den) / math.pi
-        im = -(np.cos(ang) @ (1.0 / den)) * epss / math.pi
-        out[i] = re + 1j * im
+    out = np.zeros((xs.size, epss.size), dtype=np.complex128)
+    for lo in range(1, r + 1, 1 << 16):
+        rr = np.arange(lo, min(lo + (1 << 16), r + 1), dtype=np.float64)
+        inv = 1.0 / ((rr * rr)[:, None] - (epss * epss)[None, :])
+        for i, x in enumerate(xs):
+            ang = TWO_PI * np.mod(rr * floor_frac(float(x)), 1.0)
+            re = -(rr * np.sin(ang)) @ inv / math.pi
+            im = -(np.cos(ang) @ inv) * epss / math.pi
+            out[i] += re + 1j * im
     return out
+
+
+def dist_to_nearest_star(x: float) -> float:
+    """||x||*: distance to the nearest integer, with 1 substituted at 0."""
+    return nearest_decomp(x).dist or 1.0
 
 
 def fitted_constant(ratios: Sequence[float]) -> float:

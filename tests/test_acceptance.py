@@ -19,9 +19,9 @@ from vdcorput.experiments import (ck_quadratic, estimate_c, example_delta,
                                   example_regimes, ik_experiment, kusmin_landau_compare)
 from vdcorput.phase import builtin_family
 from vdcorput.quad import oscillatory_integral, stationary_phase_estimate
-from vdcorput.transform import budget_with_endpoints, full_transform, TransformOptions
+from vdcorput.transform import budget_with_endpoints, full_transform
 
-from helpers import modified_sawtooth_grid, split_fit
+from helpers import dist_to_nearest_star, modified_sawtooth_grid, split_fit
 
 REFERENCE_CONSTANT = 0.168 - 0.320j
 
@@ -95,7 +95,7 @@ def test_criterion_3_regime_2_and_3_predictions(c_fitted):
         n = 12 * k * k + (j if rng.random() < 0.5 else -j)
         if not (10 ** 4 <= n <= 2 * 10 ** 5) or fprime_integer(n) is not None:
             continue
-        rep = example_regimes(n, psi_tol=1e-6)
+        rep = example_regimes(n)
         if rep.regime == 2:
             reports2.append(rep)
     ratios2 = [r.residual / r.bound for r in reports2]
@@ -105,7 +105,7 @@ def test_criterion_3_regime_2_and_3_predictions(c_fitted):
     reports3 = []
     while len(reports3) < 200:
         n = int(rng.integers(10 ** 4, 2 * 10 ** 5))
-        rep = example_regimes(n, psi_tol=1e-6, c_reference=c_fitted)
+        rep = example_regimes(n, c_reference=c_fitted)
         if rep.regime == 3:
             reports3.append(rep)
     ratios3 = [r.residual / r.bound for r in reports3]
@@ -163,9 +163,9 @@ def test_criterion_6_modified_sawtooth():
     while count < 1000:
         mant = 10.0 ** rng.uniform(-3.0, math.log10(0.5))
         x = float(rng.integers(-50, 50)) + (0.5 - mant if rng.random() < 0.5 else mant)
-        if nu.dist_to_nearest_star(x) < 1e-3 or x == round(x):
+        if dist_to_nearest_star(x) < 1e-3 or x == round(x):
             continue
-        v = nu.modified_sawtooth(x, 0.0, 1e-6)
+        v = nu.modified_sawtooth(x, 0.0)
         worst = max(worst, abs(v - nu.sawtooth_psi(x)))
         count += 1
     ok1 = worst <= 1e-6
@@ -232,8 +232,7 @@ def test_criterion_7_transform_identity_audit():
             else:
                 a, b = spec
                 model, profile = builtin_family(family, list(params))
-            res, budget = full_transform(model, profile, a, b,
-                                         TransformOptions(psi_tol=1e-7))
+            res, budget = full_transform(model, profile, a, b)
             total = budget_with_endpoints(res, budget)
             assert math.isfinite(total) and total > 0
             ratios.append(abs(res.measured_delta) / total)

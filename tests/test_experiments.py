@@ -370,6 +370,14 @@ def test_cli_exit_codes():
     assert cli_main(["sum", "--family", "no_family", "--a", "1", "--b", "2"]) == 1
 
 
+def test_cli_transform_at_a_limit_near_an_integer():
+    # 120024.0012 = 12 * 100.01^2: psi at a limit 1.2e-3 from an integer
+    assert cli_main(["transform", "--a", "1", "--b", "120024.0012"]) == 0
+    # psi has no tolerance to set
+    assert cli_main(["transform", "--a", "1", "--b", "1200", "--psi-tol", "1e-8"]) == 2
+    assert cli_main(["example", "--N", "30100", "--psi-tol", "1e-6"]) == 2
+
+
 @pytest.mark.parametrize("argv,limit", [
     (["sum", "--a", "1", "--b", "inf"], "b=inf"),
     (["sum", "--a", "1", "--b", "nan"], "b=nan"),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from vdcorput import numutil as nu
 
-from helpers import modified_sawtooth_grid
+from helpers import dist_to_nearest_star, modified_sawtooth_grid
 
 
 # ---------------------------------------------------------------------------
@@ -31,8 +31,8 @@ def test_nearest_decomp_examples():
     assert d.dist == 0.5
 
     # the starred distance substitutes 1 at an integer
-    assert nu.dist_to_nearest_star(2.4) == pytest.approx(0.4)
-    assert nu.dist_to_nearest_star(7.0) == 1.0
+    assert dist_to_nearest_star(2.4) == pytest.approx(0.4)
+    assert dist_to_nearest_star(7.0) == 1.0
 
 
 def test_nearest_decomp_rejects_nonfinite():
@@ -127,8 +127,66 @@ def test_accumulator_contract():
 # the modified sawtooth
 # ---------------------------------------------------------------------------
 
+U = 2.0 ** -53
+
+
+def psi_reference(x: float, eps: float) -> complex:
+    """psi(x, eps) from its closed form in mpmath, with 40 digits beyond the
+    2 digits(1/|eps|) that the cancellation of cot b - 1/b costs at tiny eps."""
+    if eps == 0.0:
+        return complex(nu.sawtooth_psi(x))
+    digits = len(str(int(1 / abs(mpmath.mpf(eps)))))
+    with mpmath.workdps(40 + 2 * digits):
+        t = mpmath.mpf(x) - mpmath.floor(x)
+        b = mpmath.pi * eps
+        if t == 0:
+            return complex(0.0, float((mpmath.cot(b) - 1 / b) / 2))
+        return complex(0.5j * (mpmath.expj(b * (1 - 2 * t)) / mpmath.sin(b) - 1 / b))
+
+
+def assert_close_to_reference(x: float, eps: float) -> None:
+    got = nu.modified_sawtooth(x, eps)
+    assert math.isfinite(got.real) and math.isfinite(got.imag), (x, eps)
+    want = psi_reference(x, eps)
+    err = abs(got - want)
+    if abs(want) < 2.2250738585072014e-308:
+        assert err <= 1e-300, (x, eps, got, want)
+    else:
+        assert err <= 8 * U * max(abs(want), abs(eps)), (x, eps, got, want, err)
+
+
+PSI_EPS = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-9, -1e-9, 2.0 ** -20, -2.0 ** -20,
+           3.4e-3, -3.4e-3, 1e-2, -1e-2, 0.3, -0.3, 0.5, -0.5]
+PSI_X = [3.0 + 1e-15, -7.0 - 1e-15, 2.0 + 1e-9, 5.0 - 3.7e-3, 0.01, 0.1, -0.25, 0.3, 0.5,
+         -0.5, 0.7, 0.99, 0.0, 5.0, -7.0, 1e12, 1e12 + 0.5, 123456789012.375, -987654321.0625]
+
+
+@pytest.mark.parametrize("eps", PSI_EPS)
+def test_modified_sawtooth_against_mpmath(eps):
+    for x in PSI_X:
+        assert_close_to_reference(x, eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-1e12, 1e12),
+                 st.builds(lambda n, t: n + t, st.integers(-10 ** 6, 10 ** 6),
+                           st.floats(1e-15, 0.5) | st.floats(-0.5, -1e-15))),
+       st.one_of(st.sampled_from(PSI_EPS), st.floats(-0.5, 0.5),
+                 st.builds(lambda m, p: m * 10.0 ** p, st.floats(-1.0, 1.0),
+                           st.floats(-323.0, 0.0)).filter(lambda e: abs(e) <= 0.5)))
+def test_modified_sawtooth_property_against_mpmath(x, eps):
+    assert_close_to_reference(x, eps)
+
+
+def test_modified_sawtooth_is_continuous_at_eps_zero():
+    # psi(x, 0) is psi(x) by definition; the general branch must tend to it
+    for x in PSI_X + [0.25, 17.75, -3.125]:
+        for eps in (1e-12, -1e-12):
+            assert abs(nu.modified_sawtooth(x, eps) - nu.sawtooth_psi(x)) <= 1e-11, (x, eps)
+
+
 def test_modified_sawtooth_reduces_to_sawtooth():
-    v = nu.modified_sawtooth(0.25, 0.0, 1e-6)
+    v = nu.modified_sawtooth(0.25, 0.0)
     assert abs(v - (-0.25)) <= 1e-6
     assert abs(v.imag) <= 1e-12
 
@@ -137,27 +195,23 @@ def test_modified_sawtooth_integer_x_closed_form():
     # at integer x the bilateral series telescopes to pi cot(pi e) - 1/e
     eps = 0.25
     want = -(1.0 / (2j * math.pi)) * (math.pi / math.tan(math.pi * eps) - 1.0 / eps)
-    got = nu.modified_sawtooth(3.0, eps, 1e-8)
+    got = nu.modified_sawtooth(3.0, eps)
     assert abs(got - want) <= 1e-8
-    # consistency between truncations R and 2R
-    r = 4096
-    a = nu.modified_sawtooth_partial(3.0, eps, r)
-    b = nu.modified_sawtooth_partial(3.0, eps, 2 * r)
-    assert abs(a - b) <= nu.psi_tail_bound(r, 3.0)
 
 
 @pytest.mark.parametrize("eps", [2.0 ** -20, -2.0 ** -20, 1e-3, -1e-3, 0.1, 0.25, -0.25,
                                  0.5, -0.5])
 def test_integer_x_partial_sum_against_mpmath(eps):
-    # -(eps/pi) sum_{k<=r} 1/(k^2 - eps^2) by 40-digit digamma differences;
-    # at tiny eps a float64 digamma telescope loses about 1e-9 to cancellation
+    # the grid reference at integer x: -(eps/pi) sum_{k<=r} 1/(k^2 - eps^2) by
+    # 40-digit digamma differences; at tiny eps a float64 digamma telescope
+    # loses about 1e-9 to cancellation
     with mpmath.workdps(40):
         e = mpmath.mpf(eps)
-        for r in [1, 8, 32, 33, 10 ** 2, 10 ** 3, 10 ** 6, 10 ** 8, 10 ** 9, 2 ** 34]:
+        for r in [1, 8, 32, 33, 10 ** 2, 10 ** 3, 10 ** 5, 10 ** 6]:
             s = (mpmath.digamma(r + 1 - e) - mpmath.digamma(1 - e)
                  - mpmath.digamma(r + 1 + e) + mpmath.digamma(1 + e)) / (2 * e)
             want = float(-e * s / mpmath.pi)
-            got = nu.modified_sawtooth_partial(5.0, eps, r)
+            got = modified_sawtooth_grid(np.array([5.0]), np.array([eps]), r)[0, 0]
             assert got.real == 0.0
             assert abs(got.imag - want) <= 1e-14 * abs(want), (eps, r)
 
@@ -165,56 +219,39 @@ def test_integer_x_partial_sum_against_mpmath(eps):
 def test_modified_sawtooth_extreme_truncation_oracle():
     # brute-force partial sum at R = 1e7 as the oracle
     x, eps = 0.3, 0.5
-    oracle = nu._psi_partial_direct(x, eps, 1, 10 ** 7)
-    got = nu.modified_sawtooth(x, eps, 1e-6)
+    oracle = modified_sawtooth_grid(np.array([x]), np.array([eps]), 10 ** 7)[0, 0]
+    got = nu.modified_sawtooth(x, eps)
     assert abs(got - oracle) <= 1e-5
 
 
 @pytest.mark.parametrize("r", [7, 100, 1000, 65536, 2 ** 20])
 def test_partial_sum_evaluator_matches_brute_force(r):
+    # the paired grid reference against the bilateral sum term by term
     rng = np.random.default_rng(r)
+    k = np.concatenate([np.arange(-r, 0), np.arange(1, r + 1)]).astype(float)
     for _ in range(4):
         x = float(rng.uniform(-2, 2))
         if abs(x - round(x)) < 1e-4:
             continue
         eps = float(rng.uniform(-0.5, 0.5))
-        fast = nu.modified_sawtooth_partial(x, eps, r)
-        brute = nu._psi_partial_direct(x - math.floor(x), eps, 1, r)
+        fast = modified_sawtooth_grid(np.array([x]), np.array([eps]), r)[0, 0]
+        brute = np.sum(nu.amplitude_e(1.0 / (k + eps), k * x)) / -(2j * math.pi)
         assert abs(fast - brute) <= 1e-11
 
 
-def test_truncation_pair_bound():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        x = float(rng.uniform(0, 1))
-        if nu.dist_to_nearest_star(x) < 1e-3:
-            continue
-        eps = float(rng.uniform(-0.5, 0.5))
-        for r in (128, 2048):
-            a = nu.modified_sawtooth_partial(x, eps, r)
-            b = nu.modified_sawtooth_partial(x, eps, 2 * r)
-            assert abs(a - b) <= 2 * nu.psi_tail_bound(r, x)
-
-
-def test_tail_constant_is_measured_not_assumed():
-    # the stored constant must dominate a fresh measurement of
-    # |partial(R) - limit| / min(1, 1/(R ||x||*)) over a sample grid
-    rng = np.random.default_rng(11)
-    r_ref = 1 << 22
-    worst = 0.0
-    for _ in range(20):
-        x = float(rng.uniform(0.002, 0.998))
-        eps = float(rng.uniform(-0.5, 0.5))
-        ref = nu.modified_sawtooth_partial(x, eps, r_ref)
-        for r in (64, 512, 4096):
-            diff = abs(nu.modified_sawtooth_partial(x, eps, r) - ref)
-            worst = max(worst, diff / min(1.0, 1.0 / (r * nu.dist_to_nearest_star(x))))
-    for eps in (-0.41, 0.17, 0.5):
-        ref = nu.modified_sawtooth_partial(9.0, eps, r_ref)
-        for r in (64, 512, 4096):
-            diff = abs(nu.modified_sawtooth_partial(9.0, eps, r) - ref)
-            worst = max(worst, diff / min(1.0, 1.0 / r))
-    assert worst <= nu.TAIL_CONSTANT
+def test_grid_reference_converges_to_the_closed_form():
+    # the truncated series approaches the closed form like 1 / (R ||x||*):
+    # off the integers the scaled distance measured at most 0.074; at an
+    # integer x the tail (eps/pi) sum_{k>R} 1/(k^2 - eps^2) is below 1/(2 pi R)
+    xs = np.concatenate([np.linspace(0.003, 0.997, 25), [0.0, 7.0, 7.25, -3.6]])
+    epss = np.linspace(-0.5, 0.5, 11)
+    exact = np.array([[nu.modified_sawtooth(float(x), float(e)) for e in epss] for x in xs])
+    dstar = np.array([dist_to_nearest_star(float(x)) for x in xs])[:, None]
+    integral = (xs == np.round(xs))[:, None]
+    for r in (256, 1024, 4096, 16384):
+        scaled = np.abs(modified_sawtooth_grid(xs, epss, r) - exact) * r * dstar
+        assert float(np.max(scaled, where=~integral, initial=0.0)) <= 0.08, r
+        assert float(np.max(scaled, where=integral, initial=0.0)) <= 1.0 / (2.0 * math.pi), r
 
 
 def test_uniform_bound_on_grid():
@@ -228,33 +265,26 @@ def test_uniform_bound_on_grid():
 def test_grid_evaluator_matches_pointwise():
     xs = np.array([0.05, 0.37, 0.71])
     epss = np.array([-0.4, 0.0, 0.25])
-    grid = modified_sawtooth_grid(xs, epss, 2048)
+    r = 2048
+    grid = modified_sawtooth_grid(xs, epss, r)
     for i, x in enumerate(xs):
         for j, eps in enumerate(epss):
-            want = nu.modified_sawtooth_partial(float(x), float(eps), 2048)
-            assert abs(grid[i, j] - want) <= 1e-12
-
-
-def test_accuracy_error_reports_achievable_bound():
-    with pytest.raises(nu.TailAccuracyError) as exc:
-        nu.modified_sawtooth(0.5 + 1e-7, 0.0, 1e-12)
-    err = exc.value
-    assert err.r_needed > err.r_cap == nu.DEFAULT_MAX_R
-    assert err.achievable == nu.psi_tail_bound(nu.DEFAULT_MAX_R, 0.5 + 1e-7) > 0
+            want = nu.modified_sawtooth(float(x), float(eps))
+            assert abs(grid[i, j] - want) <= 0.08 / (r * dist_to_nearest_star(float(x)))
 
 
 def test_modified_sawtooth_validation():
     with pytest.raises(ValueError):
-        nu.modified_sawtooth(0.3, 0.7, 1e-6)
+        nu.modified_sawtooth(0.3, 0.7)
     with pytest.raises(ValueError):
-        nu.modified_sawtooth(0.3, 0.0, -1.0)
+        nu.modified_sawtooth(0.3, math.nan)
     with pytest.raises(ValueError):
-        nu.modified_sawtooth(math.inf, 0.0, 1e-6)
+        nu.modified_sawtooth(math.inf, 0.0)
 
 
 def test_edge_eps_half_never_divides_by_zero():
     # |r + eps| >= 1/2 for integer r != 0 and |eps| <= 1/2, so the tie is safe
-    v = nu.modified_sawtooth(0.37, -0.5, 1e-8)
+    v = nu.modified_sawtooth(0.37, -0.5)
     assert np.isfinite(v.real) and np.isfinite(v.imag)
 
 

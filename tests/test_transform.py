@@ -244,7 +244,7 @@ def brute_force_endpoint_sum(model, mu, r_cap=2_000_000):
 def test_endpoint_offset_case_against_brute_force():
     model, profile = builtin_family("quadratic", [0.37, 100.0], domain=(0.0, 200.0))
     mu = 2.45 / 0.37  # f'(mu) = 2.45, distance 0.45 > f'' = 0.37
-    term = endpoint_term(model, profile, mu, tol=1e-9)
+    term = endpoint_term(model, profile, mu)
     assert term.regime == "explicit-offset"
     assert term.bound == 0.0
     oracle = brute_force_endpoint_sum(model, mu)
@@ -254,7 +254,7 @@ def test_endpoint_offset_case_against_brute_force():
 def test_endpoint_sawtooth_case_against_brute_force():
     model, profile = builtin_family("quadratic", [0.45, 100.0], domain=(0.0, 200.0))
     mu = 3.3 / 0.45  # f'(mu) = 3.3: distance 0.3 <= f'' = 0.45 < 0.7
-    term = endpoint_term(model, profile, mu, tol=1e-9)
+    term = endpoint_term(model, profile, mu)
     assert term.regime == "explicit-sawtooth"
     oracle = brute_force_endpoint_sum(model, mu)
     assert term.explicit == pytest.approx(oracle, abs=2e-6)
@@ -279,8 +279,8 @@ def test_endpoint_power_phase_nonintegral_slope():
     mu = 1083.0
     dec = nearest_decomp(float(model.f1(mu)))
     assert dec.dist == 0.5 and float(model.f2(mu)) < 0.5
-    term = endpoint_term(model, profile, mu, tol=1e-10)
-    psi = modified_sawtooth(mu, dec.signed_frac, 1e-10)
+    term = endpoint_term(model, profile, mu)
+    psi = modified_sawtooth(mu, dec.signed_frac)
     want = e(math.fmod(float(model.f(mu)), 1.0) - math.fmod(dec.nearest * mu, 1.0)) \
         * (-1.0 / (2j * math.pi * dec.signed_frac) + psi)
     assert term.explicit == pytest.approx(complex(want), rel=1e-9)
@@ -438,12 +438,23 @@ def test_example_family_budget_sweep():
     for k in (40, 60):
         for j in (-5, -1, 0, 2, 5):
             n = 12 * k * k + j
-            res, budget = full_transform(model, profile, 1.0, float(n),
-                                         TransformOptions(psi_tol=1e-7))
+            res, budget = full_transform(model, profile, 1.0, float(n))
             ratios.append(abs(res.measured_delta) / budget_with_endpoints(res, budget))
     fitted = max(ratios)
     assert math.isfinite(fitted) and fitted <= 10.0
     assert all(r <= 2.0 * fitted for r in ratios)
+
+
+@pytest.mark.parametrize("b", [12 * 100.01 ** 2, 12 * 100.005 ** 2])
+def test_limit_near_an_integer_keeps_its_explicit_endpoint(b):
+    # b lies within 1.2e-3 (3e-4) of an integer and f'(b) = 100.01 (100.005):
+    # psi(b, <f'(b)>) enters D(b), and the transform stays finite
+    model, profile = builtin_family("power_phase")
+    res, budget = full_transform(model, profile, 1.0, b)
+    assert res.d_b.regime == "explicit-offset"
+    total = budget_with_endpoints(res, budget)
+    assert math.isfinite(total)
+    assert cmath.isfinite(res.measured_delta) and abs(res.measured_delta) <= total
 
 
 def test_empty_tiny_range():
