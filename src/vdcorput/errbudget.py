@@ -94,12 +94,9 @@ def fprime_range(model: PhaseAmplitudeModel, lo: float, hi: float) -> Tuple[int,
 
 def m_count(model: PhaseAmplitudeModel, mu: float) -> int:
     """Number of integers in the open interval (f'-f'', f'+f'') minus f' itself."""
-    fp = float(model.f1(mu))
-    fpp = float(model.f2(mu))
+    fp, fpp = map(float, model.fjet(mu, 1, 2))
     lo, hi = fp - fpp, fp + fpp
     count = math.ceil(hi) - math.floor(lo) - 1
-    if count < 0:
-        count = 0
     _, _, dist = fprime_nearest(model, mu)
     if dist == 0.0 and lo < fp < hi:
         count -= 1
@@ -130,7 +127,8 @@ def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     For each node x, 64 points z of I_x = [x - M(x), x + M(x)] cut to J are
     tested against the f'' sandwich, the f''' and f'''' decay bounds, and the
     three amplitude bounds.  Worst ratios (value / allowance) and the located
-    violations are reported; the report never raises.
+    violations are reported; the report never raises.  The derivatives come
+    from one f jet and one g jet on a single block of points.
     """
     part1 = max(float(profile.M(a)), float(profile.M(b))) <= (b - a) * (1 + 1e-12)
     lo, hi = _extended_ends(model, profile, a, b)
@@ -140,17 +138,13 @@ def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
 
     k = np.arange(_GRID)
     xs = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k + 1) * np.pi / (2 * _GRID))
-    # one (grid, 64) block: row n holds the 64 points z of I_x at node xs[n]
+    # one (grid, 65) block: row n holds node xs[n], then the 64 points z of I_x
     Mx = np.asarray(profile.M(xs), dtype=float)[:, None]
     Ux = np.asarray(profile.U(xs), dtype=float)[:, None]
-    fppx = np.asarray(model.f2(xs), dtype=float)[:, None]
     zs = np.linspace(np.maximum(xs - Mx[:, 0], jlo), np.minimum(xs + Mx[:, 0], jhi), 64, axis=1)
-    f2z = np.asarray(model.f2(zs), dtype=float)
-    f3z = np.abs(np.asarray(model.f3(zs), dtype=float))
-    f4z = np.abs(np.asarray(model.f4(zs), dtype=float))
-    g0z = np.abs(np.asarray(model.g(zs), dtype=float))
-    g1z = np.abs(np.asarray(model.g1(zs), dtype=float))
-    g2z = np.abs(np.asarray(model.g2(zs), dtype=float))
+    f2, f3, f4 = model.fjet(np.column_stack((xs, zs)), 2, 4)
+    fppx, f2z, f3z, f4z = f2[:, :1], f2[:, 1:], np.abs(f3[:, 1:]), np.abs(f4[:, 1:])
+    g0z, g1z, g2z = (np.abs(v) for v in model.gjet(zs, 0, 2))
     eta = profile.eta
     ratios = (
         f2z / (profile.C2 * fppx),
@@ -178,45 +172,27 @@ def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
 
 
 # ---------------------------------------------------------------------------
-# critical-point functions H, G, W, r and their derivatives
+# the (W, W', r') triples of the critical-point branches
 # ---------------------------------------------------------------------------
 
 @dataclass
 class WRFunctions:
-    """H, G, H^2 - G, the branches r_pm, and the (W, W', r') triples that the
-    K functionals of the pm branches and of the 0 branch integrate.
+    """The (W, W', r') triples that the K functionals of the pm branches and
+    of the 0 branch integrate, each from one f jet and one g jet.
 
-    Branches take sigma = +1 or -1.  All of them assume the point is inside
-    the region where the branch is defined (g'' != 0 for the pm pair, H != 0
-    for the 0 pair); no masking is done here.
+    With H = g f''' + 3 g' f'' and G = 12 g g'' f''^2, the pm branches are
+    r_pm = f' - (H + sigma sqrt(H^2 - G)) / (2 g''), sigma = +1 or -1, and
+    the 0 branch is r_0 = f' - 3 g f''^2 / H.  Each assumes the point is
+    inside the region where its branch is defined (g'' != 0 for the pm pair,
+    H != 0 for the 0 pair); no masking is done here.
     """
 
     model: PhaseAmplitudeModel
 
-    def H(self, x):
-        m = self.model
-        return m.g(x) * m.f3(x) + 3.0 * m.g1(x) * m.f2(x)
-
-    def G(self, x):
-        m = self.model
-        return 12.0 * m.g(x) * m.g2(x) * m.f2(x) ** 2
-
-    def discriminant(self, x):
-        return self.H(x) ** 2 - self.G(x)
-
-    def r_branch(self, x, sigma):
-        m = self.model
-        P = self.H(x) + sigma * np.sqrt(self.discriminant(x))
-        return m.f1(x) - P / (2.0 * m.g2(x))
-
-    # --- (W, W', r') of a K functional, from one derivative jet ----------
-
     def pm_terms(self, x, sigma):
-        """(W_sigma, W_sigma', r_sigma') at x; g, g', g'', g''', f'', f'''
-        and f'''' are each evaluated once."""
-        m = self.model
-        g, g1, g2, g3 = m.g(x), m.g1(x), m.g2(x), m.g3(x)
-        f2, f3, f4 = m.f2(x), m.f3(x), m.f4(x)
+        """(W_sigma, W_sigma', r_sigma') at x from g ... g''' and f'' ... f''''."""
+        g, g1, g2, g3 = self.model.gjet(x, 0, 3)
+        f2, f3, f4 = self.model.fjet(x, 2, 4)
         H = g * f3 + 3.0 * g1 * f2
         Hp = 4.0 * g1 * f3 + 3.0 * g2 * f2 + g * f4
         G = 12.0 * g * g2 * f2 ** 2
@@ -233,11 +209,10 @@ class WRFunctions:
         return W, A_p - B_p, r_p
 
     def zero_terms(self, x):
-        """(W_0, W_0', r_0') at x; g, g', g'', f'', f''' and f'''' are each
-        evaluated once (the 0 branch needs no g''')."""
-        m = self.model
-        g, g1, g2 = m.g(x), m.g1(x), m.g2(x)
-        f2, f3, f4 = m.f2(x), m.f3(x), m.f4(x)
+        """(W_0, W_0', r_0') at x from g ... g'' and f'' ... f'''' (the 0 branch
+        needs no g''')."""
+        g, g1, g2 = self.model.gjet(x, 0, 2)
+        f2, f3, f4 = self.model.fjet(x, 2, 4)
         H = g * f3 + 3.0 * g1 * f2
         Hp = 4.0 * g1 * f3 + 3.0 * g2 * f2 + g * f4
         W = -H ** 2 * f3 / (27.0 * g * f2 ** 5)
@@ -301,28 +276,31 @@ def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
     """
     if samples < 256:
         raise ValueError("samples must be at least 256")
-    wr = WRFunctions(model)
     if profile is not None:
         lo, hi = condition_m_domain(model, profile, a, b)
     else:
         lo, hi = a, b
 
     def signs(x):
-        # G, H^2 - G, H, g, g'' at x; H^2 - G is wr.discriminant's arithmetic
-        # on the same G and H, so neither is evaluated twice
-        G, H = np.asarray(wr.G(x), dtype=float), np.asarray(wr.H(x), dtype=float)
-        return [G, H ** 2 - G, H, np.asarray(model.g(x), dtype=float),
-                np.asarray(model.g2(x), dtype=float)]
+        # G, H^2 - G, H, g, g'' and g' at x from one f jet and one g jet, with
+        # H = g f''' + 3 g' f'' and G = 12 g g'' f''^2
+        g, g1, g2 = model.gjet(x, 0, 2)
+        f2, f3 = model.fjet(x, 2, 3)
+        H = g * f3 + 3.0 * g1 * f2
+        G = 12.0 * g * g2 * f2 ** 2
+        return [G, H ** 2 - G, H, g, g2, g1]
 
     xs = np.linspace(lo, hi, samples)
-    G, D, H, g, g2 = vals = signs(xs)
-    g1 = np.asarray(model.g1(xs), dtype=float)
+    *vals, g1 = signs(xs)
+    G, D, H, g, g2 = vals
     if not np.any(g):
         return AssumptionPartition([], [], [], [], [], (lo, hi))
 
     # breakpoints where any governing sign can flip, and samples landing
     # exactly on a zero of a function that is not zero everywhere
-    fns = (wr.G, wr.discriminant, wr.H, model.g, model.g2)
+    # (bisecting g or g'' alone costs a fraction of the whole sign set)
+    fns = [lambda t, k=k: signs(t)[k] for k in range(3)]
+    fns += [model.g, lambda t: model.gjet(t, 2, 2)[0]]
     roots = [sign_change_roots(fn, xs, v) for fn, v in zip(fns, vals)]
     g_roots, g2_roots = np.array(roots[3]), np.array(roots[4])
     cuts = {lo, hi}.union(*roots)
@@ -337,7 +315,7 @@ def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
     x0, x1 = x0[keep], x1[keep]
     w = x1 - x0
     mids = np.linspace(x0 + w * 1e-3, x1 - w * 1e-3, 7, axis=1)
-    Gm, Dm, Hm, gm, g2m = signs(mids)
+    Gm, Dm, Hm, gm, g2m, _ = signs(mids)
     is_pm = np.all(Gm != 0.0, axis=1) & np.all(Dm >= 0.0, axis=1)
     is_0 = (~is_pm & np.all(g2m == 0.0, axis=1) & np.all(gm != 0.0, axis=1)
             & np.all(Hm != 0.0, axis=1))
@@ -354,23 +332,24 @@ def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
 
     # isolated points; "nonzero" is judged against the sampled scale so that
     # bisection residue at a root does not masquerade as a nonzero value
-    def nonzero(fn, r, v):
-        return np.abs(fn(r)) > 1e-6 * (float(np.max(np.abs(v))) or 1.0)
+    def nonzero(at, v):
+        return np.abs(at) > 1e-6 * (float(np.max(np.abs(v))) or 1.0)
 
-    j0_isolated = g2_roots[nonzero(model.g, g2_roots, g) & nonzero(wr.H, g2_roots, H)]
+    _, _, H_at, g_at, _, _ = signs(g2_roots)
+    j0_isolated = g2_roots[nonzero(g_at, g) & nonzero(H_at, H)]
     # isolated amplitude zeros with g', g'' nonzero
-    jnull = g_roots[nonzero(model.g1, g_roots, g1) & nonzero(model.g2, g_roots, g2)]
+    _, _, _, _, g2_at, g1_at = signs(g_roots)
+    jnull = g_roots[nonzero(g1_at, g1) & nonzero(g2_at, g2)]
 
     # final degeneracy assumption: branch denominators must not vanish at
     # interval endpoints
     p = _endpoints(jpm)
-    d = np.abs(np.asarray(wr.discriminant(p), dtype=float))
+    d = np.abs(signs(p)[1])
     bad = p[(0.0 < d) & (d < 1e-12 * (float(np.max(np.abs(D))) or 1.0))]
     if bad.size:
         raise PartitionDegeneracyError(f"H^2-G tends to 0 at J_pm endpoint {bad[0]:.6g}")
     p = _endpoints(j0)
-    bad = p[np.abs(np.asarray(model.g(p), dtype=float))
-            < 1e-12 * max(1.0, float(np.max(np.abs(g))))]
+    bad = p[np.abs(model.g(p)) < 1e-12 * max(1.0, float(np.max(np.abs(g))))]
     if bad.size:
         raise PartitionDegeneracyError(f"g tends to 0 at J_0 endpoint {bad[0]:.6g}")
 
@@ -587,7 +566,8 @@ def _k_terms(model: PhaseAmplitudeModel,
               for sigma in (+1, -1))
     jn = 0.0
     for x in partition.jnull:
-        jn += abs(float(model.g2(x)) ** 2 / (float(model.g1(x)) * float(model.f2(x)) ** 2))
+        g1, g2 = model.gjet(x, 1, 2)
+        jn += abs(float(g2) ** 2 / (float(g1) * float(model.f2(x)) ** 2))
     return k0, kp, km, jn
 
 

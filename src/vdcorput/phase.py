@@ -1,9 +1,14 @@
-"""Phase/amplitude models with exact derivatives and the built-in families.
+"""Phase/amplitude models with exact derivative jets and the built-in families.
 
 A model carries the phase f with derivatives to order four and the amplitude
 g with derivatives to order three, because the error budget needs f'''' (the
 Taylor control of f'') and g''' (the derivatives of the critical-point
-functions).  All callables accept numpy arrays as well as floats.
+functions), most often several of them at the same points.  So a model holds
+two jets: ``fjet(x, lo, hi)`` returns [f^(lo)(x), ..., f^(hi)(x)] and
+``gjet(x, lo, hi)`` the same for g.  A jet evaluates only the orders asked
+for and computes what they share (a sine and cosine, an exponential) once
+per call.  Jets accept numpy arrays as well as floats; a 0-d input gives 0-d
+outputs.
 
 The built-in families mirror the classical test cases:
 
@@ -25,10 +30,11 @@ search 1/2, 1/4, ... until the inequality sweep passes on a set interval.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Sequence, Tuple, Union
+from typing import Callable, ClassVar, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +42,7 @@ from .numutil import bisect
 
 Func = Callable[[np.ndarray], np.ndarray]
 ArrayOrFloat = Union[np.ndarray, float]
+Jet = Callable[[ArrayOrFloat, int, int], List[np.ndarray]]
 
 
 class FamilyError(ValueError):
@@ -55,6 +62,9 @@ class InversionRangeError(ValueError):
 class PhaseAmplitudeModel:
     """Phase f (derivatives to order 4), amplitude g (to order 3), domain.
 
+    ``fjet(x, lo, hi)`` returns [f^(lo)(x), ..., f^(hi)(x)] for
+    0 <= lo <= hi <= 4, and ``gjet(x, lo, hi)`` the same for g up to order 3;
+    ``f``, ``f1``, ``f2`` and ``g`` are views of a single order.
     ``fprime_inverse`` is the analytic solution of f'(x) = r when the family
     has one.  ``rhs_phase(r, x_r)`` returns (f(x_r) - r x_r) mod 1 using
     whatever exact structure the family admits, for arrays of r and x_r or
@@ -65,15 +75,8 @@ class PhaseAmplitudeModel:
     arithmetic can decide it, None when it cannot.
     """
 
-    f: Func
-    f1: Func
-    f2: Func
-    f3: Func
-    f4: Func
-    g: Func
-    g1: Func
-    g2: Func
-    g3: Func
+    fjet: Jet
+    gjet: Jet
     domain: Tuple[float, float]
     fprime_inverse: Optional[Func] = None
     rhs_phase: Optional[Callable[[ArrayOrFloat, ArrayOrFloat], ArrayOrFloat]] = None
@@ -81,9 +84,17 @@ class PhaseAmplitudeModel:
     name: str = "custom"
     params: Tuple[float, ...] = ()
 
-    def fprime_range(self) -> Tuple[float, float]:
-        a, b = self.domain
-        return float(self.f1(a)), float(self.f1(b))
+    def f(self, x):
+        return self.fjet(x, 0, 0)[0]
+
+    def f1(self, x):
+        return self.fjet(x, 1, 1)[0]
+
+    def f2(self, x):
+        return self.fjet(x, 2, 2)[0]
+
+    def g(self, x):
+        return self.gjet(x, 0, 0)[0]
 
 
 @dataclass
@@ -123,7 +134,7 @@ def invert_fprime(model: PhaseAmplitudeModel, r):
     """
     rs = np.asarray(r, dtype=float)
     lo, hi = model.domain
-    flo, fhi = model.fprime_range()
+    flo, fhi = model.fjet(np.array(model.domain), 1, 1)[0].tolist()
     outside = ~((flo <= rs) & (rs <= fhi))
     if outside.any():
         raise InversionRangeError(float(rs[outside][0]), flo, fhi)
@@ -135,8 +146,8 @@ def invert_fprime(model: PhaseAmplitudeModel, r):
     polish = np.ones(rs.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(8):
-            d = model.f2(x)
-            x_new = x - (model.f1(x) - rs) / d
+            fp, d = model.fjet(x, 1, 2)
+            x_new = x - (fp - rs) / d
             polish &= (d != 0.0) & (a <= x_new) & (x_new <= b)
             x = np.where(polish, x_new, x)
     stalled = np.abs(model.f1(x) - rs) > 1e-12 * np.maximum(1.0, np.abs(rs))
@@ -161,6 +172,11 @@ def _zeros(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def _unit_gjet(x, lo, hi):
+    # g = 1: the amplitude jet of every family with a unit amplitude
+    return [_ones(x) if k == 0 else _zeros(x) for k in range(lo, hi + 1)]
+
+
 def _libm(fn, x, *args):
     """fn(v, *args) of the math module on each element of x (array or scalar).
 
@@ -175,6 +191,15 @@ def _libm(fn, x, *args):
 
 def _power_phase_model(domain) -> PhaseAmplitudeModel:
     c = 3.0 ** -1.5
+
+    def fjet(x, lo, hi):
+        x = np.asarray(x, dtype=float)
+        return [c * x ** 1.5 if k == 0
+                else 0.5 * np.sqrt(x / 3.0) if k == 1
+                else 0.25 / _SQRT3 / np.sqrt(x) if k == 2
+                else -(0.125 / _SQRT3) * x ** -1.5 if k == 3
+                else (3.0 / 16.0 / _SQRT3) * x ** -2.5
+                for k in range(lo, hi + 1)]
 
     def fprime_integer(x: float) -> Optional[int]:
         # f'(x) = sqrt(x/12) is a nonnegative integer iff x = 12 k^2
@@ -194,12 +219,7 @@ def _power_phase_model(domain) -> PhaseAmplitudeModel:
                         (c * xr ** 1.5 - r * xr) % 1.0)[()]
 
     return PhaseAmplitudeModel(
-        f=lambda x: c * np.asarray(x, dtype=float) ** 1.5,
-        f1=lambda x: 0.5 * np.sqrt(np.asarray(x, dtype=float) / 3.0),
-        f2=lambda x: 0.25 / _SQRT3 / np.sqrt(np.asarray(x, dtype=float)),
-        f3=lambda x: -(0.125 / _SQRT3) * np.asarray(x, dtype=float) ** -1.5,
-        f4=lambda x: (3.0 / 16.0 / _SQRT3) * np.asarray(x, dtype=float) ** -2.5,
-        g=_ones, g1=_zeros, g2=_zeros, g3=_zeros,
+        fjet=fjet, gjet=_unit_gjet,
         domain=domain or (1e-3, 1e12),
         fprime_inverse=lambda r: 12.0 * r * r,
         rhs_phase=rhs_phase,
@@ -211,12 +231,17 @@ def _power_phase_model(domain) -> PhaseAmplitudeModel:
 def _quadratic_model(omega: float, domain) -> PhaseAmplitudeModel:
     if omega <= 0:
         raise FamilyError("quadratic family needs omega > 0 (conjugate for omega < 0)")
+
+    def fjet(x, lo, hi):
+        x = np.asarray(x, dtype=float)
+        return [0.5 * omega * x ** 2 if k == 0
+                else omega * x if k == 1
+                else np.full_like(x, omega) if k == 2
+                else np.zeros_like(x)
+                for k in range(lo, hi + 1)]
+
     return PhaseAmplitudeModel(
-        f=lambda x: 0.5 * omega * np.asarray(x, dtype=float) ** 2,
-        f1=lambda x: omega * np.asarray(x, dtype=float),
-        f2=lambda x: np.full_like(np.asarray(x, dtype=float), omega),
-        f3=_zeros, f4=_zeros,
-        g=_ones, g1=_zeros, g2=_zeros, g3=_zeros,
+        fjet=fjet, gjet=_unit_gjet,
         domain=domain or (-1e9, 1e9),
         fprime_inverse=lambda r: r / omega,
         rhs_phase=lambda r, xr: (-0.5 * r * r / omega) % 1.0,
@@ -232,8 +257,24 @@ def _ik_model(alpha: float, n_scale: float, x_scale: float, domain) -> PhaseAmpl
     ga = math.sqrt(A)
     q = A / (A - 1.0)
 
-    def pw(x, p):
-        return (np.asarray(x, dtype=float) / N) ** p
+    def fjet(x, lo, hi):
+        xn = np.asarray(x, dtype=float) / N
+        # f'' by libm pow, as on scalars: the dual-side weights 1/sqrt(f''(x_r))
+        # of an array of x_r must equal their one-point values
+        return [(X / A) * xn ** A if k == 0
+                else (X / N) * xn ** (A - 1) if k == 1
+                else (X * (A - 1) / N ** 2) * _libm(math.pow, xn, A - 2) if k == 2
+                else (X * (A - 1) * (A - 2) / N ** 3) * xn ** (A - 3) if k == 3
+                else (X * (A - 1) * (A - 2) * (A - 3) / N ** 4) * xn ** (A - 4)
+                for k in range(lo, hi + 1)]
+
+    def gjet(x, lo, hi):
+        x = np.asarray(x, dtype=float)
+        return [ga * x ** -0.5 if k == 0
+                else -0.5 * ga * x ** -1.5 if k == 1
+                else 0.75 * ga * x ** -2.5 if k == 2
+                else -1.875 * ga * x ** -3.5
+                for k in range(lo, hi + 1)]
 
     def fprime_integer(x: float) -> Optional[int]:
         if A == 2.0 and x == math.floor(x):
@@ -243,17 +284,7 @@ def _ik_model(alpha: float, n_scale: float, x_scale: float, domain) -> PhaseAmpl
         return None
 
     return PhaseAmplitudeModel(
-        f=lambda x: (X / A) * pw(x, A),
-        f1=lambda x: (X / N) * pw(x, A - 1),
-        # libm pow, as on scalars: the dual-side weights 1/sqrt(f''(x_r)) of
-        # an array of x_r must equal their one-point values
-        f2=lambda x: (X * (A - 1) / N ** 2) * _libm(math.pow, np.asarray(x, dtype=float) / N, A - 2),
-        f3=lambda x: (X * (A - 1) * (A - 2) / N ** 3) * pw(x, A - 3),
-        f4=lambda x: (X * (A - 1) * (A - 2) * (A - 3) / N ** 4) * pw(x, A - 4),
-        g=lambda x: ga * np.asarray(x, dtype=float) ** -0.5,
-        g1=lambda x: -0.5 * ga * np.asarray(x, dtype=float) ** -1.5,
-        g2=lambda x: 0.75 * ga * np.asarray(x, dtype=float) ** -2.5,
-        g3=lambda x: -1.875 * ga * np.asarray(x, dtype=float) ** -3.5,
+        fjet=fjet, gjet=gjet,
         domain=domain or (1e-3 * N, 1e9 * N),
         fprime_inverse=lambda r: N * (r * N / X) ** (1.0 / (A - 1.0)),
         rhs_phase=lambda r, xr: (-(X / q) * _libm(math.pow, r * N / X, q)) % 1.0,
@@ -269,16 +300,13 @@ def _exponential_model(alpha: float, beta: float, domain) -> PhaseAmplitudeModel
     lb = math.log(beta)
     xmax = (700.0 - math.log(alpha)) / lb  # keep beta^x inside float range
 
-    def bx(x, k):
-        return alpha * lb ** k * np.exp(np.asarray(x, dtype=float) * lb)
+    def fjet(x, lo, hi):
+        # f^(k) = alpha (log beta)^k beta^x: one exponential serves every order
+        bx = np.exp(np.asarray(x, dtype=float) * lb)
+        return [alpha * lb ** k * bx for k in range(lo, hi + 1)]
 
     return PhaseAmplitudeModel(
-        f=lambda x: bx(x, 0),
-        f1=lambda x: bx(x, 1),
-        f2=lambda x: bx(x, 2),
-        f3=lambda x: bx(x, 3),
-        f4=lambda x: bx(x, 4),
-        g=_ones, g1=_zeros, g2=_zeros, g3=_zeros,
+        fjet=fjet, gjet=_unit_gjet,
         domain=domain or (-xmax, xmax),
         fprime_inverse=lambda r: np.log(r / (alpha * lb)) / lb,
         rhs_phase=lambda r, xr: (r / lb - r * xr) % 1.0,
@@ -292,16 +320,26 @@ def _zeta_log_model(sigma: float, t: float, domain) -> PhaseAmplitudeModel:
     if t <= 0:
         raise FamilyError("zeta_log family needs t > 0")
     c = t / (2.0 * math.pi)
+
+    def fjet(x, lo, hi):
+        x = np.asarray(x, dtype=float)
+        return [-c * np.log(x) if k == 0
+                else -c / x if k == 1
+                else c * x ** -2.0 if k == 2
+                else -2.0 * c * x ** -3.0 if k == 3
+                else 6.0 * c * x ** -4.0
+                for k in range(lo, hi + 1)]
+
+    def gjet(x, lo, hi):
+        x = np.asarray(x, dtype=float)
+        return [x ** -sigma if k == 0
+                else -sigma * x ** (-sigma - 1) if k == 1
+                else sigma * (sigma + 1) * x ** (-sigma - 2) if k == 2
+                else -sigma * (sigma + 1) * (sigma + 2) * x ** (-sigma - 3)
+                for k in range(lo, hi + 1)]
+
     return PhaseAmplitudeModel(
-        f=lambda x: -c * np.log(np.asarray(x, dtype=float)),
-        f1=lambda x: -c / np.asarray(x, dtype=float),
-        f2=lambda x: c * np.asarray(x, dtype=float) ** -2.0,
-        f3=lambda x: -2.0 * c * np.asarray(x, dtype=float) ** -3.0,
-        f4=lambda x: 6.0 * c * np.asarray(x, dtype=float) ** -4.0,
-        g=lambda x: np.asarray(x, dtype=float) ** -sigma,
-        g1=lambda x: -sigma * np.asarray(x, dtype=float) ** (-sigma - 1),
-        g2=lambda x: sigma * (sigma + 1) * np.asarray(x, dtype=float) ** (-sigma - 2),
-        g3=lambda x: -sigma * (sigma + 1) * (sigma + 2) * np.asarray(x, dtype=float) ** (-sigma - 3),
+        fjet=fjet, gjet=gjet,
         domain=domain or (1e-3, 1e12),
         fprime_inverse=lambda r: -c / r,
         rhs_phase=lambda r, xr: (-c * _libm(math.log, xr) - r * xr) % 1.0,
@@ -317,26 +355,23 @@ def _oscillatory_model(alpha: float, beta: float, gamma: float, domain) -> Phase
     dom = domain or (1.0, 1e6)
     b, gm = beta, gamma
 
-    def u(x, k):
+    def fjet(x, lo, hi):
+        # one sine for every order, and one cosine once f' or beyond is asked
         x = np.asarray(x, dtype=float)
-        s, c = np.sin(gm * x), np.cos(gm * x)
-        if k == 0:
-            return s / x
-        if k == 1:
-            return gm * c / x - s / x ** 2
-        if k == 2:
-            return -gm ** 2 * s / x - 2 * gm * c / x ** 2 + 2 * s / x ** 3
-        if k == 3:
-            return -gm ** 3 * c / x + 3 * gm ** 2 * s / x ** 2 + 6 * gm * c / x ** 3 - 6 * s / x ** 4
-        return gm ** 4 * s / x + 4 * gm ** 3 * c / x ** 2 - 12 * gm ** 2 * s / x ** 3 - 24 * gm * c / x ** 4 + 24 * s / x ** 5
+        s = np.sin(gm * x)
+        c = np.cos(gm * x) if hi > 0 else None
+        return [alpha * x ** 2 + b * (s / x) if k == 0
+                else 2 * alpha * x + b * (gm * c / x - s / x ** 2) if k == 1
+                else 2 * alpha + b * (-gm ** 2 * s / x - 2 * gm * c / x ** 2 + 2 * s / x ** 3)
+                if k == 2
+                else b * (-gm ** 3 * c / x + 3 * gm ** 2 * s / x ** 2 + 6 * gm * c / x ** 3
+                          - 6 * s / x ** 4) if k == 3
+                else b * (gm ** 4 * s / x + 4 * gm ** 3 * c / x ** 2 - 12 * gm ** 2 * s / x ** 3
+                          - 24 * gm * c / x ** 4 + 24 * s / x ** 5)
+                for k in range(lo, hi + 1)]
 
     model = PhaseAmplitudeModel(
-        f=lambda x: alpha * np.asarray(x, dtype=float) ** 2 + b * u(x, 0),
-        f1=lambda x: 2 * alpha * np.asarray(x, dtype=float) + b * u(x, 1),
-        f2=lambda x: 2 * alpha + b * u(x, 2),
-        f3=lambda x: b * u(x, 3),
-        f4=lambda x: b * u(x, 4),
-        g=_ones, g1=_zeros, g2=_zeros, g3=_zeros,
+        fjet=fjet, gjet=_unit_gjet,
         domain=dom,
         name="oscillatory",
         params=(alpha, beta, gamma),
@@ -348,21 +383,18 @@ def _oscillatory_model(alpha: float, beta: float, gamma: float, domain) -> Phase
 
 
 def _sine_amplitude_model(alpha: float, domain) -> PhaseAmplitudeModel:
-    base = _power_phase_model(domain or (1e-3, 1e9))
     a = alpha
-    return PhaseAmplitudeModel(
-        f=base.f, f1=base.f1, f2=base.f2, f3=base.f3, f4=base.f4,
-        g=lambda x: np.sin(a * np.asarray(x, dtype=float)),
-        g1=lambda x: a * np.cos(a * np.asarray(x, dtype=float)),
-        g2=lambda x: -a * a * np.sin(a * np.asarray(x, dtype=float)),
-        g3=lambda x: -a ** 3 * np.cos(a * np.asarray(x, dtype=float)),
-        domain=base.domain,
-        fprime_inverse=base.fprime_inverse,
-        rhs_phase=base.rhs_phase,
-        fprime_integer=base.fprime_integer,
-        name="sine_amplitude",
-        params=(alpha,),
-    )
+
+    def gjet(x, lo, hi):
+        # the sine serves g and g'', the cosine g' and g''': each once at most
+        ax = a * np.asarray(x, dtype=float)
+        s = np.sin(ax) if lo % 2 == 0 or hi > lo else None
+        c = np.cos(ax) if lo % 2 == 1 or hi > lo else None
+        return [s if k == 0 else a * c if k == 1 else -a * a * s if k == 2 else -a ** 3 * c
+                for k in range(lo, hi + 1)]
+
+    return dataclasses.replace(_power_phase_model(domain or (1e-3, 1e9)), gjet=gjet,
+                               name="sine_amplitude", params=(alpha,))
 
 
 def _search_epsilon(model, shape, U, interval) -> float:

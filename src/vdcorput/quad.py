@@ -254,8 +254,8 @@ def fresnel_modified(u: float) -> complex:
 # derivative tests
 # ---------------------------------------------------------------------------
 
-def derivative_test_bounds(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                           alpha: float, beta: float, r: float) -> Tuple[float, float]:
+def derivative_test_bounds(model: PhaseAmplitudeModel, alpha: float, beta: float,
+                           r: float) -> Tuple[float, float]:
     """(first-derivative bound V/(pi kappa), second-derivative bound 4V/sqrt(pi lambda)).
 
     V is the amplitude's maximum modulus plus total variation on the interval,
@@ -264,17 +264,17 @@ def derivative_test_bounds(model: PhaseAmplitudeModel, profile: ConditionMProfil
     the pair.
     """
     xs = np.linspace(alpha, beta, 512)
-    g = np.asarray(model.g(xs), dtype=float)
-    g1 = np.asarray(model.g1(xs), dtype=float)
+    g, g1 = model.gjet(xs, 0, 1)
+    f1, f2 = model.fjet(xs, 1, 2)
     variation = float(np.trapezoid(np.abs(g1), xs))
     V = float(np.max(np.abs(g))) + variation
-    sa = float(model.f1(alpha)) - r
-    sb = float(model.f1(beta)) - r
+    sa = float(f1[0]) - r
+    sb = float(f1[-1]) - r
     if sa == 0.0 or sb == 0.0 or (sa < 0) != (sb < 0):
         first = math.inf
     else:
         first = V / (math.pi * min(abs(sa), abs(sb)))
-    lam = float(np.min(np.asarray(model.f2(xs), dtype=float)))
+    lam = float(np.min(f2))
     second = 4.0 * V / math.sqrt(math.pi * lam) if lam > 0 else math.inf
     return first, second
 
@@ -315,17 +315,16 @@ def stationary_phase_estimate(model: PhaseAmplitudeModel, profile: ConditionMPro
     if abs(d) > M * (1 + 1e-9):
         raise ValueError(f"|mu - x_r| = {abs(d)} exceeds M(x_r) = {M}")
     sgn = +1.0 if side == "right" else -1.0
-    fpp = float(model.f2(c))
-    fppp = float(model.f3(c))
-    g_c = float(model.g(c))
-    g1_c = float(model.g1(c))
-    phi_c = float(model.f(c)) - r * c
+    f_c, _, fpp, fppp = map(float, model.fjet(c, 0, 3))
+    g_c, g1_c = map(float, model.gjet(c, 0, 1))
+    f_mu, f1_mu = map(float, model.fjet(mu, 0, 1))
+    phi_c = f_c - r * c
     if model.rhs_phase is not None and r == int(r):
         phi_c = model.rhs_phase(r, c)
     e_c = amplitude_e(1.0, phi_c)
     e_c8 = amplitude_e(1.0, phi_c + 0.125)
-    e_mu = amplitude_e(1.0, float(model.f(mu)) - r * mu)
-    slope_mu = float(model.f1(mu)) - r
+    e_mu = amplitude_e(1.0, f_mu - r * mu)
+    slope_mu = f1_mu - r
 
     val = g_c * e_c8 / (2.0 * math.sqrt(fpp))
     val += sgn * g_c * fppp * e_c / (6j * math.pi * fpp ** 2)

@@ -95,10 +95,10 @@ class TransformResult:
         return out
 
 
-def _phase_f_minus_rx(model: PhaseAmplitudeModel, x, r):
-    """(f(x) - r x) mod 1 at integer multipliers (arrays or scalars), losing
-    as little as the float format allows."""
-    return (np.fmod(model.f(x), 1.0) - np.fmod(r * x, 1.0)) % 1.0
+def _phase_f_minus_rx(fx, x, r):
+    """(f(x) - r x) mod 1 from fx = f(x) at integer multipliers (arrays or
+    scalars), losing as little as the float format allows."""
+    return (np.fmod(fx, 1.0) - np.fmod(r * x, 1.0)) % 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float) -> TransformRes
     if model.rhs_phase is not None:
         ph = model.rhs_phase(rf, xr)
     else:
-        ph = _phase_f_minus_rx(model, xr, rf)
+        ph = _phase_f_minus_rx(model.f(xr), xr, rf)
     w = model.g(xr) / np.sqrt(model.f2(xr))
     values = amplitude_e(w, ph + 0.125)
     if r.size and half_lo:
@@ -144,18 +144,18 @@ def endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     the offset-plus-sawtooth case.
     """
     r0, eps_p, dist = fprime_nearest(model, mu)
-    fpp = float(model.f2(mu))
+    f_mu, _, fpp, fppp = map(float, model.fjet(mu, 0, 3))
+    g_mu, g1_mu = map(float, model.gjet(mu, 0, 1))
     U = float(profile.U(mu))
     M = float(profile.M(mu))
-    g_mu = float(model.g(mu))
 
     star = 0j
     if dist == 0.0:
-        e_f = amplitude_e(1.0, float(model.f(mu)))
-        star = complex(g_mu * float(model.f3(mu)) * e_f / (6j * math.pi * fpp ** 2)
-                       - float(model.g1(mu)) * e_f / (TWO_PI_I * fpp))
+        e_f = amplitude_e(1.0, f_mu)
+        star = complex(g_mu * fppp * e_f / (6j * math.pi * fpp ** 2)
+                       - g1_mu * e_f / (TWO_PI_I * fpp))
 
-    phase = amplitude_e(1.0, _phase_f_minus_rx(model, mu, r0))
+    phase = amplitude_e(1.0, _phase_f_minus_rx(f_mu, mu, r0))
     if dist > 0.0 and fpp <= dist:
         psi = modified_sawtooth(mu, eps_p)
         circ = complex(g_mu * phase * (-1.0 / (TWO_PI_I * eps_p) + psi))
@@ -200,7 +200,7 @@ def refined_endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile
                             "refined-far-endpoint")
     if dist_p == 0.0:
         explicit = complex(amplitude_e(sawtooth_psi(mu) * float(model.g(mu)),
-                                       _phase_f_minus_rx(model, mu, r0)))
+                                       _phase_f_minus_rx(model.f(mu), mu, r0)))
         return EndpointTerm(explicit, base + U * abs(eps) * L, "refined-sawtooth")
     if eps == 0.0:
         b1 = (U * abs(eps_p) * L / fpp

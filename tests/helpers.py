@@ -1,8 +1,9 @@
 """Helpers shared by the tests: a grid evaluator for the modified sawtooth's
 partial sums, the starred distance to the nearest integer, the fitted-
 constant convention of the acceptance suite, the recursive reference for the
-quadrature's batched pre-split, and the one-function-per-call critical-point
-formulas that the derivative jets of the K functionals replaced."""
+quadrature's batched pre-split, models and single-order views built from
+per-order callables, and the one-function-per-call critical-point formulas
+that the derivative jets of the K functionals replaced."""
 
 import math
 from typing import Sequence
@@ -61,18 +62,60 @@ def presplit_reference(phase_slope, lo: float, hi: float, depth: int = 0) -> lis
             + presplit_reference(phase_slope, mid, hi, depth + 1))
 
 
+def jet_of(*orders):
+    """A jet (x, lo, hi) -> [orders[lo](x), ..., orders[hi](x)] from one
+    callable per derivative order."""
+    return lambda x, lo, hi: [fn(x) for fn in orders[lo:hi + 1]]
+
+
+def order(jet, k):
+    """The derivative of order k alone, as a callable of x."""
+    return lambda x: jet(x, k, k)[0]
+
+
+class Orders:
+    """f, f1 ... f4 and g, g1 ... g3 of a model, one single-order jet call each."""
+
+    def __init__(self, model):
+        for k in range(5):
+            setattr(self, f"f{k or ''}", order(model.fjet, k))
+        for k in range(4):
+            setattr(self, f"g{k or ''}", order(model.gjet, k))
+
+
 class ReferenceWR(WRFunctions):
-    """W, W', r and r' of both critical-point branches, one function per
-    call, each rebuilding H, G and P from fresh model calls: the formulas
-    that ``WRFunctions.pm_terms`` and ``zero_terms`` evaluate from one
-    derivative jet, kept as their reference."""
+    """H, G, H^2 - G, W, W', r and r' of both critical-point branches, one
+    function per call, each rebuilding H, G and P from fresh single-order
+    model calls: the formulas that ``WRFunctions.pm_terms``, ``zero_terms``
+    and the partition's sign scan evaluate from one derivative jet, kept as
+    their reference."""
+
+    @property
+    def m(self):
+        return Orders(self.model)
+
+    def H(self, x):
+        m = self.m
+        return m.g(x) * m.f3(x) + 3.0 * m.g1(x) * m.f2(x)
+
+    def G(self, x):
+        m = self.m
+        return 12.0 * m.g(x) * m.g2(x) * m.f2(x) ** 2
+
+    def discriminant(self, x):
+        return self.H(x) ** 2 - self.G(x)
+
+    def r_branch(self, x, sigma):
+        m = self.m
+        P = self.H(x) + sigma * np.sqrt(self.discriminant(x))
+        return m.f1(x) - P / (2.0 * m.g2(x))
 
     def H_prime(self, x):
-        m = self.model
+        m = self.m
         return 4.0 * m.g1(x) * m.f3(x) + 3.0 * m.g2(x) * m.f2(x) + m.g(x) * m.f4(x)
 
     def G_prime(self, x):
-        m = self.model
+        m = self.m
         return 12.0 * (m.g1(x) * m.g2(x) * m.f2(x) ** 2
                        + m.g(x) * m.g3(x) * m.f2(x) ** 2
                        + 2.0 * m.g(x) * m.g2(x) * m.f2(x) * m.f3(x))
@@ -88,19 +131,19 @@ class ReferenceWR(WRFunctions):
                                           - self.G_prime(x)) / (2.0 * S)
 
     def r_branch_prime(self, x, sigma):
-        m = self.model
+        m = self.m
         P, Pp = self._P(x, sigma), self._P_prime(x, sigma)
         g2, g3 = m.g2(x), m.g3(x)
         return m.f2(x) - (Pp / (2.0 * g2) - P * g3 / (2.0 * g2 ** 2))
 
     def W_branch(self, x, sigma):
-        m = self.model
+        m = self.m
         P = self._P(x, sigma)
         g1, g2 = m.g1(x), m.g2(x)
         return (2.0 * g2) ** 2 * g1 / P ** 2 - (2.0 * g2) ** 3 * m.f2(x) * m.g(x) / P ** 3
 
     def W_branch_prime(self, x, sigma):
-        m = self.model
+        m = self.m
         P, Pp = self._P(x, sigma), self._P_prime(x, sigma)
         g, g1, g2, g3 = m.g(x), m.g1(x), m.g2(x), m.g3(x)
         f2, f3 = m.f2(x), m.f3(x)
@@ -113,11 +156,11 @@ class ReferenceWR(WRFunctions):
     # --- zero branch (g'' identically zero) -----------------------------
 
     def r0(self, x):
-        m = self.model
+        m = self.m
         return m.f1(x) - 3.0 * m.g(x) * m.f2(x) ** 2 / self.H(x)
 
     def r0_prime(self, x):
-        m = self.model
+        m = self.m
         H, Hp = self.H(x), self.H_prime(x)
         g, g1 = m.g(x), m.g1(x)
         f2, f3 = m.f2(x), m.f3(x)
@@ -125,11 +168,11 @@ class ReferenceWR(WRFunctions):
         return f2 - 3.0 * num / H ** 2
 
     def W0(self, x):
-        m = self.model
+        m = self.m
         return -self.H(x) ** 2 * m.f3(x) / (27.0 * m.g(x) * m.f2(x) ** 5)
 
     def W0_prime(self, x):
-        m = self.model
+        m = self.m
         H, Hp = self.H(x), self.H_prime(x)
         g, g1 = m.g(x), m.g1(x)
         f2, f3, f4 = m.f2(x), m.f3(x), m.f4(x)

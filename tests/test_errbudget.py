@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -11,7 +12,7 @@ from vdcorput.phase import (ConditionMProfile, PhaseAmplitudeModel,
                             builtin_family, family_model)
 from vdcorput.transform import rhs_main_sum
 
-from helpers import ReferenceWR
+from helpers import Orders, ReferenceWR, jet_of
 
 SQ6 = math.sqrt(6.0)
 SQ37 = math.sqrt(37.0)
@@ -23,15 +24,15 @@ def example_rhs_model():
     s24 = math.sqrt(24.0)
     arr = lambda x: np.asarray(x, dtype=float)
     return PhaseAmplitudeModel(
-        f=lambda x: 4.0 * arr(x) ** 3,
-        f1=lambda x: 12.0 * arr(x) ** 2,
-        f2=lambda x: 24.0 * arr(x),
-        f3=lambda x: np.full_like(arr(x), 24.0),
-        f4=lambda x: np.zeros_like(arr(x)),
-        g=lambda x: s24 * np.sqrt(arr(x)),
-        g1=lambda x: 0.5 * s24 / np.sqrt(arr(x)),
-        g2=lambda x: -0.25 * s24 * arr(x) ** -1.5,
-        g3=lambda x: 0.375 * s24 * arr(x) ** -2.5,
+        fjet=jet_of(lambda x: 4.0 * arr(x) ** 3,
+                    lambda x: 12.0 * arr(x) ** 2,
+                    lambda x: 24.0 * arr(x),
+                    lambda x: np.full_like(arr(x), 24.0),
+                    lambda x: np.zeros_like(arr(x))),
+        gjet=jet_of(lambda x: s24 * np.sqrt(arr(x)),
+                    lambda x: 0.5 * s24 / np.sqrt(arr(x)),
+                    lambda x: -0.25 * s24 * arr(x) ** -1.5,
+                    lambda x: 0.375 * s24 * arr(x) ** -2.5),
         domain=(0.05, 1e9), name="example_rhs")
 
 
@@ -95,6 +96,7 @@ def per_node_condition_M(model, profile, a, b):
     worst = {name: 0.0 for name in eb._INEQUALITIES}
     violations = []
     eta = profile.eta
+    m = Orders(model)
     for x in xs:
         x = float(x)
         Mx = float(profile.M(x))
@@ -105,11 +107,11 @@ def per_node_condition_M(model, profile, a, b):
         checks = (
             ("f2_upper", f2z / (profile.C2 * fppx)),
             ("f2_lower", fppx / (profile.C2_minus * f2z)),
-            ("f3", np.abs(model.f3(zs)) * Mx / (eta * fppx)),
-            ("f4", np.abs(model.f4(zs)) * Mx * Mx / (eta * eta * profile.C4 * fppx)),
+            ("f3", np.abs(m.f3(zs)) * Mx / (eta * fppx)),
+            ("f4", np.abs(m.f4(zs)) * Mx * Mx / (eta * eta * profile.C4 * fppx)),
             ("g0", np.abs(model.g(zs)) / (profile.D0 * Ux)),
-            ("g1", np.abs(model.g1(zs)) * Mx / (profile.D1 * Ux)),
-            ("g2", np.abs(model.g2(zs)) * Mx * Mx / (profile.D2 * Ux)),
+            ("g1", np.abs(m.g1(zs)) * Mx / (profile.D1 * Ux)),
+            ("g2", np.abs(m.g2(zs)) * Mx * Mx / (profile.D2 * Ux)),
         )
         for name, ratios in checks:
             i = int(np.argmax(ratios))
@@ -146,25 +148,16 @@ def test_condition_m_block_equals_the_per_node_sweep(fam, params, a, b, passes):
 # m counts and the abar/bbar points
 # ---------------------------------------------------------------------------
 
-class _SlopeStub:
-    """Bare f', f'' holder for the integer-count arithmetic."""
-
-    fprime_integer = None
-
-    def __init__(self, fp, fpp):
-        self._fp, self._fpp = fp, fpp
-
-    def f1(self, x):
-        return self._fp
-
-    def f2(self, x):
-        return self._fpp
+def _slope_stub(fp, fpp):
+    """A model with a bare f' and f'' for the integer-count arithmetic."""
+    return PhaseAmplitudeModel(fjet=jet_of(None, lambda x: fp, lambda x: fpp), gjet=None,
+                               domain=(-math.inf, math.inf))
 
 
 def test_m_count_examples():
-    assert eb.m_count(_SlopeStub(5.0, 0.3), 0.0) == 0
-    assert eb.m_count(_SlopeStub(5.0, 2.5), 0.0) == 4
-    assert eb.m_count(_SlopeStub(5.25, 0.5), 0.0) == 1
+    assert eb.m_count(_slope_stub(5.0, 0.3), 0.0) == 0
+    assert eb.m_count(_slope_stub(5.0, 2.5), 0.0) == 4
+    assert eb.m_count(_slope_stub(5.25, 0.5), 0.0) == 1
 
 
 def test_m_count_zero_when_curvature_below_distance():
@@ -175,7 +168,7 @@ def test_m_count_zero_when_curvature_below_distance():
         if dist == 0:
             continue
         fpp = float(rng.uniform(0, 1)) * dist
-        assert eb.m_count(_SlopeStub(fp, fpp), 0.0) == 0
+        assert eb.m_count(_slope_stub(fp, fpp), 0.0) == 0
 
 
 def test_abar_power_phase():
@@ -258,11 +251,8 @@ def test_budget_scales_linearly_with_amplitude():
         M=lambda x: 0.25 * np.asarray(x, dtype=float),
         M_prime=lambda x: np.full_like(np.asarray(x, dtype=float), 0.25),
         U=model.g)
-    doubled_model = PhaseAmplitudeModel(
-        f=model.f, f1=model.f1, f2=model.f2, f3=model.f3, f4=model.f4,
-        g=lambda x: 2.0 * model.g(x), g1=lambda x: 2.0 * model.g1(x),
-        g2=lambda x: 2.0 * model.g2(x), g3=lambda x: 2.0 * model.g3(x),
-        domain=model.domain, name="doubled")
+    doubled_model = dataclasses.replace(
+        model, gjet=lambda x, lo, hi: [2.0 * v for v in model.gjet(x, lo, hi)], name="doubled")
     doubled_profile = ConditionMProfile(
         M=base_profile.M, M_prime=base_profile.M_prime, U=doubled_model.g)
 
@@ -282,7 +272,7 @@ def test_budget_scales_linearly_with_amplitude():
 # ---------------------------------------------------------------------------
 
 def test_wr_closed_forms_match_printed_values():
-    wr = eb.WRFunctions(example_rhs_model())
+    wr = ReferenceWR(example_rhs_model())
     x = 2.7
     assert float(wr.H(x)) == pytest.approx(120.0 * math.sqrt(6.0 * x), rel=1e-12)
     assert float(wr.G(x)) == pytest.approx(-41472.0 * x, rel=1e-12)
@@ -307,13 +297,13 @@ def test_w0_r0_closed_forms_power_phase():
 
 def test_pointwise_identities_on_grid():
     model = example_rhs_model()
-    wr = eb.WRFunctions(model)
+    wr, m = ReferenceWR(model), Orders(model)
     xs = np.linspace(0.5, 60.0, 1000)
     H = np.asarray(wr.H(xs))
-    want_h = model.g(xs) * model.f3(xs) + 3.0 * model.g1(xs) * model.f2(xs)
+    want_h = m.g(xs) * m.f3(xs) + 3.0 * m.g1(xs) * m.f2(xs)
     assert np.max(np.abs(H - want_h) / np.abs(want_h)) < 1e-10
     G = np.asarray(wr.G(xs))
-    want_g = 12.0 * model.g(xs) * model.g2(xs) * model.f2(xs) ** 2
+    want_g = 12.0 * m.g(xs) * m.g2(xs) * m.f2(xs) ** 2
     assert np.max(np.abs(G - want_g) / np.abs(want_g)) < 1e-10
 
 
@@ -347,40 +337,50 @@ def test_jets_equal_the_per_function_formulas_bit_for_bit(family, params, lo, hi
                     assert np.ndim(got) == 0 and _bits(got) == _bits(want), (branch, x)
 
 
-def test_one_jet_evaluates_each_derivative_once():
+def test_one_jet_evaluates_each_derivative_once(monkeypatch):
     base = example_rhs_model()
-    calls = dict.fromkeys(("f", "f1", "f2", "f3", "f4", "g", "g1", "g2", "g3"), 0)
+    calls = []
 
     def counted(name):
-        fn = getattr(base, name)
+        jet = getattr(base, name)
 
-        def wrapped(x):
-            calls[name] += 1
-            return fn(x)
+        def wrapped(x, lo, hi):
+            calls.append((name, lo, hi))
+            return jet(x, lo, hi)
         return wrapped
 
-    model = PhaseAmplitudeModel(**{name: counted(name) for name in calls},
-                                domain=base.domain)
+    model = dataclasses.replace(base, fjet=counted("fjet"), gjet=counted("gjet"))
     wr = eb.WRFunctions(model)
     for x in (2.7, np.linspace(0.5, 60.0, 64)):
-        calls.update(dict.fromkeys(calls, 0))
+        calls.clear()
         wr.pm_terms(x, +1)
-        assert calls == {"f": 0, "f1": 0, "f2": 1, "f3": 1, "f4": 1,
-                         "g": 1, "g1": 1, "g2": 1, "g3": 1}
-        calls.update(dict.fromkeys(calls, 0))
+        assert sorted(calls) == [("fjet", 2, 4), ("gjet", 0, 3)]
+        calls.clear()
         wr.zero_terms(x)
-        assert calls == {"f": 0, "f1": 0, "f2": 1, "f3": 1, "f4": 1,
-                         "g": 1, "g1": 1, "g2": 1, "g3": 0}
+        assert sorted(calls) == [("fjet", 2, 4), ("gjet", 0, 2)]
+
+    # the sweep: f2 at the nodes and f2 ... f4 on the (grid x 64) block in
+    # one fjet call, g ... g2 in one gjet call; the two endpoint decisions
+    # that set the extended interval are scalar calls of their own
+    profile = ConditionMProfile(M=lambda x: 0.25 * np.asarray(x, dtype=float),
+                                M_prime=lambda x: np.full_like(np.asarray(x, dtype=float), 0.25),
+                                U=base.g)
+    want = eb.check_condition_M(base, profile, 2.0, 40.0).to_json()
+    ends = eb._extended_ends(base, profile, 2.0, 40.0)
+    monkeypatch.setattr(eb, "_extended_ends", lambda *args: ends)
+    calls.clear()
+    assert eb.check_condition_M(model, profile, 2.0, 40.0).to_json() == want
+    assert sorted(calls) == [("fjet", 2, 4), ("gjet", 0, 2)]
 
 
 def test_branch_root_identity():
     # t = f' - r_pm solves g'' t^2 - H t + 3 g (f'')^2 = 0 on both branches
     model = example_rhs_model()
-    wr = eb.WRFunctions(model)
+    wr, m = ReferenceWR(model), Orders(model)
     xs = np.linspace(0.5, 60.0, 1000)
     for sigma in (+1, -1):
-        t = np.asarray(model.f1(xs)) - np.asarray(wr.r_branch(xs, sigma))
-        res = (np.asarray(model.g2(xs)) * t * t - np.asarray(wr.H(xs)) * t
+        t = np.asarray(m.f1(xs)) - np.asarray(wr.r_branch(xs, sigma))
+        res = (np.asarray(m.g2(xs)) * t * t - np.asarray(wr.H(xs)) * t
                + 3.0 * np.asarray(model.g(xs)) * np.asarray(model.f2(xs)) ** 2)
         scale = np.abs(np.asarray(wr.H(xs)) * t) + 1e-30
         assert float(np.max(np.abs(res) / scale)) < 1e-8
@@ -388,7 +388,7 @@ def test_branch_root_identity():
 
 def test_wr_derivative_formulas_against_finite_differences():
     model = example_rhs_model()
-    wr = eb.WRFunctions(model)
+    wr = ReferenceWR(model)
     pairs = []
     for s in (+1, -1):
         pairs += [(lambda t, s=s: wr.pm_terms(t, s)[0], lambda t, s=s: wr.pm_terms(t, s)[1]),
@@ -442,14 +442,12 @@ def test_partition_sine_amplitude_zeros():
     s = lambda x: np.sin(al * arr(x))
     c = lambda x: np.cos(al * arr(x))
     base = model
-    skew = PhaseAmplitudeModel(
-        f=base.f, f1=base.f1, f2=base.f2, f3=base.f3, f4=base.f4,
-        g=lambda x: s(x) + lam * s(x) ** 2,
-        g1=lambda x: al * c(x) * (1 + 2 * lam * s(x)),
-        g2=lambda x: -al ** 2 * s(x) * (1 + 2 * lam * s(x)) + 2 * lam * al ** 2 * c(x) ** 2,
-        g3=lambda x: -al ** 3 * c(x) * (1 + 2 * lam * s(x))
-        - 6 * lam * al ** 3 * s(x) * c(x),
-        domain=base.domain, name="skewed_sine")
+    skew = dataclasses.replace(base, gjet=jet_of(
+        lambda x: s(x) + lam * s(x) ** 2,
+        lambda x: al * c(x) * (1 + 2 * lam * s(x)),
+        lambda x: -al ** 2 * s(x) * (1 + 2 * lam * s(x)) + 2 * lam * al ** 2 * c(x) ** 2,
+        lambda x: -al ** 3 * c(x) * (1 + 2 * lam * s(x)) - 6 * lam * al ** 3 * s(x) * c(x)),
+        name="skewed_sine")
     part = eb.partition_assumptions(skew, 10.0, 60.0)
     zeros = [k * math.pi / al for k in range(2, 8) if 10.0 <= k * math.pi / al <= 60.0]
     assert len(part.jnull) == len(zeros)
@@ -463,13 +461,12 @@ def test_partition_isolated_gpp_zero():
     arr = lambda x: np.asarray(x, dtype=float)
     model, _ = builtin_family("power_phase")
     x0 = 30.0
-    cubic = PhaseAmplitudeModel(
-        f=model.f, f1=model.f1, f2=model.f2, f3=model.f3, f4=model.f4,
-        g=lambda x: 10.0 + (arr(x) - x0) ** 3 / 600.0,
-        g1=lambda x: 3.0 * (arr(x) - x0) ** 2 / 600.0,
-        g2=lambda x: 6.0 * (arr(x) - x0) / 600.0,
-        g3=lambda x: np.full_like(arr(x), 6.0 / 600.0),
-        domain=model.domain, name="cubic_amp")
+    cubic = dataclasses.replace(model, gjet=jet_of(
+        lambda x: 10.0 + (arr(x) - x0) ** 3 / 600.0,
+        lambda x: 3.0 * (arr(x) - x0) ** 2 / 600.0,
+        lambda x: 6.0 * (arr(x) - x0) / 600.0,
+        lambda x: np.full_like(arr(x), 6.0 / 600.0)),
+        name="cubic_amp")
     part = eb.partition_assumptions(cubic, 10.0, 50.0)
     assert any(abs(p - x0) < 1e-6 for p in part.j0_isolated)
 
@@ -477,12 +474,12 @@ def test_partition_isolated_gpp_zero():
 def per_piece_partition(model, a, b, profile=None):
     """(jpm, j0, jnull, j0_isolated) from the per-piece and per-root loops
     that the array blocks of partition_assumptions replaced."""
-    wr = eb.WRFunctions(model)
+    wr, m = ReferenceWR(model), Orders(model)
     lo, hi = eb.condition_m_domain(model, profile, a, b) if profile else (a, b)
     xs = np.linspace(lo, hi, 4096)
-    fns = (wr.G, wr.discriminant, wr.H, model.g, model.g2)
+    fns = (wr.G, wr.discriminant, wr.H, m.g, m.g2)
     G, D, H, g, g2 = vals = [np.asarray(fn(xs), dtype=float) for fn in fns]
-    g1 = np.asarray(model.g1(xs), dtype=float)
+    g1 = np.asarray(m.g1(xs), dtype=float)
     cuts = {lo, hi}
     for fn, v in zip(fns, vals):
         cuts.update(eb.sign_change_roots(fn, xs, v))
@@ -505,10 +502,10 @@ def per_piece_partition(model, a, b, profile=None):
                 j0.append((x0, x1))
     scale = lambda v: float(np.max(np.abs(v))) or 1.0
     nonzero = lambda fn, x, v: abs(float(fn(x))) > 1e-6 * scale(v)
-    jnull = [x for x in eb.sign_change_roots(model.g, xs, g)
-             if nonzero(model.g1, x, g1) and nonzero(model.g2, x, g2)]
-    j0_isolated = [x for x in eb.sign_change_roots(model.g2, xs, g2)
-                   if nonzero(model.g, x, g) and nonzero(wr.H, x, H)]
+    jnull = [x for x in eb.sign_change_roots(m.g, xs, g)
+             if nonzero(m.g1, x, g1) and nonzero(m.g2, x, g2)]
+    j0_isolated = [x for x in eb.sign_change_roots(m.g2, xs, g2)
+                   if nonzero(m.g, x, g) and nonzero(wr.H, x, H)]
     for x0, x1 in jpm:
         w = (x1 - x0) * 1e-6
         for p in (x0 + w, x1 - w):
@@ -517,7 +514,7 @@ def per_piece_partition(model, a, b, profile=None):
     for x0, x1 in j0:
         w = (x1 - x0) * 1e-6
         for p in (x0 + w, x1 - w):
-            if abs(float(model.g(p))) < 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+            if abs(float(m.g(p))) < 1e-12 * max(1.0, float(np.max(np.abs(g)))):
                 raise eb.PartitionDegeneracyError(f"g tends to 0 at J_0 endpoint {p:.6g}")
     return jpm, j0, jnull, j0_isolated
 

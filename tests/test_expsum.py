@@ -12,6 +12,8 @@ from vdcorput.expsum import curve_samples, direct_starred_sum, write_curve_csv
 from vdcorput.numutil import csum, integer_range, is_integer_like, reduced_angle
 from vdcorput.phase import PhaseAmplitudeModel, builtin_family
 
+from helpers import jet_of
+
 
 def direct_starred_sum_unreduced(model, a, b):
     """Reference path without phase reduction (valid only for small f)."""
@@ -69,8 +71,8 @@ def curve_csv_text(samples):
 def flat_model():
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return PhaseAmplitudeModel(f=zero, f1=zero, f2=one, f3=zero, f4=zero,
-                               g=one, g1=zero, g2=zero, g3=zero,
+    return PhaseAmplitudeModel(fjet=jet_of(zero, zero, one, zero, zero),
+                               gjet=jet_of(one, zero, zero, zero),
                                domain=(-1e6, 1e6), name="flat")
 
 

@@ -31,7 +31,6 @@ PAPER_ENTRY_POINTS = {
     "refined_endpoint_term",            # refined large-f'' endpoint estimate
     "optimized_refinement_params",      # the optimized (C, L) choices
     "toinfinity_deltas",                # the fixed-a, growing-b budget
-    "r_branch",                         # the critical-point branches r_pm(x)
 }
 
 REPORT_FIELDS = {

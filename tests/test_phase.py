@@ -1,10 +1,15 @@
+import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from vdcorput.phase import FamilyError, InversionRangeError, builtin_family, invert_fprime
+from vdcorput import phase
+from vdcorput.phase import (FamilyError, InversionRangeError, builtin_family, family_model,
+                            invert_fprime)
+
+from helpers import Orders, ReferenceWR, order
 
 FAMILIES = [
     ("power_phase", []),
@@ -34,9 +39,8 @@ def check_derivative_consistency(model, n, seed, rel, window=None):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), n)
     worst = 0.0
-    pairs = [(model.f, model.f1), (model.f1, model.f2), (model.f2, model.f3),
-             (model.f3, model.f4), (model.g, model.g1), (model.g1, model.g2),
-             (model.g2, model.g3)]
+    pairs = [(order(jet, k), order(jet, k + 1))
+             for jet, top in ((model.fjet, 4), (model.gjet, 3)) for k in range(top)]
     for fn, dfn in pairs:
         # floor the comparison scale at a fraction of the derivative's size
         # on the window, so isolated zeros do not poison the relative check
@@ -98,7 +102,7 @@ def test_invert_examples():
 @pytest.mark.parametrize("name,params", FAMILIES)
 def test_invert_round_trip(name, params):
     model, _ = builtin_family(name, params)
-    lo, hi = model.fprime_range()
+    lo, hi = (float(model.f1(x)) for x in model.domain)
     hi = min(hi, lo + 1e5)
     rng = np.random.default_rng(9)
     for r in rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 100):
@@ -113,7 +117,7 @@ def test_analytic_inverse_agrees_with_bisection(name, params):
     model, _ = builtin_family(name, params)
     bare = dataclasses.replace(model, fprime_inverse=None,
                                domain=(model.domain[0], min(model.domain[1], 1e7)))
-    lo, hi = bare.fprime_range()
+    lo, hi = (float(bare.f1(x)) for x in bare.domain)
     rng = np.random.default_rng(2)
     for r in rng.uniform(lo + 0.02 * (hi - lo), lo + 0.6 * (hi - lo), 20):
         xa = invert_fprime(model, float(r))
@@ -146,7 +150,7 @@ def test_invert_array_matches_scalar_calls(name, params, domain):
             x = x_new
         return x
 
-    r0 = math.ceil(bare.fprime_range()[0])
+    r0 = math.ceil(float(bare.f1(bare.domain[0])))
     rs = np.arange(r0, r0 + 300, dtype=float)
     xs = invert_fprime(bare, rs)
     assert isinstance(xs, np.ndarray) and xs.shape == rs.shape
@@ -158,7 +162,7 @@ def test_power_phase_derivative_values():
     model, _ = builtin_family("power_phase")
     x = 300.0
     assert float(model.f2(x)) == pytest.approx(1.0 / (12.0 * math.sqrt(x / 3.0)), rel=1e-13)
-    assert float(model.f3(x)) == pytest.approx(-(1.0 / (8.0 * math.sqrt(3.0))) * x ** -1.5,
+    assert float(Orders(model).f3(x)) == pytest.approx(-(1.0 / (8.0 * math.sqrt(3.0))) * x ** -1.5,
                                                rel=1e-13)
 
 
@@ -166,7 +170,7 @@ def test_quadratic_derivatives_constant():
     model, _ = builtin_family("quadratic", [0.5])
     xs = np.linspace(-5, 5, 11)
     assert np.all(np.asarray(model.f2(xs)) == 0.5)
-    assert np.all(np.asarray(model.f3(xs)) == 0.0)
+    assert np.all(np.asarray(Orders(model).f3(xs)) == 0.0)
 
 
 def test_ik_critical_weight_power_law():
@@ -175,9 +179,8 @@ def test_ik_critical_weight_power_law():
     # discriminant H^2 - G is proportional to (alpha - 7/2)^2 - 9, so both
     # branches are real only for alpha >= 6.5 (below that the partition
     # correctly reports no pm intervals and those terms vanish)
-    from vdcorput.errbudget import WRFunctions
     model, _ = builtin_family("ik_monomial", [7.0, 100.0, 1e4])
-    wr = WRFunctions(model)
+    wr = ReferenceWR(model)
     assert float(wr.discriminant(150.0)) > 0
     for sigma in (+1, -1):
         w1 = abs(float(wr.pm_terms(150.0, sigma)[0]))
@@ -189,9 +192,9 @@ def test_ik_critical_weight_power_law():
 def test_ik_alpha2_discriminant_negative():
     # for alpha = 2 the discriminant is -13.5 (X/N^2)^2 x^(-3) < 0: no pm
     # branches anywhere, exercising the vacuous-partition escape
-    from vdcorput.errbudget import WRFunctions, partition_assumptions
+    from vdcorput.errbudget import partition_assumptions
     model, _ = builtin_family("ik_monomial", [2.0, 100.0, 1e4])
-    wr = WRFunctions(model)
+    wr = ReferenceWR(model)
     x = 150.0
     assert float(wr.discriminant(x)) == pytest.approx(-13.5 * x ** -3, rel=1e-9)
     part = partition_assumptions(model, 100.0, 400.0)
@@ -226,3 +229,70 @@ def test_power_phase_scale_factor_search():
 def test_oscillatory_family_rejects_negative_curvature():
     with pytest.raises(FamilyError):
         builtin_family("oscillatory", [0.001, 10.0, 1.0], domain=(1.0, 100.0))
+
+
+ALL_FAMILIES = FAMILIES + [("oscillatory", [1.0, 0.5, 2.0])]
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name,params", ALL_FAMILIES, ids=[f[0] for f in ALL_FAMILIES])
+def test_jet_slices_equal_single_orders_bit_for_bit(name, params):
+    # every lo..hi slice of a jet gives, order by order, the bits of a call
+    # for that order alone and of the model's one-order views; a 0-d input
+    # (a float or a 0-d array) gives 0-d outputs
+    model = family_model(name, params)
+    lo, hi = model.domain
+    xs = lo + (hi - lo) * np.array([1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9])
+    views = {("fjet", 0): model.f, ("fjet", 1): model.f1, ("fjet", 2): model.f2,
+             ("gjet", 0): model.g}
+    for jet_name, top in (("fjet", 4), ("gjet", 3)):
+        jet = getattr(model, jet_name)
+        for x in [xs] + xs.tolist() + [np.array(v) for v in xs.tolist()]:
+            single = [jet(x, k, k)[0] for k in range(top + 1)]
+            for k, v in enumerate(single):
+                assert np.shape(v) == np.shape(x), (jet_name, k)
+                if (jet_name, k) in views:
+                    assert _bits(views[jet_name, k](x)) == _bits(v), (jet_name, k)
+            for a in range(top + 1):
+                for b in range(a, top + 1):
+                    got = jet(x, a, b)
+                    assert len(got) == b - a + 1
+                    for k, v in zip(range(a, b + 1), got):
+                        assert np.shape(v) == np.shape(x), (jet_name, a, b, k)
+                        assert _bits(v) == _bits(single[k]), (jet_name, a, b, k)
+
+
+def test_jets_compute_shared_transcendentals_once(monkeypatch):
+    # a jet call takes one sine/cosine pair or one exponential whatever the
+    # orders, and a one-order call takes only what its order needs
+    counts = collections.Counter()
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            fn = getattr(np, name)
+            if name not in ("sin", "cos", "exp"):
+                return fn
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+    osc = family_model("oscillatory", [1.0, 0.5, 2.0])
+    sine = family_model("sine_amplitude", [0.37])
+    expo = family_model("exponential", [1.0, 2.0])
+    monkeypatch.setattr(phase, "np", CountingNumpy())
+    xs = np.linspace(10.0, 200.0, 64)
+    for jet, lo, hi, want in ((osc.fjet, 0, 4, {"sin": 1, "cos": 1}),
+                              (osc.fjet, 0, 0, {"sin": 1}),
+                              (sine.gjet, 0, 3, {"sin": 1, "cos": 1}),
+                              (sine.gjet, 0, 0, {"sin": 1}),
+                              (sine.gjet, 3, 3, {"cos": 1}),
+                              (expo.fjet, 0, 4, {"exp": 1})):
+        for x in (xs, 57.5):
+            counts.clear()
+            jet(x, lo, hi)
+            assert counts == want, (jet, lo, hi)

@@ -170,24 +170,24 @@ def test_nonfinite_amplitude_or_phase_is_nonfinite_and_unconverged(bad):
 
 
 def test_derivative_test_examples():
-    model, profile = builtin_family("power_phase")
-    first, second = derivative_test_bounds(model, profile, 20.0, 25.0, 0.0)
+    model, _ = builtin_family("power_phase")
+    first, second = derivative_test_bounds(model, 20.0, 25.0, 0.0)
     # g = 1: V = 1, so the slope bound is 1/(pi f'(20)) with f' increasing
     assert first == pytest.approx(1.0 / (math.pi * float(model.f1(20.0))), rel=1e-9)
 
-    mq, pq = builtin_family("quadratic", [1.0])
-    first, second = derivative_test_bounds(mq, pq, 1.0, 2.0, 0.0)
+    mq, _ = builtin_family("quadratic", [1.0])
+    first, second = derivative_test_bounds(mq, 1.0, 2.0, 0.0)
     assert second == pytest.approx(4.0 / math.sqrt(math.pi), rel=1e-12)
 
     # the oracle value sits below the smaller of the two bounds
-    first, second = derivative_test_bounds(model, profile, 6.0, 18.0, 1.0)
+    first, second = derivative_test_bounds(model, 6.0, 18.0, 1.0)
     q = oscillatory_integral(model, 1.0, 6.0, 18.0, 1e-10)
     assert abs(q.value) <= min(first, second)
 
 
 def test_first_bound_infinite_with_interior_stationary_point():
-    model, profile = builtin_family("power_phase")
-    first, second = derivative_test_bounds(model, profile, 6.0, 18.0, 1.0)
+    model, _ = builtin_family("power_phase")
+    first, second = derivative_test_bounds(model, 6.0, 18.0, 1.0)
     assert math.isinf(first)       # x_1 = 12 sits inside [6, 18]
     assert math.isfinite(second)
 
@@ -201,7 +201,7 @@ def test_bounds_dominate_integral_randomly():
         alpha, beta = x0, x0 + width
         r = float(rng.uniform(-3, 3)) + float(model.f1(0.5 * (alpha + beta)))
         fa, fb = float(model.f1(alpha)) - r, float(model.f1(beta)) - r
-        first, second = derivative_test_bounds(model, profile, alpha, beta, r)
+        first, second = derivative_test_bounds(model, alpha, beta, r)
         q = oscillatory_integral(model, r, alpha, beta, 1e-9)
         if fa * fb > 0:
             assert abs(q.value) <= first * (1 + 1e-6)
@@ -380,7 +380,7 @@ def test_explicit_main_piece_value():
     # small at this scale
     assert abs(correction) < 0.15 * abs(main)
     fpp = float(model.f2(xr))
-    fppp = float(model.f3(xr))
+    fppp = float(model.fjet(xr, 3, 3)[0])
     slope = float(model.f1(mu)) - r
     endpoint = (cmath.exp(2j * math.pi * ((float(model.f(mu)) - r * mu) % 1.0))
                 / (2j * math.pi * slope))
