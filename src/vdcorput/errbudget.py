@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numutil import (bisect, check_finite, is_integer_like, nearest_decomp, sawtooth_s,
+from .numutil import (bisect, check_interval, is_integer_like, nearest_decomp, sawtooth_s,
                       sign_change_roots)
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 from .quad import panel_integral
@@ -237,15 +237,6 @@ class AssumptionPartition:
     jnull: List[float]
     jpm_isolated: List[float]
     j0_isolated: List[float]
-    extended_interval: Tuple[float, float]
-
-    @property
-    def boundary_pm(self) -> List[float]:
-        return sorted({p for seg in self.jpm for p in seg})
-
-    @property
-    def boundary_0(self) -> List[float]:
-        return sorted({p for seg in self.j0 for p in seg})
 
 
 def _tangential_zeros(xs: np.ndarray, D: np.ndarray) -> List[float]:
@@ -262,25 +253,19 @@ def _endpoints(intervals: List[Tuple[float, float]]) -> np.ndarray:
     return np.column_stack((e[:, 0] + w, e[:, 1] - w)).ravel()
 
 
-def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
-                          samples: int = 4096,
-                          profile: Optional[ConditionMProfile] = None,
+_PARTITION_SCAN = 4096  # scan points of the partition's sign changes
+_KAPPA_SCAN = 4096      # scan points of each K functional interval
+
+
+def partition_assumptions(model: PhaseAmplitudeModel, lo: float, hi: float,
                           ) -> AssumptionPartition:
-    """Partition the (extended) interval by the sign pattern of G, H^2-G, g''.
+    """Partition [lo, hi] by the sign pattern of G, H^2-G, g''.
 
-    With a profile the partition covers J; without one it covers [a, b].
-    Sign changes are located by a scan of ``samples`` points refined by
-    bisection; tangential (double) roots below the scan resolution are not
-    found.  Raises PartitionDegeneracyError when H^2-G tends to 0 at a J_pm
-    endpoint or g at a J_0 endpoint.
+    Sign changes are located by a scan of 4 096 points refined by bisection;
+    tangential (double) roots below the scan resolution are not found.
+    Raises PartitionDegeneracyError when H^2-G tends to 0 at a J_pm endpoint
+    or g at a J_0 endpoint.
     """
-    if samples < 256:
-        raise ValueError("samples must be at least 256")
-    if profile is not None:
-        lo, hi = condition_m_domain(model, profile, a, b)
-    else:
-        lo, hi = a, b
-
     def signs(x):
         # G, H^2 - G, H, g, g'' and g' at x from one f jet and one g jet, with
         # H = g f''' + 3 g' f'' and G = 12 g g'' f''^2
@@ -290,11 +275,11 @@ def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
         G = 12.0 * g * g2 * f2 ** 2
         return [G, H ** 2 - G, H, g, g2, g1]
 
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, _PARTITION_SCAN)
     *vals, g1 = signs(xs)
     G, D, H, g, g2 = vals
     if not np.any(g):
-        return AssumptionPartition([], [], [], [], [], (lo, hi))
+        return AssumptionPartition([], [], [], [], [])
 
     # breakpoints where any governing sign can flip, and samples landing
     # exactly on a zero of a function that is not zero everywhere
@@ -354,7 +339,7 @@ def partition_assumptions(model: PhaseAmplitudeModel, a: float, b: float,
         raise PartitionDegeneracyError(f"g tends to 0 at J_0 endpoint {bad[0]:.6g}")
 
     return AssumptionPartition(jpm, j0, jnull.tolist(), _tangential_zeros(xs, D),
-                               j0_isolated.tolist(), (lo, hi))
+                               j0_isolated.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +369,6 @@ def _quad(fn, lo: float, hi: float, what: str, points: Sequence[float] = ()) -> 
     return float(res.value)
 
 
-_KAPPA_SCAN = 4096
-
-
 def _resolved_zeros(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
                     v: np.ndarray, probe: np.ndarray) -> List[float]:
     """Sign changes of fn on the scan xs, given v = fn(xs) and probe = fn a
@@ -403,14 +385,14 @@ def _resolved_zeros(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
 
 
 def kappa_functional(terms: Callable, intervals: Sequence[Tuple[float, float]],
-                     isolated: Sequence[float], boundaries: Sequence[float]) -> float:
+                     isolated: Sequence[float]) -> float:
     """K(I, W, r): variation integral plus isolated-point and boundary terms.
 
     ``terms(x)`` gives (W, W', r') at x, array or scalar, from one evaluation
     of the model's derivatives (``WRFunctions.pm_terms`` or ``zero_terms``).
     Each interval is scanned once, at 4 096 points and a third into each gap.
     Sign changes of r' are located on the scan and bisected; each contributes
-    |s(x) W(x)|, as does each interval boundary.  The integrand
+    |s(x) W(x)|, as does each distinct interval end.  The integrand
     |W||r'| + |W'| has kinks at the zeros of r', W and W', and the quadrature
     panels break at all of them that the scan resolves.
     """
@@ -436,7 +418,7 @@ def kappa_functional(terms: Callable, intervals: Sequence[Tuple[float, float]],
     # one point at a time, as numpy's array pow can differ from libm's in the last bit
     for x in isolated:
         total += abs(terms(x)[0])
-    for x in list(sign_changes) + list(boundaries):
+    for x in sign_changes + sorted({x for seg in intervals for x in seg}):
         total += abs(sawtooth_s(x) * terms(x)[0])
     return total
 
@@ -467,9 +449,8 @@ def abar_bbar(model: PhaseAmplitudeModel, a: float, b: float,
 
 
 def endpoint_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                    a: float, b: float, which: str) -> Tuple[float, float]:
-    """(Delta1, Delta2) at the endpoint named by ``which`` ('a' or 'b')."""
-    mu = a if which == "a" else b
+                    mu: float, span: float) -> Tuple[float, float]:
+    """(Delta1, Delta2) at the endpoint mu of an interval of length span."""
     U = float(profile.U(mu))
     M = float(profile.M(mu))
     fpp = float(model.f2(mu))
@@ -477,7 +458,7 @@ def endpoint_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     m = m_count(model, mu)
 
     if dist == 0.0:
-        d1 = U / (fpp ** 2 * (b - a) ** 3)
+        d1 = U / (fpp ** 2 * span ** 3)
     elif m >= 1:
         d1 = min(U / math.sqrt(fpp), U / dist)
     else:
@@ -559,10 +540,9 @@ def _k_terms(model: PhaseAmplitudeModel,
     """(kappa_0, kappa_+, kappa_-, J_null sum): the K functionals over J_0 and
     both branches of J_pm, and the isolated amplitude-zero sum."""
     wr = WRFunctions(model)
-    k0 = kappa_functional(wr.zero_terms, partition.j0, partition.j0_isolated,
-                          partition.boundary_0)
+    k0 = kappa_functional(wr.zero_terms, partition.j0, partition.j0_isolated)
     kp, km = (kappa_functional(lambda x, s=sigma: wr.pm_terms(x, s), partition.jpm,
-                               partition.jpm_isolated, partition.boundary_pm)
+                               partition.jpm_isolated)
               for sigma in (+1, -1))
     jn = 0.0
     for x in partition.jnull:
@@ -577,7 +557,7 @@ def global_delta4(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     smooth = _quad(_delta4_smooth_integrand(model, profile), a, b, "Delta4 smooth")
     if alternate4_applies(model, profile, a, b):
         return Delta4Breakdown(smooth, 0.0, 0.0, 0.0, 0.0, True)
-    partition = partition_assumptions(model, a, b, profile=profile)
+    partition = partition_assumptions(model, *condition_m_domain(model, profile, a, b))
     return Delta4Breakdown(smooth, *_k_terms(model, partition), False)
 
 
@@ -629,11 +609,12 @@ class ErrorBudget:
 def compute_budget(model: PhaseAmplitudeModel, profile: ConditionMProfile,
                    a: float, b: float) -> ErrorBudget:
     """Delta1-Delta4 on [a, b]; raises ValueError when a limit is not finite
-    and PartitionDegeneracyError when the Delta4 partition is degenerate."""
-    check_finite(a=a, b=b)
+    or b < a, and PartitionDegeneracyError when the Delta4 partition is
+    degenerate."""
+    check_interval(a, b)
     abar, bbar = abar_bbar(model, a, b, profile)
-    d1a, d2a = endpoint_deltas(model, profile, a, b, "a")
-    d1b, d2b = endpoint_deltas(model, profile, a, b, "b")
+    d1a, d2a = endpoint_deltas(model, profile, a, b - a)
+    d1b, d2b = endpoint_deltas(model, profile, b, b - a)
     d3a, d3b = tail_deltas(model, profile, a, b, abar, bbar)
     d4 = global_delta4(model, profile, a, b)
     return ErrorBudget(d1a, d1b, d2a, d2b, d3a, d3b, d4,
@@ -687,7 +668,7 @@ def toinfinity_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
         d4p += _quad(near_b, k_lo, bbar, "Delta4'(b) near b")
         for x in (k_lo, bbar):
             d4p += float(U(x) / (fpp(x) ** 2 * (b - x) ** 3))
-    _, d2b = endpoint_deltas(model, profile, a, b, "b")
+    _, d2b = endpoint_deltas(model, profile, b, b - a)
     d4p += d2b
     smooth = _delta4_smooth_integrand(model, profile)
     d4p += _quad(smooth, k_lo, b, "Delta4'(b) smooth")
@@ -701,6 +682,6 @@ def toinfinity_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     h4 = _monotone_horizon(smooth, b)
     v4 = _quad(smooth, b, h4, "Delta5 smooth tail")
 
-    part = partition_assumptions(model, b, max(h3, h4), samples=2048)
+    part = partition_assumptions(model, b, max(h3, h4))
     k0, kp, km, jn = _k_terms(model, part)
     return d3p, d4p, v3 + v4 + k0 + kp + km + jn

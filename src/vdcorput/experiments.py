@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
+from .errbudget import compute_budget
 from .expsum import CurveSample, curve_samples, direct_starred_sum, write_curve_csv
 from .numutil import (TWO_PI_I, amplitude_e, integer_range, modified_sawtooth, nearest_decomp,
                       sawtooth_psi)
@@ -297,6 +298,8 @@ def ik_experiment(alpha: float, nu: float, n_scale: float, x_scale: float) -> IK
     """
     if alpha <= 1 or nu <= 1:
         raise ValueError("need alpha > 1 and nu > 1")
+    if not (n_scale > 0 and x_scale > 0):
+        raise ValueError(f"need N > 0 and X > 0, got N={n_scale}, X={x_scale}")
     if n_scale * n_scale > x_scale * (1 + 1e-12):
         raise ValueError("need N <= sqrt(X)")
     beta = alpha / (alpha - 1.0)
@@ -354,8 +357,11 @@ def _family_from_args(args) -> Tuple[str, List[float], Optional[Tuple[float, flo
     """(name, params, domain) for family_model or builtin_family."""
     params = [float(t) for t in (args.params.split(",") if args.params else []) if t]
     domain = None
-    if getattr(args, "domain", None):
-        lo, hi = (float(t) for t in args.domain.split(","))
+    if args.domain:
+        try:
+            lo, hi = (float(t) for t in args.domain.split(","))
+        except ValueError:
+            raise ValueError(f"--domain takes lo,hi, got {args.domain!r}") from None
         domain = (lo, hi)
     return args.family, params, domain
 
@@ -366,64 +372,55 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         description="Exponential sums, their dual-side transform, and the error budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family(p):
-        p.add_argument("--family", default="power_phase")
-        p.add_argument("--params", default="")
-        p.add_argument("--domain", default=None, help="lo,hi")
+    def command(name, help, family=False, interval=False):
+        """The subcommand's parser, with the family arguments when family or
+        interval, and then --a and --b when interval."""
+        p = sub.add_parser(name, help=help)
+        if family or interval:
+            p.add_argument("--family", default="power_phase")
+            p.add_argument("--params", default="")
+            p.add_argument("--domain", default=None, help="lo,hi")
+        if interval:
+            p.add_argument("--a", type=float, required=True)
+            p.add_argument("--b", type=float, required=True)
+        return p
 
-    p = sub.add_parser("sum", help="direct starred sum")
-    add_family(p)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--json", dest="json_dir")
+    command("sum", "direct starred sum", interval=True)
+    command("transform", "dual-side sum, endpoint terms, measured residual", interval=True)
+    command("budget", "error budget on an interval", interval=True)
 
-    p = sub.add_parser("transform", help="dual-side sum, endpoint terms, measured residual")
-    add_family(p)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--json", dest="json_dir")
-
-    p = sub.add_parser("budget", help="error budget on an interval")
-    add_family(p)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--json", dest="json_dir")
-
-    p = sub.add_parser("example", help="power-phase regime report at N")
+    p = command("example", "power-phase regime report at N")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--json", dest="json_dir")
 
-    p = sub.add_parser("estimate-c", help="regime-1 constant by 1/k extrapolation")
+    p = command("estimate-c", "regime-1 constant by 1/k extrapolation")
     p.add_argument("--kmin", type=int, default=50)
     p.add_argument("--kmax", type=int, default=100)
-    p.add_argument("--json", dest="json_dir")
 
-    p = sub.add_parser("ck", help="quadratic reciprocity bound check")
+    p = command("ck", "quadratic reciprocity bound check")
     p.add_argument("--omega", type=float)
     p.add_argument("--n", type=int)
     p.add_argument("--random", type=int, default=0, help="number of random draws")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", dest="json_dir")
 
-    p = sub.add_parser("kl", help="classical slope-bound comparison")
-    add_family(p)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--json", dest="json_dir")
+    command("kl", "classical slope-bound comparison", interval=True)
 
-    p = sub.add_parser("ik", help="monomial transform pair")
+    p = command("ik", "monomial transform pair")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--nu", type=float, default=2.0)
     p.add_argument("--N", type=float, default=100.0)
     p.add_argument("--X", type=float, default=1e4)
-    p.add_argument("--json", dest="json_dir")
 
-    p = sub.add_parser("curve", help="partial-sum curve samples")
-    add_family(p)
+    p = command("curve", "partial-sum curve samples", family=True)
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--samples-per-unit", type=int, default=1)
     p.add_argument("--csv")
     p.add_argument("--svg")
+
+    # every subcommand but curve writes its report under --json DIR; added
+    # last, so it stays the last option of each subcommand's help
+    for name, p in sub.choices.items():
+        if name != "curve":
+            p.add_argument("--json", dest="json_dir")
 
     try:
         args = parser.parse_args(argv)
@@ -447,7 +444,6 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"budget total = {budget.total:.6g}")
             _dump_json(payload, args.json_dir, "transform.json")
         elif args.command == "budget":
-            from .errbudget import compute_budget
             model, profile = builtin_family(*_family_from_args(args))
             budget = compute_budget(model, profile, args.a, args.b)
             print(json.dumps(budget.to_json(), sort_keys=True, indent=2))

@@ -16,7 +16,8 @@ from typing import List, Sequence, TextIO
 
 import numpy as np
 
-from .numutil import amplitude_e, check_finite, csum, integer_range, reduced_angle
+from .numutil import (amplitude_e, check_finite, check_interval, csum, integer_range,
+                      reduced_angle)
 from .phase import PhaseAmplitudeModel
 
 # 8 192 doubles = 64 KiB: below glibc's 128 KiB mmap threshold (temporaries are
@@ -41,9 +42,7 @@ def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
     correctly rounded sum, so the result is reproducible.  Raises ValueError
     when a limit is not finite or b < a.
     """
-    check_finite(a=a, b=b)
-    if b < a:
-        raise ValueError(f"empty orientation: b={b} < a={a}")
+    check_interval(a, b)
     # a limit taken as an integer is that integer, so the halved term is
     # always the first or last one summed
     n_lo, n_hi, half_lo, half_hi = integer_range(a, b)

@@ -61,6 +61,13 @@ def check_finite(**limits: float) -> None:
             raise ValueError(f"{name} must be finite, got {name}={x}")
 
 
+def check_interval(a: float, b: float) -> None:
+    """Raise ValueError when a limit of [a, b] is not finite or b < a."""
+    check_finite(a=a, b=b)
+    if b < a:
+        raise ValueError(f"empty orientation: b={b} < a={a}")
+
+
 def is_integer_like(x: float) -> bool:
     """Floating integer detection: |x - round(x)| <= 1e-9 max(1, |x|)."""
     return abs(x - round(x)) <= 1e-9 * max(1.0, abs(x))

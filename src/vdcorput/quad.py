@@ -62,7 +62,7 @@ def _eval_panels(fn, los: np.ndarray, his: np.ndarray):
     return v[:, 0], np.abs(v[:, 0] - v[:, 1])
 
 
-def _phase_pieces(phase_slope, edges: np.ndarray, panel_cap: int):
+def _phase_pieces(phase_slope, edges: np.ndarray):
     """Pre-split [edges[0], edges[-1]] so width * max|phase'| <= 1 on each
     piece (the slope is monotone, so its ends bound it; a nan end bounds
     nothing), or the piece sits at depth 48.  Returns (los, his, pieces),
@@ -70,8 +70,9 @@ def _phase_pieces(phase_slope, edges: np.ndarray, panel_cap: int):
 
     All pieces of one level are tested in one batch, and phase_slope sees
     each new midpoint once, in one array per level.  A level that would
-    make more than panel_cap pieces is not split; then los and his are None
-    and pieces counts the pieces so far, that level's unsplit ones included.
+    make more than ``DEFAULT_PANEL_CAP`` pieces is not split; then los and
+    his are None and pieces counts the pieces so far, that level's unsplit
+    ones included.
     """
     def speed(x):
         return np.abs(np.broadcast_to(np.asarray(phase_slope(x), dtype=float), x.shape))
@@ -88,7 +89,7 @@ def _phase_pieces(phase_slope, edges: np.ndarray, panel_cap: int):
         split = ~keep
         if not split.any():
             break
-        if count + 2 * int(split.sum()) > panel_cap:
+        if count + 2 * int(split.sum()) > DEFAULT_PANEL_CAP:
             return None, None, count + int(split.sum())
         lo, hi, slo, shi = lo[split], hi[split], slo[split], shi[split]
         mid = 0.5 * (lo + hi)
@@ -171,7 +172,7 @@ def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Calla
         edges = np.array([alpha, stationary, beta], dtype=float)
     else:
         edges = np.array([alpha, beta], dtype=float)
-    los, his, pieces = _phase_pieces(phase_slope, edges, DEFAULT_PANEL_CAP)
+    los, his, pieces = _phase_pieces(phase_slope, edges)
     if los is None:
         return QuadResult(complex(math.nan, math.nan), math.inf, pieces, False)
 

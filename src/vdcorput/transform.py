@@ -29,7 +29,7 @@ import numpy as np
 from . import errbudget
 from .errbudget import ConditionMReport, ErrorBudget, fprime_nearest, fprime_range
 from .expsum import direct_starred_sum
-from .numutil import (TWO_PI_I, amplitude_e, check_finite, csum, modified_sawtooth,
+from .numutil import (TWO_PI_I, amplitude_e, check_interval, csum, modified_sawtooth,
                       nearest_decomp, sawtooth_psi)
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 
@@ -251,9 +251,9 @@ def full_transform(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     measured_delta = direct - rhs_main + D(b) - D(a), using the explicit
     parts of the endpoint corrections; their bound parts are additional
     budget and are surfaced via ``budget_with_endpoints``.  Raises
-    ValueError when a limit is not finite.
+    ValueError when a limit is not finite or b < a.
     """
-    check_finite(a=a, b=b)
+    check_interval(a, b)
     opts = options or TransformOptions()
     report = errbudget.check_condition_M(model, profile, a, b)
     if not report.passed:

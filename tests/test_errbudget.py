@@ -217,7 +217,7 @@ def test_abar_absent_when_no_integer_slope():
 
 def test_delta1_integral_slope():
     model, profile = builtin_family("power_phase")
-    d1, _ = eb.endpoint_deltas(model, profile, 1.0, 1200.0, "b")
+    d1, _ = eb.endpoint_deltas(model, profile, 1200.0, 1199.0)
     fpp = float(model.f2(1200.0))
     assert d1 == pytest.approx(1.0 / (fpp ** 2 * 1199.0 ** 3), rel=1e-12)
 
@@ -226,7 +226,7 @@ def test_delta1_zero_when_no_nearby_slope():
     # ||f'|| = 0.3 with m = 0 contributes nothing
     model, profile = builtin_family("quadratic", [0.2, 10.0], domain=(0.0, 100.0))
     mu = (5 + 0.3) / 0.2  # f' = 5.3, f'' = 0.2 < 0.3
-    d1, _ = eb.endpoint_deltas(model, profile, mu, 100.0, "a")
+    d1, _ = eb.endpoint_deltas(model, profile, mu, 100.0 - mu)
     assert d1 == 0.0
 
 
@@ -237,7 +237,7 @@ def test_delta2_plugin_value():
         M_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         U=lambda x: np.ones_like(np.asarray(x, dtype=float)))
     mu = 20.0  # f' = 0.2, f'' = 0.01, m = 0
-    _, d2 = eb.endpoint_deltas(model, profile, mu, 2000.0, "a")
+    _, d2 = eb.endpoint_deltas(model, profile, mu, 2000.0 - mu)
     first = 1.0 / (0.01 ** 2 * 100.0 ** 3) * (1.0 + 0.1 * 100.0) * 1.01
     case = 1.0 / (100.0 * 0.2 ** 2) + 0.01 / 0.2 ** 3
     assert case == pytest.approx(0.25 + 1.25)
@@ -411,12 +411,13 @@ def test_wr_derivative_formulas_against_finite_differences():
 
 def test_partition_constant_amplitude():
     model, profile = builtin_family("power_phase")
-    part = eb.partition_assumptions(model, 100.0, 1200.0, profile=profile)
+    jlo, jhi = eb.condition_m_domain(model, profile, 100.0, 1200.0)
+    part = eb.partition_assumptions(model, jlo, jhi)
     assert part.jpm == []
     assert len(part.j0) == 1
     lo, hi = part.j0[0]
-    assert lo == pytest.approx(part.extended_interval[0])
-    assert hi == pytest.approx(part.extended_interval[1])
+    assert lo == pytest.approx(jlo)
+    assert hi == pytest.approx(jhi)
     assert part.jnull == []
 
 
@@ -471,11 +472,10 @@ def test_partition_isolated_gpp_zero():
     assert any(abs(p - x0) < 1e-6 for p in part.j0_isolated)
 
 
-def per_piece_partition(model, a, b, profile=None):
+def per_piece_partition(model, lo, hi):
     """(jpm, j0, jnull, j0_isolated) from the per-piece and per-root loops
     that the array blocks of partition_assumptions replaced."""
     wr, m = ReferenceWR(model), Orders(model)
-    lo, hi = eb.condition_m_domain(model, profile, a, b) if profile else (a, b)
     xs = np.linspace(lo, hi, 4096)
     fns = (wr.G, wr.discriminant, wr.H, m.g, m.g2)
     G, D, H, g, g2 = vals = [np.asarray(fn(xs), dtype=float) for fn in fns]
@@ -529,15 +529,15 @@ def per_piece_partition(model, a, b, profile=None):
 ])
 def test_partition_blocks_equal_the_per_piece_loops(fam, params, a, b, with_profile):
     model, profile = builtin_family(fam, params)
-    profile = profile if with_profile else None
+    lo, hi = eb.condition_m_domain(model, profile, a, b) if with_profile else (a, b)
     try:
-        want = per_piece_partition(model, a, b, profile)
+        want = per_piece_partition(model, lo, hi)
     except eb.PartitionDegeneracyError as err:
         with pytest.raises(eb.PartitionDegeneracyError) as got:
-            eb.partition_assumptions(model, a, b, profile=profile)
+            eb.partition_assumptions(model, lo, hi)
         assert str(got.value) == str(err)
         return
-    part = eb.partition_assumptions(model, a, b, profile=profile)
+    part = eb.partition_assumptions(model, lo, hi)
     assert (part.jpm, part.j0, part.jnull, part.j0_isolated) == want
     assert part.jpm or part.j0
 
@@ -573,12 +573,6 @@ def test_partition_raises_where_a_branch_denominator_vanishes():
     with pytest.raises(eb.PartitionDegeneracyError,
                        match=r"H\^2-G tends to 0 at J_pm endpoint 9\.99999e\+08"):
         eb.compute_budget(model, profile, 1e4, 1e9)
-
-
-def test_partition_validation():
-    model, _ = builtin_family("power_phase")
-    with pytest.raises(ValueError):
-        eb.partition_assumptions(model, 10.0, 50.0, samples=100)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +650,7 @@ def test_kappa_ik_magnitude_chain():
         total = 0.0
         for sigma in (+1, -1):
             total += eb.kappa_functional(lambda x, s=sigma: wr.pm_terms(x, s),
-                                         part.jpm, part.jpm_isolated, part.boundary_pm)
+                                         part.jpm, part.jpm_isolated)
         ratios.append(total / (math.sqrt(n_scale) / x_scale))
     fitted = max(ratios[::2])
     assert all(r <= 2.0 * fitted for r in ratios)
@@ -671,9 +665,9 @@ def test_kappa_j0_with_many_break_points_against_piecewise_quad(a, b, n_roots, r
     # On [119.7268, 168.6761] the integrand's kinks at the zeros of W0, which
     # are no sign changes of r0', must be panel edges too
     model, profile = builtin_family("oscillatory", [1.0, 1.0, 1.0])
-    part = eb.partition_assumptions(model, a, b, profile=profile)
+    part = eb.partition_assumptions(model, *eb.condition_m_domain(model, profile, a, b))
     wr = eb.WRFunctions(model)
-    got = eb.kappa_functional(wr.zero_terms, part.j0, part.j0_isolated, part.boundary_0)
+    got = eb.kappa_functional(wr.zero_terms, part.j0, part.j0_isolated)
 
     # g = 1, so H = f3, H' = f4 and the branch functions reduce to
     # W0 = -f3^3 / (27 f2^5), W0' = (5 f3^4 - 3 f2 f3^2 f4) / (27 f2^6) and
@@ -702,7 +696,7 @@ def test_kappa_j0_with_many_break_points_against_piecewise_quad(a, b, n_roots, r
 
     saw = lambda x: x - math.floor(x) - 0.5
     want = sum(abs(parts(x)[0]) for x in part.j0_isolated)
-    want += sum(abs(saw(x) * parts(x)[0]) for x in part.boundary_0)
+    want += sum(abs(saw(x) * parts(x)[0]) for x in sorted({x for seg in part.j0 for x in seg}))
     roots = []
     for x0, x1 in part.j0:
         pad = (x1 - x0) * 1e-9
@@ -764,16 +758,16 @@ def test_kappa_probes_each_gap_a_third_in(monkeypatch):
         return np.cos(4.0 * np.pi * (t - xs[0]) / h) * (t - c), one, one
 
     seen = _quad_points(monkeypatch)
-    eb.kappa_functional(terms, [(0.0, 1.0)], [], [])
+    eb.kappa_functional(terms, [(0.0, 1.0)], [])
     assert seen == [[]]
     # control: the same W without the aliased factor gives c as a break point
     eb.kappa_functional(lambda t: (terms(t)[1] * (np.asarray(t) - c), *terms(t)[1:]),
-                        [(0.0, 1.0)], [], [])
+                        [(0.0, 1.0)], [])
     assert seen[1] == [pytest.approx(c, abs=1e-15)]
 
 
 def test_kappa_point_terms_go_one_scalar_at_a_time(monkeypatch):
-    # isolated points add |W(x)|, boundaries and sign changes of r' add
+    # isolated points add |W(x)|, interval ends and sign changes of r' add
     # |s(x) W(x)|; each point is one scalar call, as numpy's array pow can
     # differ from libm's in the last bit
     calls = []
@@ -784,7 +778,7 @@ def test_kappa_point_terms_go_one_scalar_at_a_time(monkeypatch):
         return 1.0 / t ** 1.5, np.ones_like(t), t - 0.6180339887
 
     _quad_points(monkeypatch)
-    got = eb.kappa_functional(terms, [(0.0, 1.0)], [2.5, 3.7], [0.25, 4.2])
+    got = eb.kappa_functional(terms, [(0.25, 4.2)], [2.5, 3.7])
     r = 0.6180339887
     want = (2.5 ** -1.5 + 3.7 ** -1.5 + abs(eb.sawtooth_s(r)) * r ** -1.5
             + 0.25 * 0.25 ** -1.5 + abs(eb.sawtooth_s(4.2)) * 4.2 ** -1.5)
@@ -797,11 +791,11 @@ def test_nonfinite_kappa_integral_is_reported():
     # the amplitude zero that ends this J_pm piece, so the integral diverges;
     # that must surface as a non-finite value with a warning
     model, profile = builtin_family("sine_amplitude", [0.01])
-    part = eb.partition_assumptions(model, 200.0, 400.0, profile=profile)
+    part = eb.partition_assumptions(model, *eb.condition_m_domain(model, profile, 200.0, 400.0))
     wr = eb.WRFunctions(model)
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.warns(UserWarning, match="K functional integral did not converge"):
-        k = eb.kappa_functional(lambda x: wr.pm_terms(x, +1), part.jpm[:1], [], [])
+        k = eb.kappa_functional(lambda x: wr.pm_terms(x, +1), part.jpm[:1], [])
     assert not math.isfinite(k)
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -238,6 +239,8 @@ def test_ik_nu_independence():
 def test_ik_validation():
     with pytest.raises(ValueError):
         ik_experiment(2.0, 2.0, 200.0, 1e4)  # N > sqrt(X)
+    with pytest.raises(ValueError):
+        ik_experiment(2.0, 2.0, 0.0, 1e4)    # N = 0 passes N <= sqrt(X)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +390,23 @@ def test_cli_transform_at_a_limit_near_an_integer():
     (["budget", "--a", "1", "--b", "inf"], "b=inf"),
     (["transform", "--a", "1", "--b", "nan"], "b=nan"),
     (["budget", "--a=-inf", "--b", "2"], "a=-inf"),
+    (["ik", "--N", "0"], "N=0.0"),
+    (["budget", "--a", "100", "--b", "50"], "b=50.0"),
+    (["transform", "--a", "100", "--b", "50"], "b=50.0"),
+    (["sum", "--domain", "5,1", "--a", "1", "--b", "2"], "(5.0, 1.0)"),
+    (["sum", "--domain", "nan,1e6", "--a", "1", "--b", "2"], "(nan, 1000000.0)"),
+    (["sum", "--domain", "1,inf", "--a", "1", "--b", "2"], "(1.0, inf)"),
+    (["transform", "--domain", "10,1", "--a", "2", "--b", "5"], "(10.0, 1.0)"),
+    (["sum", "--domain", "1", "--a", "1", "--b", "2"], "--domain takes lo,hi"),
 ])
 def test_cli_non_finite_limit_is_an_error_not_a_traceback(argv, limit, capsys):
-    assert cli_main(argv) == 1
+    # a warning, which pytest keeps off stderr, is one more stderr line in a shell
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and limit in err[0]
+    assert not caught
 
 
 def test_cli_transform_roundtrip(tmp_path):

@@ -130,7 +130,7 @@ def test_every_class_field_is_read_by_src_or_bench():
 # default-valued settings that nothing in src/ or bench/ sets, and why they stay
 UNSET_SETTINGS = {
     "example_regimes(c_reference)",     # the standing criterion-1 check passes it
-    "TransformResult.flags",            # always empty; the bench reads it (ROADMAP item 6)
+    "TransformResult.flags",            # always empty; the bench reads it
 }
 
 

@@ -227,9 +227,9 @@ def _recorded_presplits(monkeypatch, calls):
     real = quad._phase_pieces
     seen = []
 
-    def recording(phase_slope, edges, panel_cap):
+    def recording(phase_slope, edges):
         counted = _counted(phase_slope)
-        los, his, pieces = real(counted, edges, panel_cap)
+        los, his, pieces = real(counted, edges)
         assert los is not None and pieces == los.size
         seen.append((phase_slope, edges.tolist(), list(zip(los.tolist(), his.tolist())), counted.calls))
         return los, his, pieces
@@ -269,7 +269,7 @@ def test_presplit_depth_cap_matches_recursion():
     # |slope| = 1/x is infinite at 0, so the first piece stops at depth 48
     slope = lambda x: -1.0 / np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
-        los, his, pieces = quad._phase_pieces(slope, np.array([0.0, 1.0]), 10 ** 6)
+        los, his, pieces = quad._phase_pieces(slope, np.array([0.0, 1.0]))
         want = _reference_pieces(slope, [0.0, 1.0])
     assert los is not None and pieces == len(want)
     assert list(zip(los.tolist(), his.tolist())) == want
@@ -288,7 +288,7 @@ def test_presplit_tiles_and_bounds_each_piece(shift, cycles, power, alpha, width
     inside = alpha < shift < beta
     edges = np.array([alpha, shift, beta] if inside else [alpha, beta])
     counted = _counted(slope)
-    los, his, pieces = quad._phase_pieces(counted, edges, quad.DEFAULT_PANEL_CAP)
+    los, his, pieces = quad._phase_pieces(counted, edges)
     assert los is not None and pieces == los.size and counted.calls <= 49
     assert los[0] == alpha and his[-1] == beta
     assert np.array_equal(his[:-1], los[1:])
