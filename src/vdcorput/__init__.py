@@ -7,14 +7,12 @@ from .numutil import (NearestIntDecomp, csum, modified_sawtooth, nearest_decomp,
 from .phase import (ConditionMProfile, FamilyError, InversionRangeError,
                     PhaseAmplitudeModel, builtin_family, family_model, invert_fprime)
 from .expsum import CurveSample, curve_samples, direct_starred_sum
-from .quad import (QuadResult, derivative_test_bounds, fresnel_modified,
-                   oscillatory_integral, stationary_phase_estimate)
+from .quad import QuadResult, oscillatory_integral
 from .transform import (EndpointTerm, TransformOptions, TransformResult,
-                        endpoint_term, full_transform, refined_endpoint_term,
-                        rhs_main_sum)
+                        endpoint_term, full_transform, rhs_main_sum)
 from .errbudget import (AssumptionPartition, ConditionMReport, ErrorBudget,
                         WRFunctions, check_condition_M, compute_budget,
-                        m_count, partition_assumptions, toinfinity_deltas)
+                        m_count, partition_assumptions)
 
 __all__ = [
     "NearestIntDecomp", "csum", "modified_sawtooth", "nearest_decomp",
@@ -22,11 +20,9 @@ __all__ = [
     "ConditionMProfile", "FamilyError", "InversionRangeError",
     "PhaseAmplitudeModel", "builtin_family", "family_model", "invert_fprime",
     "CurveSample", "curve_samples", "direct_starred_sum",
-    "QuadResult", "derivative_test_bounds", "fresnel_modified",
-    "oscillatory_integral", "stationary_phase_estimate",
+    "QuadResult", "oscillatory_integral",
     "EndpointTerm", "TransformOptions", "TransformResult", "endpoint_term",
-    "full_transform", "refined_endpoint_term", "rhs_main_sum",
+    "full_transform", "rhs_main_sum",
     "AssumptionPartition", "ConditionMReport", "ErrorBudget", "WRFunctions",
     "check_condition_M", "compute_budget", "m_count", "partition_assumptions",
-    "toinfinity_deltas",
 ]

@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numutil import (bisect, check_interval, is_integer_like, nearest_decomp, sawtooth_s,
+from .numutil import (check_interval, is_integer_like, nearest_decomp, sawtooth_s,
                       sign_change_roots)
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 from .quad import panel_integral
@@ -619,69 +619,3 @@ def compute_budget(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     d4 = global_delta4(model, profile, a, b)
     return ErrorBudget(d1a, d1b, d2a, d2b, d3a, d3b, d4,
                        m_count(model, a), m_count(model, b), abar, bbar)
-
-
-# ---------------------------------------------------------------------------
-# the to-infinity variants
-# ---------------------------------------------------------------------------
-
-def _locate_kb(profile: ConditionMProfile, a: float, b: float) -> float:
-    """Left edge of K_b = {x in [a,b] : x + M(x) > b} for nondecreasing M."""
-    if a + float(profile.M(a)) > b:
-        return a
-    lo, hi = bisect(lambda x: x + profile.M(x) - b, a, b)
-    return float(0.5 * (lo + hi))
-
-
-def _monotone_horizon(fn: Callable[[float], float], b: float) -> float:
-    """Doubling horizon where the integrand falls below 1e-16 of its start,
-    verified decreasing along the probes."""
-    f0 = abs(fn(b + 1.0)) or 1.0
-    h = max(2.0 * b, b + 16.0)
-    prev = abs(fn(h))
-    while abs(fn(h)) > 1e-16 * f0 and h < 1e15:
-        h *= 2.0
-        cur = abs(fn(h))
-        if cur > prev * 1.0000001:
-            warnings.warn("integrand not monotone on the truncation tail")
-            break
-        prev = cur
-    return h
-
-
-def toinfinity_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                      a: float, b: float) -> Tuple[float, float, float]:
-    """(Delta3'(b), Delta4'(b), Delta5) for the fixed-a, growing-b estimate."""
-    U, fpp, M = profile.U, model.f2, profile.M
-
-    d3p = float(U(b) / (fpp(b) ** 2 * (b - a) ** 3)
-                + U(b) / (fpp(b) ** 2 * M(b) ** 3) * (1.0 + np.sqrt(fpp(b)) * M(b)))
-
-    k_lo = _locate_kb(profile, a, b)
-    _, bbar = abar_bbar(model, a, b, profile)
-
-    d4p = 0.0
-    if bbar is not None and k_lo < bbar:
-        def near_b(x):
-            return U(x) / (fpp(x) * (b - x) ** 3) * (
-                1.0 + 1.0 / (fpp(x) * M(x)) + 1.0 / (M(x) * (b - x)))
-        d4p += _quad(near_b, k_lo, bbar, "Delta4'(b) near b")
-        for x in (k_lo, bbar):
-            d4p += float(U(x) / (fpp(x) ** 2 * (b - x) ** 3))
-    _, d2b = endpoint_deltas(model, profile, b, b - a)
-    d4p += d2b
-    smooth = _delta4_smooth_integrand(model, profile)
-    d4p += _quad(smooth, k_lo, b, "Delta4'(b) smooth")
-    for x in (k_lo, b):
-        d4p += float(U(x) / (fpp(x) ** 2 * M(x) ** 3) * (1.0 + np.sqrt(fpp(x)) * M(x)))
-
-    # Delta5: integral tails past b plus the K terms over [b, infinity)
-    tail3 = _delta3_integrand(model, profile, a)
-    h3 = _monotone_horizon(tail3, b)
-    v3 = _quad(tail3, b, h3, "Delta5 Delta3 tail")
-    h4 = _monotone_horizon(smooth, b)
-    v4 = _quad(smooth, b, h4, "Delta5 smooth tail")
-
-    part = partition_assumptions(model, b, max(h3, h4))
-    k0, kp, km, jn = _k_terms(model, part)
-    return d3p, d4p, v3 + v4 + k0 + kp + km + jn

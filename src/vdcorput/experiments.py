@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .errbudget import compute_budget
 from .expsum import CurveSample, curve_samples, direct_starred_sum, write_curve_csv
-from .numutil import (TWO_PI_I, amplitude_e, integer_range, modified_sawtooth, nearest_decomp,
-                      sawtooth_psi)
+from .numutil import (TWO_PI_I, amplitude_e, check_finite, check_interval, integer_range,
+                      modified_sawtooth, nearest_decomp, sawtooth_psi)
 from .phase import PhaseAmplitudeModel, builtin_family, family_model
 from .transform import budget_with_endpoints, full_transform, rhs_main_sum
 
@@ -220,6 +220,7 @@ def kusmin_landau_compare(model: PhaseAmplitudeModel, a: float, b: float) -> KLR
     Needs unit amplitude and a slope range free of integers; theta is the
     distance from the slope range to the nearest integer.
     """
+    check_interval(a, b)
     xs = np.linspace(a, b, 257)
     if float(np.max(np.abs(np.asarray(model.g(xs), dtype=float) - 1.0))) > 1e-12:
         raise ValueError("the comparison applies to unit amplitude only")
@@ -296,6 +297,7 @@ def ik_experiment(alpha: float, nu: float, n_scale: float, x_scale: float) -> IK
     e(1/8) times the conjugated starred sum of the ik_monomial(beta, M, X)
     family.
     """
+    check_finite(alpha=alpha, nu=nu, N=n_scale, X=x_scale)
     if alpha <= 1 or nu <= 1:
         raise ValueError("need alpha > 1 and nu > 1")
     if not (n_scale > 0 and x_scale > 0):

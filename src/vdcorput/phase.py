@@ -470,13 +470,15 @@ def family_model(name: str, params: Sequence[float] = (),
     """Construct a named family's model, without its regularity profile.
 
     ``params`` per family as for :func:`builtin_family`; a trailing scale
-    factor is accepted and ignored.  A ``domain`` must be two finite numbers
-    lo < hi.
+    factor is accepted and ignored.  Every parameter must be finite, and a
+    ``domain`` two finite numbers lo < hi.
     """
     params = tuple(float(p) for p in params)
     spec = _FAMILIES.get(name)
     if spec is None:
         raise FamilyError(f"unknown family {name!r}")
+    if not all(math.isfinite(p) for p in params):
+        raise FamilyError(f"{name} parameters must be finite, got {params}")
     if domain is not None and not (len(domain) == 2
                                    and -math.inf < domain[0] < domain[1] < math.inf):
         raise FamilyError(f"domain must be two finite numbers lo < hi, got {tuple(domain)}")

@@ -1,5 +1,4 @@
-"""Oscillatory-integral oracle, the modified Fresnel function, derivative-test
-bounds, and the explicit one-sided stationary-phase expansion.
+"""The panel quadrature engine and the oscillatory-integral oracle built on it.
 
 The integrator is deliberately plain: panels are pre-split so the phase
 advances at most one cycle per panel (the phase derivative is monotone for
@@ -15,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from .numutil import amplitude_e, csum
-from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
+from .phase import PhaseAmplitudeModel, invert_fprime
 
 # QUADPACK qk15: the Kronrod nodes in (0, 1] downward and 0, their weights,
 # and the Gauss 7 weights of the nodes _XGK[1], _XGK[3], _XGK[5] and 0
@@ -190,150 +189,3 @@ def oscillatory_integral(model: PhaseAmplitudeModel, r: float,
         stationary = invert_fprime(model, r)
     return oscillatory_integral_raw(model.g, phase, slope, alpha, beta, tol,
                                     stationary=stationary)
-
-
-# ---------------------------------------------------------------------------
-# modified Fresnel integral F(u) = int_0^u e(x^2/2) dx
-# ---------------------------------------------------------------------------
-
-_FRESNEL_SERIES_CUT = 1.5
-_FRESNEL_ASYMPTOTIC_CUT = 32.0
-
-
-def fresnel_modified(u: float) -> complex:
-    """F(u) = int_0^u e(x^2/2) dx.
-
-    Power series inside |u| <= 1.5 (the alternating terms stay small enough
-    for full double accuracy there), panel quadrature up to |u| = 32, and the
-    asymptotic series of the tail beyond (its panels would grow as u^2).  F
-    is odd; the large-u limit is e(1/8)/2.
-    """
-    if not math.isfinite(u):
-        raise ValueError(f"non-finite input {u!r}")
-    if u == 0.0:
-        return 0j
-    if u < 0.0:
-        return -fresnel_modified(-u)
-    if u <= _FRESNEL_SERIES_CUT:
-        # int_0^u sum_k (i pi)^k x^(2k) / k! dx, term-by-term
-        z = 1j * math.pi * u * u
-        total = complex(u)
-        term = complex(u)
-        k = 0
-        while True:
-            k += 1
-            term *= z / k
-            inc = term / (2 * k + 1)
-            total += inc
-            if abs(inc) < 1e-18 * max(1.0, abs(total)):
-                return total
-    if u > _FRESNEL_ASYMPTOTIC_CUT:
-        # F(u) = e(1/8)/2 - int_u^oo e(x^2/2) dx, and parts give the tail as
-        # i e(u^2/2) / (2 pi u) * sum_k (2k-1)!! / (2 pi i u^2)^k; from u = 32
-        # on its terms fall below 1e-17 long before they start to grow
-        w = 1.0 / (2j * math.pi * u * u)
-        total = term = 1.0 + 0j
-        k = 0
-        while abs(term) > 1e-17:
-            k += 1
-            term *= (2 * k - 1) * w
-            total += term
-        # u*u/2 is an integer from 2^27 on (phase 0), and overflows past 1e154
-        half_sq = 0.5 * u * u if u < 1e150 else 0.0
-        tail = 1j * complex(amplitude_e(1.0, half_sq)) / (2.0 * math.pi * u) * total
-        return complex(amplitude_e(0.5, 0.125)) - tail
-    base = fresnel_modified(_FRESNEL_SERIES_CUT)
-    res = oscillatory_integral_raw(
-        lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-        lambda x: np.asarray(x, dtype=float),
-        _FRESNEL_SERIES_CUT, u, tol=1e-13)
-    return base + res.value
-
-
-# ---------------------------------------------------------------------------
-# derivative tests
-# ---------------------------------------------------------------------------
-
-def derivative_test_bounds(model: PhaseAmplitudeModel, alpha: float, beta: float,
-                           r: float) -> Tuple[float, float]:
-    """(first-derivative bound V/(pi kappa), second-derivative bound 4V/sqrt(pi lambda)).
-
-    V is the amplitude's maximum modulus plus total variation on the interval,
-    kappa = min |f' - r| (infinite first bound when the slope vanishes inside),
-    lambda = min f'', each taken from 512 samples.  Callers take the min of
-    the pair.
-    """
-    xs = np.linspace(alpha, beta, 512)
-    g, g1 = model.gjet(xs, 0, 1)
-    f1, f2 = model.fjet(xs, 1, 2)
-    variation = float(np.trapezoid(np.abs(g1), xs))
-    V = float(np.max(np.abs(g))) + variation
-    sa = float(f1[0]) - r
-    sb = float(f1[-1]) - r
-    if sa == 0.0 or sb == 0.0 or (sa < 0) != (sb < 0):
-        first = math.inf
-    else:
-        first = V / (math.pi * min(abs(sa), abs(sb)))
-    lam = float(np.min(f2))
-    second = 4.0 * V / math.sqrt(math.pi * lam) if lam > 0 else math.inf
-    return first, second
-
-
-# ---------------------------------------------------------------------------
-# explicit one-sided stationary phase expansion
-# ---------------------------------------------------------------------------
-
-def stationary_phase_estimate(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                              r: float, side: str, mu: float,
-                              ) -> Tuple[complex, float]:
-    """Explicit terms of the one-sided stationary-phase integral and its bound.
-
-    For side='left' this approximates the integral of g(x) e(f(x) - r x) from
-    mu up to the stationary point x_r (x_r to mu for side='right'):
-
-        g(c) e(phi(c) + 1/8) / (2 sqrt(f''(c)))
-        -/+ g(c) f'''(c) e(phi(c)) / (6 pi i f''(c)^2)
-        +/- g'(c) e(phi(c)) / (2 pi i f''(c))
-        -/+ g(mu) e(phi(mu)) / (2 pi i (f'(mu) - r))
-
-    with c = x_r, phi = f - r x.  The returned bound is
-    U/(f''^2 |mu - x_r|^3) + U/(f''^(3/2) M^2) with implicit constant 1; the
-    cubic piece is dropped when mu sits exactly at distance M(x_r).
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    c = invert_fprime(model, r)
-    lo, hi = model.domain
-    if not (lo <= c <= hi):
-        raise ValueError(f"stationary point {c} outside domain")
-    d = mu - c
-    if side == "left" and d >= 0:
-        raise ValueError(f"mu={mu} is not left of x_r={c}")
-    if side == "right" and d <= 0:
-        raise ValueError(f"mu={mu} is not right of x_r={c}")
-    M = float(profile.M(c))
-    if abs(d) > M * (1 + 1e-9):
-        raise ValueError(f"|mu - x_r| = {abs(d)} exceeds M(x_r) = {M}")
-    sgn = +1.0 if side == "right" else -1.0
-    f_c, _, fpp, fppp = map(float, model.fjet(c, 0, 3))
-    g_c, g1_c = map(float, model.gjet(c, 0, 1))
-    f_mu, f1_mu = map(float, model.fjet(mu, 0, 1))
-    phi_c = f_c - r * c
-    if model.rhs_phase is not None and r == int(r):
-        phi_c = model.rhs_phase(r, c)
-    e_c = amplitude_e(1.0, phi_c)
-    e_c8 = amplitude_e(1.0, phi_c + 0.125)
-    e_mu = amplitude_e(1.0, f_mu - r * mu)
-    slope_mu = f1_mu - r
-
-    val = g_c * e_c8 / (2.0 * math.sqrt(fpp))
-    val += sgn * g_c * fppp * e_c / (6j * math.pi * fpp ** 2)
-    val -= sgn * g1_c * e_c / (2j * math.pi * fpp)
-    val += sgn * float(model.g(mu)) * e_mu / (2j * math.pi * slope_mu)
-
-    U = float(profile.U(c))
-    bound = U / (fpp ** 1.5 * M ** 2)
-    if abs(abs(d) - M) > 1e-12 * M:
-        bound += U / (fpp ** 2 * abs(d) ** 3)
-    return complex(val), bound

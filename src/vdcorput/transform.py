@@ -29,13 +29,8 @@ import numpy as np
 from . import errbudget
 from .errbudget import ConditionMReport, ErrorBudget, fprime_nearest, fprime_range
 from .expsum import direct_starred_sum
-from .numutil import (TWO_PI_I, amplitude_e, check_interval, csum, modified_sawtooth,
-                      nearest_decomp, sawtooth_psi)
+from .numutil import TWO_PI_I, amplitude_e, check_interval, csum, modified_sawtooth
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
-
-
-class RefinementParameterError(ValueError):
-    """(C, L) outside the admissible window of the refined endpoint estimate."""
 
 
 @dataclass(frozen=True)
@@ -168,68 +163,6 @@ def endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile,
         return EndpointTerm(star, U, "bound-subunit")
     bound = U * (1.0 + 1.0 / M + 1.0 / (math.sqrt(fpp) * M))
     return EndpointTerm(star, bound, "bound-large")
-
-
-def refined_endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                          mu: float, C: float, L: float) -> EndpointTerm:
-    """Refined replacement for the large-f'' endpoint bound.
-
-    Requires M(mu) >= 1 and f''(mu) >= 1 with C in [f''^-1/2, M) and L in
-    [sqrt(f''), f'' min(1, C)).  Splits on eps = <mu> and eps' = <f'(mu)>:
-    integral endpoint (eps = 0), integral slope (eps' = 0, explicit sawtooth
-    value), and integral slope far from an integer endpoint (|eps| > C).
-    """
-    fpp = float(model.f2(mu))
-    M = float(profile.M(mu))
-    U = float(profile.U(mu))
-    if M < 1.0 or fpp < 1.0:
-        raise RefinementParameterError(f"needs M(mu) >= 1 and f''(mu) >= 1, got M={M}, f''={fpp}")
-    if not (fpp ** -0.5 <= C < M):
-        raise RefinementParameterError(f"C={C} outside [f''^-1/2, M) = [{fpp**-0.5}, {M})")
-    if not (math.sqrt(fpp) <= L < fpp * min(1.0, C)):
-        raise RefinementParameterError(
-            f"L={L} outside [sqrt(f''), f'' min(1,C)) = [{math.sqrt(fpp)}, {fpp * min(1.0, C)})")
-
-    r0, eps_p, dist_p = fprime_nearest(model, mu)
-    eps = nearest_decomp(mu).signed_frac
-    base = (U * fpp * C ** 4 * L / M + U * L / (fpp * C) + U * fpp / L ** 2
-            + U / (fpp * C ** 2) + U / M)
-
-    if dist_p == 0.0 and abs(eps) > C:
-        return EndpointTerm(0j, base + U / ((abs(eps) - C) * math.sqrt(fpp)),
-                            "refined-far-endpoint")
-    if dist_p == 0.0:
-        explicit = complex(amplitude_e(sawtooth_psi(mu) * float(model.g(mu)),
-                                       _phase_f_minus_rx(model.f(mu), mu, r0)))
-        return EndpointTerm(explicit, base + U * abs(eps) * L, "refined-sawtooth")
-    if eps == 0.0:
-        b1 = (U * abs(eps_p) * L / fpp
-              + U * abs(eps_p) * (1.0 + abs(eps_p) * C) * math.log1p(fpp) / math.sqrt(fpp)
-              + U * fpp * abs(eps_p) ** 3 * C ** 4)
-        return EndpointTerm(0j, base + b1, "refined-integer-endpoint")
-    raise RefinementParameterError(
-        "refinement cases need an integer endpoint (eps=0) or integer slope (eps'=0)")
-
-
-def optimized_refinement_params(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                                mu: float) -> Tuple[float, float]:
-    """(C, L) choices minimizing the refined residual when eps' = 0 and
-    M(mu) <= f''(mu)^7."""
-    fpp = float(model.f2(mu))
-    M = float(profile.M(mu))
-    _, _, dist_p = fprime_nearest(model, mu)
-    if dist_p != 0.0:
-        raise RefinementParameterError("optimized choices require integral f'(mu)")
-    if M > fpp ** 7:
-        raise RefinementParameterError("optimized choices require M(mu) <= f''(mu)^7")
-    eps = nearest_decomp(mu).dist
-    lo_cut = fpp ** -0.6 * M ** -0.2
-    hi_cut = fpp ** -0.4 * M ** 0.2
-    if eps <= lo_cut or eps >= hi_cut:
-        return fpp ** -0.4 * M ** 0.2, fpp ** (8.0 / 15.0) * M ** (1.0 / 15.0)
-    if eps <= fpp ** -0.5:
-        return 1.0 / (fpp * eps), fpp ** (1.0 / 3.0) * eps ** (-1.0 / 3.0)
-    return eps / 2.0, fpp ** (2.0 / 3.0) * eps ** (1.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,30 @@ partial sums, the starred distance to the nearest integer, the fitted-
 constant convention of the acceptance suite, the recursive reference for the
 quadrature's batched pre-split, models and single-order views built from
 per-order callables, and the one-function-per-call critical-point formulas
-that the derivative jets of the K functionals replaced."""
+that the derivative jets of the K functionals replaced.
+
+It also keeps, as references, the paper's formulas that the program does not
+run: the modified Fresnel integral F(u), the first and second derivative-test
+bounds, the one-sided stationary-phase expansion, the refined large-f''
+endpoint estimate with its optimized (C, L) choices, and the fixed-a,
+growing-b budget (Delta3'(b), Delta4'(b), Delta5).  Each is built on the
+package's own engine: F(u) on the oscillatory-integral oracle, the budget on
+the Delta integrands, the partition and the K terms of ``errbudget``."""
 
 import math
-from typing import Sequence
+import warnings
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from vdcorput.errbudget import WRFunctions
-from vdcorput.numutil import TWO_PI, floor_frac, nearest_decomp
+from vdcorput import errbudget as eb
+from vdcorput import transform
+from vdcorput.errbudget import WRFunctions, fprime_nearest
+from vdcorput.numutil import (TWO_PI, amplitude_e, bisect, floor_frac, nearest_decomp,
+                              sawtooth_psi)
+from vdcorput.phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
+from vdcorput.quad import oscillatory_integral_raw
+from vdcorput.transform import EndpointTerm
 
 
 def modified_sawtooth_grid(xs: np.ndarray, epss: np.ndarray, r: int) -> np.ndarray:
@@ -178,3 +193,286 @@ class ReferenceWR(WRFunctions):
         f2, f3, f4 = m.f2(x), m.f3(x), m.f4(x)
         return (-(2.0 * H * Hp * f3 + H ** 2 * f4) / (27.0 * g * f2 ** 5)
                 + H ** 2 * f3 * (g1 * f2 + 5.0 * g * f3) / (27.0 * g ** 2 * f2 ** 6))
+
+
+# ---------------------------------------------------------------------------
+# modified Fresnel integral F(u) = int_0^u e(x^2/2) dx
+# ---------------------------------------------------------------------------
+
+_FRESNEL_SERIES_CUT = 1.5
+_FRESNEL_ASYMPTOTIC_CUT = 32.0
+
+
+def fresnel_modified(u: float) -> complex:
+    """F(u) = int_0^u e(x^2/2) dx.
+
+    Power series inside |u| <= 1.5 (the alternating terms stay small enough
+    for full double accuracy there), panel quadrature up to |u| = 32, and the
+    asymptotic series of the tail beyond (its panels would grow as u^2).  F
+    is odd; the large-u limit is e(1/8)/2.
+    """
+    if not math.isfinite(u):
+        raise ValueError(f"non-finite input {u!r}")
+    if u == 0.0:
+        return 0j
+    if u < 0.0:
+        return -fresnel_modified(-u)
+    if u <= _FRESNEL_SERIES_CUT:
+        # int_0^u sum_k (i pi)^k x^(2k) / k! dx, term-by-term
+        z = 1j * math.pi * u * u
+        total = complex(u)
+        term = complex(u)
+        k = 0
+        while True:
+            k += 1
+            term *= z / k
+            inc = term / (2 * k + 1)
+            total += inc
+            if abs(inc) < 1e-18 * max(1.0, abs(total)):
+                return total
+    if u > _FRESNEL_ASYMPTOTIC_CUT:
+        # F(u) = e(1/8)/2 - int_u^oo e(x^2/2) dx, and parts give the tail as
+        # i e(u^2/2) / (2 pi u) * sum_k (2k-1)!! / (2 pi i u^2)^k; from u = 32
+        # on its terms fall below 1e-17 long before they start to grow
+        w = 1.0 / (2j * math.pi * u * u)
+        total = term = 1.0 + 0j
+        k = 0
+        while abs(term) > 1e-17:
+            k += 1
+            term *= (2 * k - 1) * w
+            total += term
+        # u*u/2 is an integer from 2^27 on (phase 0), and overflows past 1e154
+        half_sq = 0.5 * u * u if u < 1e150 else 0.0
+        tail = 1j * complex(amplitude_e(1.0, half_sq)) / (2.0 * math.pi * u) * total
+        return complex(amplitude_e(0.5, 0.125)) - tail
+    base = fresnel_modified(_FRESNEL_SERIES_CUT)
+    res = oscillatory_integral_raw(
+        lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
+        lambda x: np.asarray(x, dtype=float),
+        _FRESNEL_SERIES_CUT, u, tol=1e-13)
+    return base + res.value
+
+
+# ---------------------------------------------------------------------------
+# derivative tests
+# ---------------------------------------------------------------------------
+
+def derivative_test_bounds(model: PhaseAmplitudeModel, alpha: float, beta: float,
+                           r: float) -> Tuple[float, float]:
+    """(first-derivative bound V/(pi kappa), second-derivative bound 4V/sqrt(pi lambda)).
+
+    V is the amplitude's maximum modulus plus total variation on the interval,
+    kappa = min |f' - r| (infinite first bound when the slope vanishes inside),
+    lambda = min f'', each taken from 512 samples.  Callers take the min of
+    the pair.
+    """
+    xs = np.linspace(alpha, beta, 512)
+    g, g1 = model.gjet(xs, 0, 1)
+    f1, f2 = model.fjet(xs, 1, 2)
+    variation = float(np.trapezoid(np.abs(g1), xs))
+    V = float(np.max(np.abs(g))) + variation
+    sa = float(f1[0]) - r
+    sb = float(f1[-1]) - r
+    if sa == 0.0 or sb == 0.0 or (sa < 0) != (sb < 0):
+        first = math.inf
+    else:
+        first = V / (math.pi * min(abs(sa), abs(sb)))
+    lam = float(np.min(f2))
+    second = 4.0 * V / math.sqrt(math.pi * lam) if lam > 0 else math.inf
+    return first, second
+
+
+# ---------------------------------------------------------------------------
+# explicit one-sided stationary phase expansion
+# ---------------------------------------------------------------------------
+
+def stationary_phase_estimate(model: PhaseAmplitudeModel, profile: ConditionMProfile,
+                              r: float, side: str, mu: float,
+                              ) -> Tuple[complex, float]:
+    """Explicit terms of the one-sided stationary-phase integral and its bound.
+
+    For side='left' this approximates the integral of g(x) e(f(x) - r x) from
+    mu up to the stationary point x_r (x_r to mu for side='right'):
+
+        g(c) e(phi(c) + 1/8) / (2 sqrt(f''(c)))
+        -/+ g(c) f'''(c) e(phi(c)) / (6 pi i f''(c)^2)
+        +/- g'(c) e(phi(c)) / (2 pi i f''(c))
+        -/+ g(mu) e(phi(mu)) / (2 pi i (f'(mu) - r))
+
+    with c = x_r, phi = f - r x.  The returned bound is
+    U/(f''^2 |mu - x_r|^3) + U/(f''^(3/2) M^2) with implicit constant 1; the
+    cubic piece is dropped when mu sits exactly at distance M(x_r).
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    c = invert_fprime(model, r)
+    lo, hi = model.domain
+    if not (lo <= c <= hi):
+        raise ValueError(f"stationary point {c} outside domain")
+    d = mu - c
+    if side == "left" and d >= 0:
+        raise ValueError(f"mu={mu} is not left of x_r={c}")
+    if side == "right" and d <= 0:
+        raise ValueError(f"mu={mu} is not right of x_r={c}")
+    M = float(profile.M(c))
+    if abs(d) > M * (1 + 1e-9):
+        raise ValueError(f"|mu - x_r| = {abs(d)} exceeds M(x_r) = {M}")
+    sgn = +1.0 if side == "right" else -1.0
+    f_c, _, fpp, fppp = map(float, model.fjet(c, 0, 3))
+    g_c, g1_c = map(float, model.gjet(c, 0, 1))
+    f_mu, f1_mu = map(float, model.fjet(mu, 0, 1))
+    phi_c = f_c - r * c
+    if model.rhs_phase is not None and r == int(r):
+        phi_c = model.rhs_phase(r, c)
+    e_c = amplitude_e(1.0, phi_c)
+    e_c8 = amplitude_e(1.0, phi_c + 0.125)
+    e_mu = amplitude_e(1.0, f_mu - r * mu)
+    slope_mu = f1_mu - r
+
+    val = g_c * e_c8 / (2.0 * math.sqrt(fpp))
+    val += sgn * g_c * fppp * e_c / (6j * math.pi * fpp ** 2)
+    val -= sgn * g1_c * e_c / (2j * math.pi * fpp)
+    val += sgn * float(model.g(mu)) * e_mu / (2j * math.pi * slope_mu)
+
+    U = float(profile.U(c))
+    bound = U / (fpp ** 1.5 * M ** 2)
+    if abs(abs(d) - M) > 1e-12 * M:
+        bound += U / (fpp ** 2 * abs(d) ** 3)
+    return complex(val), bound
+
+
+# ---------------------------------------------------------------------------
+# the refined large-f'' endpoint estimate
+# ---------------------------------------------------------------------------
+
+class RefinementParameterError(ValueError):
+    """(C, L) outside the admissible window of the refined endpoint estimate."""
+
+
+def refined_endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile,
+                          mu: float, C: float, L: float) -> EndpointTerm:
+    """Refined replacement for the large-f'' endpoint bound.
+
+    Requires M(mu) >= 1 and f''(mu) >= 1 with C in [f''^-1/2, M) and L in
+    [sqrt(f''), f'' min(1, C)).  Splits on eps = <mu> and eps' = <f'(mu)>:
+    integral endpoint (eps = 0), integral slope (eps' = 0, explicit sawtooth
+    value), and integral slope far from an integer endpoint (|eps| > C).
+    """
+    fpp = float(model.f2(mu))
+    M = float(profile.M(mu))
+    U = float(profile.U(mu))
+    if M < 1.0 or fpp < 1.0:
+        raise RefinementParameterError(f"needs M(mu) >= 1 and f''(mu) >= 1, got M={M}, f''={fpp}")
+    if not (fpp ** -0.5 <= C < M):
+        raise RefinementParameterError(f"C={C} outside [f''^-1/2, M) = [{fpp**-0.5}, {M})")
+    if not (math.sqrt(fpp) <= L < fpp * min(1.0, C)):
+        raise RefinementParameterError(
+            f"L={L} outside [sqrt(f''), f'' min(1,C)) = [{math.sqrt(fpp)}, {fpp * min(1.0, C)})")
+
+    r0, eps_p, dist_p = fprime_nearest(model, mu)
+    eps = nearest_decomp(mu).signed_frac
+    base = (U * fpp * C ** 4 * L / M + U * L / (fpp * C) + U * fpp / L ** 2
+            + U / (fpp * C ** 2) + U / M)
+
+    if dist_p == 0.0 and abs(eps) > C:
+        return EndpointTerm(0j, base + U / ((abs(eps) - C) * math.sqrt(fpp)),
+                            "refined-far-endpoint")
+    if dist_p == 0.0:
+        explicit = complex(amplitude_e(sawtooth_psi(mu) * float(model.g(mu)),
+                                       transform._phase_f_minus_rx(model.f(mu), mu, r0)))
+        return EndpointTerm(explicit, base + U * abs(eps) * L, "refined-sawtooth")
+    if eps == 0.0:
+        b1 = (U * abs(eps_p) * L / fpp
+              + U * abs(eps_p) * (1.0 + abs(eps_p) * C) * math.log1p(fpp) / math.sqrt(fpp)
+              + U * fpp * abs(eps_p) ** 3 * C ** 4)
+        return EndpointTerm(0j, base + b1, "refined-integer-endpoint")
+    raise RefinementParameterError(
+        "refinement cases need an integer endpoint (eps=0) or integer slope (eps'=0)")
+
+
+def optimized_refinement_params(model: PhaseAmplitudeModel, profile: ConditionMProfile,
+                                mu: float) -> Tuple[float, float]:
+    """(C, L) choices minimizing the refined residual when eps' = 0 and
+    M(mu) <= f''(mu)^7."""
+    fpp = float(model.f2(mu))
+    M = float(profile.M(mu))
+    _, _, dist_p = fprime_nearest(model, mu)
+    if dist_p != 0.0:
+        raise RefinementParameterError("optimized choices require integral f'(mu)")
+    if M > fpp ** 7:
+        raise RefinementParameterError("optimized choices require M(mu) <= f''(mu)^7")
+    eps = nearest_decomp(mu).dist
+    lo_cut = fpp ** -0.6 * M ** -0.2
+    hi_cut = fpp ** -0.4 * M ** 0.2
+    if eps <= lo_cut or eps >= hi_cut:
+        return fpp ** -0.4 * M ** 0.2, fpp ** (8.0 / 15.0) * M ** (1.0 / 15.0)
+    if eps <= fpp ** -0.5:
+        return 1.0 / (fpp * eps), fpp ** (1.0 / 3.0) * eps ** (-1.0 / 3.0)
+    return eps / 2.0, fpp ** (2.0 / 3.0) * eps ** (1.0 / 3.0)
+
+
+# ---------------------------------------------------------------------------
+# the to-infinity variants
+# ---------------------------------------------------------------------------
+
+def _locate_kb(profile: ConditionMProfile, a: float, b: float) -> float:
+    """Left edge of K_b = {x in [a,b] : x + M(x) > b} for nondecreasing M."""
+    if a + float(profile.M(a)) > b:
+        return a
+    lo, hi = bisect(lambda x: x + profile.M(x) - b, a, b)
+    return float(0.5 * (lo + hi))
+
+
+def _monotone_horizon(fn: Callable[[float], float], b: float) -> float:
+    """Doubling horizon where the integrand falls below 1e-16 of its start,
+    verified decreasing along the probes."""
+    f0 = abs(fn(b + 1.0)) or 1.0
+    h = max(2.0 * b, b + 16.0)
+    prev = abs(fn(h))
+    while abs(fn(h)) > 1e-16 * f0 and h < 1e15:
+        h *= 2.0
+        cur = abs(fn(h))
+        if cur > prev * 1.0000001:
+            warnings.warn("integrand not monotone on the truncation tail")
+            break
+        prev = cur
+    return h
+
+
+def toinfinity_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
+                      a: float, b: float) -> Tuple[float, float, float]:
+    """(Delta3'(b), Delta4'(b), Delta5) for the fixed-a, growing-b estimate."""
+    U, fpp, M = profile.U, model.f2, profile.M
+
+    d3p = float(U(b) / (fpp(b) ** 2 * (b - a) ** 3)
+                + U(b) / (fpp(b) ** 2 * M(b) ** 3) * (1.0 + np.sqrt(fpp(b)) * M(b)))
+
+    k_lo = _locate_kb(profile, a, b)
+    _, bbar = eb.abar_bbar(model, a, b, profile)
+
+    d4p = 0.0
+    if bbar is not None and k_lo < bbar:
+        def near_b(x):
+            return U(x) / (fpp(x) * (b - x) ** 3) * (
+                1.0 + 1.0 / (fpp(x) * M(x)) + 1.0 / (M(x) * (b - x)))
+        d4p += eb._quad(near_b, k_lo, bbar, "Delta4'(b) near b")
+        for x in (k_lo, bbar):
+            d4p += float(U(x) / (fpp(x) ** 2 * (b - x) ** 3))
+    _, d2b = eb.endpoint_deltas(model, profile, b, b - a)
+    d4p += d2b
+    smooth = eb._delta4_smooth_integrand(model, profile)
+    d4p += eb._quad(smooth, k_lo, b, "Delta4'(b) smooth")
+    for x in (k_lo, b):
+        d4p += float(U(x) / (fpp(x) ** 2 * M(x) ** 3) * (1.0 + np.sqrt(fpp(x)) * M(x)))
+
+    # Delta5: integral tails past b plus the K terms over [b, infinity)
+    tail3 = eb._delta3_integrand(model, profile, a)
+    h3 = _monotone_horizon(tail3, b)
+    v3 = eb._quad(tail3, b, h3, "Delta5 Delta3 tail")
+    h4 = _monotone_horizon(smooth, b)
+    v4 = eb._quad(smooth, b, h4, "Delta5 smooth tail")
+
+    part = eb.partition_assumptions(model, b, max(h3, h4))
+    k0, kp, km, jn = eb._k_terms(model, part)
+    return d3p, d4p, v3 + v4 + k0 + kp + km + jn

@@ -18,10 +18,11 @@ from vdcorput.expsum import direct_starred_sum
 from vdcorput.experiments import (ck_quadratic, estimate_c, example_delta,
                                   example_regimes, ik_experiment, kusmin_landau_compare)
 from vdcorput.phase import builtin_family
-from vdcorput.quad import oscillatory_integral, stationary_phase_estimate
+from vdcorput.quad import oscillatory_integral
 from vdcorput.transform import budget_with_endpoints, full_transform
 
-from helpers import dist_to_nearest_star, modified_sawtooth_grid, split_fit
+from helpers import (dist_to_nearest_star, modified_sawtooth_grid, split_fit,
+                     stationary_phase_estimate)
 
 REFERENCE_CONSTANT = 0.168 - 0.320j
 

@@ -12,7 +12,7 @@ from vdcorput.phase import (ConditionMProfile, PhaseAmplitudeModel,
                             builtin_family, family_model)
 from vdcorput.transform import rhs_main_sum
 
-from helpers import Orders, ReferenceWR, jet_of
+from helpers import Orders, ReferenceWR, _locate_kb, jet_of, toinfinity_deltas
 
 SQ6 = math.sqrt(6.0)
 SQ37 = math.sqrt(37.0)
@@ -806,18 +806,18 @@ def test_nonfinite_kappa_integral_is_reported():
 def test_kb_location():
     model, profile = builtin_family("power_phase")  # M = x/2
     b = 1200.0
-    lo = eb._locate_kb(profile, 1.0, b)
+    lo = _locate_kb(profile, 1.0, b)
     assert lo == pytest.approx(b / 1.5, rel=1e-9)
 
     _, const_profile = builtin_family("quadratic", [0.4, 30.0], domain=(0.0, 300.0))
-    lo = eb._locate_kb(const_profile, 0.0, 300.0)
+    lo = _locate_kb(const_profile, 0.0, 300.0)
     assert lo == pytest.approx(270.0, rel=1e-9)
 
 
 def test_toinfinity_deltas_power_phase():
     model, profile = builtin_family("power_phase")
     n = 12 * 50 * 50
-    d3p, d4p, d5 = eb.toinfinity_deltas(model, profile, 1.0, float(n))
+    d3p, d4p, d5 = toinfinity_deltas(model, profile, 1.0, float(n))
     # independent evaluation of the closed-form first piece
     fpp = float(model.f2(n))
     M = float(profile.M(n))

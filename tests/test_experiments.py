@@ -241,6 +241,8 @@ def test_ik_validation():
         ik_experiment(2.0, 2.0, 200.0, 1e4)  # N > sqrt(X)
     with pytest.raises(ValueError):
         ik_experiment(2.0, 2.0, 0.0, 1e4)    # N = 0 passes N <= sqrt(X)
+    with pytest.raises(ValueError, match="X=inf"):
+        ik_experiment(2.0, 2.0, 100.0, math.inf)  # passes N <= sqrt(X), makes M = inf
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +400,19 @@ def test_cli_transform_at_a_limit_near_an_integer():
     (["sum", "--domain", "1,inf", "--a", "1", "--b", "2"], "(1.0, inf)"),
     (["transform", "--domain", "10,1", "--a", "2", "--b", "5"], "(10.0, 1.0)"),
     (["sum", "--domain", "1", "--a", "1", "--b", "2"], "--domain takes lo,hi"),
+    (["sum", "--family", "quadratic", "--params", "nan", "--a", "1", "--b", "5"], "(nan,)"),
+    (["sum", "--family", "quadratic", "--params", "inf", "--a", "1", "--b", "5"], "(inf,)"),
+    (["sum", "--family", "exponential", "--params", "1,inf", "--a", "1", "--b", "5"],
+     "(1.0, inf)"),
+    (["budget", "--family", "oscillatory", "--params", "1,nan,1", "--a", "200", "--b", "300"],
+     "(1.0, nan, 1.0)"),
+    (["ik", "--X", "inf"], "X=inf"),
+    (["ik", "--nu", "nan"], "nu=nan"),
+    (["ik", "--alpha", "nan"], "alpha=nan"),
+    (["kl", "--family", "quadratic", "--params", "0.001", "--domain", "0,1e6",
+      "--a", "400", "--b", "200"], "b=200.0 < a=400.0"),
+    (["kl", "--family", "quadratic", "--params", "0.001", "--domain", "0,1e6",
+      "--a", "nan", "--b", "200"], "a=nan"),
 ])
 def test_cli_non_finite_limit_is_an_error_not_a_traceback(argv, limit, capsys):
     # a warning, which pytest keeps off stderr, is one more stderr line in a shell

@@ -4,8 +4,7 @@ the program.
 A definition counts as used when its name is referenced somewhere in src/ or
 bench/ outside its own body: as a name, as an attribute, or, in bench/, as a
 string (the bench tracer looks functions up by name).  Imports and
-``__all__`` entries are not uses.  The only exceptions are the paper's entry
-points listed below, which the package exports and only the tests call.
+``__all__`` entries are not uses.
 
 An annotated class field counts as used when an attribute of its name is read
 somewhere in src/ or bench/, or its name is a string in bench/; setting it
@@ -23,15 +22,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "vdcorput"
-
-PAPER_ENTRY_POINTS = {
-    "derivative_test_bounds",           # first and second derivative tests
-    "fresnel_modified",                 # the modified Fresnel integral F(u)
-    "stationary_phase_estimate",        # one-sided stationary phase expansion
-    "refined_endpoint_term",            # refined large-f'' endpoint estimate
-    "optimized_refinement_params",      # the optimized (C, L) choices
-    "toinfinity_deltas",                # the fixed-a, growing-b budget
-}
 
 REPORT_FIELDS = {
     "ConditionMProfile.epsilon",        # the family scale factor baked into M
@@ -83,13 +73,8 @@ def _unused():
 
 
 def test_every_definition_in_src_is_used_by_src_or_bench():
-    unused = [f"{where} {name}" for name, where in _unused() if name not in PAPER_ENTRY_POINTS]
+    unused = [f"{where} {name}" for name, where in _unused()]
     assert not unused, "defined in src/ but used only by tests or not at all: " + ", ".join(unused)
-
-
-def test_the_exceptions_are_defined_and_unused():
-    # an exception that the program starts to use leaves the list
-    assert {name for name, _ in _unused()} >= PAPER_ENTRY_POINTS
 
 
 def _fields():

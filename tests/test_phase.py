@@ -217,6 +217,10 @@ def test_family_parameter_validation():
         builtin_family("ik_monomial", [0.5, 100.0, 1e4])
     with pytest.raises(FamilyError):
         builtin_family("no_such_family")
+    with pytest.raises(FamilyError):
+        builtin_family("quadratic", [math.nan])  # nan <= 0 is false
+    with pytest.raises(FamilyError):
+        builtin_family("sine_amplitude", [0.37, math.inf])  # the trailing scale factor
 
 
 def test_power_phase_scale_factor_search():

@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 from vdcorput import quad
 from vdcorput.numutil import amplitude_e
 from vdcorput.phase import builtin_family
-from vdcorput.quad import (derivative_test_bounds, fresnel_modified,
-                           oscillatory_integral, oscillatory_integral_raw,
-                           panel_integral, stationary_phase_estimate)
+from vdcorput.quad import oscillatory_integral, oscillatory_integral_raw, panel_integral
 
-from helpers import presplit_reference
+from helpers import (derivative_test_bounds, fresnel_modified, presplit_reference,
+                     stationary_phase_estimate)
 from test_quad_golden import POISSON_OP
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))

@@ -21,7 +21,9 @@ from pathlib import Path
 import pytest
 
 from vdcorput.phase import builtin_family
-from vdcorput.quad import fresnel_modified, oscillatory_integral
+from vdcorput.quad import oscillatory_integral
+
+from helpers import fresnel_modified
 
 GOLDEN = Path(__file__).with_name("quad_golden.json")
 

@@ -11,11 +11,11 @@ from vdcorput.errbudget import compute_budget, fprime_nearest
 from vdcorput.expsum import direct_starred_sum
 from vdcorput.numutil import csum, modified_sawtooth, nearest_decomp
 from vdcorput.phase import ConditionMProfile, builtin_family, invert_fprime
-from vdcorput.transform import (EndpointTerm, RefinementParameterError,
-                                TransformOptions, _phase_f_minus_rx,
-                                budget_with_endpoints, endpoint_term,
-                                full_transform, optimized_refinement_params,
-                                refined_endpoint_term, rhs_main_sum)
+from vdcorput.transform import (TransformOptions, _phase_f_minus_rx, budget_with_endpoints,
+                                endpoint_term, full_transform, rhs_main_sum)
+
+from helpers import (RefinementParameterError, optimized_refinement_params,
+                     refined_endpoint_term)
 
 
 def e(x):
