@@ -289,13 +289,19 @@ class IKReport:
         }
 
 
+# the most terms the two direct sums of ik_experiment may take together; at
+# some 25 ns a term that is a few seconds
+_IK_MAX_TERMS = 10 ** 8
+
+
 def ik_experiment(alpha: float, nu: float, n_scale: float, x_scale: float) -> IKReport:
     """Both sides of the monomial-pair identity by direct summation.
 
     The dual side runs over M <= m <= mu M with M = X/N, 1/alpha + 1/beta = 1,
     mu^beta = nu^alpha, and weights sqrt(beta/m) e(1/8 - (X/beta)(m/M)^beta):
     e(1/8) times the conjugated starred sum of the ik_monomial(beta, M, X)
-    family.
+    family.  A pair whose two sums take more than ``_IK_MAX_TERMS`` terms,
+    (nu - 1) N + (mu - 1) M, raises ValueError before any work.
     """
     check_finite(alpha=alpha, nu=nu, N=n_scale, X=x_scale)
     if alpha <= 1 or nu <= 1:
@@ -307,6 +313,10 @@ def ik_experiment(alpha: float, nu: float, n_scale: float, x_scale: float) -> IK
     beta = alpha / (alpha - 1.0)
     mu = nu ** (alpha / beta)
     m_scale = x_scale / n_scale
+    terms = (nu - 1.0) * n_scale + (mu - 1.0) * m_scale
+    if not terms <= _IK_MAX_TERMS:
+        raise ValueError(f"the two direct sums take {terms:.4g} terms, "
+                         f"more than {_IK_MAX_TERMS:.0e}")
 
     model = family_model("ik_monomial", [alpha, n_scale, x_scale])
     lhs = direct_starred_sum(model, n_scale, nu * n_scale)

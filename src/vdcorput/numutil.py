@@ -1,6 +1,11 @@
 """Nearest-integer arithmetic, the one integer rule, e(x), sawtooth functions,
-correctly rounded summation, and the one batched bisection behind every root
-the package finds.
+correctly rounded summation, and the batched bisection behind every sign
+change the error budget locates.
+
+``csum`` returns math.fsum's value of each part, bit for bit: below
+``_EXTRACT_MIN`` values by math.fsum itself, from there on by error-free
+extraction in a few array passes, which is correctly rounded as well, so the
+choice never changes a value.
 
 The sawtooth ladder used throughout the package:
 
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,19 +174,71 @@ def amplitude_e(g, t):
 # correctly rounded summation
 # ---------------------------------------------------------------------------
 
-def csum(values: Sequence[complex]) -> complex:
-    """Sum of complex values, math.fsum on the real and the imaginary parts.
+# from this many values on, error-free extraction beats math.fsum.  On
+# complex values on a 2-vCPU Intel Xeon VM, both took about 25 us at 500
+# values; at 1 000, math.fsum took 48 us and the extraction 29 us
+_EXTRACT_MIN = 600
+# the extraction works through chunks of this many values, which stay in
+# cache across its passes: on the same VM 9.1e6 values took 0.16 s this way
+# and 0.52 s as one array
+_EXTRACT_CHUNK = 1 << 16
 
-    Each part is correctly rounded, so the result does not depend on the
-    order of the values.  Parts that are not finite fall back to the plain
+
+def _extracted_sum(x: np.ndarray) -> Optional[float]:
+    """math.fsum of the values of x, bit for bit, by a few array passes over
+    each chunk of ``_EXTRACT_CHUNK`` values; None where a value is not finite
+    or too close to overflow, or where the values sum to zero.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 2008):
+    with max|y| <= 2^k and 2^m >= n + 2, q = (y + s) - s at s = 2^(k + m)
+    keeps the bits of each value above s 2^-53, so sum(q) is exact in any
+    order and so is the remainder y - q.  The nonzero remainders go through
+    the same step until none are left, and math.fsum of the exact level totals
+    is the correctly rounded total, as is math.fsum of the values.
+    """
+    levels = []
+    for start in range(0, x.size, _EXTRACT_CHUNK):
+        y = np.array(x[start:start + _EXTRACT_CHUNK], dtype=float)
+        while y.size:
+            big = max(y.max(), -y.min())
+            e = math.frexp(big)[1] + (y.size + 1).bit_length()
+            if not (math.isfinite(big) and e <= 1023):
+                return None
+            s = math.ldexp(1.0, e)
+            q = y + s
+            q -= s
+            levels.append(float(q.sum()))
+            y -= q
+            y = y[y != 0.0]
+    total = math.fsum(levels)
+    # a zero total takes its sign by math.fsum's rule on the values themselves
+    return total if total != 0.0 else None
+
+
+def _correct_sum(x: np.ndarray) -> float:
+    """math.fsum of the values of x; the plain IEEE sum where it raises."""
+    if x.size >= _EXTRACT_MIN:
+        total = _extracted_sum(x)
+        if total is not None:
+            return total
+    values = x.tolist()
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return sum(values)
+
+
+def csum(values: Sequence[complex]) -> complex:
+    """Sum of complex values, correctly rounded in the real and the imaginary
+    part: math.fsum of each part, bit for bit.
+
+    The result does not depend on the order of the values.  From
+    ``_EXTRACT_MIN`` values on, each part is summed by error-free extraction
+    in a few array passes.  Parts that are not finite fall back to the plain
     IEEE sum (inf or nan) instead of raising.
     """
     z = np.asarray(values, dtype=np.complex128)
-    re, im = z.real.tolist(), z.imag.tolist()
-    try:
-        return complex(math.fsum(re), math.fsum(im))
-    except (ValueError, OverflowError):
-        return complex(sum(re), sum(im))
+    return complex(_correct_sum(z.real), _correct_sum(z.imag))
 
 
 # ---------------------------------------------------------------------------

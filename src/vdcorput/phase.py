@@ -38,8 +38,6 @@ from typing import Callable, ClassVar, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .numutil import bisect
-
 Func = Callable[[np.ndarray], np.ndarray]
 ArrayOrFloat = Union[np.ndarray, float]
 Jet = Callable[[ArrayOrFloat, int, int], List[np.ndarray]]
@@ -124,13 +122,68 @@ class ConditionMProfile:
 # inversion of f'
 # ---------------------------------------------------------------------------
 
+# a bracket that has not halved in _PATIENCE steps of _newton_brackets takes
+# the midpoint, and the width of a float bracket can halve at most 2 098
+# times (2^1024 to 2^-1074), so _BRACKET_STEPS steps reach the float limit;
+# the loop ends there in any case.  Newton converging from one side leaves
+# the far end in place for a few steps: a patience of 2 took up to 48 steps
+# on oscillatory dual ranges, 4 takes at most 7
+_PATIENCE = 4
+_BRACKET_STEPS = (_PATIENCE + 1) * 2100
+
+
+def _newton_brackets(model: PhaseAmplitudeModel, rs: np.ndarray, flo: float, fhi: float):
+    """Brackets (a, b) with f'(a) - r < 0 <= f'(b) - r, shrunk to the float
+    limit (midpoint equal to an end) for every r of the 1-d array rs.
+
+    Each r starts at the chord's root on the domain and takes Newton steps
+    from one ``fjet(x, 1, 2)`` call per step; a step that stalls probes one
+    ulp toward the root, one that leaves (a, b) takes the midpoint, and so
+    does a bracket that has not halved in ``_PATIENCE`` steps.  Each r's
+    steps depend on that r alone, so an array call equals per-r calls bit
+    for bit.
+    """
+    lo, hi = model.domain
+    a, b = np.full(rs.shape, lo), np.full(rs.shape, hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo + (rs - flo) / (fhi - flo) * (hi - lo)
+    mid = 0.5 * (a + b)
+    x = np.where((lo < x) & (x < hi), x, mid)
+    ref = b - a
+    stale = np.zeros(rs.shape)
+    live = np.flatnonzero((mid != a) & (mid != b))
+    for _ in range(_BRACKET_STEPS):
+        if not live.size:
+            break
+        xl, rl = x[live], rs[live]
+        fp, d = model.fjet(xl, 1, 2)
+        below = fp - rl < 0
+        al, bl = np.where(below, xl, a[live]), np.where(below, b[live], xl)
+        a[live], b[live] = al, bl
+        mid = 0.5 * (al + bl)
+        width = bl - al
+        halved = width <= 0.5 * ref[live]
+        ref[live[halved]] = width[halved]
+        st = np.where(halved, 0.0, stale[live] + 1.0)
+        stale[live] = st
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = xl - (fp - rl) / d
+        step = np.where(step == xl, np.nextafter(xl, np.where(below, bl, al)), step)
+        step = np.where((al < step) & (step < bl) & (st < _PATIENCE), step, mid)
+        x[live] = step
+        live = live[(mid != al) & (mid != bl)]
+    return a, b
+
+
 def invert_fprime(model: PhaseAmplitudeModel, r):
     """Solve f'(x_r) = r on the model domain to |f'(x_r) - r| <= 1e-12 max(1,|r|)
     for one r (returns a float) or an array of r (returns an array of x_r).
 
-    Uses the family's analytic inverse when present, otherwise one batched
-    bisection over all r (f'' > 0, so f' is one-to-one), each x_r then polished
-    by a few Newton steps inside its own final bracket.
+    Uses the family's analytic inverse when present.  Otherwise (f'' > 0, so
+    f' is one-to-one) every r gets its own bracket, shrunk by safeguarded
+    Newton steps to the float limit, where its midpoint equals one of its
+    ends; each x_r is then polished by a few Newton steps inside that bracket.
+    A bracket halves at least every fifth step, so every call ends.
     """
     rs = np.asarray(r, dtype=float)
     lo, hi = model.domain
@@ -141,7 +194,7 @@ def invert_fprime(model: PhaseAmplitudeModel, r):
     if model.fprime_inverse is not None:
         x = np.clip(model.fprime_inverse(rs), lo, hi)
         return x if rs.ndim else float(x)
-    a, b = bisect(lambda t: model.f1(t) - rs, np.full(rs.shape, lo), np.full(rs.shape, hi))
+    a, b = (v.reshape(rs.shape) for v in _newton_brackets(model, rs.ravel(), flo, fhi))
     x = 0.5 * (a + b)
     polish = np.ones(rs.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -213,10 +266,17 @@ def _power_phase_model(domain) -> PhaseAmplitudeModel:
 
     def rhs_phase(r, xr):
         # f(x_r) - r x_r = -4 r^3 at an integer r: r*r*r is exact below 2^53
-        # and a float past it is an integer, so the phase is exactly 0
-        r, xr = np.asarray(r, dtype=float), np.asarray(xr, dtype=float)
-        return np.where(r == np.floor(r), (-4.0 * (r * r * r)) % 1.0,
-                        (c * xr ** 1.5 - r * xr) % 1.0)[()]
+        # and a float past it is an integer, so the phase is exactly 0.  y - y
+        # is y mod 1 for an integral y, +0, or nan once r^3 overflows, without
+        # fmod's cost on a large y.  Only the r that are not integers take
+        # c x_r^1.5 - r x_r
+        r, xr = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(xr, dtype=float))
+        y = -4.0 * (r * r * r)
+        out = np.asarray(y - y)
+        off = r != np.floor(r)
+        if off.any():
+            out[off] = (c * xr[off] ** 1.5 - r[off] * xr[off]) % 1.0
+        return out[()]
 
     return PhaseAmplitudeModel(
         fjet=fjet, gjet=_unit_gjet,
@@ -497,13 +557,16 @@ def builtin_family(name: str, params: Sequence[float] = (),
     ``params`` per family: power_phase (); quadratic (omega[, span]);
     ik_monomial (alpha, N, X); exponential (alpha, beta); zeta_log (sigma, t);
     oscillatory (alpha, beta, gamma[, eps]); sine_amplitude (alpha[, eps]).
-    Without the trailing factor, a searched family searches it on each call.
+    Without the trailing factor, a searched family searches it on each call;
+    a trailing factor must be positive.
     """
     model = family_model(name, params, domain)
     spec = _FAMILIES[name]
     U = model.g if spec.u_is_g else _ones
     if len(params) > len(spec.names):
         e = float(params[-1])
+        if e <= 0:
+            raise FamilyError(f"{name} scale factor {spec.eps_name} must be positive, got {e}")
     elif spec.interval is None:
         e = model.domain[1] - model.domain[0]
     else:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -413,6 +414,11 @@ def test_cli_transform_at_a_limit_near_an_integer():
       "--a", "400", "--b", "200"], "b=200.0 < a=400.0"),
     (["kl", "--family", "quadratic", "--params", "0.001", "--domain", "0,1e6",
       "--a", "nan", "--b", "200"], "a=nan"),
+    # a zero span divided by zero, a negative eps gave an infinite budget
+    (["budget", "--family", "quadratic", "--params", "0.4,0", "--a", "1", "--b", "5"],
+     "span must be positive, got 0.0"),
+    (["budget", "--family", "sine_amplitude", "--params", "0.37,-1", "--a", "100", "--b", "105"],
+     "eps must be positive, got -1.0"),
 ])
 def test_cli_non_finite_limit_is_an_error_not_a_traceback(argv, limit, capsys):
     # a warning, which pytest keeps off stderr, is one more stderr line in a shell
@@ -422,6 +428,16 @@ def test_cli_non_finite_limit_is_an_error_not_a_traceback(argv, limit, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and limit in err[0]
     assert not caught
+
+
+def test_cli_ik_refuses_a_sum_it_cannot_finish(capsys):
+    # N = 1e-300 makes M = X/N = 1e304, and the dual sum over [M, mu M] would
+    # never end: the term count is refused before any summing
+    start = time.process_time()
+    assert cli_main(["ik", "--N", "1e-300"]) == 1
+    assert time.process_time() - start < 1.0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "1e+304 terms" in err[0]
 
 
 def test_cli_transform_roundtrip(tmp_path):

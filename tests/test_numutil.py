@@ -121,6 +121,9 @@ def test_accumulator_contract():
     assert nu.csum([complex(z) for z in zs]) == exact
     assert nu.csum(zs[::-1]) == exact  # correctly rounded, so order-free
     assert nu.csum([]) == 0j
+    # several extraction chunks, the last one short
+    zs = np.sqrt(rng.random(200_003)) * np.exp(2j * np.pi * rng.random(200_003))
+    assert nu.csum(zs) == complex(math.fsum(zs.real), math.fsum(zs.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +296,47 @@ def test_csum_keeps_ieee_results_for_non_finite_parts():
     z = nu.csum([complex(math.inf, 1.0), complex(-math.inf, 2.0)])
     assert math.isnan(z.real) and z.imag == 3.0
     assert nu.csum([complex(math.inf, 0.0), 1.0]) == complex(math.inf, 0.0)
+    # the same past the extraction threshold, the finite part still exact
+    x = np.linspace(1.0, 2.0, 5000)
+    for bad in (math.inf, -math.inf, math.nan):
+        y = x.copy()
+        y[2500] = bad
+        z = nu.csum(y + 1j * x)
+        assert z.imag == math.fsum(x.tolist()) and z.real.hex() == sum(y.tolist()).hex()
+    y[0], y[-1] = math.inf, -math.inf
+    assert math.isnan(nu.csum(y).real)
+
+
+def _bits(z: complex):
+    """The real and imaginary parts as exact bit patterns, zero signs included."""
+    return (z.real.hex(), math.copysign(1.0, z.real), z.imag.hex(), math.copysign(1.0, z.imag))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 20_000), seed=st.integers(0, 2 ** 32 - 1),
+       lo=st.integers(-300, 300), span=st.integers(0, 600),
+       subnormal=st.floats(0.0, 0.2), cancel=st.floats(0.0, 1.0),
+       extra=st.lists(st.floats(-1e300, 1e300), max_size=8))
+def test_csum_is_fsum_bit_for_bit(n, seed, lo, span, subnormal, cancel, extra):
+    # values of magnitude 1e-300 to 1e300 with random signs, some subnormal,
+    # and a share of them followed by their own negative, so that whole
+    # levels cancel exactly; sizes cross the extraction threshold
+    rng = np.random.default_rng(seed)
+    hi = min(lo + span, 300)
+
+    def part():
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+        tiny = rng.random(n) < subnormal
+        x[tiny] = rng.integers(-2 ** 40, 2 ** 40, int(tiny.sum())) * 5e-324
+        k = int(cancel * n) // 2
+        x[n - 2 * k:n - k] = -x[:k]
+        x[n - k:] = x[k:2 * k]
+        return np.concatenate([x, extra])
+
+    re, im = part(), part()
+    for z in (re + 1j * im, im - 1j * re, np.concatenate([re, -re]) + 0j):
+        want = complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+        assert _bits(nu.csum(z)) == _bits(want)
 
 
 def test_sign_change_roots_bisect_to_the_float_limit():

@@ -128,16 +128,16 @@ def test_analytic_inverse_agrees_with_bisection(name, params):
 @pytest.mark.parametrize("name,params,domain", [("oscillatory", [1e-3, 1.0, 1.0, 0.25], (5e4, 2e6)),
                                                 ("power_phase", [], None)])
 def test_invert_array_matches_scalar_calls(name, params, domain):
-    # the bisection fallback solves all r at once and takes, for each r, the
-    # same steps as a call with that r alone, and as a scalar loop of 80
-    # halvings on f'(mid) < r and 8 Newton steps kept inside the bracket
+    # the bracketed-Newton fallback solves all r at once and takes, for each
+    # r, the same steps as a call with that r alone; it ends at the bracket
+    # of a scalar loop that halves on f'(mid) < r until the midpoint equals
+    # an end, followed by 8 Newton steps kept inside the bracket
     model, _ = builtin_family(name, params, domain=domain)
     bare = dataclasses.replace(model, fprime_inverse=None)
 
     def loop_invert(r):
         a, b = bare.domain
-        for _ in range(80):
-            mid = 0.5 * (a + b)
+        while (mid := 0.5 * (a + b)) not in (a, b):
             if float(bare.f1(mid)) < r:
                 a = mid
             else:
@@ -156,6 +156,30 @@ def test_invert_array_matches_scalar_calls(name, params, domain):
     assert isinstance(xs, np.ndarray) and xs.shape == rs.shape
     assert xs.tolist() == [invert_fprime(bare, float(r)) for r in rs]
     assert xs.tolist() == [loop_invert(float(r)) for r in rs]
+
+
+def test_invert_ends_at_a_float_limit_bracket_in_a_few_steps():
+    # every r of oscillatory(1, 1, 1) on [1000, 2000] ends at a bracket whose
+    # midpoint equals one of its ends, with f'(a) < r <= f'(b) there, after a
+    # handful of jet calls where 80 halvings took 80
+    model, _ = builtin_family("oscillatory", [1.0, 1.0, 1.0, 0.25])
+    rs = np.arange(math.ceil(float(model.f1(1000.0))), math.floor(float(model.f1(2000.0))) + 1,
+                   dtype=float)
+    calls = []
+
+    def fjet(x, lo, hi):
+        calls.append(np.size(x))
+        return model.fjet(x, lo, hi)
+
+    counted = dataclasses.replace(model, fjet=fjet)
+    flo, fhi = model.fjet(np.array(model.domain), 1, 1)[0].tolist()
+    a, b = phase._newton_brackets(counted, rs, flo, fhi)
+    mid = 0.5 * (a + b)
+    assert np.all((mid == a) | (mid == b)) and np.all(a < b)
+    assert np.all(model.f1(a) < rs) and np.all(rs <= model.f1(b))
+    assert len(calls) <= 12
+    xs = invert_fprime(model, rs)
+    assert np.all((xs == a) | (xs == b))
 
 
 def test_power_phase_derivative_values():
