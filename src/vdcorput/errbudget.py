@@ -200,12 +200,17 @@ class WRFunctions:
         S = np.sqrt(H ** 2 - G)
         P = H + sigma * S
         Pp = Hp + sigma * (2.0 * H * Hp - Gp) / (2.0 * S)
-        W = (2.0 * g2) ** 2 * g1 / P ** 2 - (2.0 * g2) ** 3 * f2 * g / P ** 3
-        A_p = (8.0 * g2 * g3 * g1 + 4.0 * g2 ** 3) / P ** 2 \
-            - 8.0 * g2 ** 2 * g1 * Pp / P ** 3
-        B_p = 8.0 * (3.0 * g2 ** 2 * g3 * f2 * g + g2 ** 3 * f3 * g + g2 ** 3 * f2 * g1) / P ** 3 \
-            - 24.0 * g2 ** 3 * f2 * g * Pp / P ** 4
-        r_p = f2 - (Pp / (2.0 * g2) - P * g3 / (2.0 * g2 ** 2))
+        # g'' and P change sign along an interval, and numpy's pow of a
+        # negative base takes a slow scalar path: higher powers are products
+        g2_2 = g2 * g2
+        g2_3 = g2_2 * g2
+        P2 = P * P
+        P3 = P2 * P
+        W = 4.0 * g2_2 * g1 / P2 - 8.0 * g2_3 * f2 * g / P3
+        A_p = (8.0 * g2 * g3 * g1 + 4.0 * g2_3) / P2 - 8.0 * g2_2 * g1 * Pp / P3
+        B_p = 8.0 * (3.0 * g2_2 * g3 * f2 * g + g2_3 * f3 * g + g2_3 * f2 * g1) / P3 \
+            - 24.0 * g2_3 * f2 * g * Pp / (P2 * P2)
+        r_p = f2 - (Pp / (2.0 * g2) - P * g3 / (2.0 * g2_2))
         return W, A_p - B_p, r_p
 
     def zero_terms(self, x):

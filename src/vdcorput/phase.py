@@ -31,7 +31,6 @@ search 1/2, 1/4, ... until the inequality sweep passes on a set interval.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, List, Optional, Sequence, Tuple, Union
@@ -230,16 +229,16 @@ def _unit_gjet(x, lo, hi):
     return [_ones(x) if k == 0 else _zeros(x) for k in range(lo, hi + 1)]
 
 
-def _libm(fn, x, *args):
-    """fn(v, *args) of the math module on each element of x (array or scalar).
+def _libm_log(x):
+    """math.log on each element of x (array or scalar).
 
-    numpy's SIMD pow and log can differ from libm in the last bit, while a
-    scalar such as np.float64 ** p or math.log goes through libm.  Steps that
-    must give the same bits on an array as on single points use this.
+    numpy's SIMD log can differ from libm's in the last bit.  For pow numpy
+    has a loop that calls libm on every element, ``np.float_power``; for log
+    it has none, so a step that must give the same bits on an array as on
+    single points maps math.log here.
     """
     x = np.asarray(x, dtype=float)
-    values = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))
-    return np.fromiter(values, float, x.size).reshape(x.shape)
+    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _power_phase_model(domain) -> PhaseAmplitudeModel:
@@ -319,11 +318,12 @@ def _ik_model(alpha: float, n_scale: float, x_scale: float, domain) -> PhaseAmpl
 
     def fjet(x, lo, hi):
         xn = np.asarray(x, dtype=float) / N
-        # f'' by libm pow, as on scalars: the dual-side weights 1/sqrt(f''(x_r))
-        # of an array of x_r must equal their one-point values
+        # f' and f'' by libm's pow (np.float_power), whose bits do not depend
+        # on the shape of x: the inversion of f' and the dual-side weights
+        # 1/sqrt(f''(x_r)) of an array of r must equal their one-point values
         return [(X / A) * xn ** A if k == 0
-                else (X / N) * xn ** (A - 1) if k == 1
-                else (X * (A - 1) / N ** 2) * _libm(math.pow, xn, A - 2) if k == 2
+                else (X / N) * np.float_power(xn, A - 1) if k == 1
+                else (X * (A - 1) / N ** 2) * np.float_power(xn, A - 2) if k == 2
                 else (X * (A - 1) * (A - 2) / N ** 3) * xn ** (A - 3) if k == 3
                 else (X * (A - 1) * (A - 2) * (A - 3) / N ** 4) * xn ** (A - 4)
                 for k in range(lo, hi + 1)]
@@ -346,8 +346,8 @@ def _ik_model(alpha: float, n_scale: float, x_scale: float, domain) -> PhaseAmpl
     return PhaseAmplitudeModel(
         fjet=fjet, gjet=gjet,
         domain=domain or (1e-3 * N, 1e9 * N),
-        fprime_inverse=lambda r: N * (r * N / X) ** (1.0 / (A - 1.0)),
-        rhs_phase=lambda r, xr: (-(X / q) * _libm(math.pow, r * N / X, q)) % 1.0,
+        fprime_inverse=lambda r: N * np.float_power(r * N / X, 1.0 / (A - 1.0)),
+        rhs_phase=lambda r, xr: (-(X / q) * np.float_power(r * N / X, q)) % 1.0,
         fprime_integer=fprime_integer,
         name="ik_monomial",
         params=(alpha, n_scale, x_scale),
@@ -402,7 +402,7 @@ def _zeta_log_model(sigma: float, t: float, domain) -> PhaseAmplitudeModel:
         fjet=fjet, gjet=gjet,
         domain=domain or (1e-3, 1e12),
         fprime_inverse=lambda r: -c / r,
-        rhs_phase=lambda r, xr: (-c * _libm(math.log, xr) - r * xr) % 1.0,
+        rhs_phase=lambda r, xr: (-c * _libm_log(xr) - r * xr) % 1.0,
         name="zeta_log",
         params=(sigma, t),
     )

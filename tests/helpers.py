@@ -149,23 +149,26 @@ class ReferenceWR(WRFunctions):
         m = self.m
         P, Pp = self._P(x, sigma), self._P_prime(x, sigma)
         g2, g3 = m.g2(x), m.g3(x)
-        return m.f2(x) - (Pp / (2.0 * g2) - P * g3 / (2.0 * g2 ** 2))
+        return m.f2(x) - (Pp / (2.0 * g2) - P * g3 / (2.0 * (g2 * g2)))
 
     def W_branch(self, x, sigma):
         m = self.m
         P = self._P(x, sigma)
         g1, g2 = m.g1(x), m.g2(x)
-        return (2.0 * g2) ** 2 * g1 / P ** 2 - (2.0 * g2) ** 3 * m.f2(x) * m.g(x) / P ** 3
+        return (4.0 * (g2 * g2) * g1 / (P * P)
+                - 8.0 * (g2 * g2 * g2) * m.f2(x) * m.g(x) / (P * P * P))
 
     def W_branch_prime(self, x, sigma):
         m = self.m
         P, Pp = self._P(x, sigma), self._P_prime(x, sigma)
         g, g1, g2, g3 = m.g(x), m.g1(x), m.g2(x), m.g3(x)
         f2, f3 = m.f2(x), m.f3(x)
-        A_p = (8.0 * g2 * g3 * g1 + 4.0 * g2 ** 3) / P ** 2 \
-            - 8.0 * g2 ** 2 * g1 * Pp / P ** 3
-        B_p = 8.0 * (3.0 * g2 ** 2 * g3 * f2 * g + g2 ** 3 * f3 * g + g2 ** 3 * f2 * g1) / P ** 3 \
-            - 24.0 * g2 ** 3 * f2 * g * Pp / P ** 4
+        # g''^2, g''^3, P^2, P^3 and P^4 as the products pm_terms forms
+        g2_2, g2_3 = g2 * g2, g2 * g2 * g2
+        P2, P3, P4 = P * P, P * P * P, (P * P) * (P * P)
+        A_p = (8.0 * g2 * g3 * g1 + 4.0 * g2_3) / P2 - 8.0 * g2_2 * g1 * Pp / P3
+        B_p = 8.0 * (3.0 * g2_2 * g3 * f2 * g + g2_3 * f3 * g + g2_3 * f2 * g1) / P3 \
+            - 24.0 * g2_3 * f2 * g * Pp / P4
         return A_p - B_p
 
     # --- zero branch (g'' identically zero) -----------------------------

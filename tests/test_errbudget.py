@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, optimize
@@ -335,6 +336,52 @@ def test_jets_equal_the_per_function_formulas_bit_for_bit(family, params, lo, hi
             for x in xs[::97].tolist():
                 for got, want in zip(jet(x), refs[branch](x)):
                     assert np.ndim(got) == 0 and _bits(got) == _bits(want), (branch, x)
+
+
+def _pm_terms_mp(jet, sigma):
+    """The terms that pm_terms sums into W, W' and r', in 40-digit mpmath
+    from the same jet values (g ... g''', f'' ... f'''')."""
+    g, g1, g2, g3, f2, f3, f4 = (mpmath.mpf(float(v)) for v in jet)
+    H = g * f3 + 3 * g1 * f2
+    Hp = 4 * g1 * f3 + 3 * g2 * f2 + g * f4
+    G = 12 * g * g2 * f2 ** 2
+    Gp = 12 * (g1 * g2 * f2 ** 2 + g * g3 * f2 ** 2 + 2 * g * g2 * f2 * f3)
+    S = mpmath.sqrt(H ** 2 - G)
+    P = H + sigma * S
+    Pp = Hp + sigma * (2 * H * Hp - Gp) / (2 * S)
+    W = [4 * g2 ** 2 * g1 / P ** 2, -8 * g2 ** 3 * f2 * g / P ** 3]
+    W_p = [8 * g2 * g3 * g1 / P ** 2, 4 * g2 ** 3 / P ** 2, -8 * g2 ** 2 * g1 * Pp / P ** 3,
+           -24 * g2 ** 2 * g3 * f2 * g / P ** 3, -8 * g2 ** 3 * f3 * g / P ** 3,
+           -8 * g2 ** 3 * f2 * g1 / P ** 3, 24 * g2 ** 3 * f2 * g * Pp / P ** 4]
+    r_p = [f2, -Pp / (2 * g2), P * g3 / (2 * g2 ** 2)]
+    return W, W_p, r_p
+
+
+@pytest.mark.parametrize("family,params,lo,hi", [("sine_amplitude", [0.006], 110.0, 300.0),
+                                                 ("zeta_log", [0.5, 1000.0], 20.0, 200.0)])
+def test_pm_terms_powers_as_products_against_40_digit_mpmath(family, params, lo, hi):
+    # g''^3, P^3 and P^4 are products of rounded squares, not one pow: on
+    # points where g'' or P is negative (sine_amplitude's g'' = -a^2 sin ax,
+    # zeta_log's P of both branches), each of W, W' and r' stays within 1e-13
+    # of the largest term summed to form it
+    model = family_model(family, params)
+    wr = eb.WRFunctions(model)
+    xs = np.linspace(lo, hi, 4096)
+    g, g1, g2, g3 = model.gjet(xs, 0, 3)
+    f2, f3, f4 = model.fjet(xs, 2, 4)
+    H = g * f3 + 3.0 * g1 * f2
+    with np.errstate(invalid="ignore"):
+        S = np.sqrt(H ** 2 - 12.0 * g * g2 * f2 ** 2)
+    for sigma in (+1, -1):
+        (idx,) = np.nonzero(np.isfinite(S) & ((g2 < 0) | (H + sigma * S < 0)))
+        x = xs[idx[np.linspace(0, len(idx) - 1, 4).astype(int)]]
+        got = wr.pm_terms(x, sigma)
+        jet = np.array(model.gjet(x, 0, 3) + model.fjet(x, 2, 4))
+        with mpmath.workdps(40):
+            for j in range(len(x)):
+                for value, terms in zip(got, _pm_terms_mp(jet[:, j], sigma)):
+                    err = abs(mpmath.mpf(float(value[j])) - mpmath.fsum(terms))
+                    assert err <= 1e-13 * max(abs(t) for t in terms), (sigma, x[j])
 
 
 def test_one_jet_evaluates_each_derivative_once(monkeypatch):
