@@ -10,9 +10,9 @@ from .expsum import CurveSample, curve_samples, direct_starred_sum
 from .quad import QuadResult, oscillatory_integral
 from .transform import (EndpointTerm, TransformOptions, TransformResult,
                         endpoint_term, full_transform, rhs_main_sum)
-from .errbudget import (AssumptionPartition, ConditionMReport, ErrorBudget,
-                        WRFunctions, check_condition_M, compute_budget,
-                        m_count, partition_assumptions)
+from .errbudget import (AssumptionPartition, ConditionMReport, Endpoint, ErrorBudget,
+                        WRFunctions, check_condition_M, compute_budget, endpoint,
+                        partition_assumptions)
 
 __all__ = [
     "NearestIntDecomp", "csum", "modified_sawtooth", "nearest_decomp",
@@ -23,6 +23,6 @@ __all__ = [
     "QuadResult", "oscillatory_integral",
     "EndpointTerm", "TransformOptions", "TransformResult", "endpoint_term",
     "full_transform", "rhs_main_sum",
-    "AssumptionPartition", "ConditionMReport", "ErrorBudget", "WRFunctions",
-    "check_condition_M", "compute_budget", "m_count", "partition_assumptions",
+    "AssumptionPartition", "ConditionMReport", "Endpoint", "ErrorBudget", "WRFunctions",
+    "check_condition_M", "compute_budget", "endpoint", "partition_assumptions",
 ]

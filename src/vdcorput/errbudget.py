@@ -45,6 +45,27 @@ _INEQUALITIES = (
 _GRID = 24  # Chebyshev nodes of the sweep
 
 
+@dataclass(frozen=True)
+class Endpoint:
+    """What D(x), Delta1, Delta2 and J read at a limit x: f, f'', f''', g, g',
+    U and M there, the nearest integer to f'(x) with its signed offset and
+    distance (:func:`fprime_nearest`), and m, the number of integers other than
+    f' in the open interval (f' - f'', f' + f'')."""
+
+    x: float
+    f: float
+    f2: float
+    f3: float
+    g: float
+    g1: float
+    U: float
+    M: float
+    nearest: int
+    offset: float
+    dist: float
+    m: int
+
+
 @dataclass
 class ConditionMReport:
     passed: bool
@@ -55,6 +76,7 @@ class ConditionMReport:
     interval: Tuple[float, float]
     extended_interval: Tuple[float, float]
     grid: int
+    ends: Optional[Tuple[Endpoint, Endpoint]] = None  # the records of a and b
 
     def to_json(self) -> dict:
         return {
@@ -92,32 +114,26 @@ def fprime_range(model: PhaseAmplitudeModel, lo: float, hi: float) -> Tuple[int,
     return r_lo + (off_lo > 0), r_hi - (off_hi < 0), off_lo == 0.0, off_hi == 0.0
 
 
-def m_count(model: PhaseAmplitudeModel, mu: float) -> int:
-    """Number of integers in the open interval (f'-f'', f'+f'') minus f' itself."""
-    fp, fpp = map(float, model.fjet(mu, 1, 2))
-    lo, hi = fp - fpp, fp + fpp
-    count = math.ceil(hi) - math.floor(lo) - 1
-    _, _, dist = fprime_nearest(model, mu)
-    if dist == 0.0 and lo < fp < hi:
-        count -= 1
-    return max(count, 0)
+def endpoint(model: PhaseAmplitudeModel, profile: ConditionMProfile, mu: float) -> Endpoint:
+    """The record of the limit mu from one f' decision, one f jet and one g jet."""
+    nearest, offset, dist = fprime_nearest(model, mu)
+    f, f1, f2, f3 = map(float, model.fjet(mu, 0, 3))
+    g, g1 = map(float, model.gjet(mu, 0, 1))
+    lo, hi = f1 - f2, f1 + f2
+    # an integral f' inside its own window is not counted
+    m = math.ceil(hi) - math.floor(lo) - 1 - (dist == 0.0 and lo < f1 < hi)
+    return Endpoint(mu, f, f2, f3, g, g1, float(profile.U(mu)), float(profile.M(mu)),
+                    nearest, offset, dist, max(m, 0))
 
 
-def _extended_ends(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                   a: float, b: float) -> Tuple[float, float]:
-    """a - c(a) M(a) and b + c(b) M(b), with c = 1 where m_count >= 1, else 0."""
-    ca = 1.0 if m_count(model, a) >= 1 else 0.0
-    cb = 1.0 if m_count(model, b) >= 1 else 0.0
-    return a - ca * float(profile.M(a)), b + cb * float(profile.M(b))
-
-
-def condition_m_domain(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                       a: float, b: float) -> Tuple[float, float]:
-    """The extended interval J = [a - c(a) M(a), b + c(b) M(b)], clipped to the
-    model's smoothness domain."""
-    lo, hi = _extended_ends(model, profile, a, b)
+def extended_interval(model: PhaseAmplitudeModel, ea: Endpoint,
+                      eb: Endpoint) -> Tuple[float, float, bool]:
+    """J = [a - c(a) M(a), b + c(b) M(b)], c = 1 where m >= 1, else 0, clipped to
+    the model's domain, and whether J lay inside it: (lo, hi, inside)."""
+    lo = ea.x - (1.0 if ea.m >= 1 else 0.0) * ea.M
+    hi = eb.x + (1.0 if eb.m >= 1 else 0.0) * eb.M
     dlo, dhi = model.domain
-    return max(lo, dlo), min(hi, dhi)
+    return max(lo, dlo), min(hi, dhi), lo >= dlo - 1e-12 and hi <= dhi + 1e-12
 
 
 def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
@@ -125,16 +141,14 @@ def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     """Sweep the regularity inequalities on 24 Chebyshev nodes of [a, b].
 
     For each node x, 64 points z of I_x = [x - M(x), x + M(x)] cut to J are
-    tested against the f'' sandwich, the f''' and f'''' decay bounds, and the
-    three amplitude bounds.  Worst ratios (value / allowance) and the located
-    violations are reported; the report never raises.  The derivatives come
-    from one f jet and one g jet on a single block of points.
+    tested against the f'' sandwich, the f''' and f'''' decay bounds and the
+    three amplitude bounds, from one f jet and one g jet on one block of points.
+    The report gives the worst ratios (value / allowance), the located
+    violations and the records of a and b, which set J; it never raises.
     """
-    part1 = max(float(profile.M(a)), float(profile.M(b))) <= (b - a) * (1 + 1e-12)
-    lo, hi = _extended_ends(model, profile, a, b)
-    dlo, dhi = model.domain
-    jlo, jhi = max(lo, dlo), min(hi, dhi)
-    part3 = lo >= dlo - 1e-12 and hi <= dhi + 1e-12
+    ea, eb = endpoint(model, profile, a), endpoint(model, profile, b)
+    part1 = max(ea.M, eb.M) <= (b - a) * (1 + 1e-12)
+    jlo, jhi, part3 = extended_interval(model, ea, eb)
 
     k = np.arange(_GRID)
     xs = 0.5 * (a + b) + 0.5 * (b - a) * np.cos((2 * k + 1) * np.pi / (2 * _GRID))
@@ -146,7 +160,7 @@ def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     fppx, f2z, f3z, f4z = f2[:, :1], f2[:, 1:], np.abs(f3[:, 1:]), np.abs(f4[:, 1:])
     g0z, g1z, g2z = (np.abs(v) for v in model.gjet(zs, 0, 2))
     eta = profile.eta
-    ratios = (
+    ratios = np.stack((
         f2z / (profile.C2 * fppx),
         fppx / (profile.C2_minus * f2z),
         f3z * Mx / (eta * fppx),
@@ -154,21 +168,18 @@ def check_condition_M(model: PhaseAmplitudeModel, profile: ConditionMProfile,
         g0z / (profile.D0 * Ux),
         g1z * Mx / (profile.D1 * Ux),
         g2z * Mx * Mx / (profile.D2 * Ux),
-    )
-    at = [r.argmax(axis=1) for r in ratios]
-    rmax = [r.max(axis=1).tolist() for r in ratios]
-    worst = {name: 0.0 for name in _INEQUALITIES}
-    violations: List[dict] = []
-    for n, x in enumerate(xs.tolist()):
-        for name, i, rm in zip(_INEQUALITIES, at, rmax):
-            if rm[n] > worst[name]:
-                worst[name] = rm[n]
-            if rm[n] > 1.0 + 1e-12:
-                violations.append({"inequality": name, "x": x, "z": float(zs[n, i[n]]),
-                                   "ratio": rm[n]})
+    ))
+    # (inequality, node) maxima; a worst ratio starts from 0 and skips nan
+    # nodes, and the violations are listed node by node
+    at, rmax = ratios.argmax(axis=2), ratios.max(axis=2)
+    worst = dict(zip(_INEQUALITIES, np.where(rmax > 0.0, rmax, 0.0).max(axis=1).tolist()))
+    n, i = np.nonzero((rmax > 1.0 + 1e-12).T)
+    violations = [{"inequality": _INEQUALITIES[k], "x": x, "z": z, "ratio": r}
+                  for k, x, z, r in zip(i.tolist(), xs[n].tolist(), zs[n, at[i, n]].tolist(),
+                                        rmax[i, n].tolist())]
     passed = part1 and part3 and not violations
     return ConditionMReport(passed, part1, part3, worst, violations,
-                            (a, b), (jlo, jhi), _GRID)
+                            (a, b), (jlo, jhi), _GRID, (ea, eb))
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +206,15 @@ class WRFunctions:
         f2, f3, f4 = self.model.fjet(x, 2, 4)
         H = g * f3 + 3.0 * g1 * f2
         Hp = 4.0 * g1 * f3 + 3.0 * g2 * f2 + g * f4
-        G = 12.0 * g * g2 * f2 ** 2
-        Gp = 12.0 * (g1 * g2 * f2 ** 2 + g * g3 * f2 ** 2 + 2.0 * g * g2 * f2 * f3)
-        S = np.sqrt(H ** 2 - G)
+        # every power is a product: numpy's pow of a negative base (g'' and P
+        # change sign along an interval) takes a slow path, and a numpy
+        # scalar's square is libm's pow, which can differ from an array's x*x
+        f2_2 = f2 * f2
+        G = 12.0 * g * g2 * f2_2
+        Gp = 12.0 * (g1 * g2 * f2_2 + g * g3 * f2_2 + 2.0 * g * g2 * f2 * f3)
+        S = np.sqrt(H * H - G)
         P = H + sigma * S
         Pp = Hp + sigma * (2.0 * H * Hp - Gp) / (2.0 * S)
-        # g'' and P change sign along an interval, and numpy's pow of a
-        # negative base takes a slow scalar path: higher powers are products
         g2_2 = g2 * g2
         g2_3 = g2_2 * g2
         P2 = P * P
@@ -220,11 +233,13 @@ class WRFunctions:
         f2, f3, f4 = self.model.fjet(x, 2, 4)
         H = g * f3 + 3.0 * g1 * f2
         Hp = 4.0 * g1 * f3 + 3.0 * g2 * f2 + g * f4
-        W = -H ** 2 * f3 / (27.0 * g * f2 ** 5)
-        W_p = (-(2.0 * H * Hp * f3 + H ** 2 * f4) / (27.0 * g * f2 ** 5)
-               + H ** 2 * f3 * (g1 * f2 + 5.0 * g * f3) / (27.0 * g ** 2 * f2 ** 6))
-        num = (g1 * f2 ** 2 + 2.0 * g * f2 * f3) * H - g * f2 ** 2 * Hp
-        return W, W_p, f2 - 3.0 * num / H ** 2
+        # squares as products, so a point gives an array's bits
+        H2, f2_2 = H * H, f2 * f2
+        W = -H2 * f3 / (27.0 * g * f2 ** 5)
+        W_p = (-(2.0 * H * Hp * f3 + H2 * f4) / (27.0 * g * f2 ** 5)
+               + H2 * f3 * (g1 * f2 + 5.0 * g * f3) / (27.0 * (g * g) * f2 ** 6))
+        num = (g1 * f2_2 + 2.0 * g * f2 * f3) * H - g * f2_2 * Hp
+        return W, W_p, f2 - 3.0 * num / H2
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +468,9 @@ def abar_bbar(model: PhaseAmplitudeModel, a: float, b: float,
     return abar, bbar
 
 
-def endpoint_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                    mu: float, span: float) -> Tuple[float, float]:
-    """(Delta1, Delta2) at the endpoint mu of an interval of length span."""
-    U = float(profile.U(mu))
-    M = float(profile.M(mu))
-    fpp = float(model.f2(mu))
-    _, _, dist = fprime_nearest(model, mu)
-    m = m_count(model, mu)
+def endpoint_deltas(ep: Endpoint, span: float) -> Tuple[float, float]:
+    """(Delta1, Delta2) at the limit of the record ep of an interval of length span."""
+    U, M, fpp, dist, m = ep.U, ep.M, ep.f2, ep.dist, ep.m
 
     if dist == 0.0:
         d1 = U / (fpp ** 2 * span ** 3)
@@ -513,16 +523,15 @@ def _delta4_smooth_integrand(model, profile):
     return fn
 
 
-def alternate4_applies(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                       a: float, b: float) -> bool:
+def alternate4_applies(profile: ConditionMProfile, ea: Endpoint, eb: Endpoint) -> bool:
     """True when M(x) >= max(b-x, x-a) at 257 points of [a, b] and
     m_a = m_b = 0, in which case Delta4 reduces to the smooth integral alone."""
+    if ea.m or eb.m:
+        return False
+    a, b = ea.x, eb.x
     xs = np.linspace(a, b, 257)
     M = np.asarray(profile.M(xs), dtype=float)
-    need = np.maximum(b - xs, xs - a)
-    if not np.all(M >= need - 1e-12 * max(1.0, b - a)):
-        return False
-    return m_count(model, a) == 0 and m_count(model, b) == 0
+    return bool(np.all(M >= np.maximum(b - xs, xs - a) - 1e-12 * max(1.0, b - a)))
 
 
 @dataclass
@@ -557,12 +566,13 @@ def _k_terms(model: PhaseAmplitudeModel,
 
 
 def global_delta4(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                  a: float, b: float) -> Delta4Breakdown:
-    """Delta4 = smooth variation integral + K functionals + amplitude-zero sum."""
-    smooth = _quad(_delta4_smooth_integrand(model, profile), a, b, "Delta4 smooth")
-    if alternate4_applies(model, profile, a, b):
+                  ea: Endpoint, eb: Endpoint) -> Delta4Breakdown:
+    """Delta4 = smooth variation integral + K functionals + amplitude-zero sum
+    on [a, b], from the records of a and b; the partition covers J."""
+    smooth = _quad(_delta4_smooth_integrand(model, profile), ea.x, eb.x, "Delta4 smooth")
+    if alternate4_applies(profile, ea, eb):
         return Delta4Breakdown(smooth, 0.0, 0.0, 0.0, 0.0, True)
-    partition = partition_assumptions(model, *condition_m_domain(model, profile, a, b))
+    partition = partition_assumptions(model, *extended_interval(model, ea, eb)[:2])
     return Delta4Breakdown(smooth, *_k_terms(model, partition), False)
 
 
@@ -617,10 +627,10 @@ def compute_budget(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     or b < a, and PartitionDegeneracyError when the Delta4 partition is
     degenerate."""
     check_interval(a, b)
+    ea, eb = endpoint(model, profile, a), endpoint(model, profile, b)
     abar, bbar = abar_bbar(model, a, b, profile)
-    d1a, d2a = endpoint_deltas(model, profile, a, b - a)
-    d1b, d2b = endpoint_deltas(model, profile, b, b - a)
+    d1a, d2a = endpoint_deltas(ea, b - a)
+    d1b, d2b = endpoint_deltas(eb, b - a)
     d3a, d3b = tail_deltas(model, profile, a, b, abar, bbar)
-    d4 = global_delta4(model, profile, a, b)
-    return ErrorBudget(d1a, d1b, d2a, d2b, d3a, d3b, d4,
-                       m_count(model, a), m_count(model, b), abar, bbar)
+    d4 = global_delta4(model, profile, ea, eb)
+    return ErrorBudget(d1a, d1b, d2a, d2b, d3a, d3b, d4, ea.m, eb.m, abar, bbar)

@@ -378,6 +378,16 @@ def _family_from_args(args) -> Tuple[str, List[float], Optional[Tuple[float, flo
     return args.family, params, domain
 
 
+def _check_limits(model: PhaseAmplitudeModel, a: float, b: float) -> None:
+    """Refuse non-finite limits, b < a, and a limit outside the model's domain,
+    with a ValueError that names the limit."""
+    check_interval(a, b)
+    lo, hi = model.domain
+    for name, x in (("a", a), ("b", b)):
+        if not lo <= x <= hi:
+            raise ValueError(f"{name}={x} is outside the domain ({lo}, {hi}) of {model.name}")
+
+
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="vdcorput",
@@ -442,12 +452,14 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "sum":
             model = family_model(*_family_from_args(args))
+            _check_limits(model, args.a, args.b)
             val = direct_starred_sum(model, args.a, args.b)
             print(f"{val.real:.12g} {val.imag:+.12g}i")
             _dump_json({"schema": "direct-sum/1", "value": {"re": val.real, "im": val.imag}},
                        args.json_dir, "sum.json")
         elif args.command == "transform":
             model, profile = builtin_family(*_family_from_args(args))
+            _check_limits(model, args.a, args.b)
             res, budget = full_transform(model, profile, args.a, args.b)
             payload = {**res.to_json(), "budget": budget.to_json(),
                        "budgetWithEndpoints": budget_with_endpoints(res, budget)}
@@ -457,6 +469,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             _dump_json(payload, args.json_dir, "transform.json")
         elif args.command == "budget":
             model, profile = builtin_family(*_family_from_args(args))
+            _check_limits(model, args.a, args.b)
             budget = compute_budget(model, profile, args.a, args.b)
             print(json.dumps(budget.to_json(), sort_keys=True, indent=2))
             _dump_json(budget.to_json(), args.json_dir, "budget.json")
@@ -473,6 +486,8 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                        args.json_dir, "estimate_c.json")
         elif args.command == "ck":
             reports: List[CKReport] = []
+            if args.random < 0:
+                raise ValueError(f"--random takes a count of draws >= 0, got {args.random}")
             if args.random:
                 rng = np.random.default_rng(args.seed)
                 for _ in range(args.random):
@@ -496,6 +511,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                 return 1
         elif args.command == "kl":
             model = family_model(*_family_from_args(args))
+            _check_limits(model, args.a, args.b)
             rep = kusmin_landau_compare(model, args.a, args.b)
             print(f"theta={rep.theta:.4f} |sum|={rep.plain_abs:.4f} "
                   f"classical={rep.classical_bound:.4f} residual={rep.residual:.4f} "

@@ -25,6 +25,10 @@ from .phase import PhaseAmplitudeModel
 # which OpenBLAS splits a ddot over threads, so the dot products reproduce
 _CHUNK = 1 << 13
 
+# the most samples a curve may take; each sample is a Python object of some
+# 200 bytes next to its term, so this is a few hundred MB
+_CURVE_MAX_SAMPLES = 10 ** 6
+
 
 @dataclass(frozen=True)
 class CurveSample:
@@ -73,13 +77,18 @@ def curve_samples(model: PhaseAmplitudeModel, t_max: float,
     """S(t) on the uniform grid with the fractional-part interpolation rule.
 
     S(t) = sum_{1 <= n <= t} g(n) e(f(n)) + {t} g(floor(t)+1) e(f(floor(t)+1)),
-    computed incrementally in one pass.
+    computed incrementally in one pass.  A curve of more than
+    ``_CURVE_MAX_SAMPLES`` samples, t_max * samples_per_unit, raises
+    ValueError before any work.
     """
     check_finite(t_max=t_max)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     if samples_per_unit < 1:
         raise ValueError("samples_per_unit must be at least 1")
+    if not t_max * samples_per_unit <= _CURVE_MAX_SAMPLES:
+        raise ValueError(f"the curve takes {t_max * samples_per_unit:.4g} samples, "
+                         f"more than {_CURVE_MAX_SAMPLES:.0e}")
     n_max = math.floor(t_max) + 1
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     terms = amplitude_e(model.g(ns), model.f(ns))

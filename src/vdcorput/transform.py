@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import errbudget
-from .errbudget import ConditionMReport, ErrorBudget, fprime_nearest, fprime_range
+from .errbudget import ConditionMReport, Endpoint, ErrorBudget, fprime_range
 from .expsum import direct_starred_sum
 from .numutil import TWO_PI_I, amplitude_e, check_interval, csum, modified_sawtooth
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
@@ -130,34 +130,30 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float) -> TransformRes
 # endpoint corrections
 # ---------------------------------------------------------------------------
 
-def endpoint_term(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                  mu: float) -> EndpointTerm:
-    """D(mu) = D_circ(mu) + D_star(mu), case-selected on f'' against ||f'||.
+def endpoint_term(ep: Endpoint) -> EndpointTerm:
+    """D(mu) = D_circ(mu) + D_star(mu) at the limit mu of the record ep,
+    case-selected on f'' against ||f'||.
 
     Explicit in the two small-f'' regimes and when f'(mu) is an integer;
     bound-only once f'' reaches 1 - ||f'(mu)||.  The tie f'' = ||f'|| takes
     the offset-plus-sawtooth case.
     """
-    r0, eps_p, dist = fprime_nearest(model, mu)
-    f_mu, _, fpp, fppp = map(float, model.fjet(mu, 0, 3))
-    g_mu, g1_mu = map(float, model.gjet(mu, 0, 1))
-    U = float(profile.U(mu))
-    M = float(profile.M(mu))
+    mu, eps_p, dist, fpp, U, M = ep.x, ep.offset, ep.dist, ep.f2, ep.U, ep.M
 
     star = 0j
     if dist == 0.0:
-        e_f = amplitude_e(1.0, f_mu)
-        star = complex(g_mu * fppp * e_f / (6j * math.pi * fpp ** 2)
-                       - g1_mu * e_f / (TWO_PI_I * fpp))
+        e_f = amplitude_e(1.0, ep.f)
+        star = complex(ep.g * ep.f3 * e_f / (6j * math.pi * fpp ** 2)
+                       - ep.g1 * e_f / (TWO_PI_I * fpp))
 
-    phase = amplitude_e(1.0, _phase_f_minus_rx(f_mu, mu, r0))
+    phase = amplitude_e(1.0, _phase_f_minus_rx(ep.f, mu, ep.nearest))
     if dist > 0.0 and fpp <= dist:
         psi = modified_sawtooth(mu, eps_p)
-        circ = complex(g_mu * phase * (-1.0 / (TWO_PI_I * eps_p) + psi))
+        circ = complex(ep.g * phase * (-1.0 / (TWO_PI_I * eps_p) + psi))
         return EndpointTerm(circ + star, 0.0, "explicit-offset")
     if fpp < 1.0 - dist:
         psi = modified_sawtooth(mu, eps_p)
-        circ = complex(g_mu * phase * psi)
+        circ = complex(ep.g * phase * psi)
         return EndpointTerm(circ + star, 0.0, "explicit-sawtooth")
     if fpp < 1.0:
         return EndpointTerm(star, U, "bound-subunit")
@@ -196,8 +192,7 @@ def full_transform(model: PhaseAmplitudeModel, profile: ConditionMProfile,
         warnings.warn(f"regularity sweep failed on [{a}, {b}]: {failed}")
     result = rhs_main_sum(model, a, b)
     result.condition_report = report
-    result.d_a = endpoint_term(model, profile, a)
-    result.d_b = endpoint_term(model, profile, b)
+    result.d_a, result.d_b = (endpoint_term(ep) for ep in report.ends)
     budget = errbudget.compute_budget(model, profile, a, b) if opts.budget else None
     if opts.measure:
         direct = direct_starred_sum(model, a, b)

@@ -462,7 +462,7 @@ def toinfinity_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
         d4p += eb._quad(near_b, k_lo, bbar, "Delta4'(b) near b")
         for x in (k_lo, bbar):
             d4p += float(U(x) / (fpp(x) ** 2 * (b - x) ** 3))
-    _, d2b = eb.endpoint_deltas(model, profile, b, b - a)
+    _, d2b = eb.endpoint_deltas(eb.endpoint(model, profile, b), b - a)
     d4p += d2b
     smooth = eb._delta4_smooth_integrand(model, profile)
     d4p += eb._quad(smooth, k_lo, b, "Delta4'(b) smooth")

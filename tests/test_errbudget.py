@@ -150,15 +150,25 @@ def test_condition_m_block_equals_the_per_node_sweep(fam, params, a, b, passes):
 # ---------------------------------------------------------------------------
 
 def _slope_stub(fp, fpp):
-    """A model with a bare f' and f'' for the integer-count arithmetic."""
-    return PhaseAmplitudeModel(fjet=jet_of(None, lambda x: fp, lambda x: fpp), gjet=None,
+    """A model with a constant f' and f'' (f and its third derivative 0,
+    g = 1) for the integer-count arithmetic."""
+    return PhaseAmplitudeModel(fjet=jet_of(lambda x: 0.0, lambda x: fp, lambda x: fpp,
+                                           lambda x: 0.0),
+                               gjet=jet_of(lambda x: 1.0, lambda x: 0.0),
                                domain=(-math.inf, math.inf))
 
 
+_UNIT_PROFILE = ConditionMProfile(M=lambda x: 1.0, M_prime=lambda x: 0.0, U=lambda x: 1.0)
+
+
+def m_count(model, mu):
+    return eb.endpoint(model, _UNIT_PROFILE, mu).m
+
+
 def test_m_count_examples():
-    assert eb.m_count(_slope_stub(5.0, 0.3), 0.0) == 0
-    assert eb.m_count(_slope_stub(5.0, 2.5), 0.0) == 4
-    assert eb.m_count(_slope_stub(5.25, 0.5), 0.0) == 1
+    assert m_count(_slope_stub(5.0, 0.3), 0.0) == 0
+    assert m_count(_slope_stub(5.0, 2.5), 0.0) == 4
+    assert m_count(_slope_stub(5.25, 0.5), 0.0) == 1
 
 
 def test_m_count_zero_when_curvature_below_distance():
@@ -169,7 +179,7 @@ def test_m_count_zero_when_curvature_below_distance():
         if dist == 0:
             continue
         fpp = float(rng.uniform(0, 1)) * dist
-        assert eb.m_count(_slope_stub(fp, fpp), 0.0) == 0
+        assert m_count(_slope_stub(fp, fpp), 0.0) == 0
 
 
 def test_abar_power_phase():
@@ -218,7 +228,7 @@ def test_abar_absent_when_no_integer_slope():
 
 def test_delta1_integral_slope():
     model, profile = builtin_family("power_phase")
-    d1, _ = eb.endpoint_deltas(model, profile, 1200.0, 1199.0)
+    d1, _ = eb.endpoint_deltas(eb.endpoint(model, profile, 1200.0), 1199.0)
     fpp = float(model.f2(1200.0))
     assert d1 == pytest.approx(1.0 / (fpp ** 2 * 1199.0 ** 3), rel=1e-12)
 
@@ -227,7 +237,7 @@ def test_delta1_zero_when_no_nearby_slope():
     # ||f'|| = 0.3 with m = 0 contributes nothing
     model, profile = builtin_family("quadratic", [0.2, 10.0], domain=(0.0, 100.0))
     mu = (5 + 0.3) / 0.2  # f' = 5.3, f'' = 0.2 < 0.3
-    d1, _ = eb.endpoint_deltas(model, profile, mu, 100.0 - mu)
+    d1, _ = eb.endpoint_deltas(eb.endpoint(model, profile, mu), 100.0 - mu)
     assert d1 == 0.0
 
 
@@ -238,7 +248,7 @@ def test_delta2_plugin_value():
         M_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         U=lambda x: np.ones_like(np.asarray(x, dtype=float)))
     mu = 20.0  # f' = 0.2, f'' = 0.01, m = 0
-    _, d2 = eb.endpoint_deltas(model, profile, mu, 2000.0 - mu)
+    _, d2 = eb.endpoint_deltas(eb.endpoint(model, profile, mu), 2000.0 - mu)
     first = 1.0 / (0.01 ** 2 * 100.0 ** 3) * (1.0 + 0.1 * 100.0) * 1.01
     case = 1.0 / (100.0 * 0.2 ** 2) + 0.01 / 0.2 ** 3
     assert case == pytest.approx(0.25 + 1.25)
@@ -359,6 +369,23 @@ def _pm_terms_mp(jet, sigma):
 
 @pytest.mark.parametrize("family,params,lo,hi", [("sine_amplitude", [0.006], 110.0, 300.0),
                                                  ("zeta_log", [0.5, 1000.0], 20.0, 200.0)])
+def test_pm_terms_of_an_array_equal_those_of_its_points(family, params, lo, hi):
+    # kappa_functional takes its isolated points, sign changes and interval
+    # ends one at a time: each must round as it does inside a scan.  On
+    # sine_amplitude(0.006) a numpy scalar's square (libm's pow) moved W and
+    # W' at 1 point of the + branch and 3 of the - branch
+    model, _ = builtin_family(family, params)
+    wr = eb.WRFunctions(model)
+    xs = np.linspace(lo, hi, 4001)
+    with np.errstate(invalid="ignore"):
+        for sigma in (+1, -1):
+            got = np.array(wr.pm_terms(xs, sigma))
+            per_point = np.array([wr.pm_terms(x, sigma) for x in xs.tolist()]).T
+            assert np.array_equal(got, per_point, equal_nan=True), sigma
+
+
+@pytest.mark.parametrize("family,params,lo,hi", [("sine_amplitude", [0.006], 110.0, 300.0),
+                                                 ("zeta_log", [0.5, 1000.0], 20.0, 200.0)])
 def test_pm_terms_powers_as_products_against_40_digit_mpmath(family, params, lo, hi):
     # g''^3, P^3 and P^4 are products of rounded squares, not one pow: on
     # points where g'' or P is negative (sine_amplitude's g'' = -a^2 sin ax,
@@ -407,14 +434,14 @@ def test_one_jet_evaluates_each_derivative_once(monkeypatch):
         assert sorted(calls) == [("fjet", 2, 4), ("gjet", 0, 2)]
 
     # the sweep: f2 at the nodes and f2 ... f4 on the (grid x 64) block in
-    # one fjet call, g ... g2 in one gjet call; the two endpoint decisions
-    # that set the extended interval are scalar calls of their own
+    # one fjet call, g ... g2 in one gjet call; the records of the two
+    # limits, which set the extended interval, are scalar calls of their own
     profile = ConditionMProfile(M=lambda x: 0.25 * np.asarray(x, dtype=float),
                                 M_prime=lambda x: np.full_like(np.asarray(x, dtype=float), 0.25),
                                 U=base.g)
     want = eb.check_condition_M(base, profile, 2.0, 40.0).to_json()
-    ends = eb._extended_ends(base, profile, 2.0, 40.0)
-    monkeypatch.setattr(eb, "_extended_ends", lambda *args: ends)
+    ends = {mu: eb.endpoint(base, profile, mu) for mu in (2.0, 40.0)}
+    monkeypatch.setattr(eb, "endpoint", lambda model, profile, mu: ends[mu])
     calls.clear()
     assert eb.check_condition_M(model, profile, 2.0, 40.0).to_json() == want
     assert sorted(calls) == [("fjet", 2, 4), ("gjet", 0, 2)]
@@ -456,9 +483,19 @@ def test_wr_derivative_formulas_against_finite_differences():
 # partition of the extended interval
 # ---------------------------------------------------------------------------
 
+def limit_records(model, profile, a, b):
+    """The records of the limits a and b."""
+    return eb.endpoint(model, profile, a), eb.endpoint(model, profile, b)
+
+
+def condition_m_domain(model, profile, a, b):
+    """The extended interval J of [a, b], clipped to the domain of the model."""
+    return eb.extended_interval(model, *limit_records(model, profile, a, b))[:2]
+
+
 def test_partition_constant_amplitude():
     model, profile = builtin_family("power_phase")
-    jlo, jhi = eb.condition_m_domain(model, profile, 100.0, 1200.0)
+    jlo, jhi = condition_m_domain(model, profile, 100.0, 1200.0)
     part = eb.partition_assumptions(model, jlo, jhi)
     assert part.jpm == []
     assert len(part.j0) == 1
@@ -576,7 +613,7 @@ def per_piece_partition(model, lo, hi):
 ])
 def test_partition_blocks_equal_the_per_piece_loops(fam, params, a, b, with_profile):
     model, profile = builtin_family(fam, params)
-    lo, hi = eb.condition_m_domain(model, profile, a, b) if with_profile else (a, b)
+    lo, hi = condition_m_domain(model, profile, a, b) if with_profile else (a, b)
     try:
         want = per_piece_partition(model, lo, hi)
     except eb.PartitionDegeneracyError as err:
@@ -669,7 +706,7 @@ def test_delta3_ik_small_against_amplitude():
 
 def test_delta4_power_phase_pieces():
     model, profile = builtin_family("power_phase")
-    d4 = eb.global_delta4(model, profile, 100.0, 1200.0)
+    d4 = eb.global_delta4(model, profile, *limit_records(model, profile, 100.0, 1200.0))
     assert not d4.simplified
     assert d4.kappa_j0 > 0.0
     assert d4.kappa_plus == 0.0 and d4.kappa_minus == 0.0
@@ -679,7 +716,7 @@ def test_delta4_power_phase_pieces():
 
 def test_delta4_simplified_for_wide_radius():
     model, profile = builtin_family("quadratic", [0.37, 100.0], domain=(0.0, 100.0))
-    d4 = eb.global_delta4(model, profile, 0.0, 100.0)
+    d4 = eb.global_delta4(model, profile, *limit_records(model, profile, 0.0, 100.0))
     assert d4.simplified
     assert d4.total == d4.smooth_integral
 
@@ -712,7 +749,7 @@ def test_kappa_j0_with_many_break_points_against_piecewise_quad(a, b, n_roots, r
     # On [119.7268, 168.6761] the integrand's kinks at the zeros of W0, which
     # are no sign changes of r0', must be panel edges too
     model, profile = builtin_family("oscillatory", [1.0, 1.0, 1.0])
-    part = eb.partition_assumptions(model, *eb.condition_m_domain(model, profile, a, b))
+    part = eb.partition_assumptions(model, *condition_m_domain(model, profile, a, b))
     wr = eb.WRFunctions(model)
     got = eb.kappa_functional(wr.zero_terms, part.j0, part.j0_isolated)
 
@@ -838,7 +875,7 @@ def test_nonfinite_kappa_integral_is_reported():
     # the amplitude zero that ends this J_pm piece, so the integral diverges;
     # that must surface as a non-finite value with a warning
     model, profile = builtin_family("sine_amplitude", [0.01])
-    part = eb.partition_assumptions(model, *eb.condition_m_domain(model, profile, 200.0, 400.0))
+    part = eb.partition_assumptions(model, *condition_m_domain(model, profile, 200.0, 400.0))
     wr = eb.WRFunctions(model)
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.warns(UserWarning, match="K functional integral did not converge"):

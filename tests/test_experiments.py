@@ -419,6 +419,23 @@ def test_cli_transform_at_a_limit_near_an_integer():
      "span must be positive, got 0.0"),
     (["budget", "--family", "sine_amplitude", "--params", "0.37,-1", "--a", "100", "--b", "105"],
      "eps must be positive, got -1.0"),
+    # a limit outside the family's domain gave nan, a vast budget or an r
+    # the user never gave
+    (["sum", "--family", "power_phase", "--a", "-5", "--b", "5"],
+     "a=-5.0 is outside the domain (0.001, 1000000000000.0)"),
+    (["sum", "--family", "zeta_log", "--params", "0.5,1000", "--a", "0", "--b", "5"],
+     "a=0.0 is outside the domain (0.001, 1000000000000.0)"),
+    (["transform", "--family", "power_phase", "--a", "0.0001", "--b", "50"],
+     "a=0.0001 is outside the domain (0.001, 1000000000000.0)"),
+    (["transform", "--family", "oscillatory", "--params", "1,1,1", "--a", "0.5", "--b", "50"],
+     "a=0.5 is outside the domain (1.0, 1000000.0)"),
+    (["budget", "--a", "1e11", "--b", "2e12"],
+     "b=2000000000000.0 is outside the domain (0.001, 1000000000000.0)"),
+    (["kl", "--family", "quadratic", "--params", "0.001", "--domain", "0,1e6",
+      "--a", "200", "--b", "2e6"], "b=2000000.0 is outside the domain (0.0, 1000000.0)"),
+    # a curve too large to hold, refused before numpy is asked for it
+    (["curve", "--tmax", "1e13"], "1e+13 samples, more than 1e+06"),
+    (["ck", "--random", "-3"], "--random takes a count of draws >= 0, got -3"),
 ])
 def test_cli_non_finite_limit_is_an_error_not_a_traceback(argv, limit, capsys):
     # a warning, which pytest keeps off stderr, is one more stderr line in a shell

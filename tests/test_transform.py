@@ -7,7 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from vdcorput.errbudget import compute_budget, fprime_nearest
+from vdcorput import errbudget
+from vdcorput.errbudget import compute_budget, endpoint, fprime_nearest
 from vdcorput.expsum import direct_starred_sum
 from vdcorput.numutil import csum, modified_sawtooth, nearest_decomp
 from vdcorput.phase import ConditionMProfile, builtin_family, invert_fprime
@@ -247,7 +248,7 @@ def brute_force_endpoint_sum(model, mu, r_cap=2_000_000):
 def test_endpoint_offset_case_against_brute_force():
     model, profile = builtin_family("quadratic", [0.37, 100.0], domain=(0.0, 200.0))
     mu = 2.45 / 0.37  # f'(mu) = 2.45, distance 0.45 > f'' = 0.37
-    term = endpoint_term(model, profile, mu)
+    term = endpoint_term(endpoint(model, profile, mu))
     assert term.regime == "explicit-offset"
     assert term.bound == 0.0
     oracle = brute_force_endpoint_sum(model, mu)
@@ -257,7 +258,7 @@ def test_endpoint_offset_case_against_brute_force():
 def test_endpoint_sawtooth_case_against_brute_force():
     model, profile = builtin_family("quadratic", [0.45, 100.0], domain=(0.0, 200.0))
     mu = 3.3 / 0.45  # f'(mu) = 3.3: distance 0.3 <= f'' = 0.45 < 0.7
-    term = endpoint_term(model, profile, mu)
+    term = endpoint_term(endpoint(model, profile, mu))
     assert term.regime == "explicit-sawtooth"
     oracle = brute_force_endpoint_sum(model, mu)
     assert term.explicit == pytest.approx(oracle, abs=2e-6)
@@ -282,7 +283,7 @@ def test_endpoint_power_phase_nonintegral_slope():
     mu = 1083.0
     dec = nearest_decomp(float(model.f1(mu)))
     assert dec.dist == 0.5 and float(model.f2(mu)) < 0.5
-    term = endpoint_term(model, profile, mu)
+    term = endpoint_term(endpoint(model, profile, mu))
     psi = modified_sawtooth(mu, dec.signed_frac)
     want = e(math.fmod(float(model.f(mu)), 1.0) - math.fmod(dec.nearest * mu, 1.0)) \
         * (-1.0 / (2j * math.pi * dec.signed_frac) + psi)
@@ -294,7 +295,7 @@ def test_endpoint_power_phase_integral_slope():
     # only the curvature piece of the star term survives (g' = 0)
     model, profile = builtin_family("power_phase")
     mu = 1200.0
-    term = endpoint_term(model, profile, mu)
+    term = endpoint_term(endpoint(model, profile, mu))
     fpp = float(model.f2(mu))
     want = float(model.fjet(mu, 3, 3)[0]) * e(math.fmod(float(model.f(mu)), 1.0)) \
         / (6j * math.pi * fpp * fpp)
@@ -305,7 +306,7 @@ def test_endpoint_power_phase_integral_slope():
 def test_endpoint_large_curvature_bound():
     model, profile = builtin_family("quadratic", [4.0, 10.0], domain=(0.0, 50.0))
     mu = 3.3
-    term = endpoint_term(model, profile, mu)
+    term = endpoint_term(endpoint(model, profile, mu))
     assert term.regime == "bound-large"
     M = 10.0
     assert term.bound == pytest.approx(1.0 + 1.0 / M + 1.0 / (2.0 * M), rel=1e-12)
@@ -317,7 +318,7 @@ def test_endpoint_tie_takes_offset_case():
     model, profile = builtin_family("quadratic", [0.3, 100.0], domain=(0.0, 100.0))
     mu = 1.3 / 0.3
     assert nearest_decomp(float(model.f1(mu))).dist == pytest.approx(0.3)
-    term = endpoint_term(model, profile, mu)
+    term = endpoint_term(endpoint(model, profile, mu))
     assert term.regime == "explicit-offset"
 
 
@@ -380,7 +381,7 @@ def test_refinement_beats_unrefined_bound():
     # its five terms is ~1/5 there, so big curvature and radius are needed
     model, profile = builtin_family("quadratic", [2000.0, 1e5], domain=(0.0, 2e5))
     mu = 2.0
-    coarse = endpoint_term(model, profile, mu)
+    coarse = endpoint_term(endpoint(model, profile, mu))
     C, L = optimized_refinement_params(model, profile, mu)
     fine = refined_endpoint_term(model, profile, mu, C, L)
     assert fine.bound < coarse.bound
@@ -431,6 +432,25 @@ def test_failed_sweep_warning_names_what_failed(case, a, b, message):
     report = res.condition_report
     assert (report.part1_ok, report.part3_ok) == (case != "part1", case != "part3")
     assert bool(report.violations) == (case == "sweep")
+
+
+def test_each_limit_record_is_built_once_per_sweep_and_per_budget(monkeypatch):
+    # the sweep builds the records of a and b and D(a), D(b) read them from
+    # its report; the budget builds its own pair; nothing else builds one
+    model, profile = builtin_family("power_phase")
+    built = []
+
+    def counted(model, profile, mu):
+        built.append(mu)
+        return endpoint(model, profile, mu)
+
+    monkeypatch.setattr(errbudget, "endpoint", counted)
+    res, budget = full_transform(model, profile, 1.0, 1200.0)
+    assert built == [1.0, 1200.0, 1.0, 1200.0]
+    ea, eb = res.condition_report.ends
+    assert (ea, eb) == (endpoint(model, profile, 1.0), endpoint(model, profile, 1200.0))
+    assert (res.d_a, res.d_b) == (endpoint_term(ea), endpoint_term(eb))
+    assert (budget.m_a, budget.m_b) == (ea.m, eb.m)
 
 
 def test_example_family_budget_sweep():
