@@ -233,11 +233,14 @@ class WRFunctions:
         f2, f3, f4 = self.model.fjet(x, 2, 4)
         H = g * f3 + 3.0 * g1 * f2
         Hp = 4.0 * g1 * f3 + 3.0 * g2 * f2 + g * f4
-        # squares as products, so a point gives an array's bits
+        # every power is a product, so a point gives an array's bits (a numpy
+        # scalar's power is libm's pow, an array's numpy's own loop)
         H2, f2_2 = H * H, f2 * f2
-        W = -H2 * f3 / (27.0 * g * f2 ** 5)
-        W_p = (-(2.0 * H * Hp * f3 + H2 * f4) / (27.0 * g * f2 ** 5)
-               + H2 * f3 * (g1 * f2 + 5.0 * g * f3) / (27.0 * (g * g) * f2 ** 6))
+        f2_4 = f2_2 * f2_2
+        f2_5, f2_6 = f2_4 * f2, f2_4 * f2_2
+        W = -H2 * f3 / (27.0 * g * f2_5)
+        W_p = (-(2.0 * H * Hp * f3 + H2 * f4) / (27.0 * g * f2_5)
+               + H2 * f3 * (g1 * f2 + 5.0 * g * f3) / (27.0 * (g * g) * f2_6))
         num = (g1 * f2_2 + 2.0 * g * f2 * f3) * H - g * f2_2 * Hp
         return W, W_p, f2 - 3.0 * num / H2
 

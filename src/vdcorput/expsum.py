@@ -1,11 +1,12 @@
 """Direct evaluation of starred exponential sums and curve sampling.
 
 The starred sum halves the summand when a summation limit is an integer.
-Phases are reduced modulo 1 before the cosine and sine are taken; by the
-time f reaches 1e8 the unreduced path has lost half its digits, so reduction
-is not optional at scale.  The partial-sum curve S(t) follows the usual
-convention of linear interpolation by the fractional part between integer
-arguments.
+Each term's e(f(n)) is ``numutil.cis_turns``: f is reduced modulo 1 in turns,
+exactly, before anything rounds, and the table kernel is within an ulp of
+e(.) at the float phase, where cos and sin of the rounded angle 2 pi {f}
+err by up to 6 ulps with a bias that adds up over a long sum.  The
+partial-sum curve S(t) follows the usual convention of linear interpolation
+by the fractional part between integer arguments.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from typing import List, Sequence, TextIO
 
 import numpy as np
 
-from .numutil import (amplitude_e, check_finite, check_interval, csum, integer_range,
-                      reduced_angle)
+from .numutil import amplitude_e, check_finite, check_interval, cis_turns, csum, integer_range
 from .phase import PhaseAmplitudeModel
 
-# 8 192 doubles = 64 KiB: below glibc's 128 KiB mmap threshold (temporaries are
-# reused, not mapped afresh), inside L2, and short of the 10 000 elements past
-# which OpenBLAS splits a ddot over threads, so the dot products reproduce
+# 8 192 doubles = 64 KiB: below glibc's 128 KiB mmap threshold (the phases, g
+# and the kernel's few temporaries are reused, not mapped afresh), inside L2,
+# and short of the 10 000 elements past which OpenBLAS splits a ddot over
+# threads, so the dot products reproduce
 _CHUNK = 1 << 13
 
 # the most samples a curve may take; each sample is a Python object of some
@@ -40,9 +41,9 @@ def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
                        conjugate: bool = False) -> complex:
     """Sum of g(n) e(f(n)) over integers n in [a, b], halved at integer limits.
 
-    The terms are taken in chunks of ``_CHUNK``: each phase is reduced mod 1,
-    and the chunk's real and imaginary parts are the dot products of g with
-    cos and sin of the reduced angle.  The chunk totals are merged with a
+    The terms are taken in chunks of ``_CHUNK``: the chunk's real and
+    imaginary parts are the dot products of g with the two parts of e(f) from
+    ``numutil.cis_turns``.  The chunk totals are merged with a
     correctly rounded sum, so the result is reproducible.  Raises ValueError
     when a limit is not finite or b < a.
     """
@@ -57,7 +58,7 @@ def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
     while n <= n_hi:
         m = min(n + _CHUNK - 1, n_hi)
         ns = np.arange(n, m + 1, dtype=np.float64)
-        th = reduced_angle(model.f(ns))
+        c, s = cis_turns(model.f(ns))
         g = np.asarray(model.g(ns), dtype=float)
         first, last = n == n_lo and half_lo, m == n_hi and half_hi
         if first or last:
@@ -66,7 +67,7 @@ def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
                 g[0] *= 0.5
             if last:
                 g[-1] *= 0.5
-        parts.append(complex(np.dot(g, np.cos(th)), np.dot(g, np.sin(th))))
+        parts.append(complex(np.dot(g, c), np.dot(g, s)))
         n = m + 1
     s = csum(parts)
     return s.conjugate() if conjugate else s

@@ -185,17 +185,25 @@ class ReferenceWR(WRFunctions):
         num = (g1 * f2 ** 2 + 2.0 * g * f2 * f3) * H - g * f2 ** 2 * Hp
         return f2 - 3.0 * num / H ** 2
 
+    @staticmethod
+    def _f2_powers(f2):
+        """f''^5 and f''^6 as the products zero_terms forms."""
+        f2_4 = (f2 * f2) * (f2 * f2)
+        return f2_4 * f2, f2_4 * (f2 * f2)
+
     def W0(self, x):
         m = self.m
-        return -self.H(x) ** 2 * m.f3(x) / (27.0 * m.g(x) * m.f2(x) ** 5)
+        f2_5, _ = self._f2_powers(m.f2(x))
+        return -self.H(x) ** 2 * m.f3(x) / (27.0 * m.g(x) * f2_5)
 
     def W0_prime(self, x):
         m = self.m
         H, Hp = self.H(x), self.H_prime(x)
         g, g1 = m.g(x), m.g1(x)
         f2, f3, f4 = m.f2(x), m.f3(x), m.f4(x)
-        return (-(2.0 * H * Hp * f3 + H ** 2 * f4) / (27.0 * g * f2 ** 5)
-                + H ** 2 * f3 * (g1 * f2 + 5.0 * g * f3) / (27.0 * g ** 2 * f2 ** 6))
+        f2_5, f2_6 = self._f2_powers(f2)
+        return (-(2.0 * H * Hp * f3 + H ** 2 * f4) / (27.0 * g * f2_5)
+                + H ** 2 * f3 * (g1 * f2 + 5.0 * g * f3) / (27.0 * g ** 2 * f2_6))
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,21 @@ def test_pm_terms_of_an_array_equal_those_of_its_points(family, params, lo, hi):
             assert np.array_equal(got, per_point, equal_nan=True), sigma
 
 
+@pytest.mark.parametrize("family,params", [("sine_amplitude", [0.006]),
+                                           ("oscillatory", [1.0, 1.0, 1.0])])
+def test_zero_terms_of_an_array_equal_those_of_its_points(family, params):
+    # the same for the 0 branch: with f''^5 and f''^6 as numpy powers, W and
+    # W' differed at 161 and 195 of these points on sine_amplitude(0.006)
+    # and at 155 and 161 on oscillatory(1, 1, 1)
+    model, _ = builtin_family(family, params)
+    wr = eb.WRFunctions(model)
+    xs = np.linspace(110.0, 300.0, 4001)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got = np.array(wr.zero_terms(xs))
+        per_point = np.array([wr.zero_terms(x) for x in xs.tolist()]).T
+    assert np.array_equal(got, per_point, equal_nan=True)
+
+
 @pytest.mark.parametrize("family,params,lo,hi", [("sine_amplitude", [0.006], 110.0, 300.0),
                                                  ("zeta_log", [0.5, 1000.0], 20.0, 200.0)])
 def test_pm_terms_powers_as_products_against_40_digit_mpmath(family, params, lo, hi):

@@ -1,8 +1,10 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_float, mpf_cos_sin_pi, mpf_shift
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,86 @@ def test_amplitude_e_scalar_path_has_the_bits_of_the_array_path():
                 else:
                     assert np.array([got]).tobytes() == np.array([wi]).tobytes(), (gi, ti)
     assert cmath.isnan(nu.amplitude_e(1.0, math.inf))
+
+
+def _e_exact(f):
+    """(cos 2 pi f, sin 2 pi f) at the float f, as mpf values to 133 bits
+    (40 digits); 2 f is exact, so no reduction of pi rounds anything."""
+    return tuple(mpmath.mpf(v) for v in mpf_cos_sin_pi(mpf_shift(from_float(f), 1), 133))
+
+
+def _cis_error(f) -> float:
+    """The largest error of either part of cis_turns over f, in units of 2^-53."""
+    c, s = nu.cis_turns(f)
+    err = mpmath.mpf(0)
+    with mpmath.workprec(133):
+        for fi, ci, si in zip(f.tolist(), c.tolist(), s.tolist()):
+            rc, rs = _e_exact(fi)
+            err = max(err, abs(rc - ci), abs(rs - si))
+    return float(err) * 2.0 ** 53
+
+
+# cis_turns errs by at most this much in either part, in units of 2^-53: on
+# the 10^5 random u below it measured 0.998, on the edge cases 0.970
+CIS_BOUND = 1.0
+
+
+def test_cis_turns_at_the_table_nodes_is_correctly_rounded():
+    # at u = k/1024 the remainder is 0 and the kernel returns the table entry
+    k = np.arange(1024.0)
+    c, s = nu.cis_turns(k / 1024)
+    for ki, ci, si in zip(k.tolist(), c.tolist(), s.tolist()):
+        with mpmath.workprec(133):
+            rc, rs = _e_exact(ki / 1024)
+        assert (ci, si) == (float(rc), float(rs)), ki
+
+
+def test_cis_turns_is_exact_at_the_quarter_turns():
+    f = np.array([0.0, 0.25, 0.5, 0.75, 1.0, -0.25, -0.5, 7.75, 2.0 ** 40 + 0.5])
+    c, s = nu.cis_turns(f)
+    want_c = np.array([1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0, -1.0])
+    want_s = np.array([0.0, 1.0, 0.0, -1.0, 0.0, -1.0, 0.0, -1.0, 0.0])
+    # to the bit: no zero here is -0
+    assert c.tobytes() == want_c.tobytes() and s.tobytes() == want_s.tobytes()
+
+
+def test_cis_turns_against_40_digit_mpmath_on_random_turns():
+    u = np.random.default_rng(2026).random(100_000)
+    assert _cis_error(u) <= CIS_BOUND
+
+
+def test_cis_turns_against_40_digit_mpmath_on_edge_cases():
+    nodes = np.arange(1024.0) / 1024
+    f = np.concatenate([
+        [0.0, -0.0, -1e-20, -5e-324, -2.0 ** -60, 1.0 - 2.0 ** -53, 5e-324, 2.0 ** 52 + 0.5,
+         -1e15 + 0.3, 123456.789, 1e300],
+        np.nextafter(nodes, -1.0), np.nextafter(nodes, 2.0),   # k/1024 -+ 1 ulp
+        nodes + 0.5 / 1024,                                    # ties of rint(1024 u)
+    ])
+    assert _cis_error(f) <= CIS_BOUND
+
+
+def test_cis_turns_is_elementwise():
+    # a 0-d input and any slice give the bits of the whole array
+    rng = np.random.default_rng(3)
+    f = np.concatenate([rng.uniform(-1e6, 1e6, 500), [0.0, -0.0, -1e-20, 0.5, 2.0 ** 53]])
+    c, s = nu.cis_turns(f)
+    c7, s7 = nu.cis_turns(f[7:300])
+    assert c7.tobytes() == c[7:300].tobytes() and s7.tobytes() == s[7:300].tobytes()
+    for i, fi in enumerate(f.tolist()):
+        for arg in (fi, np.float64(fi), np.asarray(fi)):
+            ci, si = nu.cis_turns(arg)
+            assert np.ndim(ci) == np.ndim(si) == 0
+            assert (ci.tobytes(), si.tobytes()) == (c[i].tobytes(), s[i].tobytes()), fi
+
+
+def test_cis_turns_of_a_non_finite_phase_is_nan_without_a_cast():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        c, s = nu.cis_turns(np.array([np.inf, -np.inf, np.nan, 0.25]))
+    assert np.isnan(c[:3]).all() and np.isnan(s[:3]).all() and (c[3], s[3]) == (0.0, 1.0)
+    # inf - floor(inf) is numpy's own invalid operation; no cast of a nan to an index
+    assert {str(w.message) for w in caught} <= {"invalid value encountered in subtract"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Each rounding decision of the starred sum and its transform has one home.
 
 Whether a limit or f' at a limit is an integer, and what e(x) is once x is
-reduced mod 1, are answered by numutil (``integer_range``, ``reduced_angle``,
-``amplitude_e``) and, for f', by ``errbudget.fprime_nearest``.  A private
-copy elsewhere in src/ drifts from them, so this scan fails on one.
+reduced mod 1, are answered by numutil (``integer_range``; ``cis_turns``, the
+table kernel of the direct sum, and ``reduced_angle`` with ``amplitude_e``
+for every other e(x)) and, for f', by ``errbudget.fprime_nearest``.  A
+private copy elsewhere in src/ drifts from them, so this scan fails on one.
 """
 
 import ast
@@ -74,6 +75,16 @@ def test_no_imaginary_exponential_outside_numutil():
                     found.append(f"{name}:{n.lineno} imports cmath")
     assert not found, "e(x) outside numutil.amplitude_e: " + "; ".join(found)
 
+
+def test_the_direct_sum_takes_e_x_from_the_table_kernel():
+    # libm's cos and sin of the rounded angle 2 pi {f} err by up to 6 2^-53
+    # per term, and are most of the direct sum's cost
+    tree = _trees()["expsum.py"]
+    found = [f"expsum.py:{n.lineno} {ast.unparse(n)}" for n in ast.walk(tree)
+             if isinstance(n, ast.Call)
+             and _callee(n).split(".")[-1] in ("cos", "sin", "reduced_angle")]
+    assert not found, "e(x) in expsum outside cis_turns: " + "; ".join(found)
+    assert any(isinstance(n, ast.Call) and _callee(n) == "cis_turns" for n in ast.walk(tree))
 
 def test_two_pi_i_is_defined_once():
     defs = [name for name, tree in _trees().items() for n in ast.walk(tree)
