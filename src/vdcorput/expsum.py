@@ -17,14 +17,8 @@ from typing import List, Sequence, TextIO
 
 import numpy as np
 
-from .numutil import amplitude_e, check_finite, check_interval, cis_turns, csum, integer_range
+from .numutil import CHUNK, amplitude_e, check_finite, check_interval, cis_turns, csum, integer_range
 from .phase import PhaseAmplitudeModel
-
-# 8 192 doubles = 64 KiB: below glibc's 128 KiB mmap threshold (the phases, g
-# and the kernel's few temporaries are reused, not mapped afresh), inside L2,
-# and short of the 10 000 elements past which OpenBLAS splits a ddot over
-# threads, so the dot products reproduce
-_CHUNK = 1 << 13
 
 # the most samples a curve may take; each sample is a Python object of some
 # 200 bytes next to its term, so this is a few hundred MB
@@ -41,7 +35,7 @@ def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
                        conjugate: bool = False) -> complex:
     """Sum of g(n) e(f(n)) over integers n in [a, b], halved at integer limits.
 
-    The terms are taken in chunks of ``_CHUNK``: the chunk's real and
+    The terms are taken in chunks of ``numutil.CHUNK``: the chunk's real and
     imaginary parts are the dot products of g with the two parts of e(f) from
     ``numutil.cis_turns``.  The chunk totals are merged with a
     correctly rounded sum, so the result is reproducible.  Raises ValueError
@@ -56,7 +50,7 @@ def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
     parts = []
     n = n_lo
     while n <= n_hi:
-        m = min(n + _CHUNK - 1, n_hi)
+        m = min(n + CHUNK - 1, n_hi)
         ns = np.arange(n, m + 1, dtype=np.float64)
         c, s = cis_turns(model.f(ns))
         g = np.asarray(model.g(ns), dtype=float)

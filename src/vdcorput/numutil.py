@@ -128,17 +128,12 @@ def nearest_decomp(x: float) -> NearestIntDecomp:
 # e(x) = exp(2 pi i x)
 # ---------------------------------------------------------------------------
 
-def reduced_angle(f) -> np.ndarray:
-    """2*pi*(f mod 1) as a new array (0-d for a scalar); f is left as it was.
-
-    f - floor(f) has the bits of np.mod(f, 1.0) for every finite f (a tiny
-    negative f gives 1.0 in both) at a fraction of its cost.
-    """
-    f = np.asarray(f, dtype=float)
-    th = np.floor(f, out=np.empty_like(f))
-    np.subtract(f, th, out=th)
-    th *= TWO_PI
-    return th
+# 8 192 doubles = 64 KiB: below glibc's 128 KiB mmap threshold (the phases, g
+# and the kernel's few temporaries are reused, not mapped afresh), inside L2,
+# and short of the 10 000 elements past which OpenBLAS splits a ddot over
+# threads, so the direct sum's dot products reproduce.  The direct sum takes
+# its terms in chunks of this many and ``cis_turns`` its values in blocks
+CHUNK = 1 << 13
 
 
 # e(k / 1024) for k = 0 ... 128, the first octant of the circle, one k a line:
@@ -298,27 +293,15 @@ def _cis_table() -> Tuple[np.ndarray, np.ndarray]:
 
 
 _CIS_COS, _CIS_SIN = _cis_table()
+# the same table as Python floats, for the scalar path
+_CIS_COS_LIST, _CIS_SIN_LIST = _CIS_COS.tolist(), _CIS_SIN.tolist()
 
 
-def cis_turns(f) -> Tuple[np.ndarray, np.ndarray]:
-    """(cos 2 pi {f}, sin 2 pi {f}), each part within 2^-52 of the exact value
-    at the float f (about 2^-53 measured); new arrays, 0-d for a scalar.
-
-    Tang's table method (ACM TOMS 15, 1989), in turns: u = f - floor(f) is
-    exact, and so is 1024 u = k + r with k = rint(1024 u), |r| <= 1/2.
-    e(k / 1024) = C + iS comes from the table and e(r / 1024) from short
-    series in x = 2 pi r / 1024, |x| <= pi / 1024, truncated below 2^-60:
-    cos = C + (C (cos x - 1) - S sin x), sin = S + (S (cos x - 1) + C sin x).
-    Only IEEE +, -, *, floor and a table lookup are used, elementwise, so the
-    bits depend neither on the machine nor on the array's length.  A
-    non-finite f has a nan remainder (and a table index from its nan's low
-    bits, masked into range, with no cast), so it gives nan, with numpy's
-    warning on inf - inf as in ``reduced_angle``.
-    """
-    f = np.asarray(f, dtype=float)
-    shape = f.shape
-    f = f.reshape(-1)  # a 0-d input takes the array path, with its bits
-    x = np.floor(f)
+def _cis_block(f: np.ndarray, re: Optional[np.ndarray] = None,
+               im: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """cis_turns of the 1-d f, into re and im where given, else into new
+    arrays (one of them a temporary of the kernel)."""
+    x = np.trunc(f)
     np.subtract(f, x, out=x)
     x *= _CIS_STEPS
     k = x + _RINT_SHIFT
@@ -336,13 +319,61 @@ def cis_turns(f) -> Tuple[np.ndarray, np.ndarray]:
     cos_m1 -= 0.5
     cos_m1 *= x2
     c, s = np.take(_CIS_COS, idx), np.take(_CIS_SIN, idx)
-    re = c * cos_m1
+    re = np.multiply(c, cos_m1, out=re)
     re -= np.multiply(s, sin_x, out=x2)
     re += c
-    im = np.multiply(s, cos_m1, out=cos_m1)
+    im = np.multiply(s, cos_m1, out=cos_m1 if im is None else im)
     im += np.multiply(c, sin_x, out=sin_x)
     im += s
-    return re.reshape(shape), im.reshape(shape)
+    return re, im
+
+
+def cis_turns(f) -> Tuple[np.ndarray, np.ndarray]:
+    """(cos 2 pi {f}, sin 2 pi {f}), each part within 2^-52 of the exact value
+    at the float f (about 2^-53 measured); new arrays, 0-d for a scalar.
+
+    Tang's table method (ACM TOMS 15, 1989), in turns: u = f - trunc(f) is
+    exact for every finite f (f - floor(f) rounds at a small negative f), and
+    so is 1024 u = k + r with k = rint(1024 u), |r| <= 1/2.  e(k / 1024) =
+    C + iS, k taken mod 1024, comes from the table and e(r / 1024) from short
+    series in x = 2 pi r / 1024, |x| <= pi / 1024, truncated below 2^-60:
+    cos = C + (C (cos x - 1) - S sin x), sin = S + (S (cos x - 1) + C sin x).
+    Only IEEE +, -, *, trunc and a table lookup are used, elementwise, so the
+    bits depend neither on the machine nor on the array's length.  The n
+    values go through in round(n / CHUNK) blocks of equal length (one block
+    up to 1.5 CHUNK values, so a direct-sum chunk is one), which keeps the
+    temporaries in cache at any length.  A non-finite f has a nan remainder
+    (and a table index from its nan's low bits, masked into range, with no
+    cast), so it gives nan, with numpy's warning on inf - inf.
+    """
+    f = np.asarray(f, dtype=float)
+    flat = f.reshape(-1)  # a 0-d input takes the array path, with its bits
+    n = flat.size
+    parts = max(1, round(n / CHUNK))
+    if parts == 1:
+        re, im = _cis_block(flat)
+    else:
+        re, im = np.empty_like(flat), np.empty_like(flat)
+        for j in range(parts):
+            block = slice(j * n // parts, (j + 1) * n // parts)
+            _cis_block(flat[block], re[block], im[block])
+    return re.reshape(f.shape), im.reshape(f.shape)
+
+
+def _cis_scalar(f: float) -> Tuple[float, float]:
+    """cis_turns of one float, bit for bit: the same IEEE operations in the
+    same order on Python floats; nan for a non-finite f."""
+    if not math.isfinite(f):
+        return math.nan, math.nan
+    x = (f - math.trunc(f)) * _CIS_STEPS
+    k = (x + _RINT_SHIFT) - _RINT_SHIFT
+    idx = int(k) & (_CIS_STEPS - 1)
+    c, s = _CIS_COS_LIST[idx], _CIS_SIN_LIST[idx]
+    x = (x - k) * _CIS_STEP_ANGLE
+    x2 = x * x
+    sin_x = ((x2 * (1.0 / 120.0) - 1.0 / 6.0) * x2) * x + x
+    cos_m1 = (x2 * (1.0 / 24.0) - 0.5) * x2
+    return (c * cos_m1 - s * sin_x) + c, (s * cos_m1 + c * sin_x) + s
 
 
 def _is_0d(x) -> bool:
@@ -351,25 +382,24 @@ def _is_0d(x) -> bool:
 
 
 def amplitude_e(g, t):
-    """g e(t) as g cos 2 pi {t} + i g sin 2 pi {t}; 0-d inputs give a complex scalar.
+    """g e(t) as g cos 2 pi {t} + i g sin 2 pi {t} from ``cis_turns``; 0-d
+    inputs give a complex scalar.
 
-    For every nonzero g these are the bits of g * exp(2j pi mod(t, 1)),
-    without its complex angle array.  That product's imaginary part is
-    g sin + 0 cos, which is +0 where g sin is -0 (a negative g at an integral
-    t); the + 0.0 here does the same.  A zero g gives a zero of either sign.
-    Two 0-d inputs take math's floor, cos and sin, with the same bits; a
-    non-finite t gives nan there as well.
+    The parts are g times those of cis_turns(t), and the imaginary one gets
+    + 0.0, which makes a -0 of g sin (a negative g at an integral t) +0, as
+    g * exp(2j pi t) would.  A zero g gives a zero of either sign.  Two 0-d
+    inputs take ``_cis_scalar``, with the same bits; a non-finite t gives nan
+    there as well.
     """
     if _is_0d(g) and _is_0d(t):
-        t = float(t)
-        th = (t - math.floor(t)) * TWO_PI if math.isfinite(t) else math.nan
+        c, s = _cis_scalar(float(t))
         g = float(g)
-        return np.complex128(complex(g * math.cos(th), g * math.sin(th) + 0.0))
-    th = reduced_angle(t)
+        return np.complex128(complex(g * c, g * s + 0.0))
+    c, s = cis_turns(t)
     g = np.asarray(g, dtype=float)
-    out = np.empty(np.broadcast(g, th).shape, dtype=complex)
-    np.multiply(g, np.cos(th), out=out.real)
-    np.multiply(g, np.sin(th), out=out.imag)
+    out = np.empty(np.broadcast(g, c).shape, dtype=complex)
+    np.multiply(g, c, out=out.real)
+    np.multiply(g, s, out=out.imag)
     out.imag += 0.0
     return out if out.ndim else out[()]
 

@@ -72,15 +72,37 @@ def _phase_pieces(phase_slope, edges: np.ndarray):
     make more than ``DEFAULT_PANEL_CAP`` pieces is not split; then los and
     his are None and pieces counts the pieces so far, that level's unsplit
     ones included.
-    """
-    def speed(x):
-        return np.abs(np.broadcast_to(np.asarray(phase_slope(x), dtype=float), x.shape))
 
-    s = speed(edges)
-    lo, hi, slo, shi = edges[:-1], edges[1:], s[:-1], s[1:]
+    The first levels are split untested while every piece of them must
+    split: on a segment between edges where the slope keeps its sign, no
+    piece is slower than the segment's slower end, smin, so each piece at
+    depth d fails the test while width * smin > 2 * 2^d (the factor 2, and
+    a width of 2^(d + 3) ulps at least, keep the pieces' rounding clear).
+    Those midpoints are the loop's own 0.5 (lo + hi), and the slope is
+    evaluated once on the grid they make, so the pieces are the same.
+    """
+    def slope(x):
+        return np.broadcast_to(np.asarray(phase_slope(x), dtype=float), x.shape)
+
+    s = slope(edges)
+    width = edges[1:] - edges[:-1]
+    smin = np.where(np.sign(s[:-1]) * np.sign(s[1:]) > 0.0,
+                    np.minimum(np.abs(s[:-1]), np.abs(s[1:])), 0.0)
+    ulp = np.spacing(np.maximum(np.abs(edges[:-1]), np.abs(edges[1:])))
+    x, depth = edges, 0
+    while (depth < 48 and 2 * (x.size - 1) <= DEFAULT_PANEL_CAP
+           and np.all(width * smin > 2.0 ** (depth + 1))
+           and np.all(width >= 2.0 ** (depth + 3) * ulp)):
+        grid = np.empty(2 * x.size - 1)
+        grid[::2] = x
+        grid[1::2] = 0.5 * (x[:-1] + x[1:])
+        x, depth = grid, depth + 1
+    s = np.abs(slope(x) if depth else s)
+
+    lo, hi, slo, shi = x[:-1], x[1:], s[:-1], s[1:]
     done_lo, done_hi = [], []
     count = 0
-    for depth in range(49):
+    for depth in range(depth, 49):
         keep = ((hi - lo) * np.maximum(slo, shi) <= 1.0) | (depth >= 48)
         done_lo.append(lo[keep])
         done_hi.append(hi[keep])
@@ -92,7 +114,7 @@ def _phase_pieces(phase_slope, edges: np.ndarray):
             return None, None, count + int(split.sum())
         lo, hi, slo, shi = lo[split], hi[split], slo[split], shi[split]
         mid = 0.5 * (lo + hi)
-        smid = speed(mid)
+        smid = np.abs(slope(mid))
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         slo, shi = np.concatenate([slo, smid]), np.concatenate([smid, shi])
     los, his = np.concatenate(done_lo), np.concatenate(done_hi)

@@ -1,9 +1,10 @@
 """Helpers shared by the tests: a grid evaluator for the modified sawtooth's
 partial sums, the starred distance to the nearest integer, the fitted-
-constant convention of the acceptance suite, the recursive reference for the
-quadrature's batched pre-split, models and single-order views built from
-per-order callables, and the one-function-per-call critical-point formulas
-that the derivative jets of the K functionals replaced.
+constant convention of the acceptance suite, the recursive and the
+level-by-level references for the quadrature's batched pre-split, models and
+single-order views built from per-order callables, and the one-function-per-
+call critical-point formulas that the derivative jets of the K functionals
+replaced.
 
 It also keeps, as references, the paper's formulas that the program does not
 run: the modified Fresnel integral F(u), the first and second derivative-test
@@ -20,6 +21,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from vdcorput import errbudget as eb
+from vdcorput import quad
 from vdcorput import transform
 from vdcorput.errbudget import WRFunctions, fprime_nearest
 from vdcorput.numutil import (TWO_PI, amplitude_e, bisect, floor_frac, nearest_decomp,
@@ -75,6 +77,38 @@ def presplit_reference(phase_slope, lo: float, hi: float, depth: int = 0) -> lis
     mid = 0.5 * (lo + hi)
     return (presplit_reference(phase_slope, lo, mid, depth + 1)
             + presplit_reference(phase_slope, mid, hi, depth + 1))
+
+
+def phase_pieces_by_level(phase_slope, edges: np.ndarray):
+    """The oracle's pre-split as it was before it split its forced levels
+    untested: every level tested and bisected in one batch, from the edges
+    on.  The reference that ``quad._phase_pieces`` must match bit for bit,
+    (los, his, pieces) and the cap's count included."""
+    def speed(x):
+        return np.abs(np.broadcast_to(np.asarray(phase_slope(x), dtype=float), x.shape))
+
+    s = speed(edges)
+    lo, hi, slo, shi = edges[:-1], edges[1:], s[:-1], s[1:]
+    done_lo, done_hi = [], []
+    count = 0
+    for depth in range(49):
+        keep = ((hi - lo) * np.maximum(slo, shi) <= 1.0) | (depth >= 48)
+        done_lo.append(lo[keep])
+        done_hi.append(hi[keep])
+        count += int(keep.sum())
+        split = ~keep
+        if not split.any():
+            break
+        if count + 2 * int(split.sum()) > quad.DEFAULT_PANEL_CAP:
+            return None, None, count + int(split.sum())
+        lo, hi, slo, shi = lo[split], hi[split], slo[split], shi[split]
+        mid = 0.5 * (lo + hi)
+        smid = speed(mid)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        slo, shi = np.concatenate([slo, smid]), np.concatenate([smid, shi])
+    los, his = np.concatenate(done_lo), np.concatenate(done_hi)
+    order = np.lexsort((his, los))
+    return los[order], his[order], count
 
 
 def jet_of(*orders):

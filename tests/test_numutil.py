@@ -66,12 +66,17 @@ def test_nearest_decomp_integer_shift(x, k):
 
 @pytest.mark.parametrize("t", [0.0, -0.0, 0.125, -0.125, 0.5, -1e-20, 1.0 - 2.0 ** -53,
                                3.7, -3.7, 2.0 ** 52 + 0.5, -1e15 + 0.3, 123456.789])
-def test_amplitude_e_on_a_scalar_has_the_bits_of_np_exp(t):
-    want = np.exp(2j * np.pi * np.mod(t, 1.0))
-    for arg in (t, np.float64(t), np.asarray(t)):
-        got = nu.amplitude_e(1.0, arg)
-        assert isinstance(got, np.complex128)
-        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+def test_amplitude_e_on_a_scalar_has_the_bits_of_cis_turns(t):
+    # g times each part of cis_turns(t), and + 0.0 on the imaginary part: a
+    # negative g at an integral t gives +0 there, not -0
+    c, s = nu.cis_turns(t)
+    for g in (1.0, -2.5):
+        want = np.array([complex(g * c, g * s + 0.0)])
+        for arg in (t, np.float64(t), np.asarray(t)):
+            got = nu.amplitude_e(g, arg)
+            assert isinstance(got, np.complex128)
+            assert np.array([got]).tobytes() == want.tobytes()
+            assert np.array([nu.amplitude_e(np.array([g]), arg)[0]]).tobytes() == want.tobytes()
 
 
 def test_amplitude_e_scalar_path_has_the_bits_of_the_array_path():
@@ -147,6 +152,8 @@ def test_cis_turns_against_40_digit_mpmath_on_edge_cases():
          -1e15 + 0.3, 123456.789, 1e300],
         np.nextafter(nodes, -1.0), np.nextafter(nodes, 2.0),   # k/1024 -+ 1 ulp
         nodes + 0.5 / 1024,                                    # ties of rint(1024 u)
+        -np.random.default_rng(5).random(500) * 10.0 ** -(np.arange(500) % 20),
+        [-8.282895112153623e-16],       # 1 + f rounds: a small negative f
     ])
     assert _cis_error(f) <= CIS_BOUND
 
@@ -158,11 +165,34 @@ def test_cis_turns_is_elementwise():
     c, s = nu.cis_turns(f)
     c7, s7 = nu.cis_turns(f[7:300])
     assert c7.tobytes() == c[7:300].tobytes() and s7.tobytes() == s[7:300].tobytes()
+    # an array of several blocks, against slices that cut across them
+    big = rng.uniform(-1e6, 1e6, 3 * nu.CHUNK + 4)
+    cb, sb = nu.cis_turns(big.reshape(-1, 5))
+    parts = [nu.cis_turns(big[i:i + 1000]) for i in range(0, big.size, 1000)]
+    assert cb.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+    assert sb.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
     for i, fi in enumerate(f.tolist()):
         for arg in (fi, np.float64(fi), np.asarray(fi)):
             ci, si = nu.cis_turns(arg)
             assert np.ndim(ci) == np.ndim(si) == 0
             assert (ci.tobytes(), si.tobytes()) == (c[i].tobytes(), s[i].tobytes()), fi
+
+
+def test_amplitude_e_against_40_digit_mpmath():
+    # each part within 2^-52 |g| of g e(t) at the float t, g and t of either
+    # sign, large and tiny, the scalar path and the array path alike
+    rng = np.random.default_rng(41)
+    t = np.concatenate([rng.uniform(-1e6, 1e6, 300),
+                        rng.uniform(-1.0, 1.0, 300) * 10.0 ** rng.uniform(-20, 17, 300),
+                        [0.0, -0.0, -1e-20, 0.25, 0.5, -0.75, 2.0 ** 52 + 0.5, 2.0 ** 53, 1e308]])
+    g = rng.uniform(-3.0, 3.0, t.size) * 10.0 ** rng.uniform(-5, 5, t.size)
+    got = nu.amplitude_e(g, t)
+    with mpmath.workprec(133):
+        for gi, ti, zi in zip(g.tolist(), t.tolist(), got.tolist()):
+            rc, rs = _e_exact(ti)
+            for z in (zi, complex(nu.amplitude_e(gi, ti))):
+                assert abs(z.real - gi * rc) <= 2.0 ** -52 * abs(gi), (gi, ti)
+                assert abs(z.imag - gi * rs) <= 2.0 ** -52 * abs(gi), (gi, ti)
 
 
 def test_cis_turns_of_a_non_finite_phase_is_nan_without_a_cast():

@@ -2,9 +2,9 @@
 
 Whether a limit or f' at a limit is an integer, and what e(x) is once x is
 reduced mod 1, are answered by numutil (``integer_range``; ``cis_turns``, the
-table kernel of the direct sum, and ``reduced_angle`` with ``amplitude_e``
-for every other e(x)) and, for f', by ``errbudget.fprime_nearest``.  A
-private copy elsewhere in src/ drifts from them, so this scan fails on one.
+table kernel and the one home of e(x), which ``amplitude_e`` scales by an
+amplitude) and, for f', by ``errbudget.fprime_nearest``.  A private copy
+elsewhere in src/ drifts from them, so this scan fails on one.
 """
 
 import ast
@@ -82,9 +82,23 @@ def test_the_direct_sum_takes_e_x_from_the_table_kernel():
     tree = _trees()["expsum.py"]
     found = [f"expsum.py:{n.lineno} {ast.unparse(n)}" for n in ast.walk(tree)
              if isinstance(n, ast.Call)
-             and _callee(n).split(".")[-1] in ("cos", "sin", "reduced_angle")]
+             and _callee(n).split(".")[-1] in ("cos", "sin")]
     assert not found, "e(x) in expsum outside cis_turns: " + "; ".join(found)
     assert any(isinstance(n, ast.Call) and _callee(n) == "cis_turns" for n in ast.walk(tree))
+
+def test_every_e_x_comes_from_the_table_kernel():
+    # amplitude_e and the modules that take e(x) from it (the Poisson
+    # integrand, the dual terms, D(a) and D(b)) call no cos, sin or exp
+    trees = _trees()
+    (amp,) = [fn for name, fn in _functions(trees["numutil.py"]) if name == "amplitude_e"]
+    scanned = [("numutil.py", amp), ("quad.py", trees["quad.py"]),
+               ("transform.py", trees["transform.py"])]
+    found = [f"{name}:{n.lineno} {ast.unparse(n)}" for name, node in scanned
+             for n in ast.walk(node) if isinstance(n, ast.Call)
+             and _callee(n).split(".")[-1] in ("cos", "sin", "exp")]
+    assert not found, "e(x) outside cis_turns: " + "; ".join(found)
+    assert any(isinstance(n, ast.Call) and _callee(n) == "cis_turns" for n in ast.walk(amp))
+
 
 def test_two_pi_i_is_defined_once():
     defs = [name for name, tree in _trees().items() for n in ast.walk(tree)

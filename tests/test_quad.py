@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdcorput import quad
-from vdcorput.numutil import amplitude_e
-from vdcorput.phase import builtin_family
+from vdcorput.numutil import amplitude_e, cis_turns
+from vdcorput.phase import builtin_family, invert_fprime
 from vdcorput.quad import oscillatory_integral, oscillatory_integral_raw, panel_integral
 
-from helpers import (derivative_test_bounds, fresnel_modified, presplit_reference,
-                     stationary_phase_estimate)
+from helpers import (derivative_test_bounds, fresnel_modified, phase_pieces_by_level,
+                     presplit_reference, stationary_phase_estimate)
 from test_quad_golden import POISSON_OP
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
@@ -130,6 +130,8 @@ def test_poisson_integrals_against_the_fresnel_closed_form():
 
 
 def test_integrand_has_the_bits_of_the_complex_exponential():
+    # g e(f) is g times each part of the table kernel's e(f), + 0.0 on the
+    # imaginary part
     rng = np.random.default_rng(13)
     n = 20_000
     f = np.concatenate([
@@ -138,19 +140,20 @@ def test_integrand_has_the_bits_of_the_complex_exponential():
         1e15 + rng.uniform(-1e3, 1e3, n),                   # near 1e15
         -1e15 + rng.uniform(-1e3, 1e3, n),
         np.floor(rng.uniform(-1e9, 1e9, n)),                 # integers
-        -rng.uniform(1e-20, 1e-15, n),                      # tiny negatives: {f} = 1
+        -rng.uniform(1e-20, 1e-15, n),                      # tiny negatives
         rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-12, 17, n),
         [0.0, -0.0, 0.25, 0.5, 0.75, -0.5, 2.0 ** 52 + 0.5, 2.0 ** 53],
     ])
     g = rng.uniform(-3.0, 3.0, f.size)
-    want = g * np.exp(2j * np.pi * np.mod(f, 1.0))
+    c, s = cis_turns(f)
     got = amplitude_e(g, f)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.real.tobytes() == want.real.tobytes()
-    assert got.imag.tobytes() == want.imag.tobytes()
+    assert got.dtype == np.complex128 and got.shape == f.shape
+    assert got.real.tobytes() == (g * c).tobytes()
+    assert got.imag.tobytes() == (g * s + 0.0).tobytes()
     # a scalar amplitude broadcasts over the phases
-    want = np.exp(2j * np.pi * np.mod(f[:64], 1.0))
-    assert amplitude_e(1.0, f[:64]).tobytes() == want.tobytes()
+    got = amplitude_e(1.0, f[:64])
+    assert got.real.tobytes() == c[:64].tobytes()
+    assert got.imag.tobytes() == (s[:64] + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("bad", ["g_inf", "g_nan", "phase_nan", "phase_inf"])
@@ -297,6 +300,82 @@ def test_presplit_tiles_and_bounds_each_piece(shift, cycles, power, alpha, width
     steep = np.maximum(np.abs(slope(los)), np.abs(slope(his)))
     assert np.all(((his - los) * steep <= 1.0) | (his - los <= width * 2.0 ** -47))
     assert list(zip(los.tolist(), his.tolist())) == _reference_pieces(slope, edges.tolist())
+
+
+def _same_pieces(got, want):
+    return got[2] == want[2] and all(
+        (g is None and w is None) or (g is not None and w is not None and g.tobytes() == w.tobytes())
+        for g, w in zip(got[:2], want[:2]))
+
+
+# (family, params, domain, points): every family, with limits drawn in points
+PRESPLIT_FAMILIES = [
+    ("power_phase", [], None, (1.0, 1e6)),
+    ("quadratic", [0.5], None, (-100.0, 100.0)),
+    ("ik_monomial", [1.5, 100.0, 1e4], None, (50.0, 1e4)),
+    ("exponential", [1.0, 2.0], None, (0.5, 20.0)),
+    ("zeta_log", [0.5, 1000.0], None, (1.0, 1e4)),
+    ("oscillatory", [1.0, 0.5, 2.0], (10.0, 1e4), (10.0, 1e3)),
+    ("sine_amplitude", [0.37], None, (1.0, 400.0)),
+]
+
+
+@pytest.mark.parametrize("fam,params,domain,points", PRESPLIT_FAMILIES,
+                         ids=[c[0] for c in PRESPLIT_FAMILIES])
+def test_presplit_matches_the_level_by_level_split(fam, params, domain, points):
+    # the untested first levels change no piece and no count: r inside the
+    # f' range (a stationary edge), next to it and far off it, where the
+    # split may stop at the panel cap
+    model, _ = builtin_family(fam, params, domain=domain)
+    rng = np.random.default_rng(len(fam))
+    stationary = skipped = 0
+    for i in range(24):
+        alpha = float(rng.uniform(*points))
+        beta = min(alpha + float(10.0 ** rng.uniform(-1, 3)), points[1])
+        fa, fb = float(model.f1(alpha)), float(model.f1(beta))
+        r = [float(rng.uniform(min(fa, fb), max(fa, fb))), fa + float(rng.uniform(-3, 3)),
+             fb * float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1e4, 1e4))][i % 4]
+        slope = lambda x: np.asarray(model.f1(x), dtype=float) - r
+        edges = [alpha, beta]
+        if fa - r < 0 < fb - r:
+            edges.insert(1, float(invert_fprime(model, r)))
+            stationary += 1
+        edges = np.array(edges)
+        counted, reference = _counted(slope), _counted(slope)
+        got = quad._phase_pieces(counted, edges)
+        assert _same_pieces(got, phase_pieces_by_level(reference, edges)), (alpha, beta, r)
+        skipped += counted.calls < reference.calls
+    assert stationary and skipped
+
+
+@pytest.mark.parametrize("case", ["cap", "inf", "float_limit", "tiny_width", "sign_change",
+                                  "rounding"])
+def test_presplit_matches_the_level_by_level_split_at_its_limits(case):
+    # the split stops at the panel cap after untested levels (131 072
+    # pieces), an infinite slope splits to the cap as well; pieces near the
+    # float limit, where a midpoint rounds onto an end, a slope whose zero is
+    # no edge, and pieces whose rounded width times the slope lands at 1 or
+    # just below (width * slope = 16 (1 + 2^-52) here) are tested
+    if case == "cap":
+        model, _ = builtin_family("quadratic", [0.38, 30.0], domain=(-100.0, 100.0))
+        slope, edges = lambda x: np.asarray(model.f1(x), dtype=float) - 1e9, [0.5, 30.5]
+    elif case == "inf":
+        slope, edges = lambda x: np.full_like(x, -np.inf), [0.0, 1.0]
+    elif case == "float_limit":
+        slope, edges = lambda x: np.full_like(x, 1000.0), [1e15, 1e15 + 1.0]
+    elif case == "tiny_width":
+        slope, edges = lambda x: 3e5 * x, [1e10, 1e10 + 1e-4]
+    elif case == "sign_change":
+        slope, edges = lambda x: 100.0 * x, [-1.0, 1.0]
+    else:
+        slope = lambda x: np.full_like(x, 2.3741754858784305)
+        edges = [1.2428327649956394, 7.9820144704625795]
+    edges = np.array(edges)
+    got = quad._phase_pieces(slope, edges)
+    assert _same_pieces(got, phase_pieces_by_level(slope, edges))
+    assert (got[0] is None) == (case in ("cap", "inf"))
+    if got[0] is None:
+        assert got[2] == 131_072
 
 
 @pytest.mark.parametrize("case", ["huge_r", "nan_slope"])

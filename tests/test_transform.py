@@ -10,7 +10,7 @@ import pytest
 from vdcorput import errbudget
 from vdcorput.errbudget import compute_budget, endpoint, fprime_nearest
 from vdcorput.expsum import direct_starred_sum
-from vdcorput.numutil import csum, modified_sawtooth, nearest_decomp
+from vdcorput.numutil import amplitude_e, csum, modified_sawtooth, nearest_decomp
 from vdcorput.phase import ConditionMProfile, builtin_family, invert_fprime
 from vdcorput.transform import (TransformOptions, _phase_f_minus_rx, budget_with_endpoints,
                                 endpoint_term, full_transform, rhs_main_sum)
@@ -99,7 +99,8 @@ def _scalar_rhs_phase(model):
 
 def per_r_rhs_main_sum(model, a, b):
     """The dual side one r at a time, as it was computed before it became
-    array code: the reference that ``rhs_main_sum`` must match bit for bit."""
+    array code, each e(.) from the scalar path of ``amplitude_e``: the
+    reference that ``rhs_main_sum`` must match bit for bit."""
     fa = float(model.f1(a))
     fb = float(model.f1(b))
     ra_int, _, da = fprime_nearest(model, a)
@@ -115,7 +116,7 @@ def per_r_rhs_main_sum(model, a, b):
         else:
             ph = (math.fmod(float(model.f(xr)), 1.0) - math.fmod(float(r) * xr, 1.0)) % 1.0
         w = float(model.g(xr)) / math.sqrt(float(model.f2(xr)))
-        val = w * np.exp(2j * math.pi * ((ph + 0.125) % 1.0))
+        val = amplitude_e(w, ph + 0.125)
         if r == r_lo and da == 0.0:
             val *= 0.5
         if r == r_hi and db == 0.0:
