@@ -278,14 +278,18 @@ def _endpoints(intervals: List[Tuple[float, float]]) -> np.ndarray:
 
 _PARTITION_SCAN = 4096  # scan points of the partition's sign changes
 _KAPPA_SCAN = 4096      # scan points of each K functional interval
+_KAPPA_PAD = 1e-9       # the share of an interval its scan and integral leave at each end
+_SIGMAS = np.array([[1.0], [-1.0]])  # both pm branches at once, one per row
 
 
 def partition_assumptions(model: PhaseAmplitudeModel, lo: float, hi: float,
                           ) -> AssumptionPartition:
     """Partition [lo, hi] by the sign pattern of G, H^2-G, g''.
 
-    Sign changes are located by a scan of 4 096 points refined by bisection;
-    tangential (double) roots below the scan resolution are not found.
+    Sign changes of G, H^2-G, H, g and g'' are located by a scan of 4 096
+    points and bisected to the float limit together, in one
+    ``sign_change_roots`` loop on the one jet; tangential (double) roots
+    below the scan resolution are not found.
     Raises PartitionDegeneracyError when H^2-G tends to 0 at a J_pm endpoint
     or g at a J_0 endpoint.
     """
@@ -306,10 +310,7 @@ def partition_assumptions(model: PhaseAmplitudeModel, lo: float, hi: float,
 
     # breakpoints where any governing sign can flip, and samples landing
     # exactly on a zero of a function that is not zero everywhere
-    # (bisecting g or g'' alone costs a fraction of the whole sign set)
-    fns = [lambda t, k=k: signs(t)[k] for k in range(3)]
-    fns += [model.g, lambda t: model.gjet(t, 2, 2)[0]]
-    roots = [sign_change_roots(fn, xs, v) for fn, v in zip(fns, vals)]
+    roots = sign_change_roots(lambda t: signs(t)[:5], xs, vals)
     g_roots, g2_roots = np.array(roots[3]), np.array(roots[4])
     cuts = {lo, hi}.union(*roots)
     for v in vals:
@@ -392,55 +393,81 @@ def _quad(fn, lo: float, hi: float, what: str, points: Sequence[float] = ()) -> 
     return float(res.value)
 
 
-def _resolved_zeros(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
-                    v: np.ndarray, probe: np.ndarray) -> List[float]:
-    """Sign changes of fn on the scan xs, given v = fn(xs) and probe = fn a
-    third into each gap; none when the scan does not resolve fn, because two
-    adjacent gaps both change sign or a probe (off the midpoint, where aliasing
-    can repeat) shows two changes inside its gap."""
-    v = np.asarray(v, dtype=float)
-    neg = v < 0
-    probe = np.asarray(probe) < 0
+def _resolved(v: np.ndarray, probe: np.ndarray) -> bool:
+    """Whether the scan values v resolve their function, given probe, its
+    values a third into each gap: not when two adjacent gaps both change sign
+    or a probe (off the midpoint, where aliasing can repeat) shows two
+    changes inside its gap."""
+    neg, probe = v < 0, probe < 0
     flip = neg[:-1] != neg[1:]
-    if np.any(flip[:-1] & flip[1:]) or np.any((neg[:-1] != probe) & (probe != neg[1:])):
-        return []
-    return sign_change_roots(fn, xs, v)
+    return not ((flip[:-1] & flip[1:]).any() or ((neg[:-1] != probe) & (probe != neg[1:])).any())
+
+
+def kappa_cuts(terms: Callable, intervals: Sequence[Tuple[float, float]],
+               ) -> List[List[Tuple[List[float], List[float]]]]:
+    """The break points of the K functionals of each branch of ``terms`` on
+    each interval: [branch][interval] -> (sign changes of r', kinks).
+
+    ``terms(x)`` gives (W, W', r') at the points x, each of shape
+    (branches, len(x)) or, for one branch, (len(x),), so the branches share
+    their jets.  Each interval is scanned at 4 096 points and a third into
+    each gap, one ``terms`` call each (one call on both would make the J_pm
+    pair's arrays 131 KB, past malloc's mmap threshold, so mapped and faulted
+    in afresh on every call).
+    The sign changes of r' and the zeros of W and W' (the integrand's kinks)
+    of all intervals and branches are bisected in one ``sign_change_roots``
+    loop; a zero of W or W' joins only on an interval whose scan resolves
+    that function (``_resolved``).
+    """
+    e = np.array(intervals, dtype=float).reshape(-1, 2)
+    pad = (e[:, 1] - e[:, 0]) * _KAPPA_PAD
+    xs = np.linspace(e[:, 0] + pad, e[:, 1] - pad, _KAPPA_SCAN, axis=1)
+    probes = xs[:, :-1] + (xs[:, 1:] - xs[:, :-1]) / 3.0
+
+    def rows(x):
+        # W, W' and r' at x, one row per branch each
+        return [r for part in terms(x) for r in part.reshape(-1, x.size)]
+
+    # an interval's probes only decide which of its rows the scan resolves,
+    # and are not kept: a heap grown past what the rest of a transform uses
+    # is trimmed after the budget and faulted in again
+    scans, resolved = [], []
+    for x, probe in zip(xs, probes):
+        scans.append(rows(x))
+        resolved.append([_resolved(s, p) for s, p in zip(scans[-1], rows(probe))])
+    branches = len(scans[0]) // 3
+    vals = [np.array(v) for v in zip(*scans)]
+    use = [[c >= 2 * branches or r[c] for r in resolved] for c in range(3 * branches)]
+    roots = sign_change_roots(terms, xs, vals, use)
+    W, W_p, r_p = (roots[part * branches:(part + 1) * branches] for part in range(3))
+    return [[(r, w + w_p) for w, w_p, r in zip(*branch)] for branch in zip(W, W_p, r_p)]
 
 
 def kappa_functional(terms: Callable, intervals: Sequence[Tuple[float, float]],
-                     isolated: Sequence[float]) -> float:
+                     isolated: Sequence[float],
+                     cuts: Sequence[Tuple[List[float], List[float]]]) -> float:
     """K(I, W, r): variation integral plus isolated-point and boundary terms.
 
     ``terms(x)`` gives (W, W', r') at x, array or scalar, from one evaluation
-    of the model's derivatives (``WRFunctions.pm_terms`` or ``zero_terms``).
-    Each interval is scanned once, at 4 096 points and a third into each gap.
-    Sign changes of r' are located on the scan and bisected; each contributes
-    |s(x) W(x)|, as does each distinct interval end.  The integrand
-    |W||r'| + |W'| has kinks at the zeros of r', W and W', and the quadrature
-    panels break at all of them that the scan resolves.
+    of the model's derivatives (``WRFunctions.pm_terms`` or ``zero_terms``),
+    and ``cuts`` the (sign changes of r', kinks) of each interval, from
+    ``kappa_cuts``.  Each sign change of r' contributes |s(x) W(x)|, as does
+    each distinct interval end.  The integrand |W||r'| + |W'| has kinks at
+    the zeros of r', W and W', and the quadrature panels break at all of
+    them that the scan resolves.
     """
-    def part(k):
-        return lambda t: terms(t)[k]
-
     def integrand(t):
         W, W_p, r_p = terms(t)
         return np.abs(W) * np.abs(r_p) + np.abs(W_p)
 
     total = 0.0
-    sign_changes: List[float] = []
-    for x0, x1 in intervals:
-        pad = (x1 - x0) * 1e-9
-        xs = np.linspace(x0 + pad, x1 - pad, _KAPPA_SCAN)
-        W, W_p, r_p = terms(xs)
-        probe_W, probe_W_p, _ = terms(xs[:-1] + (xs[1:] - xs[:-1]) / 3.0)
-        roots = sign_change_roots(part(2), xs, r_p)
-        sign_changes.extend(roots)
-        kinks = (_resolved_zeros(part(0), xs, W, probe_W)
-                 + _resolved_zeros(part(1), xs, W_p, probe_W_p))
+    for (x0, x1), (roots, kinks) in zip(intervals, cuts):
+        pad = (x1 - x0) * _KAPPA_PAD
         total += _quad(integrand, x0 + pad, x1 - pad, "K functional", roots + kinks)
     # one point at a time, as numpy's array pow can differ from libm's in the last bit
     for x in isolated:
         total += abs(terms(x)[0])
+    sign_changes = [x for roots, _ in cuts for x in roots]
     for x in sign_changes + sorted({x for seg in intervals for x in seg}):
         total += abs(sawtooth_s(x) * terms(x)[0])
     return total
@@ -557,10 +584,15 @@ def _k_terms(model: PhaseAmplitudeModel,
     """(kappa_0, kappa_+, kappa_-, J_null sum): the K functionals over J_0 and
     both branches of J_pm, and the isolated amplitude-zero sum."""
     wr = WRFunctions(model)
-    k0 = kappa_functional(wr.zero_terms, partition.j0, partition.j0_isolated)
+    (cuts,) = kappa_cuts(wr.zero_terms, partition.j0) if partition.j0 else ([],)
+    k0 = kappa_functional(wr.zero_terms, partition.j0, partition.j0_isolated, cuts)
+    # both branches from one jet per scan point, sigma = +1 and -1 as rows
+    pm = ([], [])
+    if partition.jpm:
+        pm = kappa_cuts(lambda x: wr.pm_terms(x, _SIGMAS), partition.jpm)
     kp, km = (kappa_functional(lambda x, s=sigma: wr.pm_terms(x, s), partition.jpm,
-                               partition.jpm_isolated)
-              for sigma in (+1, -1))
+                               partition.jpm_isolated, cuts)
+              for sigma, cuts in zip((+1, -1), pm))
     jn = 0.0
     for x in partition.jnull:
         g1, g2 = model.gjet(x, 1, 2)
@@ -625,12 +657,17 @@ class ErrorBudget:
 
 
 def compute_budget(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                   a: float, b: float) -> ErrorBudget:
-    """Delta1-Delta4 on [a, b]; raises ValueError when a limit is not finite
-    or b < a, and PartitionDegeneracyError when the Delta4 partition is
-    degenerate."""
+                   a: float, b: float, report: Optional[ConditionMReport] = None,
+                   ) -> ErrorBudget:
+    """Delta1-Delta4 on [a, b], from the limit records of ``report`` when the
+    caller has swept [a, b] already, else from records built here; raises
+    ValueError when a limit is not finite or b < a, and
+    PartitionDegeneracyError when the Delta4 partition is degenerate."""
     check_interval(a, b)
-    ea, eb = endpoint(model, profile, a), endpoint(model, profile, b)
+    if report is not None:
+        ea, eb = report.ends
+    else:
+        ea, eb = endpoint(model, profile, a), endpoint(model, profile, b)
     abar, bbar = abar_bbar(model, a, b, profile)
     d1a, d2a = endpoint_deltas(ea, b - a)
     d1b, d2b = endpoint_deltas(eb, b - a)

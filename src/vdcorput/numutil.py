@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -476,39 +476,159 @@ def csum(values: Sequence[complex]) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# batched bisection
+# sign changes, bisected in one batch
 # ---------------------------------------------------------------------------
 
-def bisect(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> Tuple[np.ndarray, np.ndarray]:
-    """Shrink many brackets at once; fn is vectorized and fn(lo) < 0 <= fn(hi).
+# the width of a float bracket can halve at most 2 098 times (2^1024 to
+# 2^-1074), so bisection reaches the float limit within this many steps
+FLOAT_HALVINGS = 2100
+# the levels of its bisection that a bracket can go down in one step, and the
+# points a step evaluates at most, a scan's count: the jets' arrays then stay
+# the size of the scans' (past malloc's 128 KB mmap threshold they are mapped
+# and faulted in afresh on every call)
+_LEVELS = 8
+_STEP_POINTS = 4096
 
-    Each bracket is halved, keeping that sign pattern, until its midpoint
-    equals one of its ends (the float limit), 80 halvings at most.  fn sees
-    the midpoints of all brackets in one array.  Returns the final (lo, hi).
+
+def _bisect_paths(fn, single, cmp, sgn, lo, hi, flo, fhi):
+    """The last brackets of the bisections of the brackets (lo, hi), all in
+    one loop that calls fn once per step: bracket j reads sgn[j] times
+    component cmp[j] of fn (fn's value itself where ``single``), with the
+    values flo[j] < 0 and fhi[j] (not negative) at its ends, and the
+    brackets come in order of cmp.
+
+    A step takes a bracket down as many as 8 levels of its bisection: it
+    evaluates the next midpoints on the path to the bracket's root estimate
+    (8, or fewer where 8 for every live bracket would pass 4 096 points),
+    follows them while their signs agree with that path, and at the first
+    that does not, goes the way its sign says, as the bisection does.  So
+    the path is the bisection's, bit for bit, whatever the function, and a
+    bracket takes at most as many steps as its bisection; the estimate only
+    sets how far a step gets.  It is regula falsi from the bracket's end
+    values, or from their cube roots where those were nearer linear at the
+    first midpoint: a triple zero (W_0's at a zero of f^(3) when g is
+    constant) is a simple zero of the cube root.  The loop works on the
+    live brackets, ids idx, and puts each in out when done.
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    for _ in range(80):
+    out = np.stack((lo, hi))
+    cube = np.zeros(lo.shape, dtype=bool)
+    idx = np.arange(lo.size)
+    for step in range(FLOAT_HALVINGS):
         mid = 0.5 * (lo + hi)
-        live = (mid != lo) & (mid != hi)
-        if not live.any():
+        on = (mid != lo) & (mid != hi)
+        if np.count_nonzero(on) < on.size:
+            out[:, idx[~on]] = lo[~on], hi[~on]
+            idx, lo, hi, flo, fhi = idx[on], lo[on], hi[on], flo[on], fhi[on]
+            mid, cube, sgn, cmp = mid[on], cube[on], sgn[on], cmp[on]
+        if not idx.size:
             break
-        below = fn(mid) < 0
-        lo = np.where(live & below, mid, lo)
-        hi = np.where(live & ~below, mid, hi)
-    return lo, hi
+        with np.errstate(all="ignore"):
+            ga, gb = np.where(cube, np.cbrt(flo), flo), np.where(cube, np.cbrt(fhi), fhi)
+            est = lo + (hi - lo) * (ga / (ga - gb))
+        est = np.where((lo <= est) & (est <= hi), est, mid)
+        # the path to est: each level's midpoint, whether the path goes right
+        # there, and whether it is inside its bracket (not at the float limit)
+        levels = min(_LEVELS, max(1, _STEP_POINTS // idx.size))
+        ms, right = np.empty((levels, idx.size)), np.empty((levels, idx.size), dtype=bool)
+        inside = np.empty(ms.shape, dtype=bool)
+        a, b = lo, hi
+        for t in range(levels):
+            ms[t] = m = 0.5 * (a + b)
+            inside[t] = (m != a) & (m != b)
+            right[t] = go = m <= est
+            a, b = np.where(go, m, a), np.where(go, b, m)
+        # fn at the midpoints inside, bracket by bracket, so each component's
+        # points are one slice of them
+        cols = np.arange(idx.size)
+        at = np.broadcast_to(cols[:, None], inside.T.shape)[inside.T]
+        pts = ms.T[inside.T]
+        values = fn(pts)
+        if single:
+            picked = np.asarray(values, dtype=float)
+        else:
+            rows = [r for part in values for r in np.reshape(part, (-1, pts.size))]
+            ends = np.searchsorted(cmp[at], np.arange(len(rows) + 1))
+            picked = np.concatenate([r[ends[c]:ends[c + 1]] for c, r in enumerate(rows)])
+        v = np.full(ms.shape, np.nan)
+        v.T[inside.T] = sgn[at] * picked
+        below = v < 0
+        if not step:
+            # nearer linear at the midpoint: the values or their cube roots
+            with np.errstate(all="ignore"):
+                lin, cub = 0.5 * (flo + fhi), 0.5 * (np.cbrt(flo) + np.cbrt(fhi))
+                cube = np.abs(cub * cub * cub - v[0]) < np.abs(lin - v[0])
+        # the levels taken: those whose sign agrees with the path, and the
+        # first that does not (a sentinel level stops the rest); the new
+        # ends are the last midpoints taken with a negative and with a
+        # nonnegative value
+        off = np.ones((levels + 1, idx.size), dtype=bool)
+        off[:-1] = ~inside | (below != right)
+        level = np.arange(levels)[:, None]
+        taken = inside & (level <= off.argmax(axis=0))
+        last_lo = np.where(taken & below, level, -1).max(axis=0)
+        last_hi = np.where(taken & ~below, level, -1).max(axis=0)
+        new_lo, new_hi = last_lo >= 0, last_hi >= 0
+        lo, flo = np.where(new_lo, ms[last_lo, cols], lo), np.where(new_lo, v[last_lo, cols], flo)
+        hi, fhi = np.where(new_hi, ms[last_hi, cols], hi), np.where(new_hi, v[last_hi, cols], fhi)
+    out[:, idx] = lo, hi
+    return out[0], out[1]
 
 
-def sign_change_roots(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
-                      vals: np.ndarray) -> List[float]:
-    """Roots of fn in every gap of the samples xs where vals = fn(xs) changes
-    sign, bisected to the float limit.  A gap with a zero sample at either end
-    is skipped; nan counts as nonnegative."""
-    xs, vals = np.asarray(xs, dtype=float), np.asarray(vals, dtype=float)
-    neg = vals < 0
-    i = np.nonzero((neg[:-1] != neg[1:]) & (vals[:-1] != 0.0) & (vals[1:] != 0.0))[0]
-    sign = np.where(neg[i], 1.0, -1.0)
-    lo, hi = bisect(lambda x: sign * fn(x), xs[i], xs[i + 1])
-    return (0.5 * (lo + hi)).tolist()
+def sign_change_roots(fn: Callable, xs, vals, use=None) -> list:
+    """Roots of fn, or of each of its components, in every gap of a scan
+    where it changes sign, bisected to the float limit.
+
+    xs is one scan, (n,), or one scan per row, (rows, n).  vals is fn's
+    value there, an array of xs's shape, or for a fn of k components the
+    sequence of their k values there, each of xs's shape.  fn maps a 1-d
+    array of points to its value there, or to the sequence of its
+    components' values, as arrays or as stacks of them (a stack's rows are
+    components in turn).  ``use`` flags the rows of each component that take
+    part, one per row of xs; all do by default.  A gap with a zero value at
+    either end is skipped; nan counts as nonnegative.  Returns the roots of
+    each row in order of x: a list for one scan, a list of lists for one per
+    row, and for k components a list of k of those.
+
+    A root is the midpoint of the last bracket of the gap's bisection: the
+    bracket is halved, keeping a negative value at the end where the gap's
+    is negative, until its midpoint equals an end.  ``_bisect_paths`` finds
+    those brackets, the bisection's bit for bit, for all gaps in one loop
+    that calls fn once per step, on points of every live bracket, each
+    reading its own component; no bracket takes more steps than its
+    bisection, which the float-halving bound caps.
+    """
+    xs = np.asarray(xs, dtype=float)
+    single = isinstance(vals, np.ndarray) and vals.shape == xs.shape
+    comps = [vals] if single else list(vals)
+    n = xs.shape[-1]
+    X = xs.reshape(-1, n)
+    rows = X.shape[0]
+    flags = np.ones((len(comps), rows), dtype=bool) if use is None else \
+        np.asarray(use, dtype=bool).reshape(len(comps), rows)
+    # the gaps (row, i) whose ends differ in sign, component by component
+    found = []
+    for c, v in enumerate(comps):
+        V = np.asarray(v, dtype=float).reshape(rows, n)
+        flat = (V < 0).ravel()
+        j = np.flatnonzero(flat[1:] != flat[:-1])
+        if not j.size:
+            continue
+        row, i = np.divmod(j[(j + 1) % n != 0], n)
+        keep = (V[row, i] != 0.0) & (V[row, i + 1] != 0.0) & flags[c, row]
+        row, i = row[keep], i[keep]
+        sgn = np.where(V[row, i] < 0, 1.0, -1.0)
+        found.append((np.full(row.size, c), row, X[row, i], X[row, i + 1],
+                      sgn, sgn * V[row, i], sgn * V[row, i + 1]))
+    keys = roots = np.empty(0)
+    if found:
+        cmp, row, lo, hi, sgn, flo, fhi = (np.concatenate(parts) for parts in zip(*found))
+        lo, hi = _bisect_paths(fn, single, cmp, sgn, lo, hi, flo, fhi)
+        keys, roots = cmp * rows + row, 0.5 * (lo + hi)
+    ends = np.searchsorted(keys, np.arange(len(comps) * rows + 1))
+    lists = [roots[ends[r]:ends[r + 1]].tolist() for r in range(len(comps) * rows)]
+    per_comp = [lists[c * rows:(c + 1) * rows] if xs.ndim > 1 else lists[c]
+                for c in range(len(comps))]
+    return per_comp[0] if single else per_comp
 
 
 # ---------------------------------------------------------------------------

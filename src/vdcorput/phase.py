@@ -37,6 +37,8 @@ from typing import Callable, ClassVar, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .numutil import FLOAT_HALVINGS
+
 Func = Callable[[np.ndarray], np.ndarray]
 ArrayOrFloat = Union[np.ndarray, float]
 Jet = Callable[[ArrayOrFloat, int, int], List[np.ndarray]]
@@ -122,13 +124,13 @@ class ConditionMProfile:
 # ---------------------------------------------------------------------------
 
 # a bracket that has not halved in _PATIENCE steps of _newton_brackets takes
-# the midpoint, and the width of a float bracket can halve at most 2 098
-# times (2^1024 to 2^-1074), so _BRACKET_STEPS steps reach the float limit;
-# the loop ends there in any case.  Newton converging from one side leaves
-# the far end in place for a few steps: a patience of 2 took up to 48 steps
-# on oscillatory dual ranges, 4 takes at most 7
+# the midpoint, and a float bracket halves at most FLOAT_HALVINGS times, so
+# _BRACKET_STEPS steps reach the float limit; the loop ends there in any
+# case.  Newton converging from one side leaves the far end in place for a
+# few steps: a patience of 2 took up to 48 steps on oscillatory dual ranges,
+# 4 takes at most 7
 _PATIENCE = 4
-_BRACKET_STEPS = (_PATIENCE + 1) * 2100
+_BRACKET_STEPS = (_PATIENCE + 1) * FLOAT_HALVINGS
 
 
 def _newton_brackets(model: PhaseAmplitudeModel, rs: np.ndarray, flo: float, fhi: float):

@@ -193,7 +193,7 @@ def full_transform(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     result = rhs_main_sum(model, a, b)
     result.condition_report = report
     result.d_a, result.d_b = (endpoint_term(ep) for ep in report.ends)
-    budget = errbudget.compute_budget(model, profile, a, b) if opts.budget else None
+    budget = errbudget.compute_budget(model, profile, a, b, report=report) if opts.budget else None
     if opts.measure:
         direct = direct_starred_sum(model, a, b)
         result.direct_value = direct

@@ -1,7 +1,8 @@
 """Helpers shared by the tests: a grid evaluator for the modified sawtooth's
 partial sums, the starred distance to the nearest integer, the fitted-
 constant convention of the acceptance suite, the recursive and the
-level-by-level references for the quadrature's batched pre-split, models and
+level-by-level references for the quadrature's batched pre-split, the
+bisection that ``numutil.sign_change_roots`` must match, models and
 single-order views built from per-order callables, and the one-function-per-
 call critical-point formulas that the derivative jets of the K functionals
 replaced.
@@ -16,7 +17,7 @@ the Delta integrands, the partition and the K terms of ``errbudget``."""
 
 import math
 import warnings
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +25,7 @@ from vdcorput import errbudget as eb
 from vdcorput import quad
 from vdcorput import transform
 from vdcorput.errbudget import WRFunctions, fprime_nearest
-from vdcorput.numutil import (TWO_PI, amplitude_e, bisect, floor_frac, nearest_decomp,
-                              sawtooth_psi)
+from vdcorput.numutil import TWO_PI, amplitude_e, floor_frac, nearest_decomp, sawtooth_psi
 from vdcorput.phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 from vdcorput.quad import oscillatory_integral_raw
 from vdcorput.transform import EndpointTerm
@@ -109,6 +109,38 @@ def phase_pieces_by_level(phase_slope, edges: np.ndarray):
     los, his = np.concatenate(done_lo), np.concatenate(done_hi)
     order = np.lexsort((his, los))
     return los[order], his[order], count
+
+
+def bisect(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> Tuple[np.ndarray, np.ndarray]:
+    """Shrink many brackets at once; fn is vectorized and fn(lo) < 0 <= fn(hi).
+
+    Each bracket is halved, keeping that sign pattern, until its midpoint
+    equals one of its ends (the float limit), 80 halvings at most.  fn sees
+    the midpoints of all brackets in one array.  Returns the final (lo, hi).
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        live = (mid != lo) & (mid != hi)
+        if not live.any():
+            break
+        below = fn(mid) < 0
+        lo = np.where(live & below, mid, lo)
+        hi = np.where(live & ~below, mid, hi)
+    return lo, hi
+
+
+def bisected_roots(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
+                   vals: np.ndarray) -> List[float]:
+    """Roots of fn in every gap of the samples xs where vals = fn(xs) changes
+    sign, bisected to the float limit.  A gap with a zero sample at either end
+    is skipped; nan counts as nonnegative."""
+    xs, vals = np.asarray(xs, dtype=float), np.asarray(vals, dtype=float)
+    neg = vals < 0
+    i = np.nonzero((neg[:-1] != neg[1:]) & (vals[:-1] != 0.0) & (vals[1:] != 0.0))[0]
+    sign = np.where(neg[i], 1.0, -1.0)
+    lo, hi = bisect(lambda x: sign * fn(x), xs[i], xs[i + 1])
+    return (0.5 * (lo + hi)).tolist()
 
 
 def jet_of(*orders):

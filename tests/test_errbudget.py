@@ -19,6 +19,12 @@ SQ6 = math.sqrt(6.0)
 SQ37 = math.sqrt(37.0)
 
 
+def kappa(terms, intervals, isolated):
+    """The K functional of the one branch of terms, on its own break points."""
+    (cuts,) = eb.kappa_cuts(terms, intervals)
+    return eb.kappa_functional(terms, intervals, isolated, cuts)
+
+
 def example_rhs_model():
     """f = 4x^3, g = sqrt(24 x): the conjugated dual side of the cubic-power
     example, whose critical-point functions have closed forms."""
@@ -748,8 +754,7 @@ def test_kappa_ik_magnitude_chain():
         wr = eb.WRFunctions(model)
         total = 0.0
         for sigma in (+1, -1):
-            total += eb.kappa_functional(lambda x, s=sigma: wr.pm_terms(x, s),
-                                         part.jpm, part.jpm_isolated)
+            total += kappa(lambda x, s=sigma: wr.pm_terms(x, s), part.jpm, part.jpm_isolated)
         ratios.append(total / (math.sqrt(n_scale) / x_scale))
     fitted = max(ratios[::2])
     assert all(r <= 2.0 * fitted for r in ratios)
@@ -766,7 +771,7 @@ def test_kappa_j0_with_many_break_points_against_piecewise_quad(a, b, n_roots, r
     model, profile = builtin_family("oscillatory", [1.0, 1.0, 1.0])
     part = eb.partition_assumptions(model, *condition_m_domain(model, profile, a, b))
     wr = eb.WRFunctions(model)
-    got = eb.kappa_functional(wr.zero_terms, part.j0, part.j0_isolated)
+    got = kappa(wr.zero_terms, part.j0, part.j0_isolated)
 
     # g = 1, so H = f3, H' = f4 and the branch functions reduce to
     # W0 = -f3^3 / (27 f2^5), W0' = (5 f3^4 - 3 f2 f3^2 f4) / (27 f2^6) and
@@ -814,9 +819,13 @@ def test_kappa_j0_with_many_break_points_against_piecewise_quad(a, b, n_roots, r
 
 
 def _resolved_zeros(fn, xs):
-    """eb._resolved_zeros with the scan and the third-of-a-gap probes of fn
-    evaluated here, as kappa_functional evaluates them"""
-    return eb._resolved_zeros(fn, xs, fn(xs), fn(xs[:-1] + (xs[1:] - xs[:-1]) / 3.0))
+    """The zeros of fn that join the K functionals' break points: those of a
+    scan that eb._resolved passes, given the scan and the third-of-a-gap
+    probes of fn evaluated as kappa_cuts evaluates them"""
+    v = fn(xs)
+    if not eb._resolved(v, fn(xs[:-1] + (xs[1:] - xs[:-1]) / 3.0)):
+        return []
+    return eb.sign_change_roots(fn, xs, v)
 
 
 def test_kink_break_points_only_where_the_scan_resolves_them():
@@ -857,11 +866,10 @@ def test_kappa_probes_each_gap_a_third_in(monkeypatch):
         return np.cos(4.0 * np.pi * (t - xs[0]) / h) * (t - c), one, one
 
     seen = _quad_points(monkeypatch)
-    eb.kappa_functional(terms, [(0.0, 1.0)], [])
+    kappa(terms, [(0.0, 1.0)], [])
     assert seen == [[]]
     # control: the same W without the aliased factor gives c as a break point
-    eb.kappa_functional(lambda t: (terms(t)[1] * (np.asarray(t) - c), *terms(t)[1:]),
-                        [(0.0, 1.0)], [])
+    kappa(lambda t: (terms(t)[1] * (np.asarray(t) - c), *terms(t)[1:]), [(0.0, 1.0)], [])
     assert seen[1] == [pytest.approx(c, abs=1e-15)]
 
 
@@ -877,12 +885,37 @@ def test_kappa_point_terms_go_one_scalar_at_a_time(monkeypatch):
         return 1.0 / t ** 1.5, np.ones_like(t), t - 0.6180339887
 
     _quad_points(monkeypatch)
-    got = eb.kappa_functional(terms, [(0.25, 4.2)], [2.5, 3.7])
+    got = kappa(terms, [(0.25, 4.2)], [2.5, 3.7])
     r = 0.6180339887
     want = (2.5 ** -1.5 + 3.7 ** -1.5 + abs(eb.sawtooth_s(r)) * r ** -1.5
             + 0.25 * 0.25 ** -1.5 + abs(eb.sawtooth_s(4.2)) * 4.2 ** -1.5)
     assert got == pytest.approx(want, rel=1e-12)
     assert calls[-5:] == [0] * 5
+
+
+@pytest.mark.parametrize("fam,params,a,b,calls", [
+    ("oscillatory", [1.0, 1.0, 1.0], 1000.0, 2000.0, 19),   # a loop per function: 165 in 8
+    ("sine_amplitude", [0.006], 100.0, 303.0, 12),          # 157 in 17
+])
+def test_the_partition_and_k_functionals_bisect_in_few_jet_calls(monkeypatch, fam, params,
+                                                                  a, b, calls):
+    # the partition's five functions, and r', W and W' of every interval and
+    # branch of the K functionals, are bisected in one loop per jet; the
+    # bounds are the counts measured when the per-function loops were joined,
+    # so a loop per function or per interval that comes back fails here
+    model, profile = builtin_family(fam, params)
+    part = eb.partition_assumptions(model, *condition_m_domain(model, profile, a, b))
+    loops, jets = [], []
+    bisected = eb.sign_change_roots
+
+    def counted(fn, *args):
+        loops.append(fn)
+        return bisected(lambda x: jets.append(x.size) or fn(x), *args)
+
+    monkeypatch.setattr(eb, "sign_change_roots", counted)
+    eb.partition_assumptions(model, *condition_m_domain(model, profile, a, b))
+    eb._k_terms(model, part)
+    assert len(loops) <= 3 and len(jets) <= calls
 
 
 def test_nonfinite_kappa_integral_is_reported():
@@ -894,7 +927,7 @@ def test_nonfinite_kappa_integral_is_reported():
     wr = eb.WRFunctions(model)
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.warns(UserWarning, match="K functional integral did not converge"):
-        k = eb.kappa_functional(lambda x: wr.pm_terms(x, +1), part.jpm[:1], [])
+        k = kappa(lambda x: wr.pm_terms(x, +1), part.jpm[:1], [])
     assert not math.isfinite(k)
 
 

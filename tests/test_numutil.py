@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vdcorput import numutil as nu
 
-from helpers import dist_to_nearest_star, modified_sawtooth_grid
+from helpers import bisect, bisected_roots, dist_to_nearest_star, modified_sawtooth_grid
 
 
 # ---------------------------------------------------------------------------
@@ -462,3 +462,123 @@ def test_sign_change_roots_bisect_to_the_float_limit():
     fn = lambda x: (x - 2.0) * (x - 3.5)
     xs = np.arange(5.0)
     assert nu.sign_change_roots(fn, xs, fn(xs)) == [3.5]
+
+
+def test_sign_change_roots_reach_the_float_limit_past_80_halvings():
+    # x - 1e-6 on [0, 1e9] needs about 102 halvings: the old 80-halving cap
+    # stopped on a bracket 8.3e-16 wide, some 4 000 ulps of the root
+    fn = lambda x: x - 1e-6
+    xs = np.array([0.0, 1e9])
+    (got,) = nu.sign_change_roots(fn, xs, fn(xs))
+    assert got in (1e-6, math.nextafter(1e-6, 0.0))
+    (old,) = bisected_roots(fn, xs, fn(xs))
+    assert abs(old - 1e-6) > 1000 * math.ulp(1e-6)
+    # a subnormal root in a gap across 0 takes over 1 000 halvings
+    for root in (3e-320, -5e-324, 2.0 ** -1022):
+        fn = lambda x, r=root: x - r
+        xs = np.array([-1.0, 1.0])
+        (got,) = nu.sign_change_roots(fn, xs, fn(xs))
+        assert got in (root, math.nextafter(root, -1.0))
+    # from the largest floats down to the smallest: some 2 100 halvings
+    xs = np.array([-1e300, 1e308])
+    (got,) = nu.sign_change_roots(lambda x: x, xs, xs)
+    assert got == 0.0
+
+
+def _shape(kind, scale):
+    """A strictly increasing function of d whose sign is d's, on the float
+    d = (x - root) / scale, so that its one sign change is at the root."""
+    return {
+        "linear": lambda d: d,
+        "cubic-term": lambda d: d * (1.0 + 7.0 * d * d),
+        "expm1": lambda d: np.expm1(3.0 * d),
+        "tanh": lambda d: np.tanh(40.0 * d),
+        "cbrt": np.cbrt,
+        "triple": lambda d: d * d * d,
+    }[kind]
+
+
+_roots = st.one_of(
+    st.floats(-1e-300, 1e-300),                                   # near 0, subnormals too
+    st.builds(lambda e, k, s: s * math.ldexp(1.0 + k * 2.0 ** -52, e),  # binade edges
+              st.integers(-1020, 990), st.integers(-3, 3), st.sampled_from([-1.0, 1.0])),
+    st.builds(lambda e, m, s: s * m * 10.0 ** e,                  # 1e-300 ... 1e300
+              st.integers(-300, 299), st.floats(1.0, 9.999), st.sampled_from([-1.0, 1.0])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_roots, st.integers(1, 60), st.integers(1, 60),
+       st.sampled_from(["linear", "cubic-term", "expm1", "tanh", "cbrt", "triple"]),
+       st.sampled_from([1.0, -1.0]), st.sampled_from(["finite", "nan", "inf"]))
+def test_sign_change_roots_are_the_bisections_bit_for_bit(root, left, right, kind, sign, ends):
+    # strictly monotone functions with one sign change, at root, in the gap
+    # [root - 2^left ulps, root + 2^right ulps]: the root and the last bracket
+    # are the verbatim old bisection's, in no more steps than it took.  nan
+    # counts as nonnegative, and nan or infinite values far from the root
+    # (at the ends and beyond) change nothing
+    ulp = math.ulp(root) or 5e-324
+    lo, hi = root - ulp * 2.0 ** left, root + ulp * 2.0 ** right
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < root < hi):
+        return
+    scale = max(root - lo, hi - root)
+    shape = _shape(kind, scale)
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            v = sign * shape((x - root) / scale)
+        far = np.abs(x - root) > 0.75 * scale
+        if ends == "nan":
+            v = np.where(far & (v >= 0), np.nan, v)
+        elif ends == "inf":
+            v = np.where(far, np.copysign(np.inf, v), v)
+        return v
+
+    xs = np.array([lo, hi])
+    vals = fn(xs)
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return fn(x)
+
+    got = nu.sign_change_roots(counted, xs, vals)
+    if (vals[0] < 0) == (vals[1] < 0) or 0.0 in vals:
+        assert got == [] and calls == []
+        return
+    s = 1.0 if vals[0] < 0 else -1.0
+    ref_calls = []
+
+    def ref_counted(x):
+        ref_calls.append(x.size)
+        return s * fn(x)
+
+    ref_lo, ref_hi = bisect(ref_counted, xs[:1], xs[1:])
+    mid = 0.5 * (ref_lo + ref_hi)
+    assert mid[0] in (ref_lo[0], ref_hi[0])   # the old bisection reached the float limit
+    (want,) = bisected_roots(fn, xs, vals)
+    assert got == [want] and math.copysign(1.0, got[0]) == math.copysign(1.0, want)
+    assert len(calls) <= len(ref_calls)
+
+
+def test_sign_change_roots_batch_equals_one_gap_at_a_time():
+    # components and rows go through one loop; each gap's root is the one it
+    # gets alone, and each row keeps its own
+    rng = np.random.default_rng(7)
+    xs = np.sort(rng.uniform(-3.0, 3.0, (3, 64)), axis=1)
+
+    def fn(x):
+        # no root at 0, where 80 halvings end short of the float limit
+        return np.array([np.sin(5.0 * x + 0.3), np.cos(3.0 * x) ** 3 - 0.1, x ** 3 - x - 0.2])
+
+    vals = fn(xs.ravel()).reshape(3, *xs.shape)
+    use = np.array([[True, True, False], [True, False, True], [True, True, True]])
+    got = nu.sign_change_roots(fn, xs, vals, use)
+    for c in range(3):
+        for r in range(3):
+            one = nu.sign_change_roots(lambda x: fn(x)[c], xs[r], vals[c, r])
+            assert got[c][r] == (one if use[c, r] else [])
+            if use[c, r]:
+                assert one == bisected_roots(lambda x: fn(x)[c], xs[r], vals[c, r])
+    assert sum(map(len, got[0])) > 10
