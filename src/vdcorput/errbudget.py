@@ -377,6 +377,10 @@ def _quad(fn, lo: float, hi: float, what: str, points: Sequence[float] = ()) -> 
 
     The start panels break at ``points`` and, on huge positive ranges, at x4
     geometric edges, so mass concentrated near the lower limit is never lost.
+    Their width is not tied to the scale of fn, so a panel may span dozens
+    of periods of an oscillating f'', where the panel rule's |K21 - G10|
+    estimate must not agree by aliasing: Delta3(b) of oscillatory(1, 1, 1)
+    on [1000, 2000] is the test case.
     """
     if hi <= lo:
         return 0.0

@@ -3,10 +3,12 @@
 The integrator is deliberately plain: panels are pre-split so the phase
 advances at most one cycle per panel (the phase derivative is monotone for
 all models here, so the per-panel slope bound is exact), bisecting all pieces
-of one level in a batch.  Each panel gets QUADPACK's Gauss-Kronrod 7/15 pair
-(qk15, Piessens et al., 1983): a Kronrod 15 value and an |K15 - G7| error
-estimate from the same 15 evaluations; the panels carrying most of the
-estimate are bisected until the summed estimate clears the tolerance.
+of one level in a batch.  Each panel gets QUADPACK's Gauss-Kronrod 10/21
+pair (qk21, Piessens et al., 1983): a Kronrod 21 value and an |K21 - G10|
+error estimate from the same 21 evaluations, both fixed-order sums over the
+nodes of a node-major block (no BLAS); the panels carrying most of the
+estimate are bisected until the summed estimate clears the tolerance.  The
+oscillatory integrand g e(phase) is the pair of real arrays g cos, g sin.
 No Filon/Levin machinery; this is an oracle, not a production integrator.
 """
 
@@ -18,30 +20,37 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numutil import amplitude_e, csum
+from .numutil import cis_turns, csum
 from .phase import PhaseAmplitudeModel, invert_fprime
 
-# QUADPACK qk15: the Kronrod nodes in (0, 1] downward and 0, their weights,
-# and the Gauss 7 weights of the nodes _XGK[1], _XGK[3], _XGK[5] and 0
-_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245, 0.0)
-_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
-# the 15 nodes in [-1, 1] ascending; weight columns K15 and G7 (the odd-indexed
-# nodes are the Gauss 7 ones, the others weigh 0 in it)
-_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
-_WEIGHTS = np.zeros((15, 2))
-_WEIGHTS[:, 0] = _WGK[:-1] + _WGK[::-1]
-_WEIGHTS[1::2, 1] = _WG[:-1] + _WG[::-1]
+# QUADPACK qk21: the Kronrod nodes in (0, 1] downward and 0, their weights,
+# and the Gauss 10 weights of the nodes _XGK[1], _XGK[3], ..., _XGK[9]
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+# the 21 nodes in [-1, 1] ascending, as a column, and the K21 weights; the
+# odd-indexed nodes are the Gauss 10 ones, with the weights _G10
+_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))[:, None]
+_K21 = np.array(_WGK[:-1] + _WGK[::-1])[:, None]
+_G10 = np.array(_WG + _WG[::-1])[:, None]
 
 DEFAULT_PANEL_CAP = 200_000
 _STALL_PANELS = 64
+# panels per integrand call: a (21, 256) array is 43 KB, so the integrand's
+# temporaries stay clear of malloc's mmap threshold (128 KB), past which they
+# would be mapped and page-faulted afresh on every call
+_BLOCK = 256
 
 
 @dataclass
@@ -52,13 +61,42 @@ class QuadResult:
     converged: bool
 
 
+def _rule(y: np.ndarray):
+    """(K21, |K21 - G10|) of the node-major values y, each a sum over the
+    nodes in their order (numpy sums a lone column pairwise, so it is
+    summed as two)."""
+    n = y.shape[1]
+    if n == 1:
+        y = np.concatenate((y, y), axis=1)
+    k = np.add.reduce(_K21 * y, axis=0)[:n]
+    return k, np.abs(k - np.add.reduce(_G10 * y[1::2], axis=0)[:n])
+
+
 def _eval_panels(fn, los: np.ndarray, his: np.ndarray):
-    """(Kronrod 15 values, |K15 - G7| estimates) of fn on a batch of panels,
-    from one call of fn on the (panels, 15) array of the Kronrod nodes."""
-    mid = 0.5 * (los + his)
-    half = 0.5 * (his - los)
-    v = (fn(mid[:, None] + half[:, None] * _NODES[None, :]) @ _WEIGHTS) * half[:, None]
-    return v[:, 0], np.abs(v[:, 0] - v[:, 1])
+    """(Kronrod 21 values, |K21 - G10| estimates) of fn on a batch of panels.
+
+    fn gets the (21, panels) node-major array of the Kronrod nodes of at most
+    ``_BLOCK`` panels at a time and returns one real array of that shape, or
+    a (real, imaginary) pair of them, which makes the values complex.  The
+    rule's sums run over the nodes in a fixed order with no BLAS call, so a
+    panel's bits depend neither on the batch nor on the machine's BLAS.
+    """
+    mid, half = 0.5 * (los + his), 0.5 * (his - los)
+    n = los.size
+    parts = max(1, -(-n // _BLOCK))  # equal blocks: none is a lone panel
+    vals, errs = [], []
+    for j in range(parts):
+        block = slice(j * n // parts, (j + 1) * n // parts)
+        h = half[block]
+        y = fn(mid[block] + h * _NODES)
+        if isinstance(y, tuple):
+            (k, d), (ki, di) = _rule(y[0]), _rule(y[1])
+            k, d = k + 1j * ki, np.hypot(d, di)
+        else:
+            k, d = _rule(y)
+        vals.append(k * h)
+        errs.append(d * h)
+    return np.concatenate(vals), np.concatenate(errs)
 
 
 def _phase_pieces(phase_slope, edges: np.ndarray):
@@ -82,17 +120,19 @@ def _phase_pieces(phase_slope, edges: np.ndarray):
     evaluated once on the grid they make, so the pieces are the same.
     """
     def slope(x):
-        return np.broadcast_to(np.asarray(phase_slope(x), dtype=float), x.shape)
+        s = np.asarray(phase_slope(x), dtype=float)
+        return s if s.shape == x.shape else np.broadcast_to(s, x.shape)
 
     s = slope(edges)
     width = edges[1:] - edges[:-1]
     smin = np.where(np.sign(s[:-1]) * np.sign(s[1:]) > 0.0,
                     np.minimum(np.abs(s[:-1]), np.abs(s[1:])), 0.0)
     ulp = np.spacing(np.maximum(np.abs(edges[:-1]), np.abs(edges[1:])))
+    # the least width * smin and width in ulps (exact: ulp is a power of 2)
+    reach, ulps = float(np.min(width * smin)), float(np.min(width / ulp))
     x, depth = edges, 0
     while (depth < 48 and 2 * (x.size - 1) <= DEFAULT_PANEL_CAP
-           and np.all(width * smin > 2.0 ** (depth + 1))
-           and np.all(width >= 2.0 ** (depth + 3) * ulp)):
+           and reach > 2.0 ** (depth + 1) and ulps >= 2.0 ** (depth + 3)):
         grid = np.empty(2 * x.size - 1)
         grid[::2] = x
         grid[1::2] = 0.5 * (x[:-1] + x[1:])
@@ -106,12 +146,14 @@ def _phase_pieces(phase_slope, edges: np.ndarray):
         keep = ((hi - lo) * np.maximum(slo, shi) <= 1.0) | (depth >= 48)
         done_lo.append(lo[keep])
         done_hi.append(hi[keep])
-        count += int(keep.sum())
-        split = ~keep
-        if not split.any():
+        nkeep = np.count_nonzero(keep)
+        count += nkeep
+        nsplit = keep.size - nkeep
+        if not nsplit:
             break
-        if count + 2 * int(split.sum()) > DEFAULT_PANEL_CAP:
-            return None, None, count + int(split.sum())
+        if count + 2 * nsplit > DEFAULT_PANEL_CAP:
+            return None, None, count + nsplit
+        split = ~keep
         lo, hi, slo, shi = lo[split], hi[split], slo[split], shi[split]
         mid = 0.5 * (lo + hi)
         smid = np.abs(slope(mid))
@@ -124,11 +166,12 @@ def _phase_pieces(phase_slope, edges: np.ndarray):
 
 def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
                    rel_tol: float = 0.0) -> QuadResult:
-    """integral of the vectorized ``fn`` (real or complex) over the panels
-    [los[i], his[i]], refined until the estimate is at most
-    max(tol, rel_tol |value|) or the panels reach ``DEFAULT_PANEL_CAP``.
+    """integral of the vectorized ``fn`` over the panels [los[i], his[i]],
+    refined until the estimate is at most max(tol, rel_tol |value|) or the
+    panels reach ``DEFAULT_PANEL_CAP``.  fn returns a real array, or a
+    (real, imaginary) pair of them for a complex integrand.
 
-    A panel gives K15 and |K15 - G7| from 15 evaluations (``_eval_panels``).
+    A panel gives K21 and |K21 - G10| from 21 evaluations (``_eval_panels``).
     Each sweep bisects, in one batch, the panels carrying 95 % of the error
     estimate.  A sweep that cuts the estimate by less than 20 % has stalled.
     On the floating noise floor a stall bisects panels all over the range
@@ -197,7 +240,12 @@ def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Calla
     if los is None:
         return QuadResult(complex(math.nan, math.nan), math.inf, pieces, False)
 
-    return panel_integral(lambda x: amplitude_e(gfun(x), phase(x)), los, his, tol)
+    def integrand(x):
+        c, s = cis_turns(phase(x))
+        g = gfun(x)
+        return np.multiply(c, g, out=c), np.multiply(s, g, out=s)
+
+    return panel_integral(integrand, los, his, tol)
 
 
 def oscillatory_integral(model: PhaseAmplitudeModel, r: float,

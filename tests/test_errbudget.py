@@ -714,6 +714,21 @@ def test_delta3_steep_edge_converges():
     assert d3b == pytest.approx(345789.99583, rel=1e-10)
 
 
+def test_delta3_integral_over_an_oscillating_f2_is_not_aliased():
+    # oscillatory(1, 1, 1) on [1000, 2000]: the Delta3(b) integral runs over
+    # [1000, bbar = 1999.49997] from one start panel 160 periods of
+    # f'' = 2 - sin(x)/x + ... wide.  A K15 - G7 pair agreed by aliasing on
+    # such panels and stopped 1.1e-9 off.  The reference is a 1e-14 relative
+    # run from 20 000 start panels
+    model, profile = builtin_family("oscillatory", [1.0, 1.0, 1.0])
+    _, bbar = eb.abar_bbar(model, 1000.0, 2000.0, profile)
+    assert bbar == pytest.approx(1999.49997, abs=1e-5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eb._quad(eb._delta3_integrand(model, profile, 2000.0), 1000.0, bbar, "Delta3(b)")
+    assert got == pytest.approx(1.6892895453939, rel=1e-10)
+
+
 def test_delta3_ik_small_against_amplitude():
     # the tail terms stay below the local amplitude scale for the monomial
     # family (the worked chain bounds them by U(a) up to a modest constant)
