@@ -372,13 +372,14 @@ def partition_assumptions(model: PhaseAmplitudeModel, lo: float, hi: float,
 
 def _quad(fn, lo: float, hi: float, what: str, points: Sequence[float] = ()) -> float:
     """integral of the vectorized, nonnegative fn over [lo, hi] on quad's
-    panels to 1e-10 relative, with a warning naming ``what`` when it does not
-    converge.
+    panels to 1e-10 relative, plus the quadrature's own error estimate, so
+    the term errs high by what that estimate covers; a warning names
+    ``what`` when it does not converge.
 
     The start panels break at ``points`` and, on huge positive ranges, at x4
     geometric edges, so mass concentrated near the lower limit is never lost.
     Their width is not tied to the scale of fn, so a panel may span dozens
-    of periods of an oscillating f'', where the panel rule's |K21 - G10|
+    of periods of an oscillating f'', where the panel rule's |K31 - G15|
     estimate must not agree by aliasing: Delta3(b) of oscillatory(1, 1, 1)
     on [1000, 2000] is the test case.
     """
@@ -394,7 +395,7 @@ def _quad(fn, lo: float, hi: float, what: str, points: Sequence[float] = ()) -> 
     res = panel_integral(fn, e[:-1], e[1:], 0.0, rel_tol=1e-10)
     if not res.converged:
         warnings.warn(f"{what} integral did not converge cleanly")
-    return float(res.value)
+    return float(res.value) + res.abs_error_estimate
 
 
 def _resolved(v: np.ndarray, probe: np.ndarray) -> bool:

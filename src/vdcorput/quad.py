@@ -1,15 +1,16 @@
 """The panel quadrature engine and the oscillatory-integral oracle built on it.
 
 The integrator is deliberately plain: panels are pre-split so the phase
-advances at most one cycle per panel (the phase derivative is monotone for
-all models here, so the per-panel slope bound is exact), bisecting all pieces
-of one level in a batch.  Each panel gets QUADPACK's Gauss-Kronrod 10/21
-pair (qk21, Piessens et al., 1983): a Kronrod 21 value and an |K21 - G10|
-error estimate from the same 21 evaluations, both fixed-order sums over the
-nodes of a node-major block (no BLAS); the panels carrying most of the
-estimate are bisected until the summed estimate clears the tolerance.  The
-oscillatory integrand g e(phase) is the pair of real arrays g cos, g sin.
-No Filon/Levin machinery; this is an oracle, not a production integrator.
+advances at most three cycles per panel (the phase derivative is monotone
+for all models here, so the per-panel slope bound is exact), bisecting all
+pieces of one level in a batch.  Each panel gets QUADPACK's Gauss-Kronrod
+15/31 pair (qk31, Piessens et al., 1983): a Kronrod 31 value and an
+|K31 - G15| error estimate from the same 31 evaluations, both fixed-order
+sums over the nodes of a node-major block (no BLAS); the panels carrying
+most of the estimate are bisected until the summed estimate clears the
+tolerance.  The oscillatory integrand g e(phase) is the pair of real arrays
+g cos, g sin.  No Filon/Levin machinery; this is an oracle, not a
+production integrator.
 """
 
 from __future__ import annotations
@@ -23,34 +24,43 @@ import numpy as np
 from .numutil import cis_turns, csum
 from .phase import PhaseAmplitudeModel, invert_fprime
 
-# QUADPACK qk21: the Kronrod nodes in (0, 1] downward and 0, their weights,
-# and the Gauss 10 weights of the nodes _XGK[1], _XGK[3], ..., _XGK[9]
-_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-# the 21 nodes in [-1, 1] ascending, as a column, and the K21 weights; the
-# odd-indexed nodes are the Gauss 10 ones, with the weights _G10
+# QUADPACK qk31: the Kronrod nodes in (0, 1] downward and 0, their weights,
+# and the Gauss 15 weights of the nodes _XGK[1], _XGK[3], ..., _XGK[15] = 0
+# (the roots of P15 and of the Stieltjes polynomial E16, correctly rounded)
+_XGK = (0.998002298693397060285172840152271, 0.987992518020485428489565718586613,
+        0.967739075679139134257347978784337, 0.937273392400705904307758947710209,
+        0.897264532344081900882509656454496, 0.848206583410427216200648320774217,
+        0.790418501442465932967649294817947, 0.724417731360170047416186054613938,
+        0.650996741297416970533735895313275, 0.570972172608538847537226737253911,
+        0.485081863640239680693655740232351, 0.394151347077563369897207370981045,
+        0.299180007153168812166780024266389, 0.201194093997434522300628303394596,
+        0.101142066918717499027074231447392, 0.0)
+_WGK = (0.005377479872923348987792051430128, 0.015007947329316122538374763075807,
+        0.025460847326715320186874001019653, 0.035346360791375846222037948478360,
+        0.044589751324764876608227299373280, 0.053481524690928087265343147239430,
+        0.062009567800670640285139230960803, 0.069854121318728258709520077099147,
+        0.076849680757720378894432777482659, 0.083080502823133021038289247286104,
+        0.088564443056211770647275443693774, 0.093126598170825321225486872747346,
+        0.096642726983623678505179907627589, 0.099173598721791959332393173484603,
+        0.100769845523875595044946662617570, 0.101330007014791549017374792767493)
+_WG = (0.030753241996117268354628393577204, 0.070366047488108124709267416450667,
+       0.107159220467171935011869546685869, 0.139570677926154314447804794511028,
+       0.166269205816993933553200860481209, 0.186161000015562211026800561866423,
+       0.198431485327111576456118326443839, 0.202578241925561272880620199967519)
+# the 31 nodes in [-1, 1] ascending, as a column, and the K31 weights; the
+# odd-indexed nodes are the Gauss 15 ones, with the weights _G15
 _NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))[:, None]
-_K21 = np.array(_WGK[:-1] + _WGK[::-1])[:, None]
-_G10 = np.array(_WG + _WG[::-1])[:, None]
+_K31 = np.array(_WGK[:-1] + _WGK[::-1])[:, None]
+_G15 = np.array(_WG + _WG[-2::-1])[:, None]
 
 DEFAULT_PANEL_CAP = 200_000
 _STALL_PANELS = 64
-# panels per integrand call: a (21, 256) array is 43 KB, so the integrand's
+# panels per integrand call: a (31, 173) array is 43 KB, so the integrand's
 # temporaries stay clear of malloc's mmap threshold (128 KB), past which they
 # would be mapped and page-faulted afresh on every call
-_BLOCK = 256
+_BLOCK = 173
+# phase cycles a pre-split piece may span: width * max|phase'| <= _CYCLES
+_CYCLES = 3.0
 
 
 @dataclass
@@ -62,20 +72,20 @@ class QuadResult:
 
 
 def _rule(y: np.ndarray):
-    """(K21, |K21 - G10|) of the node-major values y, each a sum over the
+    """(K31, |K31 - G15|) of the node-major values y, each a sum over the
     nodes in their order (numpy sums a lone column pairwise, so it is
     summed as two)."""
     n = y.shape[1]
     if n == 1:
         y = np.concatenate((y, y), axis=1)
-    k = np.add.reduce(_K21 * y, axis=0)[:n]
-    return k, np.abs(k - np.add.reduce(_G10 * y[1::2], axis=0)[:n])
+    k = np.add.reduce(_K31 * y, axis=0)[:n]
+    return k, np.abs(k - np.add.reduce(_G15 * y[1::2], axis=0)[:n])
 
 
 def _eval_panels(fn, los: np.ndarray, his: np.ndarray):
-    """(Kronrod 21 values, |K21 - G10| estimates) of fn on a batch of panels.
+    """(Kronrod 31 values, |K31 - G15| estimates) of fn on a batch of panels.
 
-    fn gets the (21, panels) node-major array of the Kronrod nodes of at most
+    fn gets the (31, panels) node-major array of the Kronrod nodes of at most
     ``_BLOCK`` panels at a time and returns one real array of that shape, or
     a (real, imaginary) pair of them, which makes the values complex.  The
     rule's sums run over the nodes in a fixed order with no BLAS call, so a
@@ -100,10 +110,10 @@ def _eval_panels(fn, los: np.ndarray, his: np.ndarray):
 
 
 def _phase_pieces(phase_slope, edges: np.ndarray):
-    """Pre-split [edges[0], edges[-1]] so width * max|phase'| <= 1 on each
-    piece (the slope is monotone, so its ends bound it; a nan end bounds
-    nothing), or the piece sits at depth 48.  Returns (los, his, pieces),
-    sorted by lo, with pieces = los.size.
+    """Pre-split [edges[0], edges[-1]] so width * max|phase'| <= ``_CYCLES``
+    on each piece (the slope is monotone, so its ends bound it; a nan end
+    bounds nothing), or the piece sits at depth 48.  Returns (los, his,
+    pieces), sorted by lo, with pieces = los.size.
 
     All pieces of one level are tested in one batch, and phase_slope sees
     each new midpoint once, in one array per level.  A level that would
@@ -114,10 +124,15 @@ def _phase_pieces(phase_slope, edges: np.ndarray):
     The first levels are split untested while every piece of them must
     split: on a segment between edges where the slope keeps its sign, no
     piece is slower than the segment's slower end, smin, so each piece at
-    depth d fails the test while width * smin > 2 * 2^d (the factor 2, and
-    a width of 2^(d + 3) ulps at least, keep the pieces' rounding clear).
-    Those midpoints are the loop's own 0.5 (lo + hi), and the slope is
-    evaluated once on the grid they make, so the pieces are the same.
+    depth d fails the test while width * smin > _CYCLES * 2 * 2^d (the
+    factor 2, and a width of 2^(d + 3) ulps at least, keep the pieces'
+    rounding clear).  On a segment where the slope does not keep its sign (a
+    stationary edge), smin is taken at the faster end instead, a guess: the
+    slope is evaluated on the grid it gives, and the split goes back to the
+    first level at which a piece of that grid passes the test.  Those
+    midpoints are the loop's own 0.5 (lo + hi), the coarser levels are every
+    other point of the finer ones, and the slope is evaluated once on the
+    grid, so the pieces are the same.
     """
     def slope(x):
         s = np.asarray(phase_slope(x), dtype=float)
@@ -125,25 +140,32 @@ def _phase_pieces(phase_slope, edges: np.ndarray):
 
     s = slope(edges)
     width = edges[1:] - edges[:-1]
-    smin = np.where(np.sign(s[:-1]) * np.sign(s[1:]) > 0.0,
-                    np.minimum(np.abs(s[:-1]), np.abs(s[1:])), 0.0)
+    s0, s1 = np.abs(s[:-1]), np.abs(s[1:])
+    keeps_sign = np.sign(s[:-1]) * np.sign(s[1:]) > 0.0
+    smin = np.where(keeps_sign, np.minimum(s0, s1), np.maximum(s0, s1))
     ulp = np.spacing(np.maximum(np.abs(edges[:-1]), np.abs(edges[1:])))
     # the least width * smin and width in ulps (exact: ulp is a power of 2)
     reach, ulps = float(np.min(width * smin)), float(np.min(width / ulp))
     x, depth = edges, 0
     while (depth < 48 and 2 * (x.size - 1) <= DEFAULT_PANEL_CAP
-           and reach > 2.0 ** (depth + 1) and ulps >= 2.0 ** (depth + 3)):
+           and reach > _CYCLES * 2.0 ** (depth + 1) and ulps >= 2.0 ** (depth + 3)):
         grid = np.empty(2 * x.size - 1)
         grid[::2] = x
         grid[1::2] = 0.5 * (x[:-1] + x[1:])
         x, depth = grid, depth + 1
     s = np.abs(slope(x) if depth else s)
+    if not keeps_sign.all():
+        for d in range(depth):
+            xd, sd = x[::2 ** (depth - d)], s[::2 ** (depth - d)]
+            if np.any((xd[1:] - xd[:-1]) * np.maximum(sd[:-1], sd[1:]) <= _CYCLES):
+                x, s, depth = xd, sd, d
+                break
 
     lo, hi, slo, shi = x[:-1], x[1:], s[:-1], s[1:]
     done_lo, done_hi = [], []
     count = 0
     for depth in range(depth, 49):
-        keep = ((hi - lo) * np.maximum(slo, shi) <= 1.0) | (depth >= 48)
+        keep = ((hi - lo) * np.maximum(slo, shi) <= _CYCLES) | (depth >= 48)
         done_lo.append(lo[keep])
         done_hi.append(hi[keep])
         nkeep = np.count_nonzero(keep)
@@ -171,7 +193,7 @@ def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
     panels reach ``DEFAULT_PANEL_CAP``.  fn returns a real array, or a
     (real, imaginary) pair of them for a complex integrand.
 
-    A panel gives K21 and |K21 - G10| from 21 evaluations (``_eval_panels``).
+    A panel gives K31 and |K31 - G15| from 31 evaluations (``_eval_panels``).
     Each sweep bisects, in one batch, the panels carrying 95 % of the error
     estimate.  A sweep that cuts the estimate by less than 20 % has stalled.
     On the floating noise floor a stall bisects panels all over the range

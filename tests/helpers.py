@@ -2,10 +2,10 @@
 partial sums, the starred distance to the nearest integer, the fitted-
 constant convention of the acceptance suite, the recursive and the
 level-by-level references for the quadrature's batched pre-split, the
-bisection that ``numutil.sign_change_roots`` must match, models and
-single-order views built from per-order callables, and the one-function-per-
-call critical-point formulas that the derivative jets of the K functionals
-replaced.
+Gauss-Kronrod rule built from its defining polynomials, the bisection that
+``numutil.sign_change_roots`` must match, models and single-order views
+built from per-order callables, and the one-function-per-call critical-point
+formulas that the derivative jets of the K functionals replaced.
 
 It also keeps, as references, the paper's formulas that the program does not
 run: the modified Fresnel integral F(u), the first and second derivative-test
@@ -17,8 +17,10 @@ the Delta integrands, the partition and the K terms of ``errbudget``."""
 
 import math
 import warnings
+from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
+import mpmath
 import numpy as np
 
 from vdcorput import errbudget as eb
@@ -68,11 +70,72 @@ def split_fit(ratios: Sequence[float]) -> float:
     return fitted_constant(ratios[::2])
 
 
+def _legendre_coefficients(n: int) -> List[Fraction]:
+    """P_n's coefficients (n >= 1), constant term first, from Bonnet's
+    recurrence."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for k in range(1, n):
+        nxt = [Fraction(0)] + [Fraction(2 * k + 1, k + 1) * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= Fraction(k, k + 1) * c
+        prev, cur = cur, nxt
+    return cur
+
+
+def _solve_exact(a: List[List[Fraction]], b: List[Fraction]) -> List[Fraction]:
+    """x with a x = b, by Gauss-Jordan elimination in rationals."""
+    n = len(a)
+    m = [row + [v] for row, v in zip(a, b)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col] / m[col][col]
+                m[r] = [u - f * v for u, v in zip(m[r], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def gauss_kronrod(n: int):
+    """The Gauss-Kronrod (n, 2n + 1) rule on [-1, 1] at 80 digits:
+    (nodes, Kronrod weights, Gauss weights), nodes ascending as mpf, the
+    Gauss nodes being nodes[1::2].
+
+    The Gauss nodes are the roots of P_n and the other Kronrod nodes those of
+    the Stieltjes polynomial E_{n+1}, the monic polynomial with
+    int P_n E_{n+1} x^k = 0 for k <= n (Laurie, Math. Comp. 66, 1997), whose
+    coefficients are exact rationals here.  The Kronrod weights solve the
+    moment equations sum w_i P_k(x_i) = int P_k for k < 2n + 1; the Gauss
+    weights are 2 / ((1 - x^2) P_n'(x)^2)."""
+    p = _legendre_coefficients(n)
+
+    def moment(j):  # int P_n x^j over [-1, 1]
+        return sum((c * Fraction(2, i + j + 1) for i, c in enumerate(p) if (i + j) % 2 == 0),
+                   Fraction(0))
+
+    e = _solve_exact([[moment(k + j) for j in range(n + 1)] for k in range(n + 1)],
+                     [-moment(k + n + 1) for k in range(n + 1)]) + [Fraction(1)]
+    with mpmath.workdps(80):
+        mp = lambda c: mpmath.mpf(c.numerator) / c.denominator
+        roots = lambda cs: [mpmath.re(r) for r in mpmath.polyroots(
+            [mp(c) for c in cs[::-1]], maxsteps=1000, extraprec=320)]
+        gauss = roots(p)
+        nodes = sorted(gauss + roots(e))
+        moments = mpmath.matrix([2] + [0] * (2 * n))
+        kronrod = mpmath.lu_solve(
+            mpmath.matrix([[mpmath.legendre(k, x) for x in nodes] for k in range(2 * n + 1)]),
+            moments)
+        dp = [mp(c) * i for i, c in enumerate(p)][1:]
+        weight = lambda x: 2 / ((1 - x ** 2) * mpmath.polyval(dp[::-1], x) ** 2)
+        return nodes, list(kronrod), [weight(x) for x in nodes[1::2]]
+
+
 def presplit_reference(phase_slope, lo: float, hi: float, depth: int = 0) -> list:
     """The oracle's pre-split as a scalar depth-first recursion: [(lo, hi)]
-    pieces with width * max|phase'| <= 1 at their ends, or at depth 48."""
+    pieces with width * max|phase'| <= ``quad._CYCLES`` at their ends, or at
+    depth 48."""
     slope = max(abs(phase_slope(lo)), abs(phase_slope(hi)))
-    if (hi - lo) * slope <= 1.0 or depth >= 48:
+    if (hi - lo) * slope <= quad._CYCLES or depth >= 48:
         return [(lo, hi)]
     mid = 0.5 * (lo + hi)
     return (presplit_reference(phase_slope, lo, mid, depth + 1)
@@ -92,7 +155,7 @@ def phase_pieces_by_level(phase_slope, edges: np.ndarray):
     done_lo, done_hi = [], []
     count = 0
     for depth in range(49):
-        keep = ((hi - lo) * np.maximum(slo, shi) <= 1.0) | (depth >= 48)
+        keep = ((hi - lo) * np.maximum(slo, shi) <= quad._CYCLES) | (depth >= 48)
         done_lo.append(lo[keep])
         done_hi.append(hi[keep])
         count += int(keep.sum())

@@ -729,6 +729,30 @@ def test_delta3_integral_over_an_oscillating_f2_is_not_aliased():
     assert got == pytest.approx(1.6892895453939, rel=1e-10)
 
 
+def test_budget_integrals_add_their_error_estimate(monkeypatch):
+    # a Delta integral enters its budget term as the panel engine's value
+    # plus its error estimate: the integrands are nonnegative, so the term
+    # errs high by what the rule may have missed; a nan stays nan
+    real, seen = eb.panel_integral, []
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(eb, "panel_integral", spy)
+    model, profile = builtin_family("power_phase")
+    a, b = 1.0, 1200.0
+    abar, _ = eb.abar_bbar(model, a, b, profile)
+    d3a, _ = eb.tail_deltas(model, profile, a, b, abar, None)
+    assert len(seen) == 1 and seen[0].converged and seen[0].abs_error_estimate > 0.0
+    boundary = (float(profile.U(abar)) / (float(model.f2(abar)) ** 2 * (abar - a) ** 3),
+                float(profile.U(b)) / (float(model.f2(b)) ** 2 * (b - a) ** 3))
+    assert d3a == (seen[0].value + seen[0].abs_error_estimate) + boundary[0] + boundary[1]
+    with pytest.warns(UserWarning, match="did not converge"):
+        got = eb._quad(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0, "nan")
+    assert math.isnan(got) and math.isnan(seen[-1].value)
+
+
 def test_delta3_ik_small_against_amplitude():
     # the tail terms stay below the local amplitude scale for the monomial
     # family (the worked chain bounds them by U(a) up to a modest constant)

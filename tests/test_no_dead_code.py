@@ -25,7 +25,6 @@ SRC = ROOT / "src" / "vdcorput"
 
 REPORT_FIELDS = {
     "ConditionMProfile.epsilon",        # the family scale factor baked into M
-    "QuadResult.abs_error_estimate",    # the quadrature's own error estimate
 }
 
 
