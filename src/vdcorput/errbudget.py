@@ -105,11 +105,11 @@ def fprime_nearest(model: PhaseAmplitudeModel, x: float) -> Tuple[int, float, fl
     return d.nearest, d.signed_frac, d.dist
 
 
-def fprime_range(model: PhaseAmplitudeModel, lo: float, hi: float) -> Tuple[int, int, bool, bool]:
-    """(r_lo, r_hi, lo_hit, hi_hit): the integers r_lo..r_hi in [f'(lo), f'(hi)]
-    and whether each end is one, by the rule of :func:`fprime_nearest`."""
-    r_lo, off_lo, _ = fprime_nearest(model, lo)
-    r_hi, off_hi, _ = fprime_nearest(model, hi)
+def fprime_range(lo: Tuple[int, float, float],
+                 hi: Tuple[int, float, float]) -> Tuple[int, int, bool, bool]:
+    """(r_lo, r_hi, lo_hit, hi_hit): the integers r_lo..r_hi between two f'
+    decisions of :func:`fprime_nearest` and whether each end is one."""
+    (r_lo, off_lo, _), (r_hi, off_hi, _) = lo, hi
     # a non-integral f' lies off its nearest integer by the signed offset
     return r_lo + (off_lo > 0), r_hi - (off_hi < 0), off_lo == 0.0, off_hi == 0.0
 
@@ -201,14 +201,13 @@ class WRFunctions:
     model: PhaseAmplitudeModel
 
     def pm_terms(self, x, sigma):
-        """(W_sigma, W_sigma', r_sigma') at x from g ... g''' and f'' ... f''''."""
+        """(W_sigma, W_sigma', r_sigma') at the points x from g ... g''' and f'' ... f''''."""
         g, g1, g2, g3 = self.model.gjet(x, 0, 3)
         f2, f3, f4 = self.model.fjet(x, 2, 4)
         H = g * f3 + 3.0 * g1 * f2
         Hp = 4.0 * g1 * f3 + 3.0 * g2 * f2 + g * f4
         # every power is a product: numpy's pow of a negative base (g'' and P
-        # change sign along an interval) takes a slow path, and a numpy
-        # scalar's square is libm's pow, which can differ from an array's x*x
+        # change sign along an interval) takes a slow path
         f2_2 = f2 * f2
         G = 12.0 * g * g2 * f2_2
         Gp = 12.0 * (g1 * g2 * f2_2 + g * g3 * f2_2 + 2.0 * g * g2 * f2 * f3)
@@ -227,14 +226,13 @@ class WRFunctions:
         return W, A_p - B_p, r_p
 
     def zero_terms(self, x):
-        """(W_0, W_0', r_0') at x from g ... g'' and f'' ... f'''' (the 0 branch
-        needs no g''')."""
+        """(W_0, W_0', r_0') at the points x from g ... g'' and f'' ... f'''' (the 0
+        branch needs no g''')."""
         g, g1, g2 = self.model.gjet(x, 0, 2)
         f2, f3, f4 = self.model.fjet(x, 2, 4)
         H = g * f3 + 3.0 * g1 * f2
         Hp = 4.0 * g1 * f3 + 3.0 * g2 * f2 + g * f4
-        # every power is a product, so a point gives an array's bits (a numpy
-        # scalar's power is libm's pow, an array's numpy's own loop)
+        # every power is a product, as numpy's pow of a negative base is slow
         H2, f2_2 = H * H, f2 * f2
         f2_4 = f2_2 * f2_2
         f2_5, f2_6 = f2_4 * f2, f2_4 * f2_2
@@ -453,13 +451,13 @@ def kappa_functional(terms: Callable, intervals: Sequence[Tuple[float, float]],
                      cuts: Sequence[Tuple[List[float], List[float]]]) -> float:
     """K(I, W, r): variation integral plus isolated-point and boundary terms.
 
-    ``terms(x)`` gives (W, W', r') at x, array or scalar, from one evaluation
-    of the model's derivatives (``WRFunctions.pm_terms`` or ``zero_terms``),
-    and ``cuts`` the (sign changes of r', kinks) of each interval, from
-    ``kappa_cuts``.  Each sign change of r' contributes |s(x) W(x)|, as does
-    each distinct interval end.  The integrand |W||r'| + |W'| has kinks at
-    the zeros of r', W and W', and the quadrature panels break at all of
-    them that the scan resolves.
+    ``terms(x)`` gives (W, W', r') at the points x from one evaluation of the
+    model's derivatives (``WRFunctions.pm_terms`` or ``zero_terms``), and
+    ``cuts`` the (sign changes of r', kinks) of each interval, from
+    ``kappa_cuts``.  One ``terms`` call gives W at every point term: |W(x)|
+    at each isolated point, |s(x) W(x)| at each sign change of r' and each
+    distinct interval end.  The integrand |W||r'| + |W'| has kinks at the
+    zeros of r', W and W', and the panels break at all the scan resolves.
     """
     def integrand(t):
         W, W_p, r_p = terms(t)
@@ -469,12 +467,14 @@ def kappa_functional(terms: Callable, intervals: Sequence[Tuple[float, float]],
     for (x0, x1), (roots, kinks) in zip(intervals, cuts):
         pad = (x1 - x0) * _KAPPA_PAD
         total += _quad(integrand, x0 + pad, x1 - pad, "K functional", roots + kinks)
-    # one point at a time, as numpy's array pow can differ from libm's in the last bit
-    for x in isolated:
-        total += abs(terms(x)[0])
-    sign_changes = [x for roots, _ in cuts for x in roots]
-    for x in sign_changes + sorted({x for seg in intervals for x in seg}):
-        total += abs(sawtooth_s(x) * terms(x)[0])
+    sawtoothed = [x for roots, _ in cuts for x in roots]
+    sawtoothed += sorted({x for seg in intervals for x in seg})
+    points = [*isolated, *sawtoothed]
+    W = terms(np.array(points))[0].tolist() if points else []
+    for w in W[:len(isolated)]:
+        total += abs(w)
+    for x, w in zip(sawtoothed, W[len(isolated):]):
+        total += abs(sawtooth_s(x) * w)
     return total
 
 
@@ -482,22 +482,24 @@ def kappa_functional(terms: Callable, intervals: Sequence[Tuple[float, float]],
 # the Delta terms
 # ---------------------------------------------------------------------------
 
-def abar_bbar(model: PhaseAmplitudeModel, a: float, b: float,
+def abar_bbar(model: PhaseAmplitudeModel, ea: Endpoint, eb: Endpoint,
               profile: ConditionMProfile) -> Tuple[Optional[float], Optional[float]]:
-    """Innermost points of [a, b] (offset by min(M, 1/C2)) where f' is integral.
+    """Innermost points of [a, b] (offset by min(M, 1/C2)) where f' is integral,
+    from the records of a and b and an f' decision at each inner point.
 
     Returns (abar, bbar); a side is None when no integer value of f' exists
     in its window, in which case the corresponding Delta3 vanishes.
     """
+    a, b = ea.x, eb.x
     abar = bbar = None
-    lo = a + min(float(profile.M(a)), 1.0 / profile.C2)
+    lo = a + min(ea.M, 1.0 / profile.C2)
     if lo <= b:
-        r_lo, r_hi, _, _ = fprime_range(model, lo, b)
+        r_lo, r_hi, _, _ = fprime_range(fprime_nearest(model, lo), (eb.nearest, eb.offset, eb.dist))
         if r_lo <= r_hi:
             abar = max(invert_fprime(model, float(r_lo)), lo)
-    hi = b - min(float(profile.M(b)), 1.0 / profile.C2)
+    hi = b - min(eb.M, 1.0 / profile.C2)
     if hi >= a:
-        r_lo, r_hi, _, _ = fprime_range(model, a, hi)
+        r_lo, r_hi, _, _ = fprime_range((ea.nearest, ea.offset, ea.dist), fprime_nearest(model, hi))
         if r_lo <= r_hi:
             bbar = min(invert_fprime(model, float(r_hi)), hi)
     return abar, bbar
@@ -533,19 +535,20 @@ def _delta3_integrand(model, profile, origin):
 
 
 def tail_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
-                a: float, b: float, abar: Optional[float], bbar: Optional[float],
+                ea: Endpoint, eb: Endpoint, abar: Optional[float], bbar: Optional[float],
                 ) -> Tuple[float, float]:
-    """(Delta3(a), Delta3(b)): tail integrals plus their boundary terms."""
+    """(Delta3(a), Delta3(b)) from the records of a and b: tail integrals plus boundary terms."""
+    a, b = ea.x, eb.x
     d3a = 0.0
     if abar is not None:
         d3a = _quad(_delta3_integrand(model, profile, a), abar, b, "Delta3(a)") \
             + float(profile.U(abar)) / (float(model.f2(abar)) ** 2 * (abar - a) ** 3) \
-            + float(profile.U(b)) / (float(model.f2(b)) ** 2 * (b - a) ** 3)
+            + eb.U / (eb.f2 ** 2 * (b - a) ** 3)
     d3b = 0.0
     if bbar is not None:
         d3b = _quad(_delta3_integrand(model, profile, b), a, bbar, "Delta3(b)") \
             + float(profile.U(bbar)) / (float(model.f2(bbar)) ** 2 * (b - bbar) ** 3) \
-            + float(profile.U(a)) / (float(model.f2(a)) ** 2 * (b - a) ** 3)
+            + ea.U / (ea.f2 ** 2 * (b - a) ** 3)
     return d3a, d3b
 
 
@@ -599,9 +602,12 @@ def _k_terms(model: PhaseAmplitudeModel,
                                partition.jpm_isolated, cuts)
               for sigma, cuts in zip((+1, -1), pm))
     jn = 0.0
-    for x in partition.jnull:
+    if partition.jnull:
+        x = np.array(partition.jnull)
         g1, g2 = model.gjet(x, 1, 2)
-        jn += abs(float(g2) ** 2 / (float(g1) * float(model.f2(x)) ** 2))
+        f2 = model.f2(x)
+        for g1x, g2x, f2x in zip(g1.tolist(), g2.tolist(), f2.tolist()):
+            jn += abs(g2x ** 2 / (g1x * f2x ** 2))
     return k0, kp, km, jn
 
 
@@ -673,9 +679,9 @@ def compute_budget(model: PhaseAmplitudeModel, profile: ConditionMProfile,
         ea, eb = report.ends
     else:
         ea, eb = endpoint(model, profile, a), endpoint(model, profile, b)
-    abar, bbar = abar_bbar(model, a, b, profile)
+    abar, bbar = abar_bbar(model, ea, eb, profile)
     d1a, d2a = endpoint_deltas(ea, b - a)
     d1b, d2b = endpoint_deltas(eb, b - a)
-    d3a, d3b = tail_deltas(model, profile, a, b, abar, bbar)
+    d3a, d3b = tail_deltas(model, profile, ea, eb, abar, bbar)
     d4 = global_delta4(model, profile, ea, eb)
     return ErrorBudget(d1a, d1b, d2a, d2b, d3a, d3b, d4, ea.m, eb.m, abar, bbar)

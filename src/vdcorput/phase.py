@@ -65,9 +65,10 @@ class PhaseAmplitudeModel:
     0 <= lo <= hi <= 4, and ``gjet(x, lo, hi)`` the same for g up to order 3;
     ``f``, ``f1``, ``f2`` and ``g`` are views of a single order.
     ``fprime_inverse`` is the analytic solution of f'(x) = r when the family
-    has one.  ``rhs_phase(r, x_r)`` returns (f(x_r) - r x_r) mod 1 using
-    whatever exact structure the family admits, for arrays of r and x_r or
-    for scalars, and an array call equals per-element calls bit for bit;
+    has one.  ``rhs_phase(r, x_r)`` returns (f(x_r) - r x_r) mod 1 at
+    integer r using whatever exact structure the family admits, for arrays
+    of r and x_r or for scalars, and an array call equals per-element calls
+    bit for bit;
     without it callers fall back to floating reduction, which loses accuracy
     once f reaches ~1e15.
     ``fprime_integer`` reports the exact integer value of f'(x) when family
@@ -100,8 +101,8 @@ class PhaseAmplitudeModel:
 class ConditionMProfile:
     """Local regularity data: M(x), U(x), and the constants of condition (M).
 
-    The constants are fixed: C2 = C2_minus = C4 = D0 = D1 = D2 = 2 and
-    delta = 1/2, so eta = 3 delta / C2_minus = 3/4 stays below the 2 that
+    The constants are fixed: C2 = C2_minus = C4 = D0 = D1 = D2 = 2 and, with
+    delta = 1/2, eta = 3 delta / C2_minus = 3/4, which stays below the 2 that
     the Taylor control of f'' needs downstream.
     """
 
@@ -115,7 +116,6 @@ class ConditionMProfile:
     D0: ClassVar[float] = 2.0
     D1: ClassVar[float] = 2.0
     D2: ClassVar[float] = 2.0
-    delta: ClassVar[float] = 0.5
     eta: ClassVar[float] = 0.75
 
 
@@ -269,15 +269,10 @@ def _power_phase_model(domain) -> PhaseAmplitudeModel:
         # f(x_r) - r x_r = -4 r^3 at an integer r: r*r*r is exact below 2^53
         # and a float past it is an integer, so the phase is exactly 0.  y - y
         # is y mod 1 for an integral y, +0, or nan once r^3 overflows, without
-        # fmod's cost on a large y.  Only the r that are not integers take
-        # c x_r^1.5 - r x_r
-        r, xr = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(xr, dtype=float))
+        # fmod's cost on a large y
+        r = np.asarray(r, dtype=float)
         y = -4.0 * (r * r * r)
-        out = np.asarray(y - y)
-        off = r != np.floor(r)
-        if off.any():
-            out[off] = (c * xr[off] ** 1.5 - r[off] * xr[off]) % 1.0
-        return out[()]
+        return y - y
 
     return PhaseAmplitudeModel(
         fjet=fjet, gjet=_unit_gjet,

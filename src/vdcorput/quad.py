@@ -276,7 +276,7 @@ def oscillatory_integral(model: PhaseAmplitudeModel, r: float,
     phase = lambda x: np.asarray(model.f(x), dtype=float) - r * np.asarray(x, dtype=float)
     slope = lambda x: np.asarray(model.f1(x), dtype=float) - r
     stationary = None
-    fa, fb = slope(alpha), slope(beta)
+    fa, fb = slope(np.array([alpha, beta]))
     if fa < 0 < fb:
         stationary = invert_fprime(model, r)
     return oscillatory_integral_raw(model.g, phase, slope, alpha, beta, tol,

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import errbudget
-from .errbudget import ConditionMReport, Endpoint, ErrorBudget, fprime_range
+from .errbudget import ConditionMReport, Endpoint, ErrorBudget, fprime_nearest, fprime_range
 from .expsum import direct_starred_sum
 from .numutil import TWO_PI_I, amplitude_e, check_interval, csum, modified_sawtooth
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
@@ -109,7 +109,7 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float) -> TransformRes
     phases, weights and terms are then computed as arrays.  The terms are
     summed correctly rounded, so reruns are bit-identical.
     """
-    r_lo, r_hi, half_lo, half_hi = fprime_range(model, a, b)
+    r_lo, r_hi, half_lo, half_hi = fprime_range(fprime_nearest(model, a), fprime_nearest(model, b))
     r = np.arange(r_lo, r_hi + 1)
     rf = r.astype(float)
     xr = invert_fprime(model, rf)
@@ -204,9 +204,4 @@ def full_transform(model: PhaseAmplitudeModel, profile: ConditionMProfile,
 
 def budget_with_endpoints(result: TransformResult, budget: ErrorBudget) -> float:
     """Budget total plus the bound parts of both endpoint corrections."""
-    extra = 0.0
-    if result.d_a is not None:
-        extra += result.d_a.bound
-    if result.d_b is not None:
-        extra += result.d_b.bound
-    return budget.total + extra
+    return budget.total + (result.d_a.bound + result.d_b.bound)

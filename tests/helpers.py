@@ -589,7 +589,8 @@ def toinfinity_deltas(model: PhaseAmplitudeModel, profile: ConditionMProfile,
                 + U(b) / (fpp(b) ** 2 * M(b) ** 3) * (1.0 + np.sqrt(fpp(b)) * M(b)))
 
     k_lo = _locate_kb(profile, a, b)
-    _, bbar = eb.abar_bbar(model, a, b, profile)
+    _, bbar = eb.abar_bbar(model, eb.endpoint(model, profile, a), eb.endpoint(model, profile, b),
+                           profile)
 
     d4p = 0.0
     if bbar is not None and k_lo < bbar:

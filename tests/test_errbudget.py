@@ -57,7 +57,7 @@ def test_power_phase_sweep_passes():
     assert report.passed
     assert report.part1_ok and report.part3_ok
     # part II of condition (M) holds by the choice of the fixed constants
-    assert ConditionMProfile.delta < 1.0 and ConditionMProfile.eta < 2.0
+    assert ConditionMProfile.eta == 3 * 0.5 / ConditionMProfile.C2_minus < 2.0
     assert all(v <= 1.0 for v in report.worst_ratios.values())
 
 
@@ -190,7 +190,7 @@ def test_m_count_zero_when_curvature_below_distance():
 
 def test_abar_power_phase():
     model, profile = builtin_family("power_phase")
-    abar, bbar = eb.abar_bbar(model, 1.0, 1200.0, profile)
+    abar, bbar = eb.abar_bbar(model, *limit_records(model, profile, 1.0, 1200.0), profile)
     assert abar == pytest.approx(12.0, rel=1e-12)   # first integral slope
     # f'(1200) = 10, but bbar must sit left of b - min(M(b), 1/2): slope 9
     assert bbar is not None and bbar <= 1200.0 - 0.5
@@ -200,7 +200,7 @@ def test_abar_power_phase():
 def test_abar_quadratic_at_offset_start():
     # slope window starts at a + min(M, 1/2): the first integral slope there
     model, profile = builtin_family("quadratic", [10.0, 1.0], domain=(0.0, 1.0))
-    abar, bbar = eb.abar_bbar(model, 0.0, 1.0, profile)
+    abar, bbar = eb.abar_bbar(model, *limit_records(model, profile, 0.0, 1.0), profile)
     assert abar == pytest.approx(0.5)  # f'(0.5) = 5, already integral
     assert bbar == pytest.approx(0.5)
 
@@ -212,19 +212,22 @@ def test_abar_takes_the_integral_slope_the_dual_side_sums():
     model, profile = builtin_family("quadratic", [1.0, 0.25])
     a, b = 99.6, 100.0 - 1e-8
     assert rhs_main_sum(model, a, b).r_range == (100, 100)
-    abar, bbar = eb.abar_bbar(model, a, b, profile)
+    ends = limit_records(model, profile, a, b)
+    abar, bbar = eb.abar_bbar(model, *ends, profile)
     assert abar == 100.0 and bbar is None
-    d3a, _ = eb.tail_deltas(model, profile, a, b, abar, bbar)
-    want, _ = eb.tail_deltas(model, profile, a, 100.0, *eb.abar_bbar(model, a, 100.0, profile))
+    d3a, _ = eb.tail_deltas(model, profile, *ends, abar, bbar)
+    ends = limit_records(model, profile, a, 100.0)
+    want, _ = eb.tail_deltas(model, profile, *ends, *eb.abar_bbar(model, *ends, profile))
     assert want > 31.0
     assert d3a == pytest.approx(want, rel=1e-6)
 
 
 def test_abar_absent_when_no_integer_slope():
     model, profile = builtin_family("quadratic", [0.8, 1.0], domain=(0.125, 1.125))
-    abar, bbar = eb.abar_bbar(model, 0.125, 1.125, profile)
+    ends = limit_records(model, profile, 0.125, 1.125)
+    abar, bbar = eb.abar_bbar(model, *ends, profile)
     assert abar is None and bbar is None
-    d3a, d3b = eb.tail_deltas(model, profile, 0.125, 1.125, abar, bbar)
+    d3a, d3b = eb.tail_deltas(model, profile, *ends, abar, bbar)
     assert d3a == 0.0 and d3b == 0.0
 
 
@@ -686,8 +689,9 @@ def test_partition_raises_where_a_branch_denominator_vanishes():
 
 def test_delta3_power_phase_against_independent_quadrature():
     model, profile = builtin_family("power_phase")
-    abar, bbar = eb.abar_bbar(model, 1.0, 1200.0, profile)
-    d3a, d3b = eb.tail_deltas(model, profile, 1.0, 1200.0, abar, bbar)
+    ends = limit_records(model, profile, 1.0, 1200.0)
+    abar, bbar = eb.abar_bbar(model, *ends, profile)
+    d3a, d3b = eb.tail_deltas(model, profile, *ends, abar, bbar)
     assert d3a > 0 and d3b > 0
 
     def integrand(x):
@@ -709,8 +713,8 @@ def test_delta3_steep_edge_converges():
     model, profile = builtin_family("power_phase")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, d3b = eb.tail_deltas(model, profile, 1.0, 43202.0,
-                                *eb.abar_bbar(model, 1.0, 43202.0, profile))
+        ends = limit_records(model, profile, 1.0, 43202.0)
+        _, d3b = eb.tail_deltas(model, profile, *ends, *eb.abar_bbar(model, *ends, profile))
     assert d3b == pytest.approx(345789.99583, rel=1e-10)
 
 
@@ -721,7 +725,7 @@ def test_delta3_integral_over_an_oscillating_f2_is_not_aliased():
     # such panels and stopped 1.1e-9 off.  The reference is a 1e-14 relative
     # run from 20 000 start panels
     model, profile = builtin_family("oscillatory", [1.0, 1.0, 1.0])
-    _, bbar = eb.abar_bbar(model, 1000.0, 2000.0, profile)
+    _, bbar = eb.abar_bbar(model, *limit_records(model, profile, 1000.0, 2000.0), profile)
     assert bbar == pytest.approx(1999.49997, abs=1e-5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -742,8 +746,9 @@ def test_budget_integrals_add_their_error_estimate(monkeypatch):
     monkeypatch.setattr(eb, "panel_integral", spy)
     model, profile = builtin_family("power_phase")
     a, b = 1.0, 1200.0
-    abar, _ = eb.abar_bbar(model, a, b, profile)
-    d3a, _ = eb.tail_deltas(model, profile, a, b, abar, None)
+    ends = limit_records(model, profile, a, b)
+    abar, _ = eb.abar_bbar(model, *ends, profile)
+    d3a, _ = eb.tail_deltas(model, profile, *ends, abar, None)
     assert len(seen) == 1 and seen[0].converged and seen[0].abs_error_estimate > 0.0
     boundary = (float(profile.U(abar)) / (float(model.f2(abar)) ** 2 * (abar - a) ** 3),
                 float(profile.U(b)) / (float(model.f2(b)) ** 2 * (b - a) ** 3))
@@ -757,8 +762,8 @@ def test_delta3_ik_small_against_amplitude():
     # the tail terms stay below the local amplitude scale for the monomial
     # family (the worked chain bounds them by U(a) up to a modest constant)
     model, profile = builtin_family("ik_monomial", [2.0, 100.0, 1e4])
-    d3a, d3b = eb.tail_deltas(model, profile, 100.0, 400.0,
-                              *eb.abar_bbar(model, 100.0, 400.0, profile))
+    ends = limit_records(model, profile, 100.0, 400.0)
+    d3a, d3b = eb.tail_deltas(model, profile, *ends, *eb.abar_bbar(model, *ends, profile))
     u_a = float(profile.U(100.0))
     assert d3a <= 5.0 * u_a
     assert d3b <= 5.0 * u_a
@@ -912,14 +917,13 @@ def test_kappa_probes_each_gap_a_third_in(monkeypatch):
     assert seen[1] == [pytest.approx(c, abs=1e-15)]
 
 
-def test_kappa_point_terms_go_one_scalar_at_a_time(monkeypatch):
+def test_kappa_point_terms_come_from_one_array_call(monkeypatch):
     # isolated points add |W(x)|, interval ends and sign changes of r' add
-    # |s(x) W(x)|; each point is one scalar call, as numpy's array pow can
-    # differ from libm's in the last bit
+    # |s(x) W(x)|; all five points are one terms call on a 1-d array
     calls = []
 
     def terms(t):
-        calls.append(np.ndim(t))
+        calls.append(np.shape(t))
         t = np.asarray(t, dtype=float)
         return 1.0 / t ** 1.5, np.ones_like(t), t - 0.6180339887
 
@@ -929,7 +933,31 @@ def test_kappa_point_terms_go_one_scalar_at_a_time(monkeypatch):
     want = (2.5 ** -1.5 + 3.7 ** -1.5 + abs(eb.sawtooth_s(r)) * r ** -1.5
             + 0.25 * 0.25 ** -1.5 + abs(eb.sawtooth_s(4.2)) * 4.2 ** -1.5)
     assert got == pytest.approx(want, rel=1e-12)
-    assert calls[-5:] == [0] * 5
+    assert calls[-1] == (5,) and all(len(shape) == 1 for shape in calls)
+
+
+def test_budget_reads_the_limits_from_the_sweep_records(monkeypatch):
+    # a budget given the sweep's report takes U, M, f'', f' and its integer
+    # decision at a and b from the records: nothing is evaluated there again
+    model, profile = builtin_family("oscillatory", [1.0, 1.0, 1.0])
+    a, b = 1000.0, 2000.0
+    report = eb.check_condition_M(model, profile, a, b)
+    seen = []
+
+    def spy(name, fn, at=0):
+        def called(*args):
+            if np.isin([a, b], args[at]).any():
+                seen.append(name)
+            return fn(*args)
+        return called
+
+    model = dataclasses.replace(model, fjet=spy("fjet", model.fjet),
+                                gjet=spy("gjet", model.gjet))
+    profile = dataclasses.replace(profile, U=spy("U", profile.U), M=spy("M", profile.M))
+    monkeypatch.setattr(eb, "fprime_nearest", spy("fprime_nearest", eb.fprime_nearest, 1))
+    budget = eb.compute_budget(model, profile, a, b, report)
+    assert budget.m_a >= 1 and budget.m_b >= 1  # J reaches past both limits
+    assert seen == []
 
 
 @pytest.mark.parametrize("fam,params,a,b,calls", [

@@ -4,11 +4,7 @@ numpy's float64 ``power`` is fast on positive bases but takes a slow scalar
 path on a negative one: with numpy 2.4 on an AVX-512 Intel Xeon, ``y ** 3``
 costs 119 ns per element on a negative y, against 3.0 ns on a positive y and
 1.0 ns for ``y * y * y``.  g'' and P change sign along the K intervals, so
-``WRFunctions.pm_terms`` forms every power as a product.  An array's power
-is numpy's own loop (an array's square is x*x), but a numpy scalar's is
-libm's ``pow``, which can differ in the last bit, so ``pm_terms`` and
-``zero_terms`` write every power as a product and a point gives the bits of
-the same point in an array.
+``WRFunctions.pm_terms`` and ``zero_terms`` form every power as a product.
 
 A step that needs libm's bits on an array calls ``np.float_power``, whose
 float64 loop calls libm's ``pow`` on every element: 14 ns per element on
