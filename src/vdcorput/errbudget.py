@@ -29,8 +29,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numutil import (check_interval, is_integer_like, nearest_decomp, sawtooth_s,
-                      sign_change_roots)
+from .numutil import (NearestIntDecomp, check_interval, integer_range, nearest_integer,
+                      sawtooth_s, sign_change_roots)
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 from .quad import panel_integral
 
@@ -48,9 +48,9 @@ _GRID = 24  # Chebyshev nodes of the sweep
 @dataclass(frozen=True)
 class Endpoint:
     """What D(x), Delta1, Delta2 and J read at a limit x: f, f'', f''', g, g',
-    U and M there, the nearest integer to f'(x) with its signed offset and
-    distance (:func:`fprime_nearest`), and m, the number of integers other than
-    f' in the open interval (f' - f'', f' + f'')."""
+    U and M there, the integer decision of f'(x) (:func:`fprime_nearest`),
+    and m, the number of integers other than f' in the open interval
+    (f' - f'', f' + f'')."""
 
     x: float
     f: float
@@ -60,9 +60,7 @@ class Endpoint:
     g1: float
     U: float
     M: float
-    nearest: int
-    offset: float
-    dist: float
+    slope: NearestIntDecomp
     m: int
 
 
@@ -91,39 +89,25 @@ class ConditionMReport:
         }
 
 
-def fprime_nearest(model: PhaseAmplitudeModel, x: float) -> Tuple[int, float, float]:
-    """(nearest integer to f'(x), signed offset, distance), family-exact
-    integer detection when the model provides it."""
-    v = float(model.f1(x))
-    if model.fprime_integer is not None:
-        r = model.fprime_integer(x)
-        if r is not None:
-            return r, 0.0, 0.0
-    if is_integer_like(v):
-        return round(v), 0.0, 0.0
-    d = nearest_decomp(v)
-    return d.nearest, d.signed_frac, d.dist
-
-
-def fprime_range(lo: Tuple[int, float, float],
-                 hi: Tuple[int, float, float]) -> Tuple[int, int, bool, bool]:
-    """(r_lo, r_hi, lo_hit, hi_hit): the integers r_lo..r_hi between two f'
-    decisions of :func:`fprime_nearest` and whether each end is one."""
-    (r_lo, off_lo, _), (r_hi, off_hi, _) = lo, hi
-    # a non-integral f' lies off its nearest integer by the signed offset
-    return r_lo + (off_lo > 0), r_hi - (off_hi < 0), off_lo == 0.0, off_hi == 0.0
+def fprime_nearest(model: PhaseAmplitudeModel, x: float) -> NearestIntDecomp:
+    """The integer decision of f'(x): the family's exact test where the model
+    has one and it finds an integer, else ``nearest_integer`` of f'(x)."""
+    r = model.fprime_integer(x) if model.fprime_integer is not None else None
+    if r is not None:
+        return NearestIntDecomp(r, 0.0, 0.0)
+    return nearest_integer(float(model.f1(x)))
 
 
 def endpoint(model: PhaseAmplitudeModel, profile: ConditionMProfile, mu: float) -> Endpoint:
     """The record of the limit mu from one f' decision, one f jet and one g jet."""
-    nearest, offset, dist = fprime_nearest(model, mu)
+    slope = fprime_nearest(model, mu)
     f, f1, f2, f3 = map(float, model.fjet(mu, 0, 3))
     g, g1 = map(float, model.gjet(mu, 0, 1))
     lo, hi = f1 - f2, f1 + f2
     # an integral f' inside its own window is not counted
-    m = math.ceil(hi) - math.floor(lo) - 1 - (dist == 0.0 and lo < f1 < hi)
+    m = math.ceil(hi) - math.floor(lo) - 1 - (slope.dist == 0.0 and lo < f1 < hi)
     return Endpoint(mu, f, f2, f3, g, g1, float(profile.U(mu)), float(profile.M(mu)),
-                    nearest, offset, dist, max(m, 0))
+                    slope, max(m, 0))
 
 
 def extended_interval(model: PhaseAmplitudeModel, ea: Endpoint,
@@ -494,12 +478,12 @@ def abar_bbar(model: PhaseAmplitudeModel, ea: Endpoint, eb: Endpoint,
     abar = bbar = None
     lo = a + min(ea.M, 1.0 / profile.C2)
     if lo <= b:
-        r_lo, r_hi, _, _ = fprime_range(fprime_nearest(model, lo), (eb.nearest, eb.offset, eb.dist))
+        r_lo, r_hi, _, _ = integer_range(fprime_nearest(model, lo), eb.slope)
         if r_lo <= r_hi:
             abar = max(invert_fprime(model, float(r_lo)), lo)
     hi = b - min(eb.M, 1.0 / profile.C2)
     if hi >= a:
-        r_lo, r_hi, _, _ = fprime_range((ea.nearest, ea.offset, ea.dist), fprime_nearest(model, hi))
+        r_lo, r_hi, _, _ = integer_range(ea.slope, fprime_nearest(model, hi))
         if r_lo <= r_hi:
             bbar = min(invert_fprime(model, float(r_hi)), hi)
     return abar, bbar
@@ -507,7 +491,7 @@ def abar_bbar(model: PhaseAmplitudeModel, ea: Endpoint, eb: Endpoint,
 
 def endpoint_deltas(ep: Endpoint, span: float) -> Tuple[float, float]:
     """(Delta1, Delta2) at the limit of the record ep of an interval of length span."""
-    U, M, fpp, dist, m = ep.U, ep.M, ep.f2, ep.dist, ep.m
+    U, M, fpp, dist, m = ep.U, ep.M, ep.f2, ep.slope.dist, ep.m
 
     if dist == 0.0:
         d1 = U / (fpp ** 2 * span ** 3)
@@ -667,14 +651,22 @@ class ErrorBudget:
         }
 
 
+def check_span(a: float, b: float) -> None:
+    """Raise ValueError when a limit of [a, b] is not finite or b <= a: Delta1
+    at an integral f' and the Delta3 boundary terms divide by b - a."""
+    check_interval(a, b)
+    if b == a:
+        raise ValueError(f"the budget needs b > a, got a = b = {a}")
+
+
 def compute_budget(model: PhaseAmplitudeModel, profile: ConditionMProfile,
                    a: float, b: float, report: Optional[ConditionMReport] = None,
                    ) -> ErrorBudget:
     """Delta1-Delta4 on [a, b], from the limit records of ``report`` when the
     caller has swept [a, b] already, else from records built here; raises
-    ValueError when a limit is not finite or b < a, and
+    ValueError when a limit is not finite or b <= a, and
     PartitionDegeneracyError when the Delta4 partition is degenerate."""
-    check_interval(a, b)
+    check_span(a, b)
     if report is not None:
         ea, eb = report.ends
     else:

@@ -20,10 +20,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .errbudget import compute_budget
+from .errbudget import compute_budget, fprime_nearest
 from .expsum import CurveSample, curve_samples, direct_starred_sum, write_curve_csv
 from .numutil import (TWO_PI_I, amplitude_e, check_finite, check_interval, integer_range,
-                      modified_sawtooth, nearest_decomp, sawtooth_psi)
+                      modified_sawtooth, nearest_decomp, nearest_integer, sawtooth_psi)
 from .phase import PhaseAmplitudeModel, builtin_family, family_model
 from .transform import budget_with_endpoints, full_transform, rhs_main_sum
 
@@ -72,8 +72,9 @@ class RegimeReport:
 def example_regimes(n: int, c_reference: Optional[complex] = None) -> RegimeReport:
     """Classify n, measure the residual, and evaluate the regime's prediction.
 
-    Regime 1 (n = 12 k^2, decided in exact integer arithmetic) predicts a
-    constant; regime 2 predicts the outer-arm sawtooth term with bound
+    Regime 1 (f'(n) = sqrt(n/12) an integer by ``fprime_nearest``, which
+    decides n = 12 k^2 in exact integer arithmetic) predicts a constant;
+    regime 2 predicts the outer-arm sawtooth term with bound
     n^(3/20) + n^(5/12) d^(2/3); regime 3 predicts the inner-weave term plus
     the constant, with bound n^(-1/2) d^(-3).  The constant reference (from
     :func:`estimate_c`) is subtracted from the regime 1/3 residuals when given.
@@ -81,14 +82,14 @@ def example_regimes(n: int, c_reference: Optional[complex] = None) -> RegimeRepo
     if n < 13:
         raise ValueError("n must be at least 13")
     measured = example_delta(n)
-    u = math.sqrt(n / 12.0)
-    dec = nearest_decomp(u)
-    if family_model("power_phase").fprime_integer(n) is not None:
+    model = family_model("power_phase")
+    dec = fprime_nearest(model, n)
+    if dec.dist == 0.0:
         resid = abs(measured - c_reference) if c_reference is not None else None
         return RegimeReport(n, 1, 0.0, measured, 0j, resid, n ** -0.5, c_reference)
     phase_f = amplitude_e(1.0, (n / 3.0) ** 1.5)
     if dec.dist <= (12.0 * n) ** -0.25:
-        predicted = complex(2.0 * sawtooth_psi(u) * (3.0 * n) ** 0.25
+        predicted = complex(2.0 * sawtooth_psi(float(model.f1(n))) * (3.0 * n) ** 0.25
                             * phase_f * amplitude_e(1.0, 0.125))
         bound = n ** 0.15 + n ** (5.0 / 12.0) * dec.dist ** (2.0 / 3.0)
         return RegimeReport(n, 2, dec.dist, measured, predicted,
@@ -152,7 +153,7 @@ def rounding_bound(model: PhaseAmplitudeModel, a: float, b: float) -> float:
     """A-priori float64 error of ``direct_starred_sum(model, a, b)``: 2^-53
     times the sum of |g(n)| (2 pi |f(n)| + 4) over the integers n in [a, b],
     the reduced phase's error plus a few ulps of cos, sin and product a term."""
-    n_lo, n_hi, _, _ = integer_range(a, b)
+    n_lo, n_hi, _, _ = integer_range(nearest_integer(a), nearest_integer(b))
     ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
     terms = np.abs(model.g(ns)) * (2.0 * math.pi * np.abs(model.f(ns)) + 4.0)
     return 2.0 ** -53 * float(np.sum(terms))
@@ -224,16 +225,15 @@ def kusmin_landau_compare(model: PhaseAmplitudeModel, a: float, b: float) -> KLR
     xs = np.linspace(a, b, 257)
     if float(np.max(np.abs(np.asarray(model.g(xs), dtype=float) - 1.0))) > 1e-12:
         raise ValueError("the comparison applies to unit amplitude only")
-    fa, fb = float(model.f1(a)), float(model.f1(b))
+    da, db = fprime_nearest(model, a), fprime_nearest(model, b)
     # an f' taken as an integer is in the range, so theta > 0 past this test
-    r_lo, r_hi, _, _ = integer_range(fa, fb)
+    r_lo, r_hi, _, _ = integer_range(da, db)
     if r_lo <= r_hi:
         raise ValueError("slope range contains an integer: theta = 0")
-    da, db = nearest_decomp(fa), nearest_decomp(fb)
     theta = min(da.dist, db.dist)
 
     # half-integer limits cover the same integers and halve nothing
-    n_lo, n_hi, _, _ = integer_range(a, b)
+    n_lo, n_hi, _, _ = integer_range(nearest_integer(a), nearest_integer(b))
     plain = direct_starred_sum(model, n_lo - 0.5, n_hi + 0.5)
     starred = direct_starred_sum(model, a, b)
 

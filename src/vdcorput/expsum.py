@@ -17,7 +17,8 @@ from typing import List, Sequence, TextIO
 
 import numpy as np
 
-from .numutil import CHUNK, amplitude_e, check_finite, check_interval, cis_turns, csum, integer_range
+from .numutil import (CHUNK, amplitude_e, check_finite, check_interval, cis_turns, csum,
+                      integer_range, nearest_integer)
 from .phase import PhaseAmplitudeModel
 
 # the most samples a curve may take; each sample is a Python object of some
@@ -44,7 +45,7 @@ def direct_starred_sum(model: PhaseAmplitudeModel, a: float, b: float,
     check_interval(a, b)
     # a limit taken as an integer is that integer, so the halved term is
     # always the first or last one summed
-    n_lo, n_hi, half_lo, half_hi = integer_range(a, b)
+    n_lo, n_hi, half_lo, half_hi = integer_range(nearest_integer(a), nearest_integer(b))
     if n_hi < n_lo:
         return 0j
     parts = []

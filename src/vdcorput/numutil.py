@@ -28,8 +28,7 @@ max(|psi|, |e|) from e = 0 (where it is psi(x)) through subnormal e to 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,21 +77,11 @@ def is_integer_like(x: float) -> bool:
     return abs(x - round(x)) <= 1e-9 * max(1.0, abs(x))
 
 
-def integer_range(lo: float, hi: float) -> Tuple[int, int, bool, bool]:
-    """(n_lo, n_hi, lo_hit, hi_hit): the integers n_lo..n_hi in [lo, hi]; a limit
-    that is_integer_like is hit, and is that integer, n_lo or n_hi itself."""
-    lo_hit, hi_hit = is_integer_like(lo), is_integer_like(hi)
-    n_lo = round(lo) if lo_hit else math.ceil(lo)
-    n_hi = round(hi) if hi_hit else math.floor(hi)
-    return n_lo, n_hi, lo_hit, hi_hit
-
-
 # ---------------------------------------------------------------------------
-# nearest-integer decomposition
+# nearest-integer decomposition and the integer rule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NearestIntDecomp:
+class NearestIntDecomp(NamedTuple):
     """Nearest integer, signed offset and distance of x.
 
     ``nearest + signed_frac == x`` up to rounding and ``dist == |signed_frac|``.
@@ -122,6 +111,29 @@ def nearest_decomp(x: float) -> NearestIntDecomp:
         n += 1
         frac = x - n
     return NearestIntDecomp(n, frac, abs(frac))
+
+
+def nearest_integer(x: float) -> NearestIntDecomp:
+    """The integer rule, the one decision of whether x is an integer: where
+    ``is_integer_like(x)``, x is taken as the integer round(x), with offset
+    and distance 0; elsewhere the result is ``nearest_decomp(x)``.
+
+    On a hit, round breaks a tie to the even integer.  From 5e8 on every
+    half-integer is a hit, so 500000001.5 is taken as 500000002, the
+    integer above it.
+    """
+    if is_integer_like(x):
+        return NearestIntDecomp(round(x), 0.0, 0.0)
+    return nearest_decomp(x)
+
+
+def integer_range(lo: NearestIntDecomp, hi: NearestIntDecomp) -> Tuple[int, int, bool, bool]:
+    """(n_lo, n_hi, lo_hit, hi_hit): the integers n_lo..n_hi between two
+    decisions of ``nearest_integer`` and whether each end is one, the integer
+    n_lo or n_hi itself."""
+    # a non-integral value lies off its nearest integer by the signed offset
+    return (lo.nearest + (lo.signed_frac > 0), hi.nearest - (hi.signed_frac < 0),
+            lo.signed_frac == 0.0, hi.signed_frac == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +502,11 @@ _LEVELS = 8
 _STEP_POINTS = 4096
 
 
-def _bisect_paths(fn, single, cmp, sgn, lo, hi, flo, fhi):
+def _bisect_paths(fn, cmp, sgn, lo, hi, flo, fhi):
     """The last brackets of the bisections of the brackets (lo, hi), all in
     one loop that calls fn once per step: bracket j reads sgn[j] times
-    component cmp[j] of fn (fn's value itself where ``single``), with the
-    values flo[j] < 0 and fhi[j] (not negative) at its ends, and the
-    brackets come in order of cmp.
+    component cmp[j] of fn, with the values flo[j] < 0 and fhi[j] (not
+    negative) at its ends, and the brackets come in order of cmp.
 
     A step takes a bracket down as many as 8 levels of its bisection: it
     evaluates the next midpoints on the path to the bracket's root estimate
@@ -542,13 +553,9 @@ def _bisect_paths(fn, single, cmp, sgn, lo, hi, flo, fhi):
         cols = np.arange(idx.size)
         at = np.broadcast_to(cols[:, None], inside.T.shape)[inside.T]
         pts = ms.T[inside.T]
-        values = fn(pts)
-        if single:
-            picked = np.asarray(values, dtype=float)
-        else:
-            rows = [r for part in values for r in np.reshape(part, (-1, pts.size))]
-            ends = np.searchsorted(cmp[at], np.arange(len(rows) + 1))
-            picked = np.concatenate([r[ends[c]:ends[c + 1]] for c, r in enumerate(rows)])
+        rows = [r for part in fn(pts) for r in np.reshape(part, (-1, pts.size))]
+        ends = np.searchsorted(cmp[at], np.arange(len(rows) + 1))
+        picked = np.concatenate([r[ends[c]:ends[c + 1]] for c, r in enumerate(rows)])
         v = np.full(ms.shape, np.nan)
         v.T[inside.T] = sgn[at] * picked
         below = v < 0
@@ -575,19 +582,18 @@ def _bisect_paths(fn, single, cmp, sgn, lo, hi, flo, fhi):
 
 
 def sign_change_roots(fn: Callable, xs, vals, use=None) -> list:
-    """Roots of fn, or of each of its components, in every gap of a scan
-    where it changes sign, bisected to the float limit.
+    """Roots of each component of fn in every gap of a scan where it
+    changes sign, bisected to the float limit.
 
-    xs is one scan, (n,), or one scan per row, (rows, n).  vals is fn's
-    value there, an array of xs's shape, or for a fn of k components the
-    sequence of their k values there, each of xs's shape.  fn maps a 1-d
-    array of points to its value there, or to the sequence of its
-    components' values, as arrays or as stacks of them (a stack's rows are
-    components in turn).  ``use`` flags the rows of each component that take
-    part, one per row of xs; all do by default.  A gap with a zero value at
-    either end is skipped; nan counts as nonnegative.  Returns the roots of
-    each row in order of x: a list for one scan, a list of lists for one per
-    row, and for k components a list of k of those.
+    xs is one scan, (n,), or one scan per row, (rows, n).  vals is the
+    sequence of the k components' values there, each of xs's shape.  fn maps
+    a 1-d array of points to the sequence of its components' values, as
+    arrays or as stacks of them (a stack's rows are components in turn).
+    ``use`` flags the rows of each component that take part, one per row of
+    xs; all do by default.  A gap with a zero value at either end is skipped;
+    nan counts as nonnegative.  Returns, for each of the k components, the
+    roots of each row in order of x: a list for one scan, a list of lists
+    for one per row.
 
     A root is the midpoint of the last bracket of the gap's bisection: the
     bracket is halved, keeping a negative value at the end where the gap's
@@ -598,8 +604,7 @@ def sign_change_roots(fn: Callable, xs, vals, use=None) -> list:
     bisection, which the float-halving bound caps.
     """
     xs = np.asarray(xs, dtype=float)
-    single = isinstance(vals, np.ndarray) and vals.shape == xs.shape
-    comps = [vals] if single else list(vals)
+    comps = list(vals)
     n = xs.shape[-1]
     X = xs.reshape(-1, n)
     rows = X.shape[0]
@@ -622,13 +627,12 @@ def sign_change_roots(fn: Callable, xs, vals, use=None) -> list:
     keys = roots = np.empty(0)
     if found:
         cmp, row, lo, hi, sgn, flo, fhi = (np.concatenate(parts) for parts in zip(*found))
-        lo, hi = _bisect_paths(fn, single, cmp, sgn, lo, hi, flo, fhi)
+        lo, hi = _bisect_paths(fn, cmp, sgn, lo, hi, flo, fhi)
         keys, roots = cmp * rows + row, 0.5 * (lo + hi)
     ends = np.searchsorted(keys, np.arange(len(comps) * rows + 1))
     lists = [roots[ends[r]:ends[r + 1]].tolist() for r in range(len(comps) * rows)]
-    per_comp = [lists[c * rows:(c + 1) * rows] if xs.ndim > 1 else lists[c]
-                for c in range(len(comps))]
-    return per_comp[0] if single else per_comp
+    return [lists[c * rows:(c + 1) * rows] if xs.ndim > 1 else lists[c]
+            for c in range(len(comps))]
 
 
 # ---------------------------------------------------------------------------

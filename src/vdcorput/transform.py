@@ -27,9 +27,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import errbudget
-from .errbudget import ConditionMReport, Endpoint, ErrorBudget, fprime_nearest, fprime_range
+from .errbudget import ConditionMReport, Endpoint, ErrorBudget, fprime_nearest
 from .expsum import direct_starred_sum
-from .numutil import TWO_PI_I, amplitude_e, check_interval, csum, modified_sawtooth
+from .numutil import TWO_PI_I, amplitude_e, check_interval, csum, integer_range, modified_sawtooth
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 
 
@@ -109,7 +109,7 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float) -> TransformRes
     phases, weights and terms are then computed as arrays.  The terms are
     summed correctly rounded, so reruns are bit-identical.
     """
-    r_lo, r_hi, half_lo, half_hi = fprime_range(fprime_nearest(model, a), fprime_nearest(model, b))
+    r_lo, r_hi, half_lo, half_hi = integer_range(fprime_nearest(model, a), fprime_nearest(model, b))
     r = np.arange(r_lo, r_hi + 1)
     rf = r.astype(float)
     xr = invert_fprime(model, rf)
@@ -138,7 +138,8 @@ def endpoint_term(ep: Endpoint) -> EndpointTerm:
     bound-only once f'' reaches 1 - ||f'(mu)||.  The tie f'' = ||f'|| takes
     the offset-plus-sawtooth case.
     """
-    mu, eps_p, dist, fpp, U, M = ep.x, ep.offset, ep.dist, ep.f2, ep.U, ep.M
+    mu, fpp, U, M = ep.x, ep.f2, ep.U, ep.M
+    nearest, eps_p, dist = ep.slope
 
     star = 0j
     if dist == 0.0:
@@ -146,7 +147,7 @@ def endpoint_term(ep: Endpoint) -> EndpointTerm:
         star = complex(ep.g * ep.f3 * e_f / (6j * math.pi * fpp ** 2)
                        - ep.g1 * e_f / (TWO_PI_I * fpp))
 
-    phase = amplitude_e(1.0, _phase_f_minus_rx(ep.f, mu, ep.nearest))
+    phase = amplitude_e(1.0, _phase_f_minus_rx(ep.f, mu, nearest))
     if dist > 0.0 and fpp <= dist:
         psi = modified_sawtooth(mu, eps_p)
         circ = complex(ep.g * phase * (-1.0 / (TWO_PI_I * eps_p) + psi))
@@ -180,10 +181,11 @@ def full_transform(model: PhaseAmplitudeModel, profile: ConditionMProfile,
     measured_delta = direct - rhs_main + D(b) - D(a), using the explicit
     parts of the endpoint corrections; their bound parts are additional
     budget and are surfaced via ``budget_with_endpoints``.  Raises
-    ValueError when a limit is not finite or b < a.
+    ValueError when a limit is not finite or b < a, and with the budget on
+    when b = a, before any work.
     """
-    check_interval(a, b)
     opts = options or TransformOptions()
+    (errbudget.check_span if opts.budget else check_interval)(a, b)
     report = errbudget.check_condition_M(model, profile, a, b)
     if not report.passed:
         checks = (("part I", report.part1_ok), ("part III", report.part3_ok),

@@ -1,11 +1,13 @@
 """Helpers shared by the tests: a grid evaluator for the modified sawtooth's
-partial sums, the starred distance to the nearest integer, the fitted-
+partial sums, the starred distance to the nearest integer, the float integer
+rule on two limits that ``numutil.nearest_integer`` took over, the fitted-
 constant convention of the acceptance suite, the recursive and the
 level-by-level references for the quadrature's batched pre-split, the
 Gauss-Kronrod rule built from its defining polynomials, the bisection that
-``numutil.sign_change_roots`` must match, models and single-order views
-built from per-order callables, and the one-function-per-call critical-point
-formulas that the derivative jets of the K functionals replaced.
+``numutil.sign_change_roots`` must match and its form for one function,
+models and single-order views built from per-order callables, and the
+one-function-per-call critical-point formulas that the derivative jets of
+the K functionals replaced.
 
 It also keeps, as references, the paper's formulas that the program does not
 run: the modified Fresnel integral F(u), the first and second derivative-test
@@ -27,7 +29,8 @@ from vdcorput import errbudget as eb
 from vdcorput import quad
 from vdcorput import transform
 from vdcorput.errbudget import WRFunctions, fprime_nearest
-from vdcorput.numutil import TWO_PI, amplitude_e, floor_frac, nearest_decomp, sawtooth_psi
+from vdcorput.numutil import (TWO_PI, amplitude_e, floor_frac, nearest_decomp, sawtooth_psi,
+                              sign_change_roots)
 from vdcorput.phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 from vdcorput.quad import oscillatory_integral_raw
 from vdcorput.transform import EndpointTerm
@@ -55,6 +58,18 @@ def modified_sawtooth_grid(xs: np.ndarray, epss: np.ndarray, r: int) -> np.ndarr
 def dist_to_nearest_star(x: float) -> float:
     """||x||*: distance to the nearest integer, with 1 substituted at 0."""
     return nearest_decomp(x).dist or 1.0
+
+
+def float_rule_range(lo: float, hi: float) -> Tuple[int, int, bool, bool]:
+    """(n_lo, n_hi, lo_hit, hi_hit) by the float rule as it stood in
+    ``numutil.integer_range`` of two floats: a limit within 1e-9 relative of
+    an integer is a hit and is round(limit), else n_lo = ceil(lo) and
+    n_hi = floor(hi)."""
+    def hit(x):
+        return abs(x - round(x)) <= 1e-9 * max(1.0, abs(x))
+    lo_hit, hi_hit = hit(lo), hit(hi)
+    return (round(lo) if lo_hit else math.ceil(lo), round(hi) if hi_hit else math.floor(hi),
+            lo_hit, hi_hit)
 
 
 def fitted_constant(ratios: Sequence[float]) -> float:
@@ -204,6 +219,13 @@ def bisected_roots(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
     sign = np.where(neg[i], 1.0, -1.0)
     lo, hi = bisect(lambda x: sign * fn(x), xs[i], xs[i + 1])
     return (0.5 * (lo + hi)).tolist()
+
+
+def single_roots(fn: Callable[[np.ndarray], np.ndarray], xs, vals) -> list:
+    """``sign_change_roots`` of the one function fn, with vals = fn(xs) of
+    xs's shape: the roots of each row, a list for one scan."""
+    (roots,) = sign_change_roots(lambda x: [fn(x)], xs, [vals])
+    return roots
 
 
 def jet_of(*orders):

@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from vdcorput import errbudget as eb
+from vdcorput.numutil import nearest_integer
 from vdcorput.phase import (ConditionMProfile, PhaseAmplitudeModel,
-                            builtin_family, family_model)
+                            builtin_family, family_model, invert_fprime)
 from vdcorput.transform import rhs_main_sum
 
-from helpers import Orders, ReferenceWR, _locate_kb, jet_of, toinfinity_deltas
+from helpers import Orders, ReferenceWR, _locate_kb, jet_of, single_roots, toinfinity_deltas
 
 SQ6 = math.sqrt(6.0)
 SQ37 = math.sqrt(37.0)
@@ -186,6 +190,29 @@ def test_m_count_zero_when_curvature_below_distance():
             continue
         fpp = float(rng.uniform(0, 1)) * dist
         assert m_count(_slope_stub(fp, fpp), 0.0) == 0
+
+
+# families whose models have no exact test of an integral f'
+NO_EXACT_TEST = [("quadratic", [1.0], 1.0, 1e6), ("quadratic", [0.37], 1.0, 1e4),
+                 ("exponential", [1.0, 2.0], 4.398, 8.398), ("zeta_log", [0.5, 1e4], 50.0, 500.0),
+                 ("oscillatory", [1.0, 1.0, 1.0], 100.0, 200.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(NO_EXACT_TEST), st.floats(0.0, 1.0), st.booleans(), st.integers(-2, 2))
+def test_fprime_nearest_without_an_exact_test_is_nearest_integer_of_f1(case, t, on_integer, ulps):
+    # at points in an interval, or 0-2 ulps from where f' is an integer
+    family, params, lo, hi = case
+    model = family_model(family, params)
+    assert model.fprime_integer is None
+    x = lo + t * (hi - lo)
+    if on_integer:
+        r_lo, r_hi = sorted(float(model.f1(v)) for v in (lo, hi))
+        r = min(max(round(float(model.f1(x))), math.ceil(r_lo)), math.floor(r_hi))
+        x = float(invert_fprime(model, float(r)))
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    assert eb.fprime_nearest(model, x) == nearest_integer(float(model.f1(x)))
 
 
 def test_abar_power_phase():
@@ -590,7 +617,7 @@ def per_piece_partition(model, lo, hi):
     g1 = np.asarray(m.g1(xs), dtype=float)
     cuts = {lo, hi}
     for fn, v in zip(fns, vals):
-        cuts.update(eb.sign_change_roots(fn, xs, v))
+        cuts.update(single_roots(fn, xs, v))
         hits = np.nonzero(v == 0.0)[0]
         if 0 < hits.size < v.size:
             cuts.update(float(xs[i]) for i in hits)
@@ -610,9 +637,9 @@ def per_piece_partition(model, lo, hi):
                 j0.append((x0, x1))
     scale = lambda v: float(np.max(np.abs(v))) or 1.0
     nonzero = lambda fn, x, v: abs(float(fn(x))) > 1e-6 * scale(v)
-    jnull = [x for x in eb.sign_change_roots(m.g, xs, g)
+    jnull = [x for x in single_roots(m.g, xs, g)
              if nonzero(m.g1, x, g1) and nonzero(m.g2, x, g2)]
-    j0_isolated = [x for x in eb.sign_change_roots(m.g2, xs, g2)
+    j0_isolated = [x for x in single_roots(m.g2, xs, g2)
                    if nonzero(m.g, x, g) and nonzero(wr.H, x, H)]
     for x0, x1 in jpm:
         w = (x1 - x0) * 1e-6
@@ -869,7 +896,7 @@ def _resolved_zeros(fn, xs):
     v = fn(xs)
     if not eb._resolved(v, fn(xs[:-1] + (xs[1:] - xs[:-1]) / 3.0)):
         return []
-    return eb.sign_change_roots(fn, xs, v)
+    return single_roots(fn, xs, v)
 
 
 def test_kink_break_points_only_where_the_scan_resolves_them():

@@ -436,6 +436,12 @@ def test_cli_transform_at_a_limit_near_an_integer():
     # a curve too large to hold, refused before numpy is asked for it
     (["curve", "--tmax", "1e13"], "1e+13 samples, more than 1e+06"),
     (["ck", "--random", "-3"], "--random takes a count of draws >= 0, got -3"),
+    # a budget of [a, a] divided by b - a = 0 where f'(a) is an integer
+    (["budget", "--a", "12", "--b", "12"], "the budget needs b > a, got a = b = 12.0"),
+    (["transform", "--a", "12", "--b", "12"], "the budget needs b > a, got a = b = 12.0"),
+    (["budget", "--family", "quadratic", "--params", "0.5", "--a", "2", "--b", "2"],
+     "the budget needs b > a, got a = b = 2.0"),
+    (["budget", "--a", "5", "--b", "5"], "the budget needs b > a, got a = b = 5.0"),
 ])
 def test_cli_non_finite_limit_is_an_error_not_a_traceback(argv, limit, capsys):
     # a warning, which pytest keeps off stderr, is one more stderr line in a shell

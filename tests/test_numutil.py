@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from vdcorput import numutil as nu
 
-from helpers import bisect, bisected_roots, dist_to_nearest_star, modified_sawtooth_grid
+from helpers import (bisect, bisected_roots, dist_to_nearest_star, float_rule_range,
+                     modified_sawtooth_grid, single_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +63,31 @@ def test_nearest_decomp_integer_shift(x, k):
     assert d1.nearest == d0.nearest + k
     assert d1.signed_frac == d0.signed_frac
     assert d1.dist == d0.dist
+
+
+def _ulps_off(x, n):
+    """The float n ulps above x (below for a negative n)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+# a limit 0-2 ulps either side of an integer or a half-integer up to 1e15 in
+# magnitude, of either sign, or of +0 or -0
+_near_limits = st.one_of(
+    st.builds(lambda k, half, n: _ulps_off(float(k) + half, n),
+              st.integers(-10 ** 15, 10 ** 15), st.sampled_from([0.0, 0.5, -0.5]),
+              st.integers(-2, 2)),
+    st.builds(_ulps_off, st.sampled_from([0.0, -0.0]), st.integers(-2, 2)),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_near_limits, _near_limits)
+def test_integer_range_of_two_decisions_is_the_float_rule(a, b):
+    # the integers between two nearest_integer decisions are those the float
+    # rule on the limits themselves gives, hits included
+    assert nu.integer_range(nu.nearest_integer(a), nu.nearest_integer(b)) == float_rule_range(a, b)
 
 
 @pytest.mark.parametrize("t", [0.0, -0.0, 0.125, -0.125, 0.5, -1e-20, 1.0 - 2.0 ** -53,
@@ -453,7 +479,7 @@ def test_csum_is_fsum_bit_for_bit(n, seed, lo, span, subnormal, cancel, extra):
 
 def test_sign_change_roots_bisect_to_the_float_limit():
     xs = np.linspace(1.0, 30.0, 200)
-    roots = np.array(nu.sign_change_roots(np.sin, xs, np.sin(xs)))
+    roots = np.array(single_roots(np.sin, xs, np.sin(xs)))
     want = np.arange(1, 10) * math.pi
     assert roots.shape == want.shape
     assert np.all(np.abs(roots - want) <= 4 * np.spacing(want))
@@ -461,7 +487,7 @@ def test_sign_change_roots_bisect_to_the_float_limit():
     # skipped, and only the sign change in [3, 4] is bisected
     fn = lambda x: (x - 2.0) * (x - 3.5)
     xs = np.arange(5.0)
-    assert nu.sign_change_roots(fn, xs, fn(xs)) == [3.5]
+    assert single_roots(fn, xs, fn(xs)) == [3.5]
 
 
 def test_sign_change_roots_reach_the_float_limit_past_80_halvings():
@@ -469,7 +495,7 @@ def test_sign_change_roots_reach_the_float_limit_past_80_halvings():
     # stopped on a bracket 8.3e-16 wide, some 4 000 ulps of the root
     fn = lambda x: x - 1e-6
     xs = np.array([0.0, 1e9])
-    (got,) = nu.sign_change_roots(fn, xs, fn(xs))
+    (got,) = single_roots(fn, xs, fn(xs))
     assert got in (1e-6, math.nextafter(1e-6, 0.0))
     (old,) = bisected_roots(fn, xs, fn(xs))
     assert abs(old - 1e-6) > 1000 * math.ulp(1e-6)
@@ -477,11 +503,11 @@ def test_sign_change_roots_reach_the_float_limit_past_80_halvings():
     for root in (3e-320, -5e-324, 2.0 ** -1022):
         fn = lambda x, r=root: x - r
         xs = np.array([-1.0, 1.0])
-        (got,) = nu.sign_change_roots(fn, xs, fn(xs))
+        (got,) = single_roots(fn, xs, fn(xs))
         assert got in (root, math.nextafter(root, -1.0))
     # from the largest floats down to the smallest: some 2 100 halvings
     xs = np.array([-1e300, 1e308])
-    (got,) = nu.sign_change_roots(lambda x: x, xs, xs)
+    (got,) = single_roots(lambda x: x, xs, xs)
     assert got == 0.0
 
 
@@ -543,7 +569,7 @@ def test_sign_change_roots_are_the_bisections_bit_for_bit(root, left, right, kin
         calls.append(x.size)
         return fn(x)
 
-    got = nu.sign_change_roots(counted, xs, vals)
+    got = single_roots(counted, xs, vals)
     if (vals[0] < 0) == (vals[1] < 0) or 0.0 in vals:
         assert got == [] and calls == []
         return
@@ -577,7 +603,7 @@ def test_sign_change_roots_batch_equals_one_gap_at_a_time():
     got = nu.sign_change_roots(fn, xs, vals, use)
     for c in range(3):
         for r in range(3):
-            one = nu.sign_change_roots(lambda x: fn(x)[c], xs[r], vals[c, r])
+            one = single_roots(lambda x: fn(x)[c], xs[r], vals[c, r])
             assert got[c][r] == (one if use[c, r] else [])
             if use[c, r]:
                 assert one == bisected_roots(lambda x: fn(x)[c], xs[r], vals[c, r])

@@ -1,10 +1,12 @@
 """Each rounding decision of the starred sum and its transform has one home.
 
 Whether a limit or f' at a limit is an integer, and what e(x) is once x is
-reduced mod 1, are answered by numutil (``integer_range``; ``cis_turns``, the
-table kernel and the one home of e(x), which ``amplitude_e`` scales by an
-amplitude) and, for f', by ``errbudget.fprime_nearest``.  A private copy
-elsewhere in src/ drifts from them, so this scan fails on one.
+reduced mod 1, are answered by numutil (``nearest_integer``, the one integer
+rule, whose decisions ``integer_range`` turns into a range; ``cis_turns``,
+the table kernel and the one home of e(x), which ``amplitude_e`` scales by
+an amplitude).  For f' the family's exact test comes first, in
+``errbudget.fprime_nearest`` alone.  A private copy elsewhere in src/ drifts
+from them, so this scan fails on one.
 """
 
 import ast
@@ -14,7 +16,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "vdcorput"
 
 # the functions allowed to apply the integer rule themselves
-INTEGER_RULE_HOMES = {("numutil.py", "integer_range"), ("errbudget.py", "fprime_nearest")}
+INTEGER_RULE_HOMES = {("numutil.py", "nearest_integer")}
+# the one function allowed to call a family's exact test of an integral f'
+EXACT_TEST_HOME = ("errbudget.py", "fprime_nearest")
 
 
 def _trees():
@@ -40,7 +44,7 @@ def _imaginary(node) -> bool:
     return False
 
 
-def test_is_integer_like_is_called_only_by_the_two_integer_rules():
+def test_is_integer_like_is_called_only_by_the_integer_rule():
     def calls(node):
         return sum(isinstance(n, ast.Call) and _callee(n).endswith("is_integer_like")
                    for n in ast.walk(node))
@@ -55,9 +59,17 @@ def test_abar_bbar_has_no_slack_of_its_own():
     (fn,) = [fn for fn_name, fn in _functions(_trees()["errbudget.py"]) if fn_name == "abar_bbar"]
     consts = [n.value for n in ast.walk(fn) if isinstance(n, ast.Constant)]
     assert 1e-12 not in consts
-    # nor a rounding of f' of its own: the range comes from fprime_range
+    # nor a rounding of f' of its own: the range comes from integer_range
     assert not any(_callee(n) in ("math.ceil", "math.floor", "round")
                    for n in ast.walk(fn) if isinstance(n, ast.Call))
+
+
+def test_the_exact_slope_test_is_called_only_by_fprime_nearest():
+    found = [(name, fn_name) for name, tree in _trees().items()
+             for fn_name, fn in _functions(tree)
+             if any(isinstance(n, ast.Call) and _callee(n).endswith("fprime_integer")
+                    for n in ast.walk(fn))]
+    assert found == [EXACT_TEST_HOME]
 
 
 def test_no_imaginary_exponential_outside_numutil():
