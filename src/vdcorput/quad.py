@@ -126,23 +126,15 @@ def _phase_pieces(phase_slope, edges: np.ndarray):
     piece is slower than the segment's slower end, smin, so each piece at
     depth d fails the test while width * smin > _CYCLES * 2 * 2^d (the
     factor 2, and a width of 2^(d + 3) ulps at least, keep the pieces'
-    rounding clear).  On a segment where the slope does not keep its sign (a
-    stationary edge), smin is taken at the faster end instead, a guess: the
-    slope is evaluated on the grid it gives, and the split goes back to the
-    first level at which a piece of that grid passes the test.  Those
-    midpoints are the loop's own 0.5 (lo + hi), the coarser levels are every
-    other point of the finer ones, and the slope is evaluated once on the
-    grid, so the pieces are the same.
+    rounding clear).  A segment whose slope changes sign (a stationary
+    edge) has smin = 0, so a split with such a segment skips no level.
+    Those midpoints are the loop's own 0.5 (lo + hi), and the slope is
+    evaluated once on the grid they make, so the pieces are the same.
     """
-    def slope(x):
-        s = np.asarray(phase_slope(x), dtype=float)
-        return s if s.shape == x.shape else np.broadcast_to(s, x.shape)
-
-    s = slope(edges)
+    s = phase_slope(edges)
     width = edges[1:] - edges[:-1]
-    s0, s1 = np.abs(s[:-1]), np.abs(s[1:])
-    keeps_sign = np.sign(s[:-1]) * np.sign(s[1:]) > 0.0
-    smin = np.where(keeps_sign, np.minimum(s0, s1), np.maximum(s0, s1))
+    smin = np.where(np.sign(s[:-1]) * np.sign(s[1:]) > 0.0,
+                    np.minimum(np.abs(s[:-1]), np.abs(s[1:])), 0.0)
     ulp = np.spacing(np.maximum(np.abs(edges[:-1]), np.abs(edges[1:])))
     # the least width * smin and width in ulps (exact: ulp is a power of 2)
     reach, ulps = float(np.min(width * smin)), float(np.min(width / ulp))
@@ -153,13 +145,7 @@ def _phase_pieces(phase_slope, edges: np.ndarray):
         grid[::2] = x
         grid[1::2] = 0.5 * (x[:-1] + x[1:])
         x, depth = grid, depth + 1
-    s = np.abs(slope(x) if depth else s)
-    if not keeps_sign.all():
-        for d in range(depth):
-            xd, sd = x[::2 ** (depth - d)], s[::2 ** (depth - d)]
-            if np.any((xd[1:] - xd[:-1]) * np.maximum(sd[:-1], sd[1:]) <= _CYCLES):
-                x, s, depth = xd, sd, d
-                break
+    s = np.abs(phase_slope(x) if depth else s)
 
     lo, hi, slo, shi = x[:-1], x[1:], s[:-1], s[1:]
     done_lo, done_hi = [], []
@@ -178,7 +164,7 @@ def _phase_pieces(phase_slope, edges: np.ndarray):
         split = ~keep
         lo, hi, slo, shi = lo[split], hi[split], slo[split], shi[split]
         mid = 0.5 * (lo + hi)
-        smid = np.abs(slope(mid))
+        smid = np.abs(phase_slope(mid))
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         slo, shi = np.concatenate([slo, smid]), np.concatenate([smid, shi])
     los, his = np.concatenate(done_lo), np.concatenate(done_hi)
@@ -242,9 +228,9 @@ def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Calla
                              stationary: Optional[float] = None) -> QuadResult:
     """integral of gfun(x) e(phase(x)) over [alpha, beta] by adaptive panels.
 
-    ``gfun``, ``phase`` and ``phase_slope`` are vectorized: each takes an
-    array of points and returns an array of the same shape (a scalar
-    return is broadcast).  ``phase_slope`` must be monotone on the interval;
+    ``gfun``, ``phase`` and ``phase_slope`` are vectorized: each takes a
+    float array of points and returns a float array of the same shape;
+    nothing is broadcast.  ``phase_slope`` must be monotone on the interval;
     ``stationary`` names its zero when one lies inside, so the pre-split
     starts there.  A pre-split that would need more than
     ``DEFAULT_PANEL_CAP`` pieces (a steep or non-finite slope) stops there,
@@ -273,8 +259,8 @@ def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Calla
 def oscillatory_integral(model: PhaseAmplitudeModel, r: float,
                          alpha: float, beta: float, tol: float) -> QuadResult:
     """integral of g(x) e(f(x) - r x) over [alpha, beta]."""
-    phase = lambda x: np.asarray(model.f(x), dtype=float) - r * np.asarray(x, dtype=float)
-    slope = lambda x: np.asarray(model.f1(x), dtype=float) - r
+    phase = lambda x: model.f(x) - r * x
+    slope = lambda x: model.f1(x) - r
     stationary = None
     fa, fb = slope(np.array([alpha, beta]))
     if fa < 0 < fb:

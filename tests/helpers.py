@@ -163,7 +163,7 @@ def phase_pieces_by_level(phase_slope, edges: np.ndarray):
     on.  The reference that ``quad._phase_pieces`` must match bit for bit,
     (los, his, pieces) and the cap's count included."""
     def speed(x):
-        return np.abs(np.broadcast_to(np.asarray(phase_slope(x), dtype=float), x.shape))
+        return np.abs(phase_slope(x))
 
     s = speed(edges)
     lo, hi, slo, shi = edges[:-1], edges[1:], s[:-1], s[1:]

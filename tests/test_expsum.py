@@ -9,22 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdcorput.expsum import curve_samples, direct_starred_sum, write_curve_csv
-from vdcorput.numutil import CHUNK, csum, integer_range, is_integer_like, nearest_integer
+from vdcorput.numutil import CHUNK, csum, integer_range, nearest_integer
 from vdcorput.phase import PhaseAmplitudeModel, builtin_family
 
-from helpers import jet_of
+from helpers import float_rule_range, jet_of
 
 
 def direct_starred_sum_unreduced(model, a, b):
     """Reference path without phase reduction (valid only for small f)."""
-    n_lo, n_hi = math.ceil(a), math.floor(b)
+    n_lo, n_hi, half_lo, half_hi = float_rule_range(a, b)
     ws = []
     for n in range(n_lo, n_hi + 1):
         w = float(model.g(n)) * complex(math.cos(2 * math.pi * float(model.f(n))),
                                         math.sin(2 * math.pi * float(model.f(n))))
-        if n == n_lo and is_integer_like(a):
+        if n == n_lo and half_lo:
             w *= 0.5
-        if n == n_hi and is_integer_like(b):
+        if n == n_hi and half_hi:
             w *= 0.5
         ws.append(w)
     return csum(ws)
@@ -33,13 +33,10 @@ def direct_starred_sum_unreduced(model, a, b):
 def direct_starred_sum_complex_exp(model, a, b, conjugate=False):
     """The kernel as it was before the cos/sin dot products: np.mod, complex
     exp and np.sum over 65 536-term chunks, chunk totals merged by csum."""
-    n_lo = math.ceil(a - 1e-12 * max(1.0, abs(a)))
-    n_hi = math.floor(b + 1e-12 * max(1.0, abs(b)))
+    n_lo, n_hi, half_lo, half_hi = float_rule_range(a, b)
     if n_hi < n_lo:
         return 0j
     parts = []
-    half_lo = is_integer_like(a)
-    half_hi = is_integer_like(b)
     n = n_lo
     while n <= n_hi:
         m = min(n + 65536 - 1, n_hi)

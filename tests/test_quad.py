@@ -24,11 +24,11 @@ ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
 
 def test_trivial_integrals():
     r = oscillatory_integral_raw(ONE, lambda x: 0.0 * np.asarray(x, dtype=float),
-                                 lambda x: 0.0, 0.0, 1.0, 1e-12)
+                                 lambda x: np.zeros_like(x), 0.0, 1.0, 1e-12)
     assert r.value == pytest.approx(1.0, abs=1e-12)
     # a full period of e(-x) integrates to zero
     r = oscillatory_integral_raw(ONE, lambda x: -np.asarray(x, dtype=float),
-                                 lambda x: -1.0, 0.0, 1.0, 1e-12)
+                                 lambda x: np.full_like(x, -1.0), 0.0, 1.0, 1e-12)
     assert abs(r.value) <= 1e-12
 
 
@@ -313,27 +313,14 @@ def test_presplit_matches_recursion_on_poisson_and_power_phase(monkeypatch):
 
     seen = _recorded_presplits(monkeypatch, calls)
     assert len(seen) == 66
+    # the untested first levels: the 65 Poisson splits take 308 slope calls
+    # with them and 590 when every level is tested
+    assert sum(ncalls for _, _, _, ncalls in seen[:65]) <= 308
     assert sum(len(e) == 3 for _, e, _, _ in seen) > 0      # stationary splits ran
     assert max(len(pieces) for _, _, pieces, _ in seen) > 1000 / quad._CYCLES
     for slope, edges, pieces, ncalls in seen:
         assert pieces == _reference_pieces(slope, edges)
         assert ncalls <= 49         # one slope call per level, not two per node
-
-
-def test_presplit_splits_untested_levels_next_to_a_stationary_point():
-    # r = 5 of the Poisson op has its stationary point inside [a, b], where
-    # no level has a slowest piece to bound it.  The first levels still go
-    # untested: one call on a guessed grid, checked level by level, where
-    # testing every level takes one call each
-    op, r = POISSON_OP, 5.0
-    model, _ = builtin_family("quadratic", op["params"], domain=tuple(op["domain"]))
-    slope = lambda x: np.asarray(model.f1(x), dtype=float) - r
-    edges = np.array([op["a"], float(invert_fprime(model, r)), op["b"]])
-    assert op["a"] < edges[1] < op["b"]
-    counted, reference = _counted(slope), _counted(slope)
-    got = quad._phase_pieces(counted, edges)
-    assert _same_pieces(got, phase_pieces_by_level(reference, edges))
-    assert counted.calls <= 6 < reference.calls
 
 
 def test_presplit_depth_cap_matches_recursion():
@@ -413,6 +400,7 @@ def test_presplit_matches_the_level_by_level_split(fam, params, domain, points):
         counted, reference = _counted(slope), _counted(slope)
         got = quad._phase_pieces(counted, edges)
         assert _same_pieces(got, phase_pieces_by_level(reference, edges)), (alpha, beta, r)
+        assert counted.calls <= reference.calls, (alpha, beta, r)
         skipped += counted.calls < reference.calls
     assert stationary and skipped
 
@@ -440,8 +428,10 @@ def test_presplit_matches_the_level_by_level_split_at_its_limits(case):
         slope = lambda x: np.full_like(x, 2.3741754858784305)
         edges = [1.2428327649956394, 7.9820144704625795]
     edges = np.array(edges)
-    got = quad._phase_pieces(slope, edges)
-    assert _same_pieces(got, phase_pieces_by_level(slope, edges))
+    counted, reference = _counted(slope), _counted(slope)
+    got = quad._phase_pieces(counted, edges)
+    assert _same_pieces(got, phase_pieces_by_level(reference, edges))
+    assert counted.calls <= reference.calls
     assert (got[0] is None) == (case in ("cap", "inf"))
     if got[0] is None:
         assert got[2] == 131_072
