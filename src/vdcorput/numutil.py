@@ -115,14 +115,16 @@ def nearest_decomp(x: float) -> NearestIntDecomp:
 
 def nearest_integer(x: float) -> NearestIntDecomp:
     """The integer rule, the one decision of whether x is an integer: where
-    ``is_integer_like(x)``, x is taken as the integer round(x), with offset
-    and distance 0; elsewhere the result is ``nearest_decomp(x)``.
+    ``is_integer_like(x)`` and x is not a half-integer, x is taken as the
+    integer round(x), with offset and distance 0; elsewhere the result is
+    ``nearest_decomp(x)``.
 
-    On a hit, round breaks a tie to the even integer.  From 5e8 on every
-    half-integer is a hit, so 500000001.5 is taken as 500000002, the
-    integer above it.
+    From |x| = 5e8 on the 1e-9 relative slack reaches 1/2, but a float whose
+    fractional part x - floor(x) is exactly 1/2 is never an integer, so
+    500000000.5 stays a half-integer: not halved as a limit, and not taken
+    by round's half-even tie as the integer above it.
     """
-    if is_integer_like(x):
+    if is_integer_like(x) and x - math.floor(x) != 0.5:
         return NearestIntDecomp(round(x), 0.0, 0.0)
     return nearest_decomp(x)
 

@@ -184,7 +184,9 @@ def invert_fprime(model: PhaseAmplitudeModel, r):
     f' is one-to-one) every r gets its own bracket, shrunk by safeguarded
     Newton steps to the float limit, where its midpoint equals one of its
     ends; each x_r is then polished by a few Newton steps inside that bracket.
-    A bracket halves at least every fifth step, so every call ends.
+    A bracket halves at least every fifth step, so every call ends.  A polish
+    step starts on an end and lands on one or is refused, so one jet of both
+    ends serves every step and the check.
     """
     rs = np.asarray(r, dtype=float)
     lo, hi = model.domain
@@ -196,15 +198,18 @@ def invert_fprime(model: PhaseAmplitudeModel, r):
         x = np.clip(model.fprime_inverse(rs), lo, hi)
         return x if rs.ndim else float(x)
     a, b = (v.reshape(rs.shape) for v in _newton_brackets(model, rs.ravel(), flo, fhi))
+    ends = np.stack((a, b))
+    fp, d = model.fjet(ends, 1, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = ends - (fp - rs) / d
+    ok = (d != 0.0) & (a <= step) & (step <= b)
     x = 0.5 * (a + b)
     polish = np.ones(rs.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(8):
-            fp, d = model.fjet(x, 1, 2)
-            x_new = x - (fp - rs) / d
-            polish &= (d != 0.0) & (a <= x_new) & (x_new <= b)
-            x = np.where(polish, x_new, x)
-    stalled = np.abs(model.f1(x) - rs) > 1e-12 * np.maximum(1.0, np.abs(rs))
+    for _ in range(8):
+        at_b = x == b
+        polish &= np.where(at_b, ok[1], ok[0])
+        x = np.where(polish, np.where(at_b, step[1], step[0]), x)
+    stalled = np.abs(np.where(x == b, fp[1], fp[0]) - rs) > 1e-12 * np.maximum(1.0, np.abs(rs))
     if stalled.any():
         raise RuntimeError(f"f' inversion stalled at x={float(x[stalled][0])} "
                            f"for r={float(rs[stalled][0])}")

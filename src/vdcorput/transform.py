@@ -105,19 +105,22 @@ def rhs_main_sum(model: PhaseAmplitudeModel, a: float, b: float) -> TransformRes
 
     A weight is halved when the corresponding limit f'(a) or f'(b) is an
     integer (family-exact detection when available).  All x_r come from one
-    inversion call, which raises rather than drop a term it cannot solve;
-    phases, weights and terms are then computed as arrays.  The terms are
-    summed correctly rounded, so reruns are bit-identical.
+    inversion call, which raises rather than drop a term it cannot solve, and
+    f and f'' at them from one jet; phases, weights and terms are then
+    computed as arrays.  The terms are summed correctly rounded, so reruns
+    are bit-identical.
     """
     r_lo, r_hi, half_lo, half_hi = integer_range(fprime_nearest(model, a), fprime_nearest(model, b))
     r = np.arange(r_lo, r_hi + 1)
     rf = r.astype(float)
     xr = invert_fprime(model, rf)
     if model.rhs_phase is not None:
+        (f2,) = model.fjet(xr, 2, 2)
         ph = model.rhs_phase(rf, xr)
     else:
-        ph = _phase_f_minus_rx(model.f(xr), xr, rf)
-    w = model.g(xr) / np.sqrt(model.f2(xr))
+        fx, _, f2 = model.fjet(xr, 0, 2)
+        ph = _phase_f_minus_rx(fx, xr, rf)
+    w = model.g(xr) / np.sqrt(f2)
     values = amplitude_e(w, ph + 0.125)
     if r.size and half_lo:
         values[0] *= 0.5

@@ -1,9 +1,9 @@
 """Helpers shared by the tests: a grid evaluator for the modified sawtooth's
 partial sums, the starred distance to the nearest integer, the float integer
-rule on two limits that ``numutil.nearest_integer`` took over, the fitted-
-constant convention of the acceptance suite, the recursive and the
-level-by-level references for the quadrature's batched pre-split, the
-Gauss-Kronrod rule built from its defining polynomials, the bisection that
+rule on two limits that ``numutil.nearest_integer`` took over, the inversion
+of f' with a jet call per Newton polish step, the fitted-constant convention
+of the acceptance suite, the recursive and the level-by-level references for
+the quadrature's batched pre-split, the Gauss-Kronrod rule built from its defining polynomials, the bisection that
 ``numutil.sign_change_roots`` must match and its form for one function,
 models and single-order views built from per-order callables, and the
 one-function-per-call critical-point formulas that the derivative jets of
@@ -31,7 +31,8 @@ from vdcorput import transform
 from vdcorput.errbudget import WRFunctions, fprime_nearest
 from vdcorput.numutil import (TWO_PI, amplitude_e, floor_frac, nearest_decomp, sawtooth_psi,
                               sign_change_roots)
-from vdcorput.phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
+from vdcorput.phase import (ConditionMProfile, InversionRangeError, PhaseAmplitudeModel,
+                            _newton_brackets, invert_fprime)
 from vdcorput.quad import oscillatory_integral_raw
 from vdcorput.transform import EndpointTerm
 
@@ -63,13 +64,43 @@ def dist_to_nearest_star(x: float) -> float:
 def float_rule_range(lo: float, hi: float) -> Tuple[int, int, bool, bool]:
     """(n_lo, n_hi, lo_hit, hi_hit) by the float rule as it stood in
     ``numutil.integer_range`` of two floats: a limit within 1e-9 relative of
-    an integer is a hit and is round(limit), else n_lo = ceil(lo) and
-    n_hi = floor(hi)."""
+    an integer, and not a half-integer, is a hit and is round(limit), else
+    n_lo = ceil(lo) and n_hi = floor(hi)."""
     def hit(x):
-        return abs(x - round(x)) <= 1e-9 * max(1.0, abs(x))
+        return abs(x - round(x)) <= 1e-9 * max(1.0, abs(x)) and x - math.floor(x) != 0.5
     lo_hit, hi_hit = hit(lo), hit(hi)
     return (round(lo) if lo_hit else math.ceil(lo), round(hi) if hi_hit else math.floor(hi),
             lo_hit, hi_hit)
+
+
+def invert_fprime_eight_step(model: PhaseAmplitudeModel, r):
+    """``phase.invert_fprime`` as it stood with a jet call per polish step:
+    the same float-limit brackets, then eight Newton steps from the midpoint,
+    each from its own ``fjet(x, 1, 2)`` call and kept only while it stays in
+    the bracket, and a last ``f1`` call for the check."""
+    rs = np.asarray(r, dtype=float)
+    lo, hi = model.domain
+    flo, fhi = model.fjet(np.array(model.domain), 1, 1)[0].tolist()
+    outside = ~((flo <= rs) & (rs <= fhi))
+    if outside.any():
+        raise InversionRangeError(float(rs[outside][0]), flo, fhi)
+    if model.fprime_inverse is not None:
+        x = np.clip(model.fprime_inverse(rs), lo, hi)
+        return x if rs.ndim else float(x)
+    a, b = (v.reshape(rs.shape) for v in _newton_brackets(model, rs.ravel(), flo, fhi))
+    x = 0.5 * (a + b)
+    polish = np.ones(rs.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(8):
+            fp, d = model.fjet(x, 1, 2)
+            x_new = x - (fp - rs) / d
+            polish &= (d != 0.0) & (a <= x_new) & (x_new <= b)
+            x = np.where(polish, x_new, x)
+    stalled = np.abs(model.f1(x) - rs) > 1e-12 * np.maximum(1.0, np.abs(rs))
+    if stalled.any():
+        raise RuntimeError(f"f' inversion stalled at x={float(x[stalled][0])} "
+                           f"for r={float(rs[stalled][0])}")
+    return x if rs.ndim else float(x)
 
 
 def fitted_constant(ratios: Sequence[float]) -> float:

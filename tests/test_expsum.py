@@ -84,6 +84,17 @@ def test_starred_count():
     assert direct_starred_sum(flat_model(), 3.0, 3.0) == pytest.approx(0.25)
 
 
+def test_a_half_integer_limit_is_never_an_integer():
+    # from 5e8 on the 1e-9 relative slack reaches 1/2: a half-integer limit
+    # is neither halved as an integer nor rounded half-even to the one above
+    assert integer_range(nearest_integer(1.0), nearest_integer(500000000.5)) == (
+        1, 500000000, True, False)
+    assert integer_range(nearest_integer(-500000000.5), nearest_integer(-1.0)) == (
+        -500000000, -1, False, True)
+    assert direct_starred_sum(flat_model(), 499999990.0, 500000000.5) == 10.5
+    assert direct_starred_sum(flat_model(), 499999991.0, 500000001.5) == 10.5
+
+
 def test_large_integral_limits_sum_exactly_the_integers_between_them():
     # the halved terms are the first and last summed, so no integer outside
     # [a, b] enters once a relative slack would span one or more integers

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from vdcorput import phase
-from vdcorput.phase import (FamilyError, InversionRangeError, builtin_family, family_model,
-                            invert_fprime)
+from vdcorput.phase import (FamilyError, InversionRangeError, PhaseAmplitudeModel,
+                            builtin_family, family_model, invert_fprime)
 
-from helpers import Orders, ReferenceWR, order
+from helpers import Orders, ReferenceWR, invert_fprime_eight_step, order
 
 FAMILIES = [
     ("power_phase", []),
@@ -201,6 +201,118 @@ def test_invert_ends_at_a_float_limit_bracket_in_a_few_steps():
     assert len(calls) <= 12
     xs = invert_fprime(model, rs)
     assert np.all((xs == a) | (xs == b))
+
+
+# the oscillatory dual-side ranges of the benchmark's dual workload, seeds
+# 0-8 (params, a, b; domain [5e4, 2e6]), and its audit ops' two (default domain)
+DUAL_OSCILLATORY = [
+    ([0.0010936, 1.0, 1.0], 103856.1432, 561348.4841),
+    ([0.0009836, 1.0, 1.0], 101296.6717, 609877.8318),
+    ([0.0009105, 1.0, 1.0], 102678.2555, 652028.5044),
+    ([0.001053, 1.0, 1.0], 109118.485, 584222.3464),
+    ([0.0010817, 1.0, 1.0], 104907.2476, 567506.5891),
+    ([0.00093, 1.0, 1.0], 104172.3686, 641959.4396),
+    ([0.0010771, 1.0, 1.0], 109948.3833, 574197.3525),
+    ([0.0010748, 1.0, 1.0], 106249.2323, 571587.4044),
+    ([0.0010159, 1.0, 1.0], 100296.5141, 592735.6062),
+]
+AUDIT_OSCILLATORY = [([1.0, 1.0, 1.0], 119.7268, 168.6761), ([1.0, 1.0, 1.0], 1000.0, 2000.0)]
+
+
+def _dual_rs(model, a, b):
+    return np.arange(math.ceil(float(model.f1(a))), math.floor(float(model.f1(b))) + 1,
+                     dtype=float)
+
+
+def _bare(name, params, domain=None):
+    return dataclasses.replace(family_model(name, params, domain=domain), fprime_inverse=None)
+
+
+@pytest.mark.parametrize("params,a,b", DUAL_OSCILLATORY + AUDIT_OSCILLATORY)
+def test_polish_from_one_jet_of_the_ends_has_the_eight_step_bits(params, a, b):
+    # the polish reads f' and f'' of both bracket ends from one jet; every
+    # x_r keeps the bits of eight Newton steps with a jet call each
+    domain = (5e4, 2e6) if a > 5e4 else None
+    model = family_model("oscillatory", params, domain=domain)
+    rs = _dual_rs(model, a, b)
+    assert _bits(invert_fprime(model, rs)) == _bits(invert_fprime_eight_step(model, rs))
+
+
+@pytest.mark.parametrize("name,params", [("power_phase", []), ("zeta_log", [0.5, 1000.0]),
+                                         ("ik_monomial", [2.5, 100.0, 1e4]),
+                                         ("exponential", [1.0, 2.0])])
+def test_polish_has_the_eight_step_bits_on_bare_families(name, params):
+    # the analytic inverse stripped: arrays, 2-d arrays and single r
+    bare = _bare(name, params)
+    lo, hi = bare.domain
+    xs = np.geomspace(lo, hi, 150) if lo > 0 else np.linspace(lo, hi, 150)
+    flo, fhi = (float(bare.f1(x)) for x in bare.domain)
+    rs = np.concatenate([bare.f1(xs), np.clip(np.round(bare.f1(xs[::3]) * 1.001), flo, fhi)])
+    assert _bits(invert_fprime(bare, rs)) == _bits(invert_fprime_eight_step(bare, rs))
+    grid = rs[:120].reshape(12, 10)
+    assert _bits(invert_fprime(bare, grid)) == _bits(invert_fprime_eight_step(bare, grid))
+    for r in rs[::17].tolist():
+        got = invert_fprime(bare, r)
+        assert isinstance(got, float)
+        assert _bits(got) == _bits(invert_fprime_eight_step(bare, r))
+
+
+def test_an_array_inversion_takes_its_bracket_steps_and_two_jet_calls():
+    # one jet for f' at the domain ends, one per bracket step, one for both
+    # ends of every bracket: the polish and its check call no jet of their own
+    params, a, b = DUAL_OSCILLATORY[0]
+    model = family_model("oscillatory", params, domain=(5e4, 2e6))
+    rs = _dual_rs(model, a, b)
+    calls = []
+
+    def fjet(x, lo, hi):
+        calls.append(np.shape(x))
+        return model.fjet(x, lo, hi)
+
+    counted = dataclasses.replace(model, fjet=fjet)
+    flo, fhi = model.fjet(np.array(model.domain), 1, 1)[0].tolist()
+    phase._newton_brackets(counted, rs, flo, fhi)
+    steps = len(calls)
+    calls.clear()
+    invert_fprime(counted, rs)
+    assert len(calls) <= steps + 2
+    assert calls[-1] == (2,) + rs.shape
+
+
+def test_brackets_reach_the_float_limit_across_a_non_finite_fprime_region():
+    # exponential(1, 2) on [0, 4000]: f' = 2^x log 2 overflows to inf from
+    # x ~ 1024 on, and the first midpoint, 2000, lies there.  Every bracket
+    # still ends at the float limit with f'(a) < r <= f'(b), which is the
+    # premise of the polish's two-end table
+    bare = _bare("exponential", [1.0, 2.0], domain=(0.0, 4000.0))
+    rs = np.geomspace(1.0, 1e300, 301)
+    with np.errstate(over="ignore"):
+        assert bare.f1(2000.0) == math.inf
+        flo, fhi = bare.fjet(np.array(bare.domain), 1, 1)[0].tolist()
+        a, b = phase._newton_brackets(bare, rs, flo, fhi)
+        xs = invert_fprime(bare, rs)
+        assert _bits(xs) == _bits(invert_fprime_eight_step(bare, rs))
+    mid = 0.5 * (a + b)
+    assert np.all((mid == a) | (mid == b)) and np.all(a < b)
+    assert np.all(bare.f1(a) < rs) and np.all(rs <= bare.f1(b))
+    assert np.all((xs == a) | (xs == b))
+
+
+def test_an_inversion_that_cannot_reach_r_still_raises_stalled():
+    # f' = x + [x >= 5] jumps over r = 5.5: the bracket closes on the jump
+    # and neither end is within 1e-12 of r
+    def fjet(x, lo, hi):
+        x = np.asarray(x, dtype=float)
+        return [[0.5 * x * x, x + (x >= 5.0), np.ones_like(x)][k] for k in range(lo, hi + 1)]
+
+    jump = PhaseAmplitudeModel(fjet=fjet, gjet=fjet, domain=(0.0, 10.0))
+    for r in (5.5, np.array([2.0, 5.5, 7.0])):
+        with pytest.raises(RuntimeError, match="stalled") as got:
+            invert_fprime(jump, r)
+        with pytest.raises(RuntimeError) as want:
+            invert_fprime_eight_step(jump, r)
+        assert str(got.value) == str(want.value)
+    assert invert_fprime(jump, 7.0) == 6.0
 
 
 def test_power_phase_derivative_values():

@@ -212,6 +212,43 @@ def test_headline_dual_side_in_closed_form():
     assert res.rhs_main == pytest.approx(want, rel=1e-13)
 
 
+def _hurwitz_sqrt(n):
+    """zeta(-1/2, n) at 30 digits from its large-n expansion (DLMF 25.11.43)
+    to the seventh Bernoulli term; at n = 101 the next term is 2e-32."""
+    s = mpmath.mpf(-0.5)
+    n = mpmath.mpf(n)
+    return (n ** (1 - s) / (s - 1) + n ** -s / 2
+            + mpmath.fsum(mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * mpmath.rf(s, 2 * k - 1)
+                          * n ** (1 - s - 2 * k) for k in range(1, 8)))
+
+
+@pytest.mark.parametrize("K", [10 ** 2, 10 ** 4, 10 ** 6])
+def test_power_phase_dual_side_and_d_b_in_hurwitz_closed_form(K):
+    # the paper's case at b = 12K^2: the terms above give e(1/8) sqrt(24)
+    # (sum_{r <= K} sqrt(r) - sqrt(K)/2), and sum_{r <= K} sqrt(r) =
+    # zeta(-1/2) - zeta(-1/2, K + 1).  mpmath's Hurwitz zeta at a negative s
+    # and an integer n steps n down one by one (7 s at K = 10^6), so the
+    # expansion stands in for it, checked against it where it is quick.
+    # The default domain stops at K = 288 675
+    model, profile = builtin_family("power_phase", domain=(1e-3, 1e16))
+    b = 12.0 * K * K
+    res = rhs_main_sum(model, 1.0, b)
+    assert res.r_range == (1, K)
+    with mpmath.workdps(30):
+        tail = _hurwitz_sqrt(K + 1)
+        if K <= 10 ** 4:
+            assert abs(tail - mpmath.zeta(-0.5, K + 1)) <= 1e-28 * abs(tail)
+        s = mpmath.zeta(-0.5) - tail - mpmath.sqrt(K) / 2
+        want = complex(mpmath.expjpi(mpmath.mpf(1) / 4) * mpmath.sqrt(24) * s)
+    assert abs(res.rhs_main - want) <= 2.0 ** -50 * abs(want)
+    # D(b): f(b) = 8K^3 and f'(b) = K are integers, f'' = 1/(24K) and
+    # f''' = -1/(576K^3), so D(b) = f''' / (6 pi i f''^2) = i / (6 pi K)
+    d_b = endpoint_term(endpoint(model, profile, b))
+    assert d_b.regime == "explicit-sawtooth" and d_b.bound == 0.0
+    want = 1j / (6.0 * math.pi * K)
+    assert abs(d_b.explicit - want) <= 2.0 ** -50 * abs(want)
+
+
 def test_sine_amplitude_dual_side_in_closed_form():
     # sine_amplitude(0.37) shares power_phase's f: x_r = 12 r^2, every phase
     # is 0 and 1/sqrt(f''(x_r)) = sqrt(24 r), so term r is
