@@ -537,7 +537,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(curve_svg(samples))
             print(f"{len(samples)} samples, S(tmax) = {samples[-1].value:.8g}")
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

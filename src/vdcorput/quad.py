@@ -1,4 +1,5 @@
-"""The panel quadrature engine and the oscillatory-integral oracle built on it.
+"""The panel quadrature engine and the oscillatory-integral oracle on it,
+whose one entry point is ``oscillatory_integral(model, r, alpha, beta, tol)``.
 
 The integrator is deliberately plain: panels are pre-split so the phase
 advances at most three cycles per panel (the phase derivative is monotone
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -223,47 +224,33 @@ def panel_integral(fn: Callable, los: np.ndarray, his: np.ndarray, tol: float,
     return QuadResult(value, total_err, int(los.size), converged)
 
 
-def oscillatory_integral_raw(gfun: Callable, phase: Callable, phase_slope: Callable,
-                             alpha: float, beta: float, tol: float,
-                             stationary: Optional[float] = None) -> QuadResult:
-    """integral of gfun(x) e(phase(x)) over [alpha, beta] by adaptive panels.
+def oscillatory_integral(model: PhaseAmplitudeModel, r: float,
+                         alpha: float, beta: float, tol: float) -> QuadResult:
+    """integral of g(x) e(f(x) - r x) over [alpha, beta] by adaptive panels.
 
-    ``gfun``, ``phase`` and ``phase_slope`` are vectorized: each takes a
-    float array of points and returns a float array of the same shape;
-    nothing is broadcast.  ``phase_slope`` must be monotone on the interval;
-    ``stationary`` names its zero when one lies inside, so the pre-split
-    starts there.  A pre-split that would need more than
-    ``DEFAULT_PANEL_CAP`` pieces (a steep or non-finite slope) stops there,
-    and the result is nan and unconverged, with nothing evaluated.
+    f' must be monotone; where f' - r rises through 0 inside [alpha, beta],
+    the pre-split starts at x_r = (f')^{-1}(r).  A pre-split that would need
+    more than ``DEFAULT_PANEL_CAP`` pieces (a steep or non-finite slope)
+    stops there, and the result is nan and unconverged, with nothing evaluated.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if beta <= alpha:
         return QuadResult(0j, 0.0, 0, True)
-    if stationary is not None and alpha < stationary < beta:
-        edges = np.array([alpha, stationary, beta], dtype=float)
-    else:
-        edges = np.array([alpha, beta], dtype=float)
-    los, his, pieces = _phase_pieces(phase_slope, edges)
+    slope = lambda x: model.f1(x) - r
+    edges = np.array([alpha, beta], dtype=float)
+    fa, fb = slope(edges)
+    if fa < 0 < fb:
+        xr = invert_fprime(model, r)
+        if alpha < xr < beta:
+            edges = np.array([alpha, xr, beta], dtype=float)
+    los, his, pieces = _phase_pieces(slope, edges)
     if los is None:
         return QuadResult(complex(math.nan, math.nan), math.inf, pieces, False)
 
     def integrand(x):
-        c, s = cis_turns(phase(x))
-        g = gfun(x)
+        c, s = cis_turns(model.f(x) - r * x)
+        g = model.g(x)
         return np.multiply(c, g, out=c), np.multiply(s, g, out=s)
 
     return panel_integral(integrand, los, his, tol)
-
-
-def oscillatory_integral(model: PhaseAmplitudeModel, r: float,
-                         alpha: float, beta: float, tol: float) -> QuadResult:
-    """integral of g(x) e(f(x) - r x) over [alpha, beta]."""
-    phase = lambda x: model.f(x) - r * x
-    slope = lambda x: model.f1(x) - r
-    stationary = None
-    fa, fb = slope(np.array([alpha, beta]))
-    if fa < 0 < fb:
-        stationary = invert_fprime(model, r)
-    return oscillatory_integral_raw(model.g, phase, slope, alpha, beta, tol,
-                                    stationary=stationary)

@@ -32,8 +32,7 @@ from vdcorput.errbudget import WRFunctions, fprime_nearest
 from vdcorput.numutil import (TWO_PI, amplitude_e, floor_frac, nearest_decomp, sawtooth_psi,
                               sign_change_roots)
 from vdcorput.phase import (ConditionMProfile, InversionRangeError, PhaseAmplitudeModel,
-                            _newton_brackets, invert_fprime)
-from vdcorput.quad import oscillatory_integral_raw
+                            _newton_brackets, family_model, invert_fprime)
 from vdcorput.transform import EndpointTerm
 
 
@@ -265,6 +264,14 @@ def jet_of(*orders):
     return lambda x, lo, hi: [fn(x) for fn in orders[lo:hi + 1]]
 
 
+def bare_model(f, f1, g) -> PhaseAmplitudeModel:
+    """A model from a bare phase f, its slope f1 and an amplitude g, each a
+    vectorized callable: enough for ``quad.oscillatory_integral`` where f1
+    keeps its sign on the interval (no inversion of f' is asked for)."""
+    return PhaseAmplitudeModel(fjet=jet_of(f, f1), gjet=jet_of(g),
+                               domain=(-math.inf, math.inf))
+
+
 def order(jet, k):
     """The derivative of order k alone, as a callable of x."""
     return lambda x: jet(x, k, k)[0]
@@ -439,11 +446,8 @@ def fresnel_modified(u: float) -> complex:
         tail = 1j * complex(amplitude_e(1.0, half_sq)) / (2.0 * math.pi * u) * total
         return complex(amplitude_e(0.5, 0.125)) - tail
     base = fresnel_modified(_FRESNEL_SERIES_CUT)
-    res = oscillatory_integral_raw(
-        lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-        lambda x: np.asarray(x, dtype=float),
-        _FRESNEL_SERIES_CUT, u, tol=1e-13)
+    res = quad.oscillatory_integral(family_model("quadratic", [1.0]), 0.0,
+                                    _FRESNEL_SERIES_CUT, u, tol=1e-13)
     return base + res.value
 
 

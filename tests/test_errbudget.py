@@ -405,38 +405,6 @@ def _pm_terms_mp(jet, sigma):
 
 @pytest.mark.parametrize("family,params,lo,hi", [("sine_amplitude", [0.006], 110.0, 300.0),
                                                  ("zeta_log", [0.5, 1000.0], 20.0, 200.0)])
-def test_pm_terms_of_an_array_equal_those_of_its_points(family, params, lo, hi):
-    # kappa_functional takes its isolated points, sign changes and interval
-    # ends one at a time: each must round as it does inside a scan.  On
-    # sine_amplitude(0.006) a numpy scalar's square (libm's pow) moved W and
-    # W' at 1 point of the + branch and 3 of the - branch
-    model, _ = builtin_family(family, params)
-    wr = eb.WRFunctions(model)
-    xs = np.linspace(lo, hi, 4001)
-    with np.errstate(invalid="ignore"):
-        for sigma in (+1, -1):
-            got = np.array(wr.pm_terms(xs, sigma))
-            per_point = np.array([wr.pm_terms(x, sigma) for x in xs.tolist()]).T
-            assert np.array_equal(got, per_point, equal_nan=True), sigma
-
-
-@pytest.mark.parametrize("family,params", [("sine_amplitude", [0.006]),
-                                           ("oscillatory", [1.0, 1.0, 1.0])])
-def test_zero_terms_of_an_array_equal_those_of_its_points(family, params):
-    # the same for the 0 branch: with f''^5 and f''^6 as numpy powers, W and
-    # W' differed at 161 and 195 of these points on sine_amplitude(0.006)
-    # and at 155 and 161 on oscillatory(1, 1, 1)
-    model, _ = builtin_family(family, params)
-    wr = eb.WRFunctions(model)
-    xs = np.linspace(110.0, 300.0, 4001)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        got = np.array(wr.zero_terms(xs))
-        per_point = np.array([wr.zero_terms(x) for x in xs.tolist()]).T
-    assert np.array_equal(got, per_point, equal_nan=True)
-
-
-@pytest.mark.parametrize("family,params,lo,hi", [("sine_amplitude", [0.006], 110.0, 300.0),
-                                                 ("zeta_log", [0.5, 1000.0], 20.0, 200.0)])
 def test_pm_terms_powers_as_products_against_40_digit_mpmath(family, params, lo, hi):
     # g''^3, P^3 and P^4 are products of rounded squares, not one pow: on
     # points where g'' or P is negative (sine_amplitude's g'' = -a^2 sin ax,

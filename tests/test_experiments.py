@@ -442,6 +442,9 @@ def test_cli_transform_at_a_limit_near_an_integer():
     (["budget", "--family", "quadratic", "--params", "0.5", "--a", "2", "--b", "2"],
      "the budget needs b > a, got a = b = 2.0"),
     (["budget", "--a", "5", "--b", "5"], "the budget needs b > a, got a = b = 5.0"),
+    # an output path that cannot be written ended in a FileExistsError traceback
+    (["budget", "--a", "100", "--b", "200", "--json", "/dev/null"], "File exists"),
+    (["curve", "--tmax", "5", "--svg", "/dev/null/s.svg"], "File exists"),
 ])
 def test_cli_non_finite_limit_is_an_error_not_a_traceback(argv, limit, capsys):
     # a warning, which pytest keeps off stderr, is one more stderr line in a shell

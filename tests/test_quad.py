@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from vdcorput import quad
 from vdcorput.numutil import amplitude_e, cis_turns
-from vdcorput.phase import builtin_family, invert_fprime
-from vdcorput.quad import oscillatory_integral, oscillatory_integral_raw, panel_integral
+from vdcorput.phase import builtin_family, family_model, invert_fprime
+from vdcorput.quad import oscillatory_integral, panel_integral
 
-from helpers import (derivative_test_bounds, fresnel_modified, gauss_kronrod,
+from helpers import (bare_model, derivative_test_bounds, fresnel_modified, gauss_kronrod,
                      phase_pieces_by_level, presplit_reference, stationary_phase_estimate)
 from test_quad_golden import POISSON_OP
 
@@ -23,12 +23,13 @@ ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
 
 
 def test_trivial_integrals():
-    r = oscillatory_integral_raw(ONE, lambda x: 0.0 * np.asarray(x, dtype=float),
-                                 lambda x: np.zeros_like(x), 0.0, 1.0, 1e-12)
+    flat = bare_model(lambda x: 0.0 * np.asarray(x, dtype=float), np.zeros_like, ONE)
+    r = oscillatory_integral(flat, 0.0, 0.0, 1.0, 1e-12)
     assert r.value == pytest.approx(1.0, abs=1e-12)
     # a full period of e(-x) integrates to zero
-    r = oscillatory_integral_raw(ONE, lambda x: -np.asarray(x, dtype=float),
-                                 lambda x: np.full_like(x, -1.0), 0.0, 1.0, 1e-12)
+    falling = bare_model(lambda x: -np.asarray(x, dtype=float),
+                         lambda x: np.full_like(x, -1.0), ONE)
+    r = oscillatory_integral(falling, 0.0, 0.0, 1.0, 1e-12)
     assert abs(r.value) <= 1e-12
 
 
@@ -219,7 +220,7 @@ def test_nonfinite_amplitude_or_phase_is_nonfinite_and_unconverged(bad):
     else:
         phase = lambda t: np.where(x(t) > 0.7, spoil, 0.5 * x(t) ** 2)
     with np.errstate(invalid="ignore"):
-        res = oscillatory_integral_raw(gfun, phase, x, 0.0, 1.0, 1e-9)
+        res = oscillatory_integral(bare_model(phase, x, gfun), 0.0, 0.0, 1.0, 1e-9)
     assert not res.converged
     assert not cmath.isfinite(res.value)
 
@@ -449,8 +450,9 @@ def test_unresolvable_presplit_is_capped_and_unconverged(case):
             model, _ = builtin_family("quadratic", [0.38, 30.0], domain=(-100.0, 100.0))
             res = oscillatory_integral(model, 1e9, 0.5, 30.5, 1e-9)
         else:
-            res = oscillatory_integral_raw(ONE, lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-                                           lambda x: np.full_like(x, np.nan), 0.0, 1.0, 1e-9)
+            model = bare_model(lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
+                               lambda x: np.full_like(x, np.nan), ONE)
+            res = oscillatory_integral(model, 0.0, 0.0, 1.0, 1e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -472,8 +474,7 @@ def test_fresnel_zero_and_limit():
 
 
 def test_fresnel_against_internal_quadrature():
-    ref = oscillatory_integral_raw(ONE, lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-                                   lambda x: np.asarray(x, dtype=float), 0.0, 1.0, 1e-13)
+    ref = oscillatory_integral(family_model("quadratic", [1.0]), 0.0, 0.0, 1.0, 1e-13)
     assert abs(fresnel_modified(1.0) - ref.value) <= 1e-10
 
 

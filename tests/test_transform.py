@@ -222,25 +222,33 @@ def _hurwitz_sqrt(n):
                           * n ** (1 - s - 2 * k) for k in range(1, 8)))
 
 
-@pytest.mark.parametrize("K", [10 ** 2, 10 ** 4, 10 ** 6])
-def test_power_phase_dual_side_and_d_b_in_hurwitz_closed_form(K):
+HURWITZ_CASES = [(K, False) for K in (10 ** 2, 10 ** 4, 10 ** 6, 3 * 10 ** 6)]
+HURWITZ_CASES += [(K, True) for K in (10 ** 2, 10 ** 4, 3 * 10 ** 6)]
+
+
+@pytest.mark.parametrize("K,off", HURWITZ_CASES,
+                         ids=[f"{K}-off" if off else str(K) for K, off in HURWITZ_CASES])
+def test_power_phase_dual_side_and_d_b_in_hurwitz_closed_form(K, off):
     # the paper's case at b = 12K^2: the terms above give e(1/8) sqrt(24)
     # (sum_{r <= K} sqrt(r) - sqrt(K)/2), and sum_{r <= K} sqrt(r) =
-    # zeta(-1/2) - zeta(-1/2, K + 1).  mpmath's Hurwitz zeta at a negative s
-    # and an integer n steps n down one by one (7 s at K = 10^6), so the
-    # expansion stands in for it, checked against it where it is quick.
-    # The default domain stops at K = 288 675
+    # zeta(-1/2) - zeta(-1/2, K + 1).  Off that limit, at b = 12K^2 + 12K,
+    # f'(b) = sqrt(K^2 + K) is no integer, so no term is halved.  mpmath's
+    # Hurwitz zeta at a negative s and an integer n steps n down one by one
+    # (7 s at K = 10^6), so the expansion stands in for it, checked against
+    # it where it is quick.  The default domain stops at K = 288 675
     model, profile = builtin_family("power_phase", domain=(1e-3, 1e16))
-    b = 12.0 * K * K
+    b = 12.0 * K * K + (12.0 * K if off else 0.0)
     res = rhs_main_sum(model, 1.0, b)
     assert res.r_range == (1, K)
     with mpmath.workdps(30):
         tail = _hurwitz_sqrt(K + 1)
         if K <= 10 ** 4:
             assert abs(tail - mpmath.zeta(-0.5, K + 1)) <= 1e-28 * abs(tail)
-        s = mpmath.zeta(-0.5) - tail - mpmath.sqrt(K) / 2
+        s = mpmath.zeta(-0.5) - tail - (0 if off else mpmath.sqrt(K) / 2)
         want = complex(mpmath.expjpi(mpmath.mpf(1) / 4) * mpmath.sqrt(24) * s)
     assert abs(res.rhs_main - want) <= 2.0 ** -50 * abs(want)
+    if off:
+        return
     # D(b): f(b) = 8K^3 and f'(b) = K are integers, f'' = 1/(24K) and
     # f''' = -1/(576K^3), so D(b) = f''' / (6 pi i f''^2) = i / (6 pi K)
     d_b = endpoint_term(endpoint(model, profile, b))
