@@ -29,8 +29,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numutil import (NearestIntDecomp, check_interval, integer_range, nearest_integer,
-                      sawtooth_s, sign_change_roots)
+from .numutil import (NearestIntDecomp, check_interval, integer_range, nearest_decomp,
+                      nearest_integer, sawtooth_s, sign_change_roots)
 from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
 from .quad import panel_integral
 
@@ -91,11 +91,18 @@ class ConditionMReport:
 
 def fprime_nearest(model: PhaseAmplitudeModel, x: float) -> NearestIntDecomp:
     """The integer decision of f'(x): the family's exact test where the model
-    has one and it finds an integer, else ``nearest_integer`` of f'(x)."""
+    has one and it finds an integer, else ``nearest_integer`` of f'(x).  A
+    complete test's "no" (the model has ``fprime_offset``) is final, with the
+    exact offset within 2 ulps of the integer, where the float's sign may err."""
     r = model.fprime_integer(x) if model.fprime_integer is not None else None
     if r is not None:
         return NearestIntDecomp(r, 0.0, 0.0)
-    return nearest_integer(float(model.f1(x)))
+    f1 = float(model.f1(x))
+    d = nearest_integer(f1) if model.fprime_offset is None else nearest_decomp(f1)
+    if model.fprime_offset is None or d.dist > 2.0 * math.ulp(f1):
+        return d
+    off = model.fprime_offset(x, d.nearest)
+    return NearestIntDecomp(d.nearest, off, abs(off))
 
 
 def endpoint(model: PhaseAmplitudeModel, profile: ConditionMProfile, mu: float) -> Endpoint:
@@ -180,12 +187,17 @@ class WRFunctions:
     the 0 branch is r_0 = f' - 3 g f''^2 / H.  Each assumes the point is
     inside the region where its branch is defined (g'' != 0 for the pm pair,
     H != 0 for the 0 pair); no masking is done here.
+
+    Both take the jets and what their terms share at every point x; given
+    ``parts``, slices of x, one per row of (W, W', r') as ``kappa_cuts``
+    asks, they take each row on its slice only, with the same bits.
     """
 
     model: PhaseAmplitudeModel
 
-    def pm_terms(self, x, sigma):
-        """(W_sigma, W_sigma', r_sigma') at the points x from g ... g''' and f'' ... f''''."""
+    def pm_terms(self, x, sigma, parts=None):
+        """(W_sigma, W_sigma', r_sigma') at the points x from g ... g''' and
+        f'' ... f''''; sigma is +1, -1 or a column of them, a branch a row."""
         g, g1, g2, g3 = self.model.gjet(x, 0, 3)
         f2, f3, f4 = self.model.fjet(x, 2, 4)
         H = g * f3 + 3.0 * g1 * f2
@@ -202,14 +214,14 @@ class WRFunctions:
         g2_3 = g2_2 * g2
         P2 = P * P
         P3 = P2 * P
-        W = 4.0 * g2_2 * g1 / P2 - 8.0 * g2_3 * f2 * g / P3
-        A_p = (8.0 * g2 * g3 * g1 + 4.0 * g2_3) / P2 - 8.0 * g2_2 * g1 * Pp / P3
-        B_p = 8.0 * (3.0 * g2_2 * g3 * f2 * g + g2_3 * f3 * g + g2_3 * f2 * g1) / P3 \
-            - 24.0 * g2_3 * f2 * g * Pp / (P2 * P2)
-        r_p = f2 - (Pp / (2.0 * g2) - P * g3 / (2.0 * g2_2))
-        return W, A_p - B_p, r_p
+        jets, branch = (g, g1, g2, g3, f2, f3, g2_2, g2_3), (P, Pp, P2, P3)
+        if parts is None:
+            return _pm_terms(range(3), *jets, *branch)
+        k = np.size(sigma)
+        return _sliced(parts, lambda c, s: _pm_terms(
+            (c // k,), *(v[s] for v in jets), *(v.reshape(k, -1)[c % k, s] for v in branch))[0])
 
-    def zero_terms(self, x):
+    def zero_terms(self, x, parts=None):
         """(W_0, W_0', r_0') at the points x from g ... g'' and f'' ... f'''' (the 0
         branch needs no g''')."""
         g, g1, g2 = self.model.gjet(x, 0, 2)
@@ -220,11 +232,34 @@ class WRFunctions:
         H2, f2_2 = H * H, f2 * f2
         f2_4 = f2_2 * f2_2
         f2_5, f2_6 = f2_4 * f2, f2_4 * f2_2
-        W = -H2 * f3 / (27.0 * g * f2_5)
-        W_p = (-(2.0 * H * Hp * f3 + H2 * f4) / (27.0 * g * f2_5)
-               + H2 * f3 * (g1 * f2 + 5.0 * g * f3) / (27.0 * (g * g) * f2_6))
-        num = (g1 * f2_2 + 2.0 * g * f2 * f3) * H - g * f2_2 * Hp
-        return W, W_p, f2 - 3.0 * num / H2
+        shared = (g, g1, f2, f3, f4, H, Hp, H2, f2_2, f2_5, f2_6)
+        if parts is None:
+            return _zero_terms(range(3), *shared)
+        return _sliced(parts, lambda c, s: _zero_terms((c,), *(v[s] for v in shared))[0])
+
+
+def _sliced(parts, term):
+    """term(c, s) for each component c and its slice s, empty for an empty s."""
+    return [term(c, s) if s.stop > s.start else np.empty(0) for c, s in enumerate(parts)]
+
+
+def _pm_terms(parts, g, g1, g2, g3, f2, f3, g2_2, g2_3, P, Pp, P2, P3):
+    """W, W' and r' (parts 0, 1, 2) of a pm branch, those of parts in turn."""
+    terms = (lambda: 4.0 * g2_2 * g1 / P2 - 8.0 * g2_3 * f2 * g / P3,
+             lambda: ((8.0 * g2 * g3 * g1 + 4.0 * g2_3) / P2 - 8.0 * g2_2 * g1 * Pp / P3)
+             - (8.0 * (3.0 * g2_2 * g3 * f2 * g + g2_3 * f3 * g + g2_3 * f2 * g1) / P3
+                - 24.0 * g2_3 * f2 * g * Pp / (P2 * P2)),
+             lambda: f2 - (Pp / (2.0 * g2) - P * g3 / (2.0 * g2_2)))
+    return [terms[part]() for part in parts]
+
+
+def _zero_terms(parts, g, g1, f2, f3, f4, H, Hp, H2, f2_2, f2_5, f2_6):
+    """W_0, W_0' and r_0' (parts 0, 1, 2), those of parts in turn."""
+    terms = (lambda: -H2 * f3 / (27.0 * g * f2_5),
+             lambda: (-(2.0 * H * Hp * f3 + H2 * f4) / (27.0 * g * f2_5)
+                      + H2 * f3 * (g1 * f2 + 5.0 * g * f3) / (27.0 * (g * g) * f2_6)),
+             lambda: f2 - 3.0 * ((g1 * f2_2 + 2.0 * g * f2 * f3) * H - g * f2_2 * Hp) / H2)
+    return [terms[part]() for part in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +310,17 @@ def partition_assumptions(model: PhaseAmplitudeModel, lo: float, hi: float,
     Raises PartitionDegeneracyError when H^2-G tends to 0 at a J_pm endpoint
     or g at a J_0 endpoint.
     """
-    def signs(x):
+    def signs(x, parts=None):
         # G, H^2 - G, H, g, g'' and g' at x from one f jet and one g jet, with
-        # H = g f''' + 3 g' f'' and G = 12 g g'' f''^2
+        # H = g f''' + 3 g' f'' and G = 12 g g'' f''^2; given parts, slices of
+        # x, each of the first len(parts) on its slice only
         g, g1, g2 = model.gjet(x, 0, 2)
         f2, f3 = model.fjet(x, 2, 3)
         H = g * f3 + 3.0 * g1 * f2
         G = 12.0 * g * g2 * f2 ** 2
-        return [G, H ** 2 - G, H, g, g2, g1]
+        if parts is None:
+            return [G, H ** 2 - G, H, g, g2, g1]
+        return _sliced(parts, lambda c, s: H[s] ** 2 - G[s] if c == 1 else (G, H, H, g, g2)[c][s])
 
     xs = np.linspace(lo, hi, _PARTITION_SCAN)
     *vals, g1 = signs(xs)
@@ -292,7 +330,7 @@ def partition_assumptions(model: PhaseAmplitudeModel, lo: float, hi: float,
 
     # breakpoints where any governing sign can flip, and samples landing
     # exactly on a zero of a function that is not zero everywhere
-    roots = sign_change_roots(lambda t: signs(t)[:5], xs, vals)
+    roots = sign_change_roots(signs, xs, vals)
     g_roots, g2_roots = np.array(roots[3]), np.array(roots[4])
     cuts = {lo, hi}.union(*roots)
     for v in vals:
@@ -397,10 +435,11 @@ def kappa_cuts(terms: Callable, intervals: Sequence[Tuple[float, float]],
 
     ``terms(x)`` gives (W, W', r') at the points x, each of shape
     (branches, len(x)) or, for one branch, (len(x),), so the branches share
-    their jets.  Each interval is scanned at 4 096 points and a third into
-    each gap, one ``terms`` call each (one call on both would make the J_pm
-    pair's arrays 131 KB, past malloc's mmap threshold, so mapped and faulted
-    in afresh on every call).
+    their jets, and ``terms(x, parts)`` each row on its slice of x only.
+    Each interval is scanned at 4 096 points, and a W or W' row that changes
+    sign there (one that keeps it has no root either way) a third into each
+    gap too, in one more call (one call on both would make the J_pm pair's
+    arrays 131 KB, past malloc's mmap threshold: mapped afresh each call).
     The sign changes of r' and the zeros of W and W' (the integrand's kinks)
     of all intervals and branches are bisected in one ``sign_change_roots``
     loop; a zero of W or W' joins only on an interval whose scan resolves
@@ -411,20 +450,19 @@ def kappa_cuts(terms: Callable, intervals: Sequence[Tuple[float, float]],
     xs = np.linspace(e[:, 0] + pad, e[:, 1] - pad, _KAPPA_SCAN, axis=1)
     probes = xs[:, :-1] + (xs[:, 1:] - xs[:, :-1]) / 3.0
 
-    def rows(x):
-        # W, W' and r' at x, one row per branch each
-        return [r for part in terms(x) for r in part.reshape(-1, x.size)]
-
-    # an interval's probes only decide which of its rows the scan resolves,
-    # and are not kept: a heap grown past what the rest of a transform uses
-    # is trimmed after the budget and faulted in again
-    scans, resolved = [], []
-    for x, probe in zip(xs, probes):
-        scans.append(rows(x))
-        resolved.append([_resolved(s, p) for s, p in zip(scans[-1], rows(probe))])
-    branches = len(scans[0]) // 3
-    vals = [np.array(v) for v in zip(*scans)]
-    use = [[c >= 2 * branches or r[c] for r in resolved] for c in range(3 * branches)]
+    scans = [[r for part in terms(x) for r in part.reshape(-1, x.size)] for x in xs]
+    vals = np.array(list(zip(*scans)))  # [row of terms][interval][scan point]
+    branches = len(vals) // 3
+    neg = vals[:2 * branches] < 0
+    flips = (neg[..., 1:] != neg[..., :-1]).any(axis=2)
+    # the probes of an interval are not kept: a heap grown past what the rest
+    # of a transform uses is trimmed after the budget and faulted in again
+    use = np.ones(vals.shape[:2], dtype=bool)
+    for j in np.flatnonzero(flips.any(axis=0)).tolist():
+        rows = flips[:, j].tolist() + [False] * branches
+        got = terms(probes[j], [slice(0, probes[j].size * f) for f in rows])
+        for c in np.flatnonzero(rows).tolist():
+            use[c, j] = _resolved(vals[c, j], got[c])
     roots = sign_change_roots(terms, xs, vals, use)
     W, W_p, r_p = (roots[part * branches:(part + 1) * branches] for part in range(3))
     return [[(r, w + w_p) for w, w_p, r in zip(*branch)] for branch in zip(W, W_p, r_p)]
@@ -576,12 +614,13 @@ def _k_terms(model: PhaseAmplitudeModel,
     """(kappa_0, kappa_+, kappa_-, J_null sum): the K functionals over J_0 and
     both branches of J_pm, and the isolated amplitude-zero sum."""
     wr = WRFunctions(model)
-    (cuts,) = kappa_cuts(wr.zero_terms, partition.j0) if partition.j0 else ([],)
+    (cuts,) = kappa_cuts(lambda x, parts=None: wr.zero_terms(x, parts),
+                         partition.j0) if partition.j0 else ([],)
     k0 = kappa_functional(wr.zero_terms, partition.j0, partition.j0_isolated, cuts)
     # both branches from one jet per scan point, sigma = +1 and -1 as rows
     pm = ([], [])
     if partition.jpm:
-        pm = kappa_cuts(lambda x: wr.pm_terms(x, _SIGMAS), partition.jpm)
+        pm = kappa_cuts(lambda x, parts=None: wr.pm_terms(x, _SIGMAS, parts), partition.jpm)
     kp, km = (kappa_functional(lambda x, s=sigma: wr.pm_terms(x, s), partition.jpm,
                                partition.jpm_isolated, cuts)
               for sigma, cuts in zip((+1, -1), pm))

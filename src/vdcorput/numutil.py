@@ -504,11 +504,13 @@ _LEVELS = 8
 _STEP_POINTS = 4096
 
 
-def _bisect_paths(fn, cmp, sgn, lo, hi, flo, fhi):
+def _bisect_paths(fn, cmp, sgn, lo, hi, flo, fhi, k):
     """The last brackets of the bisections of the brackets (lo, hi), all in
-    one loop that calls fn once per step: bracket j reads sgn[j] times
-    component cmp[j] of fn, with the values flo[j] < 0 and fhi[j] (not
-    negative) at its ends, and the brackets come in order of cmp.
+    one loop that calls fn(x, parts) once per step: x the midpoints inside
+    the live brackets, bracket by bracket, and parts the slice of each of
+    the k components, the points of the brackets that read it.  Bracket j
+    reads sgn[j] times component cmp[j], with the values flo[j] < 0 and
+    fhi[j] (not negative) at its ends; the brackets come in order of cmp.
 
     A step takes a bracket down as many as 8 levels of its bisection: it
     evaluates the next midpoints on the path to the bracket's root estimate
@@ -523,63 +525,74 @@ def _bisect_paths(fn, cmp, sgn, lo, hi, flo, fhi):
     constant) is a simple zero of the cube root.  The loop works on the
     live brackets, ids idx, and puts each in out when done.
     """
-    out = np.stack((lo, hi))
-    cube = np.zeros(lo.shape, dtype=bool)
+    ends, vals = np.array((lo, hi)), np.array((flo, fhi))
+    out = ends.copy()
+    cube, cubed = np.zeros(lo.shape, dtype=bool), False
     idx = np.arange(lo.size)
+    bounds = np.searchsorted(cmp, np.arange(k + 1))
     for step in range(FLOAT_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        on = (mid != lo) & (mid != hi)
-        if np.count_nonzero(on) < on.size:
-            out[:, idx[~on]] = lo[~on], hi[~on]
-            idx, lo, hi, flo, fhi = idx[on], lo[on], hi[on], flo[on], fhi[on]
+        mid = 0.5 * (ends[0] + ends[1])
+        on = np.logical_and(*(mid != ends))
+        if not on.all():
+            out[:, idx[~on]] = ends[:, ~on]
+            idx, ends, vals = idx[on], ends[:, on], vals[:, on]
             mid, cube, sgn, cmp = mid[on], cube[on], sgn[on], cmp[on]
-        if not idx.size:
+            bounds = np.searchsorted(cmp, np.arange(k + 1))
+        lo, hi = ends
+        n = idx.size
+        if not n:
             break
         with np.errstate(all="ignore"):
-            ga, gb = np.where(cube, np.cbrt(flo), flo), np.where(cube, np.cbrt(fhi), fhi)
+            ga, gb = vals.copy() if cubed else vals
+            if cubed:
+                ga[cube], gb[cube] = np.cbrt(vals[:, cube])
             est = lo + (hi - lo) * (ga / (ga - gb))
         est = np.where((lo <= est) & (est <= hi), est, mid)
-        # the path to est: each level's midpoint, whether the path goes right
-        # there, and whether it is inside its bracket (not at the float limit)
-        levels = min(_LEVELS, max(1, _STEP_POINTS // idx.size))
-        ms, right = np.empty((levels, idx.size)), np.empty((levels, idx.size), dtype=bool)
-        inside = np.empty(ms.shape, dtype=bool)
-        a, b = lo, hi
+        # the path to est: each level's midpoint, whether it differs from both
+        # ends (so it is inside its bracket, not at the float limit, and the
+        # levels inside come first) and which way the path goes there, moving
+        # the ends ab; ms holds the midpoints by level, then hi and lo, and v
+        # their values times sgn
+        levels = min(_LEVELS, max(1, _STEP_POINTS // n))
+        ms, v = mv = np.empty((2, levels + 2, n))
+        ms[levels:], v[levels:] = ends[::-1], vals[::-1]
+        neq, ways = np.empty((2, levels, 2, n), dtype=bool)
+        a, b = ab = ends.copy()
         for t in range(levels):
-            ms[t] = m = 0.5 * (a + b)
-            inside[t] = (m != a) & (m != b)
-            right[t] = go = m <= est
-            a, b = np.where(go, m, a), np.where(go, b, m)
+            m, way = np.multiply(np.add(a, b, ms[t]), 0.5, ms[t]), ways[t]
+            np.not_equal(m, ab, neq[t])
+            np.logical_not(np.less_equal(m, est, way[0]), way[1])
+            np.copyto(ab, m, where=way)
+        inside = np.logical_and(neq[:, 0], neq[:, 1])
         # fn at the midpoints inside, bracket by bracket, so each component's
-        # points are one slice of them
-        cols = np.arange(idx.size)
-        at = np.broadcast_to(cols[:, None], inside.T.shape)[inside.T]
-        pts = ms.T[inside.T]
-        rows = [r for part in fn(pts) for r in np.reshape(part, (-1, pts.size))]
-        ends = np.searchsorted(cmp[at], np.arange(len(rows) + 1))
-        picked = np.concatenate([r[ends[c]:ends[c + 1]] for c, r in enumerate(rows)])
-        v = np.full(ms.shape, np.nan)
-        v.T[inside.T] = sgn[at] * picked
-        below = v < 0
+        # points are one slice of them, the points of its brackets
+        cuts = np.concatenate(([0], np.cumsum(inside.sum(axis=0))))[bounds].tolist()
+        mask = np.ascontiguousarray(inside.T)
+        vb = np.full(mask.shape, np.nan)
+        vb[mask] = np.concatenate(fn(np.ascontiguousarray(ms[:levels].T)[mask],
+                                     [slice(*c) for c in zip(cuts, cuts[1:])]))
+        below = np.multiply(vb.T, sgn, v[:levels]) < 0
         if not step:
             # nearer linear at the midpoint: the values or their cube roots
             with np.errstate(all="ignore"):
-                lin, cub = 0.5 * (flo + fhi), 0.5 * (np.cbrt(flo) + np.cbrt(fhi))
+                lin, cub = 0.5 * (vals[0] + vals[1]), 0.5 * (np.cbrt(vals[0]) + np.cbrt(vals[1]))
                 cube = np.abs(cub * cub * cub - v[0]) < np.abs(lin - v[0])
-        # the levels taken: those whose sign agrees with the path, and the
-        # first that does not (a sentinel level stops the rest); the new
-        # ends are the last midpoints taken with a negative and with a
-        # nonnegative value
-        off = np.ones((levels + 1, idx.size), dtype=bool)
-        off[:-1] = ~inside | (below != right)
+            cubed = bool(cube.any())
+        # the levels taken: the first ones whose signs agree with the path,
+        # and the next (a sentinel level disagrees); the new ends are the last
+        # midpoints taken with a negative and with a nonnegative value, or lo
+        # and hi (rows -1 and -2) where there is none.  A level past those
+        # inside repeats an end of its bracket, with a nan value: taken as a
+        # nonnegative end, it leaves the midpoint of the bracket, the root, as
+        # it is, and the bracket at the float limit
+        agree = np.zeros((levels + 1, n), dtype=bool)
+        np.equal(below, ways[:, 0], agree[:levels])
         level = np.arange(levels)[:, None]
-        taken = inside & (level <= off.argmax(axis=0))
-        last_lo = np.where(taken & below, level, -1).max(axis=0)
-        last_hi = np.where(taken & ~below, level, -1).max(axis=0)
-        new_lo, new_hi = last_lo >= 0, last_hi >= 0
-        lo, flo = np.where(new_lo, ms[last_lo, cols], lo), np.where(new_lo, v[last_lo, cols], flo)
-        hi, fhi = np.where(new_hi, ms[last_hi, cols], hi), np.where(new_hi, v[last_hi, cols], fhi)
-    out[:, idx] = lo, hi
+        taken = np.where(level <= agree.argmin(axis=0), level, -2)
+        last = np.array((np.where(below, taken, -1).max(axis=0),
+                         np.where(below, -2, taken).max(axis=0)))
+        ends, vals = mv[:, last, np.arange(n)]
+    out[:, idx] = ends
     return out[0], out[1]
 
 
@@ -588,9 +601,9 @@ def sign_change_roots(fn: Callable, xs, vals, use=None) -> list:
     changes sign, bisected to the float limit.
 
     xs is one scan, (n,), or one scan per row, (rows, n).  vals is the
-    sequence of the k components' values there, each of xs's shape.  fn maps
-    a 1-d array of points to the sequence of its components' values, as
-    arrays or as stacks of them (a stack's rows are components in turn).
+    sequence of the k components' values there, each of xs's shape.
+    fn(x, parts) maps a 1-d array of points and a list of k slices of it to
+    the list of the components' values, component c at x[parts[c]] only.
     ``use`` flags the rows of each component that take part, one per row of
     xs; all do by default.  A gap with a zero value at either end is skipped;
     nan counts as nonnegative.  Returns, for each of the k components, the
@@ -601,40 +614,35 @@ def sign_change_roots(fn: Callable, xs, vals, use=None) -> list:
     bracket is halved, keeping a negative value at the end where the gap's
     is negative, until its midpoint equals an end.  ``_bisect_paths`` finds
     those brackets, the bisection's bit for bit, for all gaps in one loop
-    that calls fn once per step, on points of every live bracket, each
-    reading its own component; no bracket takes more steps than its
-    bisection, which the float-halving bound caps.
+    that calls fn once per step, on points of every live bracket, with each
+    component's slice the points of the brackets that read it; no bracket
+    takes more steps than its bisection, which the float-halving bound caps.
     """
     xs = np.asarray(xs, dtype=float)
-    comps = list(vals)
     n = xs.shape[-1]
     X = xs.reshape(-1, n)
     rows = X.shape[0]
-    flags = np.ones((len(comps), rows), dtype=bool) if use is None else \
-        np.asarray(use, dtype=bool).reshape(len(comps), rows)
-    # the gaps (row, i) whose ends differ in sign, component by component
-    found = []
-    for c, v in enumerate(comps):
-        V = np.asarray(v, dtype=float).reshape(rows, n)
-        flat = (V < 0).ravel()
-        j = np.flatnonzero(flat[1:] != flat[:-1])
-        if not j.size:
-            continue
-        row, i = np.divmod(j[(j + 1) % n != 0], n)
-        keep = (V[row, i] != 0.0) & (V[row, i + 1] != 0.0) & flags[c, row]
-        row, i = row[keep], i[keep]
-        sgn = np.where(V[row, i] < 0, 1.0, -1.0)
-        found.append((np.full(row.size, c), row, X[row, i], X[row, i + 1],
-                      sgn, sgn * V[row, i], sgn * V[row, i + 1]))
-    keys = roots = np.empty(0)
-    if found:
-        cmp, row, lo, hi, sgn, flo, fhi = (np.concatenate(parts) for parts in zip(*found))
-        lo, hi = _bisect_paths(fn, cmp, sgn, lo, hi, flo, fhi)
-        keys, roots = cmp * rows + row, 0.5 * (lo + hi)
-    ends = np.searchsorted(keys, np.arange(len(comps) * rows + 1))
-    lists = [roots[ends[r]:ends[r + 1]].tolist() for r in range(len(comps) * rows)]
-    return [lists[c * rows:(c + 1) * rows] if xs.ndim > 1 else lists[c]
-            for c in range(len(comps))]
+    # row key = c * rows + row of component c, one array for all components
+    V = np.asarray(vals, dtype=float).reshape(-1, n)
+    k = V.shape[0] // rows
+    # the gaps (key, i) whose ends differ in sign, in order of key
+    flat = (V < 0).ravel()
+    j = np.flatnonzero(flat[1:] != flat[:-1])
+    key, i = np.divmod(j[(j + 1) % n != 0], n)
+    va, vb = V[key, i], V[key, i + 1]
+    keep = (va != 0.0) & (vb != 0.0)
+    if use is not None:
+        keep &= np.asarray(use, dtype=bool).ravel()[key]
+    key, i, va, vb = key[keep], i[keep], va[keep], vb[keep]
+    roots = np.empty(0)
+    if key.size:
+        row, sgn = key % rows, np.where(va < 0, 1.0, -1.0)
+        lo, hi = _bisect_paths(fn, key // rows, sgn, X[row, i], X[row, i + 1],
+                               sgn * va, sgn * vb, k)
+        roots = 0.5 * (lo + hi)
+    ends = np.searchsorted(key, np.arange(k * rows + 1))
+    lists = [roots[ends[r]:ends[r + 1]].tolist() for r in range(k * rows)]
+    return [lists[c * rows:(c + 1) * rows] if xs.ndim > 1 else lists[c] for c in range(k)]
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,9 @@ class PhaseAmplitudeModel:
     without it callers fall back to floating reduction, which loses accuracy
     once f reaches ~1e15.
     ``fprime_integer`` reports the exact integer value of f'(x) when family
-    arithmetic can decide it, None when it cannot.
+    arithmetic can decide it, None when it cannot.  A family whose test is
+    complete (its None proves f'(x) is no integer) has ``fprime_offset(x,
+    k)``, f'(x) - k exact in sign for the integer k nearest f'(x).
     """
 
     fjet: Jet
@@ -81,6 +83,7 @@ class PhaseAmplitudeModel:
     fprime_inverse: Optional[Func] = None
     rhs_phase: Optional[Callable[[ArrayOrFloat, ArrayOrFloat], ArrayOrFloat]] = None
     fprime_integer: Optional[Callable[[float], Optional[int]]] = None
+    fprime_offset: Optional[Callable[[float, int], float]] = None
     name: str = "custom"
     params: Tuple[float, ...] = ()
 
@@ -285,6 +288,9 @@ def _power_phase_model(domain) -> PhaseAmplitudeModel:
         fprime_inverse=lambda r: 12.0 * r * r,
         rhs_phase=rhs_phase,
         fprime_integer=fprime_integer,
+        # sqrt(x/12) - k = (x - 12 k^2) / (12 (f' + k)), where x - 12 k^2 is
+        # exact: 12 k^2 is a float near x (below 2^53 on the domain)
+        fprime_offset=lambda x, k: (x - 12 * k * k) / (12.0 * (0.5 * math.sqrt(x / 3.0) + k)),
         name="power_phase",
     )
 

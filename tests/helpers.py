@@ -254,7 +254,7 @@ def bisected_roots(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
 def single_roots(fn: Callable[[np.ndarray], np.ndarray], xs, vals) -> list:
     """``sign_change_roots`` of the one function fn, with vals = fn(xs) of
     xs's shape: the roots of each row, a list for one scan."""
-    (roots,) = sign_change_roots(lambda x: [fn(x)], xs, [vals])
+    (roots,) = sign_change_roots(lambda x, parts: [fn(x[parts[0]])], xs, [vals])
     return roots
 
 

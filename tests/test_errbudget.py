@@ -24,8 +24,14 @@ SQ37 = math.sqrt(37.0)
 
 
 def kappa(terms, intervals, isolated):
-    """The K functional of the one branch of terms, on its own break points."""
-    (cuts,) = eb.kappa_cuts(terms, intervals)
+    """The K functional of the one branch of terms, on its own break points;
+    kappa_cuts gets terms(x) -> (W, W', r') in the form that takes each of
+    the three on its own slice of x."""
+    def sliced(x, parts=None):
+        values = terms(x)
+        return values if parts is None else [v[s] for v, s in zip(values, parts)]
+
+    (cuts,) = eb.kappa_cuts(sliced, intervals)
     return eb.kappa_functional(terms, intervals, isolated, cuts)
 
 
@@ -213,6 +219,53 @@ def test_fprime_nearest_without_an_exact_test_is_nearest_integer_of_f1(case, t, 
     for _ in range(abs(ulps)):
         x = math.nextafter(x, math.copysign(math.inf, ulps))
     assert eb.fprime_nearest(model, x) == nearest_integer(float(model.f1(x)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 9_128_765), st.sampled_from([-1, 0, 1]))
+def test_power_phase_exact_test_decides_both_ways(k, side):
+    # x = 12 k^2 and one ulp either side of it, up to x ~ 1e15: f' is the
+    # integer k at 12 k^2 and no integer off it, with an offset of the sign
+    # of x - 12 k^2, never 0, even where the float f' rounds onto k
+    model, _ = builtin_family("power_phase")
+    x = math.nextafter(12.0 * k * k, side * math.inf) if side else 12.0 * k * k
+    got = eb.fprime_nearest(model, x)
+    if not side:
+        assert got == (k, 0.0, 0.0)
+        return
+    assert got.nearest == k and got.dist == abs(got.signed_frac) > 0.0
+    assert math.copysign(1.0, got.signed_frac) == side
+    # the true offset (x - 12 k^2) / (12 (f' + k)), to a few ulps of itself
+    want = float((mpmath.mpf(x) - 12 * k * k) / (12 * (mpmath.sqrt(mpmath.mpf(x) / 12) + k)))
+    assert got.signed_frac == pytest.approx(want, rel=1e-14)
+
+
+def test_power_phase_float_slope_on_an_integer_is_no_integer():
+    # one ulp (1/16) either side of 12 k^2 at k = 5 774 828: sqrt(x / 12)
+    # rounds onto k, but the exact test says no, so the limit is no integer,
+    # and m and the Delta1 case read dist > 0
+    model, profile = builtin_family("power_phase")
+    k = 5_774_828
+    for side in (1.0, -1.0):
+        x = math.nextafter(12.0 * k * k, side * math.inf)
+        assert float(model.f1(x)) == k and model.fprime_integer(x) is None
+        got = eb.fprime_nearest(model, x)
+        assert got.nearest == k and got.dist == abs(got.signed_frac) > 0.0
+        assert math.copysign(1.0, got.signed_frac) == side
+        assert eb.endpoint(model, profile, x).slope == got
+
+
+def test_headline_budget_is_finite_and_not_vacuous():
+    # power_phase on [1, 1.2e9]: f'(b - 1/2) = 9 999.999 997 9 is no integer,
+    # so bbar = 12 * 9 999^2 and Delta3(b) is small, not the 6.1e11 of a
+    # bbar clamped to b - 1/2
+    model, profile = builtin_family("power_phase")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        budget = eb.compute_budget(model, profile, 1.0, 1.2e9)
+    assert budget.bbar == 12.0 * 9999 ** 2
+    assert budget.delta3_b < 1e-4
+    assert math.isfinite(budget.total) and budget.total < 1e4
 
 
 def test_abar_power_phase():
@@ -912,6 +965,48 @@ def test_kappa_probes_each_gap_a_third_in(monkeypatch):
     assert seen[1] == [pytest.approx(c, abs=1e-15)]
 
 
+def test_kappa_probes_only_the_w_rows_that_change_sign():
+    # on [0, 1] W and W' keep their sign (only r' changes it): no probe there;
+    # on [2, 3] W changes sign and W' does not: W alone is probed, once
+    calls = []
+
+    def terms(x, parts=None):
+        x = np.asarray(x, dtype=float)
+        full = (np.where(x < 1.5, 1.0 + x, x - 2.5), np.ones_like(x), x - 0.5 - 1.8 * (x > 1.5))
+        asked = [0, 1, 2] if parts is None else [c for c, s in enumerate(parts) if s.stop > s.start]
+        calls.append((float(x.min()), float(x.max()), x.size, asked))
+        return full if parts is None else [v[s] for v, s in zip(full, parts)]
+
+    (cuts,) = eb.kappa_cuts(terms, [(0.0, 1.0), (2.0, 3.0)])
+    assert cuts[0][0] == [0.5] and cuts[1][0] == [pytest.approx(2.3)]
+    assert cuts[1][1] == [2.5]
+    scans = [c for c in calls if c[2] == eb._KAPPA_SCAN]
+    probes = [c for c in calls if c[2] == eb._KAPPA_SCAN - 1]
+    assert [c[3] for c in scans] == [[0, 1, 2], [0, 1, 2]]
+    assert len(probes) == 1 and 2.0 < probes[0][0] < probes[0][1] < 3.0
+    assert probes[0][3] == [0]
+    # the refinement asks each component only where it has brackets
+    assert all(c[3] for c in calls)
+
+
+def test_kappa_probes_skip_a_budget_whose_w_rows_keep_their_sign(monkeypatch):
+    # power_phase (g = 1, so one J_0 branch): W_0 and W_0' keep their sign on
+    # its K interval, so its probes are never evaluated
+    model, profile = builtin_family("power_phase")
+    part = eb.partition_assumptions(model, *condition_m_domain(model, profile, 1.0, 20126.0))
+    assert part.j0 and not part.jpm
+    sizes = []
+    terms = eb.WRFunctions.zero_terms
+
+    def spied(self, x, parts=None):
+        sizes.append(np.size(x))
+        return terms(self, x, parts)
+
+    monkeypatch.setattr(eb.WRFunctions, "zero_terms", spied)
+    eb._k_terms(model, part)
+    assert eb._KAPPA_SCAN in sizes and eb._KAPPA_SCAN - 1 not in sizes
+
+
 def test_kappa_point_terms_come_from_one_array_call(monkeypatch):
     # isolated points add |W(x)|, interval ends and sign changes of r' add
     # |s(x) W(x)|; all five points are one terms call on a 1-d array
@@ -972,7 +1067,7 @@ def test_the_partition_and_k_functionals_bisect_in_few_jet_calls(monkeypatch, fa
 
     def counted(fn, *args):
         loops.append(fn)
-        return bisected(lambda x: jets.append(x.size) or fn(x), *args)
+        return bisected(lambda x, parts: jets.append(x.size) or fn(x, parts), *args)
 
     monkeypatch.setattr(eb, "sign_change_roots", counted)
     eb.partition_assumptions(model, *condition_m_domain(model, profile, a, b))

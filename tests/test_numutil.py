@@ -600,7 +600,8 @@ def test_sign_change_roots_batch_equals_one_gap_at_a_time():
 
     vals = fn(xs.ravel()).reshape(3, *xs.shape)
     use = np.array([[True, True, False], [True, False, True], [True, True, True]])
-    got = nu.sign_change_roots(fn, xs, vals, use)
+    got = nu.sign_change_roots(lambda x, parts: [fn(x[s])[c] for c, s in enumerate(parts)],
+                               xs, vals, use)
     for c in range(3):
         for r in range(3):
             one = single_roots(lambda x: fn(x)[c], xs[r], vals[c, r])
@@ -608,3 +609,61 @@ def test_sign_change_roots_batch_equals_one_gap_at_a_time():
             if use[c, r]:
                 assert one == bisected_roots(lambda x: fn(x)[c], xs[r], vals[c, r])
     assert sum(map(len, got[0])) > 10
+
+
+def _component(kind, seed):
+    """A function of x on [1, 7] with sign changes for the refinement to find:
+    a smooth one, or one whose sign flips 5 times within 40 ulps of a point
+    (as W' does at input 17 of the budget goldens) and is x - x0 elsewhere."""
+    rng = np.random.default_rng(seed)
+    if kind == "smooth":
+        w, p = rng.uniform(0.5, 9.0), rng.uniform(0.0, 6.3)
+        return lambda x: np.sin(w * x + p) + 0.2
+    x0 = rng.uniform(1.5, 6.5)
+    u = math.ulp(x0)
+    flips = np.sort(rng.choice(np.arange(-20, 21), 5, replace=False))
+
+    def fn(x):
+        k = np.round((x - x0) / u)
+        sign = np.where((k[:, None] >= flips).sum(axis=1) % 2 == 0, -1.0, 1.0)
+        return np.where(np.abs(k) <= 20, sign * (1.0 + np.abs(k)), x - x0)
+    return fn
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["smooth", "flips"]), st.integers(0, 2 ** 32 - 1)),
+                min_size=1, max_size=4),
+       st.integers(1, 3), st.integers(2, 48), st.integers(0, 2 ** 32 - 1))
+def test_the_refinement_is_each_components_bisection(specs, rows, n, seed):
+    # random layouts of components, scan rows and use flags: every root is
+    # the one the bisection of its component alone finds, bit for bit, and
+    # each component is computed only at the points of its own brackets
+    rng = np.random.default_rng(seed)
+    comps = [_component(kind, s) for kind, s in specs]
+    k = len(comps)
+    xs = np.sort(rng.uniform(1.0, 7.0, (rows, n)), axis=1)
+    xs[:, 0], xs[:, -1] = 1.0, 7.0  # so a gap of every row straddles each x0
+    vals = np.array([fn(xs.ravel()).reshape(rows, n) for fn in comps])
+    use = rng.random((k, rows)) < 0.8
+    seen = [[] for _ in range(k)]
+
+    def fn(x, parts):
+        assert len(parts) == k and sum(s.stop - s.start for s in parts) == x.size
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        for c, s in enumerate(parts):
+            seen[c].append(x[s])
+        return [comps[c](x[s]) for c, s in enumerate(parts)]
+
+    got = nu.sign_change_roots(fn, xs, vals, use)
+    for c in range(k):
+        for r in range(rows):
+            want = bisected_roots(comps[c], xs[r], vals[c, r]) if use[c, r] else []
+            assert got[c][r] == want
+        # each point computed for c lies strictly inside a gap of c that is
+        # bisected: one whose ends differ in sign, neither zero, in a used row
+        pts = np.concatenate(seen[c]) if seen[c] else np.empty(0)
+        neg = vals[c] < 0
+        gaps = [(xs[r, i], xs[r, i + 1]) for r in range(rows) if use[c, r]
+                for i in range(n - 1) if neg[r, i] != neg[r, i + 1]
+                and vals[c, r, i] != 0.0 and vals[c, r, i + 1] != 0.0]
+        assert all(any(a < p < b for a, b in gaps) for p in pts.tolist())

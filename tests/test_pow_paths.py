@@ -4,7 +4,9 @@ numpy's float64 ``power`` is fast on positive bases but takes a slow scalar
 path on a negative one: with numpy 2.4 on an AVX-512 Intel Xeon, ``y ** 3``
 costs 119 ns per element on a negative y, against 3.0 ns on a positive y and
 1.0 ns for ``y * y * y``.  g'' and P change sign along the K intervals, so
-``WRFunctions.pm_terms`` and ``zero_terms`` form every power as a product.
+``WRFunctions.pm_terms`` and ``zero_terms``, and the terms they take from
+their shared values (``_pm_terms`` and ``_zero_terms``), form every power as
+a product.
 
 A step that needs libm's bits on an array calls ``np.float_power``, whose
 float64 loop calls libm's ``pow`` on every element: 14 ns per element on
@@ -36,6 +38,11 @@ def test_pm_terms_and_zero_terms_have_no_power():
     tree = _trees()["errbudget.py"]
     bad = [f"{method}: {ast.unparse(n)}" for method in ("pm_terms", "zero_terms")
            for n in _powers(_method(tree, "WRFunctions", method))]
+    bad += [f"{fn.name}: {ast.unparse(n)}" for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("_pm_terms", "_zero_terms")
+            for n in _powers(fn)]
+    assert len([fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                and fn.name in ("_pm_terms", "_zero_terms")]) == 2
     assert not bad, "powers in WRFunctions: " + "; ".join(bad)
 
 
