@@ -29,9 +29,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numutil import (NearestIntDecomp, check_interval, integer_range, nearest_decomp,
-                      nearest_integer, sawtooth_s, sign_change_roots)
-from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
+from .numutil import NearestIntDecomp, check_interval, integer_range, sawtooth_s, sign_change_roots
+from .phase import ConditionMProfile, PhaseAmplitudeModel, fprime_nearest, invert_fprime
 from .quad import panel_integral
 
 
@@ -48,7 +47,7 @@ _GRID = 24  # Chebyshev nodes of the sweep
 @dataclass(frozen=True)
 class Endpoint:
     """What D(x), Delta1, Delta2 and J read at a limit x: f, f'', f''', g, g',
-    U and M there, the integer decision of f'(x) (:func:`fprime_nearest`),
+    U and M there, the integer decision of f'(x) (``phase.fprime_nearest``),
     and m, the number of integers other than f' in the open interval
     (f' - f'', f' + f'')."""
 
@@ -87,22 +86,6 @@ class ConditionMReport:
             "extendedInterval": list(self.extended_interval),
             "grid": self.grid,
         }
-
-
-def fprime_nearest(model: PhaseAmplitudeModel, x: float) -> NearestIntDecomp:
-    """The integer decision of f'(x): the family's exact test where the model
-    has one and it finds an integer, else ``nearest_integer`` of f'(x).  A
-    complete test's "no" (the model has ``fprime_offset``) is final, with the
-    exact offset within 2 ulps of the integer, where the float's sign may err."""
-    r = model.fprime_integer(x) if model.fprime_integer is not None else None
-    if r is not None:
-        return NearestIntDecomp(r, 0.0, 0.0)
-    f1 = float(model.f1(x))
-    d = nearest_integer(f1) if model.fprime_offset is None else nearest_decomp(f1)
-    if model.fprime_offset is None or d.dist > 2.0 * math.ulp(f1):
-        return d
-    off = model.fprime_offset(x, d.nearest)
-    return NearestIntDecomp(d.nearest, off, abs(off))
 
 
 def endpoint(model: PhaseAmplitudeModel, profile: ConditionMProfile, mu: float) -> Endpoint:

@@ -20,12 +20,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .errbudget import compute_budget, fprime_nearest
 from .expsum import CurveSample, curve_samples, direct_starred_sum, write_curve_csv
-from .numutil import (TWO_PI_I, amplitude_e, check_finite, check_interval, integer_range,
-                      modified_sawtooth, nearest_decomp, nearest_integer, sawtooth_psi)
-from .phase import PhaseAmplitudeModel, builtin_family, family_model
-from .transform import budget_with_endpoints, full_transform, rhs_main_sum
+from .numutil import (CHUNK, TWO_PI_I, amplitude_e, check_finite, check_interval,
+                      integer_range, modified_sawtooth, nearest_decomp, nearest_integer,
+                      sawtooth_psi)
+from .phase import PhaseAmplitudeModel, builtin_family, family_model, fprime_nearest
+
+# transform, errbudget and quad are imported where they run, so that the
+# commands that never reach them (sum, curve, ck, kl, ik) start without them
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +36,8 @@ from .transform import budget_with_endpoints, full_transform, rhs_main_sum
 
 def example_delta(n: int) -> complex:
     """Measured residual of the power-phase identity at upper limit n."""
+    from .transform import rhs_main_sum
+
     model = family_model("power_phase")
     lhs = direct_starred_sum(model, 1.0, float(n))
     rhs = rhs_main_sum(model, 1.0, float(n))
@@ -130,6 +134,18 @@ def estimate_c(k_min: int, k_max: int) -> Tuple[complex, float]:
 # quadratic reciprocity bound (Coutsias-Kazarinoff)
 # ---------------------------------------------------------------------------
 
+# the most terms the two direct sums of ck_quadratic or ik_experiment may take
+# together; at some 25 ns a term that is a few seconds
+_MAX_TERMS = 10 ** 8
+
+
+def _check_terms(terms: float) -> None:
+    """Refuse a pair of direct sums that take more than ``_MAX_TERMS`` terms."""
+    if not terms <= _MAX_TERMS:
+        raise ValueError(f"the two direct sums take {terms:.4g} terms, "
+                         f"more than {_MAX_TERMS:.0e}")
+
+
 @dataclass
 class CKReport:
     omega: float
@@ -152,11 +168,16 @@ class CKReport:
 def rounding_bound(model: PhaseAmplitudeModel, a: float, b: float) -> float:
     """A-priori float64 error of ``direct_starred_sum(model, a, b)``: 2^-53
     times the sum of |g(n)| (2 pi |f(n)| + 4) over the integers n in [a, b],
-    the reduced phase's error plus a few ulps of cos, sin and product a term."""
+    the reduced phase's error plus a few ulps of cos, sin and product a term.
+    The integers go through in ``numutil.CHUNK`` blocks, whose sums
+    ``math.fsum`` adds."""
     n_lo, n_hi, _, _ = integer_range(nearest_integer(a), nearest_integer(b))
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    terms = np.abs(model.g(ns)) * (2.0 * math.pi * np.abs(model.f(ns)) + 4.0)
-    return 2.0 ** -53 * float(np.sum(terms))
+    blocks = []
+    for lo in range(n_lo, n_hi + 1, CHUNK):
+        ns = np.arange(lo, min(lo + CHUNK, n_hi + 1), dtype=np.float64)
+        terms = np.abs(model.g(ns)) * (2.0 * math.pi * np.abs(model.f(ns)) + 4.0)
+        blocks.append(float(np.sum(terms)))
+    return 2.0 ** -53 * math.fsum(blocks)
 
 
 CK_CONSTANT = 3.14  # the C of the Coutsias-Kazarinoff bound
@@ -167,13 +188,15 @@ def ck_quadratic(omega: float, n: int) -> CKReport:
     with C = CK_CONSTANT, N the nearest integer to n/omega and S_K(w) the
     starred sum of e(w k^2 / 2) over 0 <= k <= K.  The check allows for the
     float64 rounding bound of the two sums on top of C |N - n/omega|, which
-    is 0 when n/omega is an integer."""
+    is 0 when n/omega is an integer.  A pair whose two sums take more than
+    ``_MAX_TERMS`` terms, n/|omega| + n, raises ValueError before any work."""
     if not (0 < abs(omega) < 1):
         raise ValueError("omega must satisfy 0 < |omega| < 1")
     if n < 1:
         raise ValueError("n must be positive")
     s = 1.0 if omega > 0 else -1.0
     m = abs(omega)
+    _check_terms(n / m + n)
     big_n = nearest_decomp(n / m).nearest
     q1 = family_model("quadratic", [m])
     q2 = family_model("quadratic", [1.0 / m])
@@ -289,18 +312,13 @@ class IKReport:
         }
 
 
-# the most terms the two direct sums of ik_experiment may take together; at
-# some 25 ns a term that is a few seconds
-_IK_MAX_TERMS = 10 ** 8
-
-
 def ik_experiment(alpha: float, nu: float, n_scale: float, x_scale: float) -> IKReport:
     """Both sides of the monomial-pair identity by direct summation.
 
     The dual side runs over M <= m <= mu M with M = X/N, 1/alpha + 1/beta = 1,
     mu^beta = nu^alpha, and weights sqrt(beta/m) e(1/8 - (X/beta)(m/M)^beta):
     e(1/8) times the conjugated starred sum of the ik_monomial(beta, M, X)
-    family.  A pair whose two sums take more than ``_IK_MAX_TERMS`` terms,
+    family.  A pair whose two sums take more than ``_MAX_TERMS`` terms,
     (nu - 1) N + (mu - 1) M, raises ValueError before any work.
     """
     check_finite(alpha=alpha, nu=nu, N=n_scale, X=x_scale)
@@ -313,10 +331,7 @@ def ik_experiment(alpha: float, nu: float, n_scale: float, x_scale: float) -> IK
     beta = alpha / (alpha - 1.0)
     mu = nu ** (alpha / beta)
     m_scale = x_scale / n_scale
-    terms = (nu - 1.0) * n_scale + (mu - 1.0) * m_scale
-    if not terms <= _IK_MAX_TERMS:
-        raise ValueError(f"the two direct sums take {terms:.4g} terms, "
-                         f"more than {_IK_MAX_TERMS:.0e}")
+    _check_terms((nu - 1.0) * n_scale + (mu - 1.0) * m_scale)
 
     model = family_model("ik_monomial", [alpha, n_scale, x_scale])
     lhs = direct_starred_sum(model, n_scale, nu * n_scale)
@@ -458,6 +473,8 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             _dump_json({"schema": "direct-sum/1", "value": {"re": val.real, "im": val.imag}},
                        args.json_dir, "sum.json")
         elif args.command == "transform":
+            from .transform import budget_with_endpoints, full_transform
+
             model, profile = builtin_family(*_family_from_args(args))
             _check_limits(model, args.a, args.b)
             res, budget = full_transform(model, profile, args.a, args.b)
@@ -468,6 +485,8 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"budget total = {budget.total:.6g}")
             _dump_json(payload, args.json_dir, "transform.json")
         elif args.command == "budget":
+            from .errbudget import compute_budget
+
             model, profile = builtin_family(*_family_from_args(args))
             _check_limits(model, args.a, args.b)
             budget = compute_budget(model, profile, args.a, args.b)

@@ -37,7 +37,7 @@ from typing import Callable, ClassVar, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .numutil import FLOAT_HALVINGS
+from .numutil import FLOAT_HALVINGS, NearestIntDecomp, nearest_decomp, nearest_integer
 
 Func = Callable[[np.ndarray], np.ndarray]
 ArrayOrFloat = Union[np.ndarray, float]
@@ -217,6 +217,26 @@ def invert_fprime(model: PhaseAmplitudeModel, r):
         raise RuntimeError(f"f' inversion stalled at x={float(x[stalled][0])} "
                            f"for r={float(rs[stalled][0])}")
     return x if rs.ndim else float(x)
+
+
+# ---------------------------------------------------------------------------
+# the integer decision of f'
+# ---------------------------------------------------------------------------
+
+def fprime_nearest(model: PhaseAmplitudeModel, x: float) -> NearestIntDecomp:
+    """The integer decision of f'(x): the family's exact test where the model
+    has one and it finds an integer, else ``nearest_integer`` of f'(x).  A
+    complete test's "no" (the model has ``fprime_offset``) is final, with the
+    exact offset within 2 ulps of the integer, where the float's sign may err."""
+    r = model.fprime_integer(x) if model.fprime_integer is not None else None
+    if r is not None:
+        return NearestIntDecomp(r, 0.0, 0.0)
+    f1 = float(model.f1(x))
+    d = nearest_integer(f1) if model.fprime_offset is None else nearest_decomp(f1)
+    if model.fprime_offset is None or d.dist > 2.0 * math.ulp(f1):
+        return d
+    off = model.fprime_offset(x, d.nearest)
+    return NearestIntDecomp(d.nearest, off, abs(off))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import errbudget
-from .errbudget import ConditionMReport, Endpoint, ErrorBudget, fprime_nearest
+from .errbudget import ConditionMReport, Endpoint, ErrorBudget
 from .expsum import direct_starred_sum
 from .numutil import TWO_PI_I, amplitude_e, check_interval, csum, integer_range, modified_sawtooth
-from .phase import ConditionMProfile, PhaseAmplitudeModel, invert_fprime
+from .phase import ConditionMProfile, PhaseAmplitudeModel, fprime_nearest, invert_fprime
 
 
 @dataclass(frozen=True)

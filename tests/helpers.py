@@ -28,11 +28,11 @@ import numpy as np
 from vdcorput import errbudget as eb
 from vdcorput import quad
 from vdcorput import transform
-from vdcorput.errbudget import WRFunctions, fprime_nearest
+from vdcorput.errbudget import WRFunctions
 from vdcorput.numutil import (TWO_PI, amplitude_e, floor_frac, nearest_decomp, sawtooth_psi,
                               sign_change_roots)
 from vdcorput.phase import (ConditionMProfile, InversionRangeError, PhaseAmplitudeModel,
-                            _newton_brackets, family_model, invert_fprime)
+                            _newton_brackets, family_model, fprime_nearest, invert_fprime)
 from vdcorput.transform import EndpointTerm
 
 

@@ -367,6 +367,31 @@ def test_cli_import_loads_no_polynomial_scipy_or_mpmath():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_graph_follows_the_command():
+    # the package loads none of its modules, and the commands that never
+    # reach the dual side or the budget start without transform, errbudget
+    # and quad
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = """if True:
+        import sys
+        import vdcorput
+        print(sorted(m for m in sys.modules if m.startswith("vdcorput.")))
+        from vdcorput.experiments import cli_main
+        for argv in (["sum", "--a", "1", "--b", "50"], ["curve", "--tmax", "5"],
+                     ["ck", "--omega", "0.7", "--n", "2"],
+                     ["kl", "--family", "quadratic", "--params", "0.001",
+                      "--domain", "0,1e6", "--a", "200", "--b", "400"],
+                     ["ik", "--N", "10", "--X", "100"]):
+            assert cli_main(argv) == 0, argv
+        print(sorted(m for m in sys.modules
+                     if m in ("vdcorput.transform", "vdcorput.errbudget", "vdcorput.quad")))
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip().splitlines()[0] == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_cli_exit_codes():
     assert cli_main(["ck", "--omega", "0.7", "--n", "2"]) == 0
     assert cli_main(["ck", "--omega", "0.5", "--n", "3"]) == 0  # CK bound 0
@@ -436,6 +461,9 @@ def test_cli_transform_at_a_limit_near_an_integer():
     # a curve too large to hold, refused before numpy is asked for it
     (["curve", "--tmax", "1e13"], "1e+13 samples, more than 1e+06"),
     (["ck", "--random", "-3"], "--random takes a count of draws >= 0, got -3"),
+    # N = 5e10 ran a 20-minute sum and then ran out of memory in the
+    # rounding bound: the term count is refused before any summing
+    (["ck", "--omega", "1e-9", "--n", "50"], "5e+10 terms, more than 1e+08"),
     # a budget of [a, a] divided by b - a = 0 where f'(a) is an integer
     (["budget", "--a", "12", "--b", "12"], "the budget needs b > a, got a = b = 12.0"),
     (["transform", "--a", "12", "--b", "12"], "the budget needs b > a, got a = b = 12.0"),

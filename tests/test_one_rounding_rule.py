@@ -5,7 +5,7 @@ reduced mod 1, are answered by numutil (``nearest_integer``, the one integer
 rule, whose decisions ``integer_range`` turns into a range; ``cis_turns``,
 the table kernel and the one home of e(x), which ``amplitude_e`` scales by
 an amplitude).  For f' the family's exact test comes first, in
-``errbudget.fprime_nearest`` alone.  A private copy elsewhere in src/ drifts
+``phase.fprime_nearest`` alone.  A private copy elsewhere in src/ drifts
 from them, so this scan fails on one.
 """
 
@@ -18,7 +18,7 @@ SRC = ROOT / "src" / "vdcorput"
 # the functions allowed to apply the integer rule themselves
 INTEGER_RULE_HOMES = {("numutil.py", "nearest_integer")}
 # the one function allowed to call a family's exact test of an integral f'
-EXACT_TEST_HOME = ("errbudget.py", "fprime_nearest")
+EXACT_TEST_HOME = ("phase.py", "fprime_nearest")
 
 
 def _trees():

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from vdcorput import errbudget
-from vdcorput.errbudget import compute_budget, endpoint, fprime_nearest
+from vdcorput.errbudget import compute_budget, endpoint
 from vdcorput.expsum import direct_starred_sum
 from vdcorput.numutil import amplitude_e, csum, modified_sawtooth, nearest_decomp
-from vdcorput.phase import ConditionMProfile, builtin_family, invert_fprime
+from vdcorput.phase import ConditionMProfile, builtin_family, fprime_nearest, invert_fprime
 from vdcorput.transform import (TransformOptions, _phase_f_minus_rx, budget_with_endpoints,
                                 endpoint_term, full_transform, rhs_main_sum)
 
