@@ -461,9 +461,6 @@ def test_cli_transform_at_a_limit_near_an_integer():
     # a curve too large to hold, refused before numpy is asked for it
     (["curve", "--tmax", "1e13"], "1e+13 samples, more than 1e+06"),
     (["ck", "--random", "-3"], "--random takes a count of draws >= 0, got -3"),
-    # N = 5e10 ran a 20-minute sum and then ran out of memory in the
-    # rounding bound: the term count is refused before any summing
-    (["ck", "--omega", "1e-9", "--n", "50"], "5e+10 terms, more than 1e+08"),
     # a budget of [a, a] divided by b - a = 0 where f'(a) is an integer
     (["budget", "--a", "12", "--b", "12"], "the budget needs b > a, got a = b = 12.0"),
     (["transform", "--a", "12", "--b", "12"], "the budget needs b > a, got a = b = 12.0"),
@@ -473,6 +470,9 @@ def test_cli_transform_at_a_limit_near_an_integer():
     # an output path that cannot be written ended in a FileExistsError traceback
     (["budget", "--a", "100", "--b", "200", "--json", "/dev/null"], "File exists"),
     (["curve", "--tmax", "5", "--svg", "/dev/null/s.svg"], "File exists"),
+    # N = 5e10 ran a 20-minute sum and then ran out of memory in the
+    # rounding bound: the term count is refused before any summing
+    (["ck", "--omega", "1e-9", "--n", "50"], "5e+10 terms, more than 1e+08"),
 ])
 def test_cli_non_finite_limit_is_an_error_not_a_traceback(argv, limit, capsys):
     # a warning, which pytest keeps off stderr, is one more stderr line in a shell
