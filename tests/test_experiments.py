@@ -357,39 +357,35 @@ def test_cli_reports_are_bit_identical(tmp_path):
 
 
 def test_cli_import_loads_no_polynomial_scipy_or_mpmath():
-    # scipy and mpmath are test-only references and the quadrature table is
-    # literal, so a cold CLI start loads numpy's core alone
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, vdcorput.experiments; print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('scipy', 'mpmath') or m.startswith('numpy.polynomial')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
-
-
-def test_import_graph_follows_the_command():
-    # the package loads none of its modules, and the commands that never
-    # reach the dual side or the budget start without transform, errbudget
-    # and quad
+    # in a fresh interpreter: the package loads none of its modules; the
+    # commands that never reach the dual side or the budget start without
+    # transform, errbudget and quad; and with every module loaded, scipy and
+    # mpmath (test-only references) and numpy.polynomial (the quadrature
+    # table is literal) stay out
     src = Path(__file__).resolve().parents[1] / "src"
     code = """if True:
-        import sys
+        import contextlib, io, sys
         import vdcorput
-        print(sorted(m for m in sys.modules if m.startswith("vdcorput.")))
+        seen = [sorted(m for m in sys.modules if m.startswith("vdcorput."))]
         from vdcorput.experiments import cli_main
-        for argv in (["sum", "--a", "1", "--b", "50"], ["curve", "--tmax", "5"],
-                     ["ck", "--omega", "0.7", "--n", "2"],
-                     ["kl", "--family", "quadratic", "--params", "0.001",
-                      "--domain", "0,1e6", "--a", "200", "--b", "400"],
-                     ["ik", "--N", "10", "--X", "100"]):
-            assert cli_main(argv) == 0, argv
-        print(sorted(m for m in sys.modules
-                     if m in ("vdcorput.transform", "vdcorput.errbudget", "vdcorput.quad")))
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["sum", "--a", "1", "--b", "50"], ["curve", "--tmax", "5"],
+                         ["ck", "--omega", "0.7", "--n", "2"],
+                         ["kl", "--family", "quadratic", "--params", "0.001",
+                          "--domain", "0,1e6", "--a", "200", "--b", "400"],
+                         ["ik", "--N", "10", "--X", "100"]):
+                assert cli_main(argv) == 0, argv
+        seen.append(sorted(m for m in sys.modules
+                           if m in ("vdcorput.transform", "vdcorput.errbudget", "vdcorput.quad")))
+        import vdcorput.transform
+        assert "vdcorput.quad" in sys.modules
+        seen.append(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")
+                           or m.startswith("numpy.polynomial")))
+        print(seen)
     """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip().splitlines()[0] == "[]"
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert out.stdout.strip() == "[[], [], []]"
 
 
 def test_cli_exit_codes():
