@@ -44,6 +44,13 @@ def floor_frac(x: float) -> float:
     return x - math.floor(x)
 
 
+def mod1(y):
+    """y mod 1 for arrays or scalars, bit for bit np.remainder(y, 1.0): y - floor(y)
+    is exact from |y| >= 1 on and below it rounds as remainder's y + 1 does
+    (1.0 at a tiny negative y); nan where y is not finite."""
+    return y - np.floor(y)
+
+
 def sawtooth_s(x: float) -> float:
     """s(x) = {x} - 1/2."""
     return floor_frac(x) - 0.5

@@ -37,7 +37,7 @@ from typing import Callable, ClassVar, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .numutil import FLOAT_HALVINGS, NearestIntDecomp, nearest_decomp, nearest_integer
+from .numutil import FLOAT_HALVINGS, NearestIntDecomp, mod1, nearest_decomp, nearest_integer
 
 Func = Callable[[np.ndarray], np.ndarray]
 ArrayOrFloat = Union[np.ndarray, float]
@@ -331,7 +331,7 @@ def _quadratic_model(omega: float, domain) -> PhaseAmplitudeModel:
         fjet=fjet, gjet=_unit_gjet,
         domain=domain or (-1e9, 1e9),
         fprime_inverse=lambda r: r / omega,
-        rhs_phase=lambda r, xr: (-0.5 * r * r / omega) % 1.0,
+        rhs_phase=lambda r, xr: mod1(-0.5 * r * r / omega),
         name="quadratic",
         params=(omega,),
     )
@@ -375,7 +375,7 @@ def _ik_model(alpha: float, n_scale: float, x_scale: float, domain) -> PhaseAmpl
         fjet=fjet, gjet=gjet,
         domain=domain or (1e-3 * N, 1e9 * N),
         fprime_inverse=lambda r: N * np.float_power(r * N / X, 1.0 / (A - 1.0)),
-        rhs_phase=lambda r, xr: (-(X / q) * np.float_power(r * N / X, q)) % 1.0,
+        rhs_phase=lambda r, xr: mod1(-(X / q) * np.float_power(r * N / X, q)),
         fprime_integer=fprime_integer,
         name="ik_monomial",
         params=(alpha, n_scale, x_scale),
@@ -397,7 +397,7 @@ def _exponential_model(alpha: float, beta: float, domain) -> PhaseAmplitudeModel
         fjet=fjet, gjet=_unit_gjet,
         domain=domain or (-xmax, xmax),
         fprime_inverse=lambda r: np.log(r / (alpha * lb)) / lb,
-        rhs_phase=lambda r, xr: (r / lb - r * xr) % 1.0,
+        rhs_phase=lambda r, xr: mod1(r / lb - r * xr),
         name="exponential",
         params=(alpha, beta),
     )
@@ -426,11 +426,29 @@ def _zeta_log_model(sigma: float, t: float, domain) -> PhaseAmplitudeModel:
                 else -sigma * (sigma + 1) * (sigma + 2) * x ** (-sigma - 3)
                 for k in range(lo, hi + 1)]
 
+    # f'(x) = -c/x in integers: with c = u/v and x = p/q exactly, f'(x) is
+    # -u q / (v p), an integer when v p divides u q, and never 0
+    u, v = c.as_integer_ratio()
+
+    def fprime_integer(x: float) -> Optional[int]:
+        p, q = float(x).as_integer_ratio()
+        if p == 0:
+            return None
+        k, rest = divmod(-u * q, v * p)
+        return None if rest else k
+
+    def fprime_offset(x: float, k: int) -> float:
+        # -(c + k x)/x = -(u q + k p v)/(v p), one correctly rounded division
+        p, q = float(x).as_integer_ratio()
+        return -(u * q + k * p * v) / (v * p)
+
     return PhaseAmplitudeModel(
         fjet=fjet, gjet=gjet,
         domain=domain or (1e-3, 1e12),
         fprime_inverse=lambda r: -c / r,
-        rhs_phase=lambda r, xr: (-c * _libm_log(xr) - r * xr) % 1.0,
+        rhs_phase=lambda r, xr: mod1(-c * _libm_log(xr) - r * xr),
+        fprime_integer=fprime_integer,
+        fprime_offset=fprime_offset,
         name="zeta_log",
         params=(sigma, t),
     )

@@ -29,7 +29,8 @@ import numpy as np
 from . import errbudget
 from .errbudget import ConditionMReport, Endpoint, ErrorBudget
 from .expsum import direct_starred_sum
-from .numutil import TWO_PI_I, amplitude_e, check_interval, csum, integer_range, modified_sawtooth
+from .numutil import (TWO_PI_I, amplitude_e, check_interval, csum, integer_range, mod1,
+                      modified_sawtooth)
 from .phase import ConditionMProfile, PhaseAmplitudeModel, fprime_nearest, invert_fprime
 
 
@@ -92,8 +93,12 @@ class TransformResult:
 
 def _phase_f_minus_rx(fx, x, r):
     """(f(x) - r x) mod 1 from fx = f(x) at integer multipliers (arrays or
-    scalars), losing as little as the float format allows."""
-    return (np.fmod(fx, 1.0) - np.fmod(r * x, 1.0)) % 1.0
+    scalars).  y - trunc(y) is exact for every finite y (Sterbenz's lemma
+    from |y| >= 1 on), so fx and the float r x each lose their integer part
+    without error; only the difference of the two parts, in (-1, 1), and
+    ``mod1``'s step of a negative difference into [0, 1] round."""
+    rx = r * x
+    return mod1((fx - np.trunc(fx)) - (rx - np.trunc(rx)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdcorput import errbudget as eb
-from vdcorput.numutil import nearest_integer
+from vdcorput.numutil import nearest_decomp, nearest_integer
 from vdcorput.phase import (ConditionMProfile, PhaseAmplitudeModel,
                             builtin_family, family_model, invert_fprime)
 from vdcorput.transform import rhs_main_sum
@@ -200,7 +201,7 @@ def test_m_count_zero_when_curvature_below_distance():
 
 # families whose models have no exact test of an integral f'
 NO_EXACT_TEST = [("quadratic", [1.0], 1.0, 1e6), ("quadratic", [0.37], 1.0, 1e4),
-                 ("exponential", [1.0, 2.0], 4.398, 8.398), ("zeta_log", [0.5, 1e4], 50.0, 500.0),
+                 ("exponential", [1.0, 2.0], 4.398, 8.398),
                  ("oscillatory", [1.0, 1.0, 1.0], 100.0, 200.0)]
 
 
@@ -253,6 +254,31 @@ def test_power_phase_float_slope_on_an_integer_is_no_integer():
         assert got.nearest == k and got.dist == abs(got.signed_frac) > 0.0
         assert math.copysign(1.0, got.signed_frac) == side
         assert eb.endpoint(model, profile, x).slope == got
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([1e3, 1e4, 12345.678, 1e6]), st.integers(1, 10 ** 6),
+       st.integers(0, 40), st.integers(-2, 2))
+def test_zeta_log_exact_test_decides_both_ways(t, k, shift, ulps):
+    # f' = -c/x, c = t/2pi, at 0-2 ulps from c/k and from the exact c/2^shift:
+    # the decision is the exact rational's, an integer only where k x = -c,
+    # with an exact-signed offset where the float f' rounds onto an integer
+    model = family_model("zeta_log", [0.5, t])
+    c = Fraction(t / (2.0 * math.pi))
+    for x in (float(c / k), float(c / 2 ** shift)):
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        q = -c / Fraction(x)
+        got = eb.fprime_nearest(model, x)
+        if q.denominator == 1:
+            assert got == (int(q), 0.0, 0.0) and model.fprime_integer(x) == int(q)
+            continue
+        f1 = float(model.f1(x))
+        assert model.fprime_integer(x) is None
+        assert got.nearest == nearest_decomp(f1).nearest and got.dist == abs(got.signed_frac) > 0.0
+        assert (got.signed_frac > 0) == (q > got.nearest)
+        if abs(f1 - round(f1)) <= 2.0 * math.ulp(f1):
+            assert got.signed_frac == float(q - got.nearest)
 
 
 def test_headline_budget_is_finite_and_not_vacuous():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdcorput import numutil as nu
+from vdcorput.transform import _phase_f_minus_rx
 
 from helpers import (bisect, bisected_roots, dist_to_nearest_star, float_rule_range,
                      modified_sawtooth_grid, single_roots)
@@ -245,6 +246,80 @@ def test_sawtooth_periodicity(x):
     if (x + 1.0) - 1.0 != x:  # only when the float shift is exact
         return
     assert nu.sawtooth_psi(x + 1.0) == pytest.approx(nu.sawtooth_psi(x), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# reduction mod 1
+# ---------------------------------------------------------------------------
+
+MOD1_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-20, -1e-20, 0.5, -0.5, 1.0 - 2.0 ** -53,
+              -(1.0 - 2.0 ** -53), 1.0, -1.0, 3.0, -3.0, 7.0, -7.0, 2.0 ** 52 + 0.5,
+              -(2.0 ** 52 + 0.5), 2.0 ** 53, -(2.0 ** 53), 1e18, -1e18, 1e308, -1e308,
+              math.inf, -math.inf, math.nan]
+any_floats = st.lists(st.floats() | st.sampled_from(MOD1_EDGES), min_size=1, max_size=40)
+
+
+def _same_bits(x, y):
+    """Equal float arrays bit for bit, any nan matching any nan."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    nan = np.isnan(x)
+    return (np.array_equal(nan, np.isnan(y))
+            and np.array_equal(x[~nan].view(np.uint64), y[~nan].view(np.uint64)))
+
+
+def _old_phase(fx, x, r):
+    # the dual-side reduction through libm's fmod and numpy's remainder
+    return (np.fmod(fx, 1.0) - np.fmod(r * x, 1.0)) % 1.0
+
+
+def test_mod1_is_remainder_by_one_on_the_edge_cases():
+    y = np.array(MOD1_EDGES)
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(nu.mod1(y), np.remainder(y, 1.0))
+        assert nu.mod1(-1e-20) == 1.0 and math.isnan(nu.mod1(math.inf))
+        for v in MOD1_EDGES:  # a Python float gives a float of the same bits
+            got = nu.mod1(v)
+            assert isinstance(got, float) and _same_bits(got, v % 1.0)
+
+
+@settings(max_examples=300)
+@given(any_floats)
+def test_mod1_is_remainder_by_one(ys):
+    y = np.array(ys)
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(nu.mod1(y), np.remainder(y, 1.0))
+
+
+@settings(max_examples=300)
+@given(any_floats)
+def test_trunc_remainder_is_fmod_up_to_the_sign_of_zero(ys):
+    y = np.array(ys)
+    with np.errstate(invalid="ignore"):
+        got, want = y - np.trunc(y), np.fmod(y, 1.0)
+    assert _same_bits(got + 0.0, want + 0.0)  # -0 + 0 is +0
+    assert _same_bits(got[got != 0.0], want[got != 0.0])
+
+
+def test_dual_phase_reduction_equals_the_fmod_formula_at_negative_integers():
+    fx = np.array([-3.0, -3.0, 2.0, -0.0, -5.0, -1e18, 0.25, -2.0 ** 52 - 0.5, 1e308])
+    x = np.array([2.0, 0.5, -1.5, 3.0, -0.0, 1.0, -7.0, 0.75, 1e10])
+    for r in (-4.0, -1.0, 0.0, 1.0, 3.0):
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert _same_bits(_phase_f_minus_rx(fx, x, r), _old_phase(fx, x, r))
+            for f, xx in zip(fx.tolist(), x.tolist()):
+                assert _same_bits(_phase_f_minus_rx(f, xx, r), _old_phase(f, xx, r))
+
+
+@settings(max_examples=300)
+@given(any_floats, any_floats, st.integers(-10 ** 6, 10 ** 6))
+def test_dual_phase_reduction_equals_the_fmod_formula(fxs, xs, r):
+    n = min(len(fxs), len(xs))
+    fx, x = np.array(fxs[:n]), np.array(xs[:n])
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _same_bits(_phase_f_minus_rx(fx, x, float(r)), _old_phase(fx, x, float(r)))
+        # where f(x) and r x are integers: a zero difference of either sign
+        fi, xi = np.round(fx * 1e3), np.round(x)
+        assert _same_bits(_phase_f_minus_rx(fi, xi, float(r)), _old_phase(fi, xi, float(r)))
 
 
 # ---------------------------------------------------------------------------

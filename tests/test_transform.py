@@ -193,9 +193,21 @@ def test_rhs_phase_array_call_equals_scalar_calls(fam, params, domain, a, b):
     res = rhs_main_sum(model, a, b)
     rs, xs = res.r.astype(float).tolist(), res.xr.tolist()
     arr = model.rhs_phase(res.r.astype(float), res.xr).tolist()
-    one = [float(model.rhs_phase(r, x)) for r, x in zip(rs, xs)]
+    one = [model.rhs_phase(r, x) for r, x in zip(rs, xs)]
+    assert all(isinstance(v, float) and 0.0 <= v <= 1.0 for v in one)
     old = [_scalar_rhs_phase(model)(r, x) for r, x in zip(rs, xs)]
-    assert list(map(repr, arr)) == list(map(repr, one)) == list(map(repr, old))
+    assert list(map(repr, arr)) == list(map(repr, map(float, one))) == list(map(repr, old))
+
+
+def test_zeta_log_slope_near_zero_is_no_integer():
+    # f'(1e12) = -1.59e-10 at t = 1e3 lies within the 1e-9 slack of 0, but
+    # the exact test says no: r = 0, whose x_r is at infinity, stays out of
+    # the dual range, which ends at -1
+    model, profile = builtin_family("zeta_log", [0.5, 1e3])
+    assert fprime_nearest(model, 1e12) == (0, float(model.f1(1e12)), -float(model.f1(1e12)))
+    res, _ = full_transform(model, profile, 10.5, 1e12,
+                            TransformOptions(measure=False, budget=False))
+    assert res.r_range == (-15, -1) and res.r[-1] == -1 and math.isfinite(abs(res.rhs_main))
 
 
 def test_headline_dual_side_in_closed_form():
